@@ -181,8 +181,9 @@ def canonical_blowup_of(P: FinitePoset) -> tuple[BlowupSpec, dict[str, str]]:
     if not P.is_zero_distributive():
         raise NotZeroDistributive("the lattice is not 0-distributive")
     part = P.quotient_classes()
-    assert part.boolean_image is not None, \
-        "annihilator quotient of a bounded 0-distributive lattice is Boolean"
+    if part.boolean_image is None:
+        raise AssertionError("annihilator quotient of a bounded "
+                             "0-distributive lattice is Boolean")
     k = len(P.atoms())
     full = (1 << k) - 1
     sizes: dict[int, int] = {}

@@ -25,7 +25,7 @@ from .errors import HypothesisUnmet, UnknownSuite, ZdgError
 from .graphs import (SimpleGraph, complete_graph_on, connected_components,
                      zero_divisor_graph)
 from .metric import (DEFAULT_BRUTE_CAP, all_pairs_distances, beta_gsr_formula,
-                     diameter, distance_by_pseudocomplement, gstar,
+                     boundary, diameter, distance_by_pseudocomplement, gstar,
                      gstar_star, independence_number, is_strong_resolving,
                      minimum_vertex_cover, sdim_bruteforce, sdim_formula,
                      sdim_via_gsr, strong_resolving_graph,
@@ -286,10 +286,9 @@ def cmd_sdim(args) -> int:
                 rows.append(("formula", str(res.formula_value), "-"))
                 values.append(res.formula_value)
         elif method == "gsr":
-            gsr = strong_resolving_graph(res.graph)
-            cover = minimum_vertex_cover(gsr)
-            rows.append(("gsr", str(len(cover)), f"cover size {len(cover)}"))
-            values.append(len(cover))
+            value = sdim_via_gsr(res.graph)
+            rows.append(("gsr", str(value), f"cover size {value}"))
+            values.append(value)
         else:
             if res.graph.n > cap:
                 if args.method == "brute":
@@ -608,9 +607,8 @@ def _suite_examples(rng, count) -> VerifySuiteResult:
 
     L = boolean_lattice(3)
     G = zero_divisor_graph(L)
-    from .metric import boundary as _boundary
     out.expect_equal("2^3: boundary",
-                     ["(0,1,1)", "(1,0,1)", "(1,1,0)"], sorted(_boundary(G)))
+                     ["(0,1,1)", "(1,0,1)", "(1,1,0)"], sorted(boundary(G)))
     out.check("2^3: G_SR is K_3", strong_resolving_graph(G).labeled_equal(
         complete_graph_on(["(0,1,1)", "(1,0,1)", "(1,1,0)"])))
     out.expect_equal("2^3: formula", 2, sdim_formula(BlowupSpec(3, {})))

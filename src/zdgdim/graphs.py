@@ -18,12 +18,15 @@ from .poset import FinitePoset, _bits
 class SimpleGraph:
     """Immutable simple undirected graph with canonical vertex order."""
 
-    __slots__ = ("labels", "adj", "_index")
+    # _dist holds the distance table that metric.all_pairs_distances
+    # computes on first use and every later caller shares
+    __slots__ = ("labels", "adj", "_index", "_dist")
 
     def __init__(self, labels: Sequence[str], adj: Sequence[int]):
         self.labels = tuple(labels)
         self.adj = tuple(adj)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._dist = None
 
     @classmethod
     def from_edges(cls, labels: Iterable[str],

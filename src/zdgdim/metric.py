@@ -26,8 +26,15 @@ DEFAULT_BRUTE_CAP = 16
 
 # -- distances ---------------------------------------------------------------
 
-def all_pairs_distances(G: SimpleGraph) -> list[list[int]]:
-    """Exact unweighted distances via one bitmask BFS per vertex."""
+def all_pairs_distances(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    """Exact unweighted distances via one bitmask BFS per vertex.
+
+    The table is computed once per graph and kept on it; every distance
+    and mutually-maximally-distant question in this module reads it.  Rows
+    are tuples, so no caller can change the shared table.
+    """
+    if G._dist is not None:
+        return G._dist
     n = G.n
     full = (1 << n) - 1
     dist = [[0] * n for _ in range(n)]
@@ -47,7 +54,8 @@ def all_pairs_distances(G: SimpleGraph) -> list[list[int]]:
             seen |= frontier
         if seen != full:
             raise Disconnected("graph is not connected")
-    return dist
+    G._dist = tuple(map(tuple, dist))
+    return G._dist
 
 
 def diameter(G: SimpleGraph) -> int:
@@ -163,17 +171,19 @@ def minimum_strong_resolving_set(G: SimpleGraph,
 
 # -- boundary and the strong resolving graph ----------------------------------
 
-def _mmd_pairs(G: SimpleGraph, dist) -> list[tuple[int, int]]:
-    n = G.n
+def _maximally_distant(G: SimpleGraph, dist, u: int, v: int) -> bool:
+    """v is maximally distant from u: no neighbour of u lies farther from v."""
+    duv = dist[u][v]
+    return all(dist[v][w] <= duv for w in _bits(G.adj[u]))
 
-    def maximally_distant(u, v):
-        duv = dist[u][v]
-        return all(dist[v][w] <= duv for w in _bits(G.adj[u]))
 
+def _mmd_pairs(G: SimpleGraph) -> list[tuple[int, int]]:
+    dist = all_pairs_distances(G)
     pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if maximally_distant(u, v) and maximally_distant(v, u):
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            if (_maximally_distant(G, dist, u, v)
+                    and _maximally_distant(G, dist, v, u)):
                 pairs.append((u, v))
     return pairs
 
@@ -183,25 +193,19 @@ def mutually_maximally_distant(G: SimpleGraph, u: str, v: str) -> bool:
         return False
     dist = all_pairs_distances(G)
     i, j = G.index(u), G.index(v)
-    duv = dist[i][j]
-    return (all(dist[j][w] <= duv for w in _bits(G.adj[i]))
-            and all(dist[i][w] <= duv for w in _bits(G.adj[j])))
+    return (_maximally_distant(G, dist, i, j)
+            and _maximally_distant(G, dist, j, i))
 
 
 def boundary(G: SimpleGraph) -> list[str]:
-    """Vertices participating in some mutually-maximally-distant pair."""
-    dist = all_pairs_distances(G)
-    members = set()
-    for u, v in _mmd_pairs(G, dist):
-        members.add(u)
-        members.add(v)
-    return [G.labels[i] for i in sorted(members)]
+    """Vertices participating in some mutually-maximally-distant pair: the
+    vertices of G_SR, in sorted label order."""
+    return list(strong_resolving_graph(G).labels)
 
 
 def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
     """G_SR: boundary vertices, mutually-maximally-distant pairs as edges."""
-    dist = all_pairs_distances(G)
-    pairs = _mmd_pairs(G, dist)
+    pairs = _mmd_pairs(G)
     verts = sorted({i for p in pairs for i in p})
     edges = [(G.labels[u], G.labels[v]) for u, v in pairs]
     return SimpleGraph.from_edges([G.labels[i] for i in verts], edges)
@@ -313,11 +317,13 @@ def max_independent_set(G: SimpleGraph) -> list[str]:
             cand &= ~(1 << v)
     picked = 0
     for v in chosen:
-        assert not adj[v] & picked, "solver produced a dependent set"
+        if adj[v] & picked:
+            raise AssertionError("solver produced a dependent set")
         picked |= 1 << v
-    assert all(adj[v] & picked for v in range(G.n) if not picked >> v & 1), \
-        "solver produced a non-maximal set"
-    assert len(chosen) == target
+    if not all(adj[v] & picked for v in range(G.n) if not picked >> v & 1):
+        raise AssertionError("solver produced a non-maximal set")
+    if len(chosen) != target:
+        raise AssertionError("solver produced a set of the wrong size")
     return [G.labels[v] for v in chosen]
 
 
@@ -410,7 +416,7 @@ def full_report(LB: FinitePoset, spec: BlowupSpec,
         bruteforce_value=brute,
         vertex_cover=cover,
         strong_resolving_set=witness,
-        boundary=tuple(boundary(G)),
+        boundary=gsr.labels,
         n_atoms=spec.n,
         m_singleton_atoms=spec.singleton_atom_count(),
         zstar_size=G.n,

@@ -14,10 +14,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CycleDetected, NotALattice, NotBounded, UnknownElement
 
-# Full N x N meet/join tables are materialized lazily and only below this
-# size; the principal-cone index answers single queries in O(1) regardless.
-EAGER_TABLE_LIMIT = 4096
-
 
 def _bits(mask: int):
     """Yield the set bit positions of mask, ascending."""
@@ -54,8 +50,7 @@ class FinitePoset:
     """
 
     __slots__ = ("labels", "down", "up", "bottom", "top",
-                 "_index", "_down_index", "_up_index", "_ann",
-                 "_meet_table", "_join_table")
+                 "_index", "_down_index", "_up_index", "_ann")
 
     def __init__(self, labels: Sequence[str], down: Sequence[int],
                  bottom: Optional[int] = None, top: Optional[int] = None,
@@ -87,8 +82,6 @@ class FinitePoset:
         self._down_index = {self.down[i]: i for i in range(n)}
         self._up_index = {self.up[i]: i for i in range(n)}
         self._ann = None
-        self._meet_table = None
-        self._join_table = None
 
     # -- basics ---------------------------------------------------------
 
@@ -170,29 +163,6 @@ class FinitePoset:
         k = self._join_idx(self.index(a), self.index(b))
         return None if k < 0 else self.labels[k]
 
-    def meet_table(self) -> list[list[int]]:
-        """N x N meet table by element index, -1 for absent entries."""
-        if self._meet_table is None:
-            if len(self.labels) > EAGER_TABLE_LIMIT:
-                raise NotALattice(
-                    f"meet table capped at {EAGER_TABLE_LIMIT} elements; "
-                    "use meet() for single queries")
-            n = len(self.labels)
-            self._meet_table = [[self._meet_idx(i, j) for j in range(n)]
-                                for i in range(n)]
-        return self._meet_table
-
-    def join_table(self) -> list[list[int]]:
-        if self._join_table is None:
-            if len(self.labels) > EAGER_TABLE_LIMIT:
-                raise NotALattice(
-                    f"join table capped at {EAGER_TABLE_LIMIT} elements; "
-                    "use join() for single queries")
-            n = len(self.labels)
-            self._join_table = [[self._join_idx(i, j) for j in range(n)]
-                                for i in range(n)]
-        return self._join_table
-
     def is_lattice(self) -> bool:
         n = len(self.labels)
         return all(self._meet_idx(i, j) >= 0 and self._join_idx(i, j) >= 0
@@ -230,15 +200,6 @@ class FinitePoset:
         ann = self._ann_masks()
         return [self.labels[i] for i in range(len(self.labels))
                 if i != self.bottom and ann[i] != zero]
-
-    def _zstar_mask(self) -> int:
-        zero = 1 << self._require_bottom()
-        ann = self._ann_masks()
-        m = 0
-        for i in range(len(self.labels)):
-            if i != self.bottom and ann[i] != zero:
-                m |= 1 << i
-        return m
 
     def dense_elements(self) -> list[str]:
         """Elements outside Z(P), i.e. with annihilator exactly {0}."""
@@ -298,19 +259,20 @@ class FinitePoset:
                            top=self.bottom, validate=False)
 
     def is_boolean(self) -> bool:
-        """Bounded + distributive + complemented."""
+        """Bounded + distributive + complemented.
+
+        Tested as: a bounded lattice with 2^k elements for its k atoms, in
+        which no two elements lie above the same set of atoms.  The map
+        x -> (atoms below x) is then a bijection onto the subsets of the
+        atoms, and it reflects order because x ∧ y lies above exactly the
+        atoms common to x and y, so the lattice is the Boolean lattice 2^k.
+        """
         if self.bottom is None or self.top is None or not self.is_lattice():
             return False
-        n = len(self.labels)
-        meet = self.meet_table()
-        join = self.join_table()
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                        return False
-        return all(any(meet[a][b] == self.bottom and join[a][b] == self.top
-                       for b in range(n)) for a in range(n))
+        atoms = self._atoms_mask()
+        if len(self.labels) != 1 << atoms.bit_count():
+            return False
+        return len({d & atoms for d in self.down}) == len(self.labels)
 
     # -- the annihilator quotient ------------------------------------------
 
@@ -334,11 +296,13 @@ class FinitePoset:
 
         pcs = [self._pseudocomplement_idx(i) for i in range(n)]
         if all(k >= 0 for k in pcs):
-            for cid, members in enumerate(classes):
-                assert len({pcs[i] for i in members}) == 1, \
-                    "annihilator classes disagree with pseudocomplement classes"
-            assert len({pcs[c[0]] for c in classes}) == len(classes), \
-                "pseudocomplement classes disagree with annihilator classes"
+            for members in classes:
+                if len({pcs[i] for i in members}) != 1:
+                    raise AssertionError("annihilator classes disagree with "
+                                         "pseudocomplement classes")
+            if len({pcs[c[0]] for c in classes}) != len(classes):
+                raise AssertionError("pseudocomplement classes disagree with "
+                                     "annihilator classes")
 
         boolean_image = self._boolean_image(ann, classes, class_of)
         return ClassPartition(classes=classes, class_of=tuple(class_of),

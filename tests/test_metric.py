@@ -37,6 +37,9 @@ def cube_graph():
 def test_distances_match_networkx(cube_graph, fig3_lattice):
     for g in (cube_graph, zero_divisor_graph(fig3_lattice)):
         dist = all_pairs_distances(g)
+        # computed once per graph, shared, and read-only
+        assert all_pairs_distances(g) is dist
+        assert all(type(row) is tuple for row in dist)
         oracle = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
         for i, a in enumerate(g.labels):
             for j, b in enumerate(g.labels):

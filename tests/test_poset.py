@@ -87,16 +87,6 @@ def test_annihilators_in_the_cube():
         ["100", "010", "001", "110", "101", "011"])
 
 
-def test_meet_join_tables_match_single_queries():
-    P = cube()
-    meet = P.meet_table()
-    join = P.join_table()
-    for i, a in enumerate(P.labels):
-        for j, b in enumerate(P.labels):
-            assert P.labels[meet[i][j]] == P.meet(a, b)
-            assert P.labels[join[i][j]] == P.join(a, b)
-
-
 def test_pseudocomplements():
     P = cube()
     assert P.pseudocomplement("000") == "111"
@@ -131,6 +121,9 @@ def test_is_boolean():
     assert cube().is_boolean()
     assert not m_lattice(3).is_boolean()       # not distributive
     assert not product_of_chains([3, 2]).is_boolean()  # not complemented
+    assert m_lattice(2).is_boolean()                   # M_2 is 2^2
+    assert product_of_chains([2, 2, 2]).is_boolean()
+    assert not product_of_chains([3, 3]).is_boolean()  # 9 elements, 2 atoms
 
 
 def test_quotient_classes_cube_all_singletons():

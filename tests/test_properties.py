@@ -4,7 +4,8 @@ structural laws that the closed sdim formula rests on."""
 from itertools import product
 
 from zdgdim import (all_pairs_distances, beta_gsr_formula, boolean_lattice,
-                    build_blowup, canonical_blowup_of, connected_components,
+                    boundary, build_blowup, canonical_blowup_of,
+                    connected_components,
                     diameter, distance_by_pseudocomplement, gstar, gstar_star,
                     independence_number, labeled_equal, m_lattice,
                     metric_dimension_bruteforce, mutually_maximally_distant,
@@ -75,11 +76,18 @@ def test_mmd_pairs_meet_above_zero_and_incomparable(corpus_graphs):
     for name, spec, LB, G in corpus_graphs[:10]:
         part = LB.quotient_classes()
         bottom = LB.labels[LB.bottom]
+        gsr = strong_resolving_graph(G)
+        members = set(gsr.labels)
         for i, x in enumerate(G.labels):
             for y in G.labels[i + 1:]:
+                mmd = mutually_maximally_distant(G, x, y)
+                if x in members and y in members:
+                    assert mmd == gsr.has_edge(x, y), (name, x, y)
+                else:
+                    assert not mmd, (name, x, y)
                 if part.class_of[LB.index(x)] == part.class_of[LB.index(y)]:
                     continue
-                if mutually_maximally_distant(G, x, y):
+                if mmd:
                     assert LB.meet(x, y) != bottom, name
                     assert not LB.leq(x, y) and not LB.leq(y, x), name
 
@@ -87,6 +95,7 @@ def test_mmd_pairs_meet_above_zero_and_incomparable(corpus_graphs):
 def test_gsr_vertex_count_and_beta_formula(corpus_graphs):
     for name, spec, LB, G in corpus_graphs:
         gsr = strong_resolving_graph(G)
+        assert boundary(G) == list(gsr.labels), name
         m = spec.singleton_atom_count()
         assert gsr.n == spec.total_vertices() - m, name
         assert independence_number(gsr) == beta_gsr_formula(spec), name
