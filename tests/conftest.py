@@ -1,20 +1,18 @@
-import random
+import functools
 
 import pytest
 
-from zdgdim import (BlowupSpec, build_blowup, from_cover_relations,
-                    random_blowup_spec, zero_divisor_graph)
+from zdgdim import build_blowup, from_cover_relations, zero_divisor_graph
+from zdgdim.verify import FIG3, SUITES, corpus
 
 # Acceptance corpus: 50 seeded random blow-up specs plus the named ones.
 CORPUS_SEED = 1234
 CORPUS_SIZE = 50
 
-FIG3_SIZES = {0b001: 3, 0b010: 1, 0b100: 2, 0b011: 2, 0b101: 3, 0b110: 1}
-
 
 @pytest.fixture(scope="session")
 def fig3_spec():
-    return BlowupSpec(3, FIG3_SIZES)
+    return FIG3
 
 
 @pytest.fixture(scope="session")
@@ -50,18 +48,13 @@ def fig2_lattice():
 
 
 @pytest.fixture(scope="session")
-def spec_corpus(fig3_spec):
-    rng = random.Random(CORPUS_SEED)
-    named = [("figure3", fig3_spec),
-             ("boolean3", BlowupSpec(3, {})),
-             ("boolean4", BlowupSpec(4, {}))]
-    return named + [(f"random{i}", random_blowup_spec(rng))
-                    for i in range(CORPUS_SIZE)]
+def corpus_graphs():
+    """(name, spec, lattice, zero-divisor graph) for every corpus member."""
+    return [(name, spec, LB, zero_divisor_graph(LB))
+            for name, spec, LB in corpus(CORPUS_SEED, CORPUS_SIZE)]
 
 
 @pytest.fixture(scope="session")
-def corpus_graphs(spec_corpus):
-    """(name, spec, lattice, zero-divisor graph) for every corpus member."""
-    return [(name, spec, LB, zero_divisor_graph(LB))
-            for name, spec, LB in
-            ((name, spec, build_blowup(spec)) for name, spec in spec_corpus)]
+def suite_result():
+    """Run a verify suite on the acceptance corpus, once per session."""
+    return functools.cache(lambda name: SUITES[name](CORPUS_SEED, CORPUS_SIZE))

@@ -10,17 +10,15 @@ excess, so the discrepancy stays visible without failing the suite.
 
 from itertools import product
 
-from zdgdim import (BlowupSpec, all_pairs_distances, beta_gsr_formula,
-                    boolean_lattice, boolean_ring_annihilator_graph,
-                    boolean_ring_zdg, build_blowup, canonical_blowup_of,
-                    complete_graph_on, connected_components, diameter,
-                    distance_by_pseudocomplement, gstar, gstar_star,
+from zdgdim import (BlowupSpec, boolean_lattice,
+                    boolean_ring_annihilator_graph, boolean_ring_zdg,
+                    build_blowup, canonical_blowup_of, complete_graph_on,
+                    connected_components, diameter, gstar_star,
                     incomparability_graph, independence_number,
                     is_strong_resolving, labeled_equal, m_lattice,
                     metric_dimension_bruteforce, product_of_chains,
                     sdim_bruteforce, sdim_formula, sdim_via_gsr,
-                    strong_resolving_graph, vertex_cover_number,
-                    zero_divisor_graph)
+                    strong_resolving_graph, zero_divisor_graph)
 from zdgdim.adapters import (LocalProductSpec, ReducedRingSpec,
                              comaximal_blowup_prediction,
                              comaximal_gamma2prime, comaximal_ideal_graph_zn,
@@ -30,7 +28,13 @@ from zdgdim.adapters import (LocalProductSpec, ReducedRingSpec,
                              ideal_lattice_dual_zn, reduced_ring_sdim_formula,
                              reduced_ring_zdg)
 
-from conftest import make_fig2_lattice
+from conftest import CORPUS_SIZE, make_fig2_lattice
+
+
+def suite_problems(result):
+    """One problem line per failed case of a verify suite's result."""
+    return [f"{f['case']}: expected {f['expected']}, got {f['got']}"
+            for f in result.failures]
 
 
 def report(cid, description, problems):
@@ -101,32 +105,14 @@ def test_criterion_03_figure3(fig3_spec, fig3_lattice):
               "G** = H + K_1 + K_2 + K_3", problems)
 
 
-def test_criterion_04_formula_agreement(corpus_graphs):
-    problems = []
-    randoms = 0
-    for name, spec, LB, G in corpus_graphs:
-        randoms += name.startswith("random")
-        want = sdim_formula(spec)
-        got = sdim_via_gsr(G)
-        if got != want:
-            problems.append(f"{name}: gsr {got} != formula {want}")
-        if G.n <= 14 and sdim_bruteforce(G) != want:
-            problems.append(f"{name}: brute != formula")
-    if randoms < 50:
-        problems.append(f"only {randoms} random specs")
-    report(4, f"formula = gsr on {randoms} seeded specs, = brute when "
+def test_criterion_04_formula_agreement(suite_result):
+    problems = suite_problems(suite_result("formula-agreement"))
+    report(4, f"formula = gsr on {CORPUS_SIZE} seeded specs, = brute when "
               "|Z*| <= 14", problems)
 
 
-def test_criterion_05_beta_and_vertex_count(corpus_graphs):
-    problems = []
-    for name, spec, LB, G in corpus_graphs:
-        gsr = strong_resolving_graph(G)
-        m = spec.singleton_atom_count()
-        if independence_number(gsr) != beta_gsr_formula(spec):
-            problems.append(f"{name}: beta(G_SR) != 2n-m-2")
-        if gsr.n != spec.total_vertices() - m:
-            problems.append(f"{name}: |V(G_SR)| != |Z*|-m")
+def test_criterion_05_beta_and_vertex_count(suite_result):
+    problems = suite_problems(suite_result("gsr-equality"))
     for n in (3, 4, 5):
         gsr = strong_resolving_graph(zero_divisor_graph(boolean_lattice(n)))
         if independence_number(gsr) != n - 2:
@@ -135,35 +121,17 @@ def test_criterion_05_beta_and_vertex_count(corpus_graphs):
            problems)
 
 
-def test_criterion_06_gstar_equals_gsr(corpus_graphs):
-    problems = []
-    for name, spec, LB, G in corpus_graphs:
-        gsr = strong_resolving_graph(G)
-        if not labeled_equal(gstar(LB), gsr):
-            problems.append(f"{name}: G* != G_SR")
-        if spec.singleton_atom_count() == 0 and \
-                not labeled_equal(gstar_star(LB), gsr):
-            problems.append(f"{name}: G** != G_SR")
+def test_criterion_06_gstar_equals_gsr(suite_result):
+    problems = suite_problems(suite_result("gsr-equality"))
     report(6, "G* = G_SR on the corpus; G** = G_SR when all atom classes "
               "have size >= 2", problems)
 
 
-def test_criterion_07_distance_trichotomy(corpus_graphs):
-    problems = []
-    for name, spec, LB, G in corpus_graphs:
-        dist = all_pairs_distances(G)
-        for i in range(G.n):
-            for j in range(i + 1, G.n):
-                got = distance_by_pseudocomplement(LB, G.labels[i],
-                                                   G.labels[j])
-                if got != dist[i][j]:
-                    problems.append(f"{name}: d({G.labels[i]},{G.labels[j]})")
-        if diameter(G) > 3:
-            problems.append(f"{name}: diameter > 3")
-    for P in (m_lattice(3), m_lattice(6), product_of_chains([3, 2, 2]),
-              make_fig2_lattice()):
-        if diameter(zero_divisor_graph(P)) > 3:
-            problems.append("extra corpus poset: diameter > 3")
+def test_criterion_07_distance_trichotomy(suite_result):
+    problems = (suite_problems(suite_result("distance-lemma"))
+                + suite_problems(suite_result("diameter")))
+    if diameter(zero_divisor_graph(make_fig2_lattice())) > 3:
+        problems.append("figure-2 lattice: diameter > 3")
     report(7, "pseudocomplement trichotomy = BFS distance; diameter <= 3",
            problems)
 
@@ -270,12 +238,8 @@ def test_criterion_12_component_union_sdim_published_values():
                   "|V|-n+2 exceeds it by 3", problems)
 
 
-def test_criterion_13_structural_identities(corpus_graphs):
-    problems = []
-    for name, spec, LB, G in corpus_graphs[:10]:
-        for g in (G, strong_resolving_graph(G)):
-            if independence_number(g) + vertex_cover_number(g) != g.n:
-                problems.append(f"{name}: Gallai fails")
+def test_criterion_13_structural_identities(suite_result):
+    problems = suite_problems(suite_result("gallai"))
     for n in (3, 4):
         L = boolean_lattice(n)
         if not labeled_equal(boolean_ring_zdg(n), zero_divisor_graph(L)):

@@ -119,12 +119,11 @@ def test_canonical_blowup_of_products_of_chains():
         assert labeled_equal(G1, G2)
 
 
-def test_canonical_blowup_round_trip(spec_corpus):
-    for _, spec in spec_corpus:
-        back, relab = canonical_blowup_of(build_blowup(spec))
+def test_canonical_blowup_round_trip(corpus_graphs):
+    for _, spec, LB, _ in corpus_graphs:
+        back, relab = canonical_blowup_of(LB)
         assert back == spec.normalized()
         # the relabeling must fix every zero divisor label
-        LB = build_blowup(spec)
         assert set(relab) == set(LB.zero_divisors())
         assert all(relab[lab] == lab for lab in relab)
 

@@ -1,8 +1,11 @@
 import json
 
-from zdgdim.cli import main
+import pytest
 
-FIG3_JSON = '{"n":3,"chains":{"001":3,"100":2,"011":2,"101":3}}'
+from zdgdim.cli import main
+from zdgdim.verify import FIG3
+
+FIG3_JSON = json.dumps(FIG3.to_json_dict())
 
 
 def run(capsys, *argv):
@@ -224,3 +227,40 @@ def test_verify_examples_reports_only_ug_failures(capsys):
     failures = payload[0]["failures"]
     assert {f["case"] for f in failures} == {
         "UG(3,2): published form", "UG(3,3): published form"}
+
+
+def test_verify_case_counts_and_failures_are_pinned(capsys):
+    # the case counts and the published-form failures fix `verify`'s stdout;
+    # a suite that drops or adds a case changes it
+    code, out, _ = run(capsys, "verify", "--json", "--seed", "0",
+                       "--count", "25")
+    assert code == 1
+    payload = json.loads(out)
+    assert [(r["suite"], r["cases"]) for r in payload] == [
+        ("diameter", 36), ("gallai", 252), ("distance-lemma", 28),
+        ("quotient", 140), ("gsr-equality", 85), ("decomposition", 248),
+        ("formula-agreement", 44), ("adapters", 33), ("examples", 32)]
+    assert sorted((r["suite"], f["case"]) for r in payload
+                  for f in r["failures"]) == [
+        ("adapters", "UG(3,2): published form = gsr"),
+        ("adapters", "UG(3,3): published form = gsr"),
+        ("examples", "UG(3,2): published form"),
+        ("examples", "UG(3,3): published form")]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--boolean", "17", "boolean 2^17 has 131072 elements"),
+    ("--boolean", "20000", "boolean 2^20000 has at least 2^20000 elements"),
+    ("--blowup", '{"n":3,"chains":{"001":200000}}',
+     "blow-up of 2^3 has 200007 elements"),
+    ("--chains", "400,400", "product of chains [400, 400] has 160000 elements"),
+    ("--mn", "100000", "M_100000 has 100002 elements"),
+    ("--poset", json.dumps({"labels": list(range(100001)), "covers": [],
+                            "bottom": 0, "top": 1}),
+     "poset has 100001 elements"),
+], ids=["boolean", "boolean-huge", "blowup", "chains", "mn", "poset"])
+def test_lattice_inputs_over_the_element_budget_fail_fast(capsys, flag, value,
+                                                          message):
+    code, out, err = run(capsys, "sdim", flag, value)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}, over the element budget of 100000\n"

@@ -1,17 +1,31 @@
 """Corpus-wide invariants: every seeded blow-up spec must satisfy the
-structural laws that the closed sdim formula rests on."""
+structural laws that the closed sdim formula rests on.  The laws that
+`zdgdim verify` checks run through its suites; the rest are checked here."""
 
 from itertools import product
 
-from zdgdim import (all_pairs_distances, beta_gsr_formula, boolean_lattice,
-                    boundary, build_blowup, canonical_blowup_of,
-                    connected_components,
-                    diameter, distance_by_pseudocomplement, gstar, gstar_star,
-                    independence_number, labeled_equal, m_lattice,
+import pytest
+
+from zdgdim import (beta_gsr_formula, boolean_lattice, boundary,
+                    build_blowup, canonical_blowup_of, gstar, gstar_star,
+                    independence_number, labeled_equal,
                     metric_dimension_bruteforce, mutually_maximally_distant,
-                    product_of_chains, sdim_bruteforce, sdim_formula,
-                    sdim_via_gsr, strong_resolving_graph, vertex_cover_number,
-                    zero_divisor_graph)
+                    product_of_chains, sdim_bruteforce, sdim_via_gsr,
+                    strong_resolving_graph, zero_divisor_graph)
+
+
+# case counts on the acceptance corpus; a suite that silently checks nothing
+# fails here
+SUITE_CASES = {"diameter": 61, "gallai": 477, "distance-lemma": 53,
+               "quotient": 265, "gsr-equality": 160, "decomposition": 478,
+               "formula-agreement": 80}
+
+
+@pytest.mark.parametrize("suite", SUITE_CASES)
+def test_corpus_suite(suite_result, suite):
+    result = suite_result(suite)
+    assert result.failures == []
+    assert result.cases == SUITE_CASES[suite]
 
 
 def test_blowups_are_pseudocomplemented_lattices(corpus_graphs):
@@ -52,26 +66,6 @@ def test_pseudocomplement_classes_match_annihilator_classes(corpus_graphs):
                 assert (ann[x] == ann[y]) == (star[x] == star[y]), name
 
 
-def test_connected_with_diameter_at_most_three(corpus_graphs):
-    # blow-ups of 2^n with n >= 3 hit the bound exactly: two distinct
-    # coatom-mask vertices are always at distance 3
-    for name, spec, LB, G in corpus_graphs:
-        assert diameter(G) == 3, name
-    for P in (m_lattice(3), m_lattice(6), product_of_chains([3, 2, 2]),
-              product_of_chains([2, 3, 2, 2])):
-        assert diameter(zero_divisor_graph(P)) <= 3
-
-
-def test_distance_trichotomy_on_corpus(corpus_graphs):
-    for name, spec, LB, G in corpus_graphs:
-        dist = all_pairs_distances(G)
-        for i in range(G.n):
-            for j in range(i + 1, G.n):
-                got = distance_by_pseudocomplement(LB, G.labels[i],
-                                                   G.labels[j])
-                assert got == dist[i][j], (name, G.labels[i], G.labels[j])
-
-
 def test_mmd_pairs_meet_above_zero_and_incomparable(corpus_graphs):
     for name, spec, LB, G in corpus_graphs[:10]:
         part = LB.quotient_classes()
@@ -107,42 +101,6 @@ def test_gstar_equals_gsr_everywhere(corpus_graphs):
         assert labeled_equal(gstar(LB), gsr), name
         if spec.singleton_atom_count() == 0:
             assert labeled_equal(gstar_star(LB), gsr), name
-
-
-def test_gstar_star_decomposition(corpus_graphs):
-    for name, spec, LB, G in corpus_graphs:
-        gss = gstar_star(LB)
-        part = LB.quotient_classes()
-        atom_classes = []
-        for atom in LB.atoms():
-            cid = part.class_of[LB.index(atom)]
-            atom_classes.append(frozenset(
-                LB.labels[i] for i in part.classes[cid]))
-        comps = connected_components(gss)
-        for cls in atom_classes:
-            assert cls in comps, name
-            assert gss.subgraph(cls).is_complete(), name
-        rest = [c for c in comps if c not in atom_classes]
-        assert len(rest) == 1, name
-        # isolated vertices are exactly the atoms in singleton classes
-        singles = {min(c) for c in atom_classes if len(c) == 1}
-        isolated = {lab for i, lab in enumerate(gss.labels)
-                    if not gss.adj[i]}
-        assert isolated == singles, name
-
-
-def test_three_way_agreement(corpus_graphs):
-    for name, spec, LB, G in corpus_graphs:
-        want = sdim_formula(spec)
-        assert sdim_via_gsr(G) == want, name
-        if G.n <= 14:
-            assert sdim_bruteforce(G) == want, name
-
-
-def test_gallai_on_every_computed_graph(corpus_graphs):
-    for name, spec, LB, G in corpus_graphs[:10]:
-        for g in (G, strong_resolving_graph(G), gstar_star(LB)):
-            assert independence_number(g) + vertex_cover_number(g) == g.n
 
 
 def test_dim_at_most_sdim_on_small_graphs(corpus_graphs):
