@@ -9,11 +9,11 @@ reduction, and by definition-level brute force.
 from .blowup import (BlowupSpec, blowup_label, boolean_lattice, build_blowup,
                      canonical_blowup_of, product_of_chains,
                      random_blowup_spec, tuple_label)
-from .errors import (BudgetExceeded, CycleDetected, Disconnected,
-                     HypothesisUnmet, InvalidSpec, LabelCollision,
-                     NotALattice, NotApplicable, NotAZeroDivisor, NotBounded,
-                     NotPrimePower, NotZeroDistributive, TooLarge,
-                     UnknownElement, UnknownSuite, ZdgError)
+from .errors import (CycleDetected, Disconnected, HypothesisUnmet,
+                     InvalidSpec, LabelCollision, NotALattice, NotApplicable,
+                     NotAZeroDivisor, NotBounded, NotPrimePower,
+                     NotZeroDistributive, TooLarge, UnknownElement,
+                     UnknownSuite, ZdgError)
 from .graphs import (SimpleGraph, boolean_ring_annihilator_graph,
                      boolean_ring_zdg, comparability_graph, complete_graph,
                      complete_graph_on, connected_components, disjoint_union,

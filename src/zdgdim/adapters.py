@@ -12,16 +12,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .blowup import (BlowupSpec, blowup_label, build_blowup, mask_to_binstr,
                      tuple_label)
-from .errors import BudgetExceeded, NotPrimePower
+from .errors import HypothesisUnmet, NotPrimePower, TooLarge
 from .graphs import SimpleGraph, complete_graph_on, graph_join, zero_divisor_graph
 from .poset import FinitePoset
 
 DEFAULT_ELEMENT_BUDGET = 100_000
+
+
+def check_element_budget(name: str, count: int):
+    """Refuse an input of more than DEFAULT_ELEMENT_BUDGET elements before
+    it is enumerated or built: every construction here is at least linear,
+    and most are quadratic, in its element count."""
+    if count > DEFAULT_ELEMENT_BUDGET:
+        # Python refuses to print an int of more than 4300 digits
+        shown = count if count.bit_length() <= 64 \
+            else f"at least 2^{count.bit_length() - 1}"
+        raise TooLarge(f"{name} has {shown} elements, over the element "
+                       f"budget of {DEFAULT_ELEMENT_BUDGET}")
 
 
 def prime_power_base(q: int):
@@ -41,12 +53,6 @@ def prime_power_base(q: int):
             return p, e
         p += 1
     return q, 1
-
-
-def _check_budget(count: int, budget: int):
-    if count > budget:
-        raise BudgetExceeded(
-            f"enumeration of {count} elements exceeds the budget of {budget}")
 
 
 def _euler_phi_prime_power(p: int, e: int) -> int:
@@ -87,8 +93,7 @@ class LocalProductSpec:
 
 # -- zero-divisor graph of a reduced ring -------------------------------------
 
-def reduced_ring_zdg(spec: ReducedRingSpec,
-                     budget: int = DEFAULT_ELEMENT_BUDGET) -> SimpleGraph:
+def reduced_ring_zdg(spec: ReducedRingSpec) -> SimpleGraph:
     """Gamma(prod F_i): nonzero tuples with a zero coordinate, adjacent when
     the coordinatewise product vanishes, i.e. the supports are disjoint.
 
@@ -96,10 +101,7 @@ def reduced_ring_zdg(spec: ReducedRingSpec,
     to the zero-divisor graph of the product of chains with sizes |F_i|.
     """
     qs = spec.field_orders
-    count = 1
-    for q in qs:
-        count *= q
-    _check_budget(count, budget)
+    check_element_budget(" x ".join(f"GF({q})" for q in qs), prod(qs))
     verts = [v for v in product(*[range(q) for q in qs])
              if any(v) and not all(v)]
     labels = [tuple_label(v) for v in verts]
@@ -116,6 +118,8 @@ def reduced_ring_sdim_formula(spec: ReducedRingSpec) -> int:
     """|Z(R)*| - 2n - 2m + 2 with n fields above order 2 and m copies of
     order 2; equivalently |Z*| - 2k + 2 for k fields in total (k >= 3)."""
     qs = spec.field_orders
+    if len(qs) < 3:
+        raise HypothesisUnmet("n<3: formula inapplicable")
     count = 1
     units = 1
     for q in qs:
@@ -127,17 +131,13 @@ def reduced_ring_sdim_formula(spec: ReducedRingSpec) -> int:
 
 # -- comaximal graph of a product of local rings --------------------------------
 
-def comaximal_gamma2prime(spec: LocalProductSpec,
-                          budget: int = DEFAULT_ELEMENT_BUDGET) -> SimpleGraph:
+def comaximal_gamma2prime(spec: LocalProductSpec) -> SimpleGraph:
     """Non-units outside the Jacobson radical of prod Z_{p_i^{e_i}}; x ~ y
     iff x and y generate the whole ring, i.e. every coordinate has a unit
     on at least one side."""
     mods = spec.moduli()
     ps = [p for p, _ in spec.prime_powers]
-    count = 1
-    for m in mods:
-        count *= m
-    _check_budget(count, budget)
+    check_element_budget(" x ".join(f"Z_{m}" for m in mods), prod(mods))
     verts = []
     for x in product(*[range(m) for m in mods]):
         nonunit = sum(1 for xi, p in zip(x, ps) if xi % p == 0)
@@ -186,6 +186,8 @@ def comaximal_blowup_prediction(
 def comaximal_sdim_formula(spec: LocalProductSpec) -> int:
     """|V(Gamma_2'(R))| - 2n + 2 for n = |Max(R)| >= 3."""
     n = len(spec.prime_powers)
+    if n < 3:
+        raise HypothesisUnmet("n<3: formula inapplicable")
     count = 1
     for p, e in spec.prime_powers:
         count *= p ** e
@@ -225,6 +227,7 @@ def ideal_lattice_dual_zn(N: int) -> FinitePoset:
     with 1 (the whole ring) at the bottom and N (the zero ideal) on top."""
     if N < 2:
         raise ValueError("ideal lattice needs N >= 2")
+    check_element_budget(f"Z_{N}", N)
     divs = _divisors(N)
     index = {d: i for i, d in enumerate(divs)}
     down = [0] * len(divs)
@@ -241,6 +244,7 @@ def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:
     adjacent when the ideals sum to the whole ring, i.e. gcd(d, e) = 1."""
     if N < 2:
         raise ValueError("comaximal ideal graph needs N >= 2")
+    check_element_budget(f"Z_{N}", N)
     rad = _radical(N)
     verts = [d for d in _divisors(N) if d not in (1, N) and d % rad != 0]
     labels = [str(d) for d in verts]
@@ -271,7 +275,7 @@ def comaximal_ideal_sdim_formula(N: int) -> int:
         return vertices - 2 * n + 2
     if n == 2 and _radical(N) == N:
         return 1
-    raise ValueError(f"no closed sdim form for N = {N}")
+    raise HypothesisUnmet(f"no closed sdim form for N = {N}")
 
 
 # -- component union graph of a vector space ------------------------------------
@@ -280,18 +284,17 @@ def _vector_label(mask: int, t: int, n: int) -> str:
     return f"{mask_to_binstr(mask, n)}:{t}"
 
 
-def component_union_graph(n: int, q: int,
-                          budget: int = DEFAULT_ELEMENT_BUDGET) -> SimpleGraph:
+def component_union_graph(n: int, q: int) -> SimpleGraph:
     """UG(V) for an n-dimensional space over a field of order q: nonzero
     vectors, adjacent when their supports cover the whole basis.
 
     A vector is encoded as (support mask, index in 1..(q-1)^popcount); which
     nonzero field values occur never affects adjacency.
     """
-    prime_power_base(q)
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    _check_budget(q ** n, budget)
+    check_element_budget(f"GF({q})^{n}", q ** n)
+    prime_power_base(q)
     full = (1 << n) - 1
     verts = []
     for mask in range(1, full + 1):
@@ -347,4 +350,6 @@ def component_union_sdim_formula(n: int, q: int) -> int:
     has no true twins, so G_SR is the complement of G(L^B) beside a separate
     clique on the t full-support vectors, and alpha(G_SR) = 1 + n.
     """
+    if n < 3:
+        raise HypothesisUnmet("n<3: formula inapplicable")
     return q ** n - 1 - n + 2

@@ -98,21 +98,7 @@ class BlowupSpec:
 
 def boolean_lattice(n: int) -> FinitePoset:
     """2^n on subset masks; labels are 0/1 tuples with atom i at coordinate i."""
-    if n < 1:
-        raise InvalidSpec("boolean_lattice needs n >= 1")
-    size = 1 << n
-    labels = [tuple_label([m >> i & 1 for i in range(n)]) for m in range(size)]
-    down = []
-    for m in range(size):
-        d = 0
-        s = m
-        while True:
-            d |= 1 << s
-            if s == 0:
-                break
-            s = (s - 1) & m
-        down.append(d)
-    return FinitePoset(labels, down, bottom=0, top=size - 1, validate=False)
+    return build_blowup(BlowupSpec(n, {}))
 
 
 def product_of_chains(sizes: Sequence[int]) -> FinitePoset:

@@ -3,7 +3,7 @@
 Subcommands: build, zdg, gsr, gstarstar, sdim, adapter, verify.  Inputs are
 mutually exclusive flags naming a lattice (--boolean, --blowup, --poset,
 --chains, --mn) or an algebraic adapter (--fields, --local, --zn, --vspace).
-A lattice input with more elements than the adapters' element budget is
+An input with more elements than `adapters.DEFAULT_ELEMENT_BUDGET` is
 refused before it is built.  The verification suites live in
 `zdgdim.verify`.  The environment variable SDIM_BRUTE_CAP overrides the
 brute-force vertex cap.  Identical inputs and seeds produce byte-identical
@@ -19,12 +19,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import adapters
-from .blowup import (BlowupSpec, boolean_lattice, build_blowup,
-                     canonical_blowup_of, product_of_chains)
-from .errors import HypothesisUnmet, TooLarge, UnknownSuite, ZdgError
-from .graphs import SimpleGraph, zero_divisor_graph
+from .adapters import check_element_budget
+from .blowup import (BlowupSpec, build_blowup, canonical_blowup_of,
+                     product_of_chains)
+from .errors import HypothesisUnmet, UnknownSuite, ZdgError
+from .graphs import SimpleGraph, dot_text, zero_divisor_graph
 from .metric import (gstar_star, sdim_bruteforce, sdim_formula, sdim_via_gsr,
                      strong_resolving_graph)
 from .poset import FinitePoset, m_lattice, poset_from_json, poset_to_json
@@ -40,6 +42,10 @@ class ResolvedInput:
     spec: BlowupSpec | None = None
     formula_value: int | None = None
     formula_note: str = ""
+    # adapters only: the construction the graph is predicted to equal, and
+    # the labeled-equality check against it
+    prediction: str = ""
+    matches_prediction: Callable[[], bool] | None = None
 
 
 def _load_json_arg(text: str):
@@ -98,79 +104,85 @@ def add_input_flags(parser: argparse.ArgumentParser):
 def resolve_input(args) -> ResolvedInput:
     if args.boolean is not None:
         name = f"boolean 2^{args.boolean}"
-        _check_element_budget(name, 2 ** args.boolean)
+        check_element_budget(name, 2 ** args.boolean)
         spec = BlowupSpec(args.boolean, {})
-        return _lattice_input(name, boolean_lattice(args.boolean), spec)
+        return _lattice_input(name, build_blowup(spec), spec)
     if args.blowup is not None:
         spec = BlowupSpec.from_json_dict(_load_json_arg(args.blowup))
         name = f"blow-up of 2^{spec.n}"
-        _check_element_budget(name, spec.total_vertices() + 2)
+        check_element_budget(name, spec.total_vertices() + 2)
         return _lattice_input(name, build_blowup(spec), spec)
     if args.poset is not None:
         data = _load_json_arg(args.poset)
         if isinstance(data, dict) and isinstance(data.get("labels"), list):
-            _check_element_budget("poset", len(data["labels"]))
+            check_element_budget("poset", len(data["labels"]))
         P = poset_from_json(data)
         return _lattice_input("poset", P, _try_canonical_spec(P))
     if args.chains is not None:
         sizes = _parse_int_list(args.chains)
         name = f"product of chains {sizes}"
-        _check_element_budget(name, math.prod(sizes))
+        check_element_budget(name, math.prod(sizes))
         P = product_of_chains(sizes)
         return _lattice_input(name, P, _try_canonical_spec(P))
     if args.mn is not None:
-        _check_element_budget(f"M_{args.mn}", args.mn + 2)
+        check_element_budget(f"M_{args.mn}", args.mn + 2)
         P = m_lattice(args.mn)
         return ResolvedInput(name=f"M_{args.mn}", graph=zero_divisor_graph(P),
                              poset=P, formula_note="no closed form for M_n")
     if args.fields is not None:
         spec = adapters.ReducedRingSpec(_parse_int_list(args.fields))
         g = adapters.reduced_ring_zdg(spec)
-        value, note = _guard_formula(
+        return _adapter_input(
+            f"reduced ring fields {args.fields}", g,
             lambda: adapters.reduced_ring_sdim_formula(spec),
-            need=len(spec.field_orders) >= 3)
-        return ResolvedInput(name=f"reduced ring fields {args.fields}",
-                             graph=g, formula_value=value, formula_note=note)
+            "product-of-chains zero-divisor graph",
+            lambda: g.labeled_equal(zero_divisor_graph(
+                product_of_chains(spec.field_orders))))
     if args.local is not None:
         spec = _parse_local(args.local)
         g = adapters.comaximal_gamma2prime(spec)
-        value, note = _guard_formula(
+
+        def matches_blowup():
+            bspec, mapping = adapters.comaximal_blowup_prediction(spec)
+            return g.relabeled(mapping).labeled_equal(
+                zero_divisor_graph(build_blowup(bspec)))
+        return _adapter_input(
+            f"comaximal graph of {args.local}", g,
             lambda: adapters.comaximal_sdim_formula(spec),
-            need=len(spec.prime_powers) >= 3)
-        return ResolvedInput(name=f"comaximal graph of {args.local}",
-                             graph=g, formula_value=value, formula_note=note)
+            "blow-up zero-divisor graph", matches_blowup)
     if args.zn is not None:
-        g = adapters.comaximal_ideal_graph_zn(args.zn)
-        try:
-            value, note = adapters.comaximal_ideal_sdim_formula(args.zn), ""
-        except ValueError as exc:
-            value, note = None, str(exc)
-        return ResolvedInput(name=f"comaximal ideal graph of Z_{args.zn}",
-                             graph=g, formula_value=value, formula_note=note)
+        N = args.zn
+        g = adapters.comaximal_ideal_graph_zn(N)
+        return _adapter_input(
+            f"comaximal ideal graph of Z_{N}", g,
+            lambda: adapters.comaximal_ideal_sdim_formula(N),
+            "dual ideal-lattice zero-divisor graph",
+            lambda: g.labeled_equal(zero_divisor_graph(
+                adapters.ideal_lattice_dual_zn(N))))
     n, q = _parse_vspace(args.vspace)
     g = adapters.component_union_graph(n, q)
-    return ResolvedInput(
-        name=f"component union graph n={n} q={q}", graph=g,
-        formula_value=adapters.component_union_sdim_formula(n, q),
-        formula_note="published closed form; see verify --suite adapters")
+    return _adapter_input(
+        f"component union graph n={n} q={q}", g,
+        lambda: adapters.component_union_sdim_formula(n, q),
+        "join of blow-up graph with K_t",
+        lambda: g.labeled_equal(adapters.component_union_predicted_graph(n, q)))
 
 
-def _check_element_budget(name: str, count: int):
-    """Refuse a lattice input larger than the adapters' element budget;
-    building one is quadratic in its element count."""
-    budget = adapters.DEFAULT_ELEMENT_BUDGET
-    if count > budget:
-        # Python refuses to print an int of more than 4300 digits
-        shown = count if count.bit_length() <= 64 \
-            else f"at least 2^{count.bit_length() - 1}"
-        raise TooLarge(f"{name} has {shown} elements, over the element "
-                       f"budget of {budget}")
+def _closed_form(formula: Callable[[], int]) -> tuple[int | None, str]:
+    """The closed form's value, or None and the hypothesis it lacks."""
+    try:
+        return formula(), ""
+    except HypothesisUnmet as exc:
+        return None, str(exc)
 
 
-def _guard_formula(fn, need: bool):
-    if not need:
-        return None, "n<3: formula inapplicable"
-    return fn(), ""
+def _adapter_input(name: str, g: SimpleGraph, formula: Callable[[], int],
+                   prediction: str,
+                   matches_prediction: Callable[[], bool]) -> ResolvedInput:
+    value, note = _closed_form(formula)
+    return ResolvedInput(name=name, graph=g, formula_value=value,
+                         formula_note=note, prediction=prediction,
+                         matches_prediction=matches_prediction)
 
 
 def _try_canonical_spec(P: FinitePoset) -> BlowupSpec | None:
@@ -183,14 +195,10 @@ def _try_canonical_spec(P: FinitePoset) -> BlowupSpec | None:
 
 def _lattice_input(name: str, P: FinitePoset,
                    spec: BlowupSpec | None) -> ResolvedInput:
-    value, note = None, ""
-    if spec is None:
-        note = "not a bounded 0-distributive lattice: formula inapplicable"
-    else:
-        try:
-            value = sdim_formula(spec)
-        except HypothesisUnmet:
-            note = "n<3: formula inapplicable"
+    value, note = None, "not a bounded 0-distributive lattice: " \
+        "formula inapplicable"
+    if spec is not None:
+        value, note = _closed_form(lambda: sdim_formula(spec))
     return ResolvedInput(name=name, graph=zero_divisor_graph(P), poset=P,
                          spec=spec, formula_value=value, formula_note=note)
 
@@ -201,16 +209,8 @@ def _emit(obj, path: str | None):
     if not path:
         return
     if path.endswith((".dot", ".gv")):
-        if isinstance(obj, FinitePoset):
-            lines = ["graph hasse {"]
-            for lab in obj.labels:
-                lines.append(f'  "{lab}";')
-            for a, b in sorted(obj.covers()):
-                lines.append(f'  "{a}" -- "{b}";')
-            lines.append("}")
-            text = "\n".join(lines) + "\n"
-        else:
-            text = obj.to_dot()
+        text = dot_text("hasse", obj.labels, obj.covers()) \
+            if isinstance(obj, FinitePoset) else obj.to_dot()
         with open(path, "w") as fh:
             fh.write(text)
     else:
@@ -289,7 +289,7 @@ def cmd_sdim(args) -> int:
     for method in methods:
         if method == "formula":
             if res.formula_value is None:
-                rows.append(("formula", res.formula_note or "unavailable", "-"))
+                rows.append(("formula", res.formula_note, "-"))
             else:
                 rows.append(("formula", str(res.formula_value), "-"))
                 values.append(res.formula_value)
@@ -335,40 +335,15 @@ def cmd_adapter(args) -> int:
     if res.formula_value is not None:
         tag = "agrees" if res.formula_value == gsr_value else "DISAGREES"
         print(f"closed form: {res.formula_value} ({tag})")
-    ok = _adapter_cross_check(args, g)
+    ok = True
+    if res.matches_prediction is not None:
+        ok = res.matches_prediction()
+        print(f"matches {res.prediction}: {ok}")
     _emit(g, args.out)
     if args.check and (not ok or (res.formula_value is not None
                                   and res.formula_value != gsr_value)):
         return 2
     return 0
-
-
-def _adapter_cross_check(args, g: SimpleGraph) -> bool:
-    """Labeled equality against the predicted blow-up construction."""
-    if args.fields is not None:
-        sizes = _parse_int_list(args.fields)
-        expected = zero_divisor_graph(product_of_chains(sizes))
-        ok = g.labeled_equal(expected)
-        print(f"matches product-of-chains zero-divisor graph: {ok}")
-        return ok
-    if args.local is not None:
-        spec = _parse_local(args.local)
-        bspec, mapping = adapters.comaximal_blowup_prediction(spec)
-        expected = zero_divisor_graph(build_blowup(bspec))
-        ok = g.relabeled(mapping).labeled_equal(expected)
-        print(f"matches blow-up zero-divisor graph: {ok}")
-        return ok
-    if args.zn is not None:
-        expected = zero_divisor_graph(adapters.ideal_lattice_dual_zn(args.zn))
-        ok = g.labeled_equal(expected)
-        print(f"matches dual ideal-lattice zero-divisor graph: {ok}")
-        return ok
-    if args.vspace is not None:
-        n, q = _parse_vspace(args.vspace)
-        ok = g.labeled_equal(adapters.component_union_predicted_graph(n, q))
-        print(f"matches join of blow-up graph with K_t: {ok}")
-        return ok
-    return True
 
 
 def cmd_verify(args) -> int:

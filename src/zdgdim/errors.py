@@ -50,15 +50,11 @@ class NotApplicable(ZdgError):
 
 
 class HypothesisUnmet(ZdgError):
-    """A closed formula was requested outside its hypotheses (n < 3)."""
+    """A closed formula was requested outside its hypotheses."""
 
 
 class NotPrimePower(ZdgError):
     """A field order is not a prime power."""
-
-
-class BudgetExceeded(ZdgError):
-    """An algebraic enumeration exceeds the configured element budget."""
 
 
 class UnknownSuite(ZdgError):

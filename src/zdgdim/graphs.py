@@ -116,18 +116,23 @@ class SimpleGraph:
     # -- export -----------------------------------------------------------
 
     def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
-        for lab in self.labels:
-            lines.append(f'  "{lab}";')
-        for a, b in sorted(self.edge_list()):
-            lines.append(f'  "{a}" -- "{b}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return dot_text(name, self.labels, self.edge_list())
 
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels),
                 "edges": [[i, j] for i in range(self.n)
                           for j in _bits(self.adj[i]) if j > i]}
+
+
+def dot_text(name: str, labels: Iterable[str],
+             edges: Iterable[tuple[str, str]]) -> str:
+    """Undirected DOT graph: the vertices in the given order, then the
+    edges sorted."""
+    lines = [f"graph {name} {{"]
+    lines += [f'  "{lab}";' for lab in labels]
+    lines += [f'  "{a}" -- "{b}";' for a, b in sorted(edges)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def graph_from_json(data: dict) -> SimpleGraph:
@@ -147,16 +152,17 @@ def labeled_equal(g: SimpleGraph, h: SimpleGraph) -> bool:
 
 def zero_divisor_graph(P: FinitePoset) -> SimpleGraph:
     """G(P): vertices Z*(P), edges between elements meeting only in 0."""
+    # the neighbours of x are the nonzero elements of ann(x), each of which
+    # is itself in Z*
     zero = 1 << P._require_bottom()
-    verts = [P.index(lab) for lab in P.zero_divisors()]
-    edges = []
-    for x in range(len(verts)):
-        i = verts[x]
-        for y in range(x + 1, len(verts)):
-            j = verts[y]
-            if P.down[i] & P.down[j] == zero:
-                edges.append((P.labels[i], P.labels[j]))
-    return SimpleGraph.from_edges([P.labels[i] for i in verts], edges)
+    ann = P._ann_masks()
+    labels = sorted(P.zero_divisors())
+    at = {P.index(lab): k for k, lab in enumerate(labels)}
+    adj = [0] * len(labels)
+    for i, k in at.items():
+        for j in _bits(ann[i] & ~zero):
+            adj[k] |= 1 << at[j]
+    return SimpleGraph(labels, adj)
 
 
 def comparability_graph(L: FinitePoset) -> SimpleGraph:

@@ -343,7 +343,7 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
 def sdim_formula(spec: BlowupSpec) -> int:
     """|Z*(L^B)| - 2n + 2; defined for n >= 3 atoms."""
     if spec.n < 3:
-        raise HypothesisUnmet(f"sdim formula needs n >= 3, got n = {spec.n}")
+        raise HypothesisUnmet("n<3: formula inapplicable")
     return spec.total_vertices() - 2 * spec.n + 2
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from zdgdim import (BudgetExceeded, NotPrimePower, build_blowup,
+from zdgdim import (HypothesisUnmet, NotPrimePower, TooLarge, build_blowup,
                     labeled_equal, product_of_chains, sdim_bruteforce,
                     sdim_via_gsr, zero_divisor_graph)
 from zdgdim.adapters import (LocalProductSpec, ReducedRingSpec,
@@ -36,10 +36,28 @@ def test_spec_validation():
 
 
 def test_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(TooLarge):
         reduced_ring_zdg(ReducedRingSpec([2] * 20))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(TooLarge):
         component_union_graph(20, 3)
+    with pytest.raises(TooLarge):
+        comaximal_ideal_graph_zn(10 ** 12)
+    with pytest.raises(TooLarge):
+        ideal_lattice_dual_zn(10 ** 12)
+
+
+def test_closed_forms_refuse_inputs_outside_their_hypotheses():
+    # each corollary needs n >= 3 maximal ideals, fields or coordinates;
+    # CG(Z_N) also has a form for a squarefree N with two primes
+    for call in (lambda: reduced_ring_sdim_formula(ReducedRingSpec([3, 2])),
+                 lambda: comaximal_sdim_formula(LocalProductSpec([(2, 1),
+                                                                  (3, 1)])),
+                 lambda: component_union_sdim_formula(2, 3)):
+        with pytest.raises(HypothesisUnmet, match="n<3"):
+            call()
+    for N in (12, 7):
+        with pytest.raises(HypothesisUnmet, match=f"N = {N}$"):
+            comaximal_ideal_sdim_formula(N)
 
 
 # -- reduced rings -----------------------------------------------------------

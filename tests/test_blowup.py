@@ -6,7 +6,7 @@ import pytest
 from zdgdim import (BlowupSpec, InvalidSpec, NotZeroDistributive,
                     boolean_lattice, build_blowup, canonical_blowup_of,
                     labeled_equal, m_lattice, product_of_chains,
-                    random_blowup_spec, zero_divisor_graph)
+                    random_blowup_spec, tuple_label, zero_divisor_graph)
 
 
 def test_spec_validation():
@@ -48,8 +48,14 @@ def test_boolean_lattice_basics():
 
 
 def test_identity_blowup_is_the_boolean_lattice():
+    # element m is the subset mask m, ordered by inclusion
     for n in (1, 2, 3, 4):
-        assert build_blowup(BlowupSpec(n, {})) == boolean_lattice(n)
+        L = build_blowup(BlowupSpec(n, {}))
+        assert L.labels == tuple(tuple_label([m >> i & 1 for i in range(n)])
+                                 for m in range(1 << n))
+        assert L.down == tuple(sum(1 << s for s in range(m + 1) if s & ~m == 0)
+                               for m in range(1 << n))
+        assert boolean_lattice(n) == L
 
 
 def test_figure3_blowup_structure(fig3_spec, fig3_lattice):

@@ -57,6 +57,13 @@ def test_sdim_small_n_formula_guard(capsys):
     assert "n<3: formula inapplicable" in out
     assert any(line.startswith("gsr") and "1" in line
                for line in out.splitlines())
+    # the component-union form needs n >= 3 too; for n = 2, q = 3 it would
+    # print 8, which is |V|, not sdim = 5
+    code, out, _ = run(capsys, "sdim", "--vspace", "n=2,q=3")
+    assert code == 0
+    assert "formula  | n<3: formula inapplicable | -" in out
+    assert any(line.startswith("gsr") and " 5 " in line
+               for line in out.splitlines())
 
 
 def test_sdim_json_output_is_deterministic(capsys):
@@ -92,6 +99,15 @@ def test_zdg_and_exports(capsys, tmp_path):
     code, _, _ = run(capsys, "zdg", "--boolean", "3", "--out", str(js))
     data = json.loads(js.read_text())
     assert len(data["labels"]) == 6 and len(data["edges"]) == 6
+
+    # a lattice input's `build` writes its Hasse diagram, elements in
+    # index order
+    hasse = tmp_path / "h.dot"
+    code, _, _ = run(capsys, "build", "--mn", "2", "--out", str(hasse))
+    assert code == 0
+    assert hasse.read_text() == (
+        'graph hasse {\n  "0";\n  "a1";\n  "a2";\n  "1";\n'
+        '  "0" -- "a1";\n  "0" -- "a2";\n  "a1" -- "1";\n  "a2" -- "1";\n}\n')
 
 
 def test_build_poset_roundtrip(capsys, tmp_path):
@@ -231,7 +247,9 @@ def test_verify_examples_reports_only_ug_failures(capsys):
 
 def test_verify_case_counts_and_failures_are_pinned(capsys):
     # the case counts and the published-form failures fix `verify`'s stdout;
-    # a suite that drops or adds a case changes it
+    # a suite that drops or adds a case changes it.  The component-union
+    # closed form is the one check that honestly fails, in `adapters` and
+    # `examples` alike
     code, out, _ = run(capsys, "verify", "--json", "--seed", "0",
                        "--count", "25")
     assert code == 1
@@ -248,6 +266,82 @@ def test_verify_case_counts_and_failures_are_pinned(capsys):
         ("examples", "UG(3,3): published form")]
 
 
+PINNED_STDOUT = [
+    (("build", "--chains", "3,2,2"), 0, """\
+product of chains [3, 2, 2]: 12 elements, 3 atoms, |Z*|=9, classes sizes 1,1,2,1,2,2
+"""),
+    (("build", "--zn", "60"), 0, """\
+comaximal ideal graph of Z_60: 9 vertices, 11 edges
+"""),
+    (("sdim", "--boolean", "2"), 0, """\
+sdim of boolean 2^2 (|V|=2)
+method   | value                     | witness
+formula  | n<3: formula inapplicable | -
+gsr      | 1                         | cover size 1
+brute    | 1                         | set size 1
+"""),
+    (("sdim", "--mn", "4"), 0, """\
+sdim of M_4 (|V|=4)
+method   | value                  | witness
+formula  | no closed form for M_n | -
+gsr      | 3                      | cover size 3
+brute    | 3                      | set size 3
+"""),
+    (("sdim", "--zn", "12"), 0, """\
+sdim of comaximal ideal graph of Z_12 (|V|=3)
+method   | value                          | witness
+formula  | no closed sdim form for N = 12 | -
+gsr      | 1                              | cover size 1
+brute    | 1                              | set size 1
+"""),
+    (("sdim", "--fields", "3,2"), 0, """\
+sdim of reduced ring fields 3,2 (|V|=3)
+method   | value                     | witness
+formula  | n<3: formula inapplicable | -
+gsr      | 1                         | cover size 1
+brute    | 1                         | set size 1
+"""),
+    (("sdim", "--local", "2,3,5"), 0, """\
+sdim of comaximal graph of 2,3,5 (|V|=21)
+method   | value                     | witness
+formula  | 17                        | -
+gsr      | 17                        | cover size 17
+brute    | skipped (|V|=21 > cap 16) | -
+"""),
+    (("adapter", "--fields", "3,2,2", "--check"), 0, """\
+reduced ring fields 3,2,2: 9 vertices, 11 edges
+sdim via gsr: 5
+closed form: 5 (agrees)
+matches product-of-chains zero-divisor graph: True
+"""),
+    (("adapter", "--local", "3,5"), 0, """\
+comaximal graph of 3,5: 6 vertices, 8 edges
+sdim via gsr: 4
+matches blow-up zero-divisor graph: True
+"""),
+    (("adapter", "--vspace", "n=3,q=2", "--check"), 2, """\
+component union graph n=3 q=2: 7 vertices, 12 edges
+sdim via gsr: 3
+closed form: 6 (DISAGREES)
+matches join of blow-up graph with K_t: True
+"""),
+    (("adapter", "--boolean", "3", "--check"), 0, """\
+boolean 2^3: 6 vertices, 6 edges
+sdim via gsr: 2
+closed form: 2 (agrees)
+"""),
+]
+
+
+def test_stdout_and_exit_codes_are_pinned(capsys, monkeypatch):
+    # every input kind, each formula note, and the adapters' cross-check
+    # lines; a change to any of them changes what scripts read
+    monkeypatch.delenv("SDIM_BRUTE_CAP", raising=False)
+    for argv, want_code, want_out in PINNED_STDOUT:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (want_code, want_out, ""), argv
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--boolean", "17", "boolean 2^17 has 131072 elements"),
     ("--boolean", "20000", "boolean 2^20000 has at least 2^20000 elements"),
@@ -258,9 +352,18 @@ def test_verify_case_counts_and_failures_are_pinned(capsys):
     ("--poset", json.dumps({"labels": list(range(100001)), "covers": [],
                             "bottom": 0, "top": 1}),
      "poset has 100001 elements"),
-], ids=["boolean", "boolean-huge", "blowup", "chains", "mn", "poset"])
+    ("--fields", ",".join(["2"] * 17),
+     " x ".join(["GF(2)"] * 17) + " has 131072 elements"),
+    ("--local", "2,3,5,7,11,13,17",
+     "Z_2 x Z_3 x Z_5 x Z_7 x Z_11 x Z_13 x Z_17 has 510510 elements"),
+    ("--vspace", "n=11,q=3", "GF(3)^11 has 177147 elements"),
+    ("--zn", "1000000000000", "Z_1000000000000 has 1000000000000 elements"),
+], ids=["boolean", "boolean-huge", "blowup", "chains", "mn", "poset",
+        "fields", "local", "vspace", "zn"])
 def test_lattice_inputs_over_the_element_budget_fail_fast(capsys, flag, value,
                                                           message):
+    # adapter inputs included: each input kind counts its elements and is
+    # refused before anything is enumerated
     code, out, err = run(capsys, "sdim", flag, value)
     assert code == 1 and out == ""
     assert err == f"error: {message}, over the element budget of 100000\n"

@@ -5,7 +5,8 @@ from zdgdim import (LabelCollision, SimpleGraph,boolean_lattice,
                     comparability_graph, complete_graph, complete_graph_on,
                     connected_components, disjoint_union, edgeless_graph,
                     graph_join, incomparability_graph, labeled_equal,
-                    m_lattice, remove_isolated, zero_divisor_graph)
+                    m_lattice, product_of_chains, remove_isolated,
+                    zero_divisor_graph)
 from zdgdim.graphs import graph_from_json
 
 
@@ -39,6 +40,23 @@ def test_zero_divisor_graph_of_the_cube():
     assert labeled_equal(G, expected)
     for atom in ("(1,0,0)", "(0,1,0)", "(0,0,1)"):
         assert G.degree(atom) == 3
+
+
+def test_zero_divisor_graph_matches_pairwise_lower_cones(corpus_graphs,
+                                                       fig2_lattice):
+    # reference: Z* and the edges straight from the definition, one lower
+    # cone per pair; the duals put the bottom at the last index
+    lattices = [LB for _, _, LB, _ in corpus_graphs]
+    lattices += [fig2_lattice, m_lattice(3), product_of_chains([3, 3, 2])]
+    lattices += [L.dual() for L in lattices]
+    for L in lattices:
+        zero = L.labels[L.bottom]
+        nonzero = [a for a in L.labels if a != zero]
+        edges = [(a, b) for i, a in enumerate(nonzero) for b in nonzero[i + 1:]
+                 if L.lower_cone([a, b]) == [zero]]
+        verts = {a for edge in edges for a in edge}
+        assert labeled_equal(zero_divisor_graph(L),
+                             SimpleGraph.from_edges(verts, edges))
 
 
 def test_figure4_left_panel(fig3_lattice):
