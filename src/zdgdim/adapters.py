@@ -30,29 +30,70 @@ def check_element_budget(name: str, count: int):
     and most are quadratic, in its element count."""
     if count > DEFAULT_ELEMENT_BUDGET:
         # Python refuses to print an int of more than 4300 digits
-        shown = count if count.bit_length() <= 64 \
-            else f"at least 2^{count.bit_length() - 1}"
-        raise TooLarge(f"{name} has {shown} elements, over the element "
-                       f"budget of {DEFAULT_ELEMENT_BUDGET}")
+        _refuse(name, count if count.bit_length() <= 64
+                else f"at least 2^{count.bit_length() - 1}")
+
+
+def check_power_budget(name: str, q: int, n: int):
+    """check_element_budget(name, q ** n) for q >= 2, without building
+    q ** n once it passes 64 bits: for n near 10^9 that takes seconds."""
+    if n * (q.bit_length() - 1) < 64:
+        return check_element_budget(name, q ** n)
+    # floor(n log2 q), or one less within 10^-20 above an integer; the
+    # rounding error is far smaller, as log2 q < 10^5 for a printable q
+    log2 = n * (q.bit_length() - 1)
+    if q & (q - 1):
+        # imported here: decimal adds about 8% to the package's import time
+        from decimal import Decimal, localcontext
+        with localcontext() as ctx:
+            ctx.prec = len(str(n)) + 45
+            log2 = int(n * Decimal(q).ln() / Decimal(2).ln() - Decimal("1e-20"))
+    _refuse(name, f"at least 2^{log2}")
+
+
+def _refuse(name: str, shown):
+    raise TooLarge(f"{name} has {shown} elements, over the element budget "
+                   f"of {DEFAULT_ELEMENT_BUDGET}")
+
+
+def check_fields_budget(field_orders: Sequence[int]):
+    """The budget of prod GF(q), run before ReducedRingSpec's primality
+    test, which is slow on a large prime."""
+    check_element_budget(" x ".join(f"GF({q})" for q in field_orders),
+                         prod(field_orders))
+
+
+def check_local_budget(prime_powers: Sequence[tuple[int, int]]):
+    """The budget of prod Z_{p^e}, run before LocalProductSpec's primality
+    test; an exponent below 1 is left for the spec to refuse."""
+    if all(e >= 1 for _, e in prime_powers):
+        mods = [p ** e for p, e in prime_powers]
+        check_element_budget(" x ".join(f"Z_{m}" for m in mods), prod(mods))
+
+
+def _prime_powers(N: int):
+    """Yield (p, e) for each prime p exactly dividing N as p^e, by trial
+    division in increasing p.  Lazy: a caller may stop after the first."""
+    p = 2
+    while p * p <= N:
+        if N % p == 0:
+            e = 0
+            while N % p == 0:
+                N //= p
+                e += 1
+            yield p, e
+        p += 1
+    if N > 1:
+        yield N, 1
 
 
 def prime_power_base(q: int):
     """(p, e) with q = p^e, or raise NotPrimePower."""
-    if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise NotPrimePower(f"{q} is not a prime power")
+    if q >= 2:
+        p, e = next(_prime_powers(q))
+        if p ** e == q:
             return p, e
-        p += 1
-    return q, 1
+    raise NotPrimePower(f"{q} is not a prime power")
 
 
 def _euler_phi_prime_power(p: int, e: int) -> int:
@@ -101,7 +142,7 @@ def reduced_ring_zdg(spec: ReducedRingSpec) -> SimpleGraph:
     to the zero-divisor graph of the product of chains with sizes |F_i|.
     """
     qs = spec.field_orders
-    check_element_budget(" x ".join(f"GF({q})" for q in qs), prod(qs))
+    check_fields_budget(qs)
     verts = [v for v in product(*[range(q) for q in qs])
              if any(v) and not all(v)]
     labels = [tuple_label(v) for v in verts]
@@ -135,9 +176,9 @@ def comaximal_gamma2prime(spec: LocalProductSpec) -> SimpleGraph:
     """Non-units outside the Jacobson radical of prod Z_{p_i^{e_i}}; x ~ y
     iff x and y generate the whole ring, i.e. every coordinate has a unit
     on at least one side."""
+    check_local_budget(spec.prime_powers)
     mods = spec.moduli()
     ps = [p for p, _ in spec.prime_powers]
-    check_element_budget(" x ".join(f"Z_{m}" for m in mods), prod(mods))
     verts = []
     for x in product(*[range(m) for m in mods]):
         nonunit = sum(1 for xi, p in zip(x, ps) if xi % p == 0)
@@ -188,14 +229,10 @@ def comaximal_sdim_formula(spec: LocalProductSpec) -> int:
     n = len(spec.prime_powers)
     if n < 3:
         raise HypothesisUnmet("n<3: formula inapplicable")
-    count = 1
+    count = units = jacobson = 1
     for p, e in spec.prime_powers:
         count *= p ** e
-    units = 1
-    for p, e in spec.prime_powers:
         units *= _euler_phi_prime_power(p, e)
-    jacobson = 1
-    for p, e in spec.prime_powers:
         jacobson *= p ** (e - 1)
     vertices = count - units - jacobson
     return vertices - 2 * n + 2
@@ -207,21 +244,6 @@ def _divisors(N: int) -> list[int]:
     return [d for d in range(1, N + 1) if N % d == 0]
 
 
-def _radical(N: int) -> int:
-    rad = 1
-    m = N
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            rad *= p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        rad *= m
-    return rad
-
-
 def ideal_lattice_dual_zn(N: int) -> FinitePoset:
     """Dual of the ideal lattice of Z_N: divisors of N under divisibility,
     with 1 (the whole ring) at the bottom and N (the zero ideal) on top."""
@@ -229,7 +251,6 @@ def ideal_lattice_dual_zn(N: int) -> FinitePoset:
         raise ValueError("ideal lattice needs N >= 2")
     check_element_budget(f"Z_{N}", N)
     divs = _divisors(N)
-    index = {d: i for i, d in enumerate(divs)}
     down = [0] * len(divs)
     for i, d in enumerate(divs):
         for j, e in enumerate(divs):
@@ -245,7 +266,7 @@ def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:
     if N < 2:
         raise ValueError("comaximal ideal graph needs N >= 2")
     check_element_budget(f"Z_{N}", N)
-    rad = _radical(N)
+    rad = prod(p for p, _ in _prime_powers(N))
     verts = [d for d in _divisors(N) if d not in (1, N) and d % rad != 0]
     labels = [str(d) for d in verts]
     edges = [(str(d), str(e)) for i, d in enumerate(verts)
@@ -253,27 +274,17 @@ def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:
     return SimpleGraph.from_edges(labels, edges)
 
 
-def _prime_factor_count(N: int) -> int:
-    n = 0
-    m = N
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            n += 1
-            while m % p == 0:
-                m //= p
-        p += 1
-    return n + (1 if m > 1 else 0)
-
-
 def comaximal_ideal_sdim_formula(N: int) -> int:
     """sdim of CG(Z_N): with n distinct primes, |V| - 2n + 2 for n >= 3 and
-    1 for a squarefree N with two primes."""
-    n = _prime_factor_count(N)
-    vertices = len(comaximal_ideal_graph_zn(N).labels)
+    1 for a squarefree N with two primes.  |V| = prod (e_i + 1) - 1 -
+    prod e_i for N = prod p_i^e_i (divisors but 1 not divisible by rad N)."""
+    if N < 2:
+        raise ValueError("comaximal ideal graph needs N >= 2")
+    exps = [e for _, e in _prime_powers(N)]
+    n = len(exps)
     if n >= 3:
-        return vertices - 2 * n + 2
-    if n == 2 and _radical(N) == N:
+        return prod(e + 1 for e in exps) - 1 - prod(exps) - 2 * n + 2
+    if exps == [1, 1]:
         return 1
     raise HypothesisUnmet(f"no closed sdim form for N = {N}")
 
@@ -293,7 +304,9 @@ def component_union_graph(n: int, q: int) -> SimpleGraph:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    check_element_budget(f"GF({q})^{n}", q ** n)
+    if q < 2:
+        raise NotPrimePower(f"{q} is not a prime power")
+    check_power_budget(f"GF({q})^{n}", q, n)
     prime_power_base(q)
     full = (1 << n) - 1
     verts = []

@@ -112,7 +112,6 @@ def product_of_chains(sizes: Sequence[int]) -> FinitePoset:
     for c in sizes:
         elems = [t + (lv,) for t in elems for lv in range(c)]
     n = len(elems)
-    index = {t: i for i, t in enumerate(elems)}
     down = [0] * n
     for i, t in enumerate(elems):
         for j, u in enumerate(elems):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import adapters
-from .adapters import check_element_budget
+from .adapters import check_element_budget, check_power_budget
 from .blowup import (BlowupSpec, build_blowup, canonical_blowup_of,
                      product_of_chains)
 from .errors import HypothesisUnmet, UnknownSuite, ZdgError
@@ -69,6 +69,7 @@ def _parse_local(text: str) -> adapters.LocalProductSpec:
             pairs.append((int(p), int(e)))
         else:
             pairs.append((int(part), 1))
+    adapters.check_local_budget(pairs)
     return adapters.LocalProductSpec(pairs)
 
 
@@ -104,7 +105,7 @@ def add_input_flags(parser: argparse.ArgumentParser):
 def resolve_input(args) -> ResolvedInput:
     if args.boolean is not None:
         name = f"boolean 2^{args.boolean}"
-        check_element_budget(name, 2 ** args.boolean)
+        check_power_budget(name, 2, args.boolean)
         spec = BlowupSpec(args.boolean, {})
         return _lattice_input(name, build_blowup(spec), spec)
     if args.blowup is not None:
@@ -130,7 +131,9 @@ def resolve_input(args) -> ResolvedInput:
         return ResolvedInput(name=f"M_{args.mn}", graph=zero_divisor_graph(P),
                              poset=P, formula_note="no closed form for M_n")
     if args.fields is not None:
-        spec = adapters.ReducedRingSpec(_parse_int_list(args.fields))
+        orders = _parse_int_list(args.fields)
+        adapters.check_fields_budget(orders)
+        spec = adapters.ReducedRingSpec(orders)
         g = adapters.reduced_ring_zdg(spec)
         return _adapter_input(
             f"reduced ring fields {args.fields}", g,

@@ -263,10 +263,6 @@ def complete_graph_on(labels: Sequence[str]) -> SimpleGraph:
     return SimpleGraph.from_edges(labs, edges)
 
 
-def edgeless_graph(labels: Sequence[str]) -> SimpleGraph:
-    return SimpleGraph.from_edges(labels, [])
-
-
 def remove_isolated(g: SimpleGraph) -> SimpleGraph:
     keep = [lab for i, lab in enumerate(g.labels) if g.adj[i]]
     return g.subgraph(keep)

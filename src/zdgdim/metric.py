@@ -11,9 +11,8 @@ which the join-shaped application graphs require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .blowup import BlowupSpec
 from .errors import (Disconnected, HypothesisUnmet, NotApplicable,
@@ -352,72 +351,3 @@ def beta_gsr_formula(spec: BlowupSpec) -> int:
     if spec.n < 3:
         raise HypothesisUnmet(f"beta formula needs n >= 3, got n = {spec.n}")
     return 2 * spec.n - spec.singleton_atom_count() - 2
-
-
-@dataclass(frozen=True)
-class SdimReport:
-    """The three sdim values with witnesses; absent values are None."""
-
-    formula_value: Optional[int]
-    gsr_value: int
-    bruteforce_value: Optional[int]
-    vertex_cover: tuple[str, ...]
-    strong_resolving_set: Optional[tuple[str, ...]]
-    boundary: tuple[str, ...]
-    n_atoms: int
-    m_singleton_atoms: int
-    zstar_size: int
-
-    def values(self) -> list[int]:
-        out = [self.gsr_value]
-        if self.formula_value is not None:
-            out.append(self.formula_value)
-        if self.bruteforce_value is not None:
-            out.append(self.bruteforce_value)
-        return out
-
-    def agree(self) -> bool:
-        return len(set(self.values())) == 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "formula": self.formula_value,
-            "gsr": self.gsr_value,
-            "bruteforce": self.bruteforce_value,
-            "vertex_cover": list(self.vertex_cover),
-            "strong_resolving_set":
-                None if self.strong_resolving_set is None
-                else list(self.strong_resolving_set),
-            "boundary": list(self.boundary),
-            "n_atoms": self.n_atoms,
-            "m_singleton_atoms": self.m_singleton_atoms,
-            "zstar_size": self.zstar_size,
-        }
-
-
-def full_report(LB: FinitePoset, spec: BlowupSpec,
-                brute_cap: int = DEFAULT_BRUTE_CAP) -> SdimReport:
-    """Assemble formula, reduction and brute-force sdim values for a blow-up."""
-    G = zero_divisor_graph(LB)
-    gsr = strong_resolving_graph(G)
-    cover = tuple(minimum_vertex_cover(gsr))
-    try:
-        formula: Optional[int] = sdim_formula(spec)
-    except HypothesisUnmet:
-        formula = None
-    brute = None
-    witness = None
-    if G.n <= brute_cap:
-        brute, witness = _min_cover_size(G, strong=True, cap=brute_cap,
-                                         want_witness=True)
-    return SdimReport(
-        formula_value=formula,
-        gsr_value=len(cover),
-        bruteforce_value=brute,
-        vertex_cover=cover,
-        strong_resolving_set=witness,
-        boundary=gsr.labels,
-        n_atoms=spec.n,
-        m_singleton_atoms=spec.singleton_atom_count(),
-        zstar_size=G.n,
-    )

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from zdgdim import (HypothesisUnmet, NotPrimePower, TooLarge, build_blowup,
@@ -16,6 +18,11 @@ from zdgdim.adapters import (LocalProductSpec, ReducedRingSpec,
                              reduced_ring_sdim_formula, reduced_ring_zdg)
 
 
+def _primes_up_to(n):
+    return [p for p in range(2, n + 1)
+            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
 def test_prime_power_base():
     assert prime_power_base(2) == (2, 1)
     assert prime_power_base(8) == (2, 3)
@@ -24,6 +31,18 @@ def test_prime_power_base():
     for bad in (1, 6, 12, 100):
         with pytest.raises(NotPrimePower):
             prime_power_base(bad)
+    # by definition on 1..5000
+    powers = {p ** e: (p, e) for p in _primes_up_to(5000)
+              for e in range(1, 13) if p ** e <= 5000}
+    for q in range(1, 5001):
+        if q in powers:
+            assert prime_power_base(q) == powers[q]
+        else:
+            with pytest.raises(NotPrimePower):
+                prime_power_base(q)
+    # stops at the first prime factor instead of factoring the rest
+    with pytest.raises(NotPrimePower):
+        prime_power_base(2 * (10 ** 18 + 3))
 
 
 def test_spec_validation():
@@ -161,6 +180,34 @@ def test_cg_sdim(N, want):
     assert sdim_via_gsr(g) == want
     if g.n <= 9:
         assert sdim_bruteforce(g) == want
+
+
+def test_cg_closed_form_matches_the_built_graph():
+    # the closed form counts the vertices from the factorisation of N; the
+    # built graph is the oracle
+    primes = _primes_up_to(3000)
+    for N in range(2, 3001):
+        exps = []
+        for p in primes:
+            e = 0
+            while N % p ** (e + 1) == 0:
+                e += 1
+            if e:
+                exps.append(e)
+            if p > N:
+                break
+        g = comaximal_ideal_graph_zn(N)
+        assert g.n == prod(e + 1 for e in exps) - 1 - prod(exps), N
+        n = len(exps)
+        if n >= 3 or exps == [1, 1]:
+            want = g.n - 2 * n + 2 if n >= 3 else 1
+            assert comaximal_ideal_sdim_formula(N) == want == sdim_via_gsr(g)
+        else:
+            with pytest.raises(HypothesisUnmet):
+                comaximal_ideal_sdim_formula(N)
+    for N in (1, 0, -6):
+        with pytest.raises(ValueError):
+            comaximal_ideal_sdim_formula(N)
 
 
 def test_cg_dual_equality_non_squarefree_corpus():

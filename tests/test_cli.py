@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from zdgdim import adapters
 from zdgdim.cli import main
 from zdgdim.verify import FIG3
 
@@ -358,12 +360,43 @@ def test_stdout_and_exit_codes_are_pinned(capsys, monkeypatch):
      "Z_2 x Z_3 x Z_5 x Z_7 x Z_11 x Z_13 x Z_17 has 510510 elements"),
     ("--vspace", "n=11,q=3", "GF(3)^11 has 177147 elements"),
     ("--zn", "1000000000000", "Z_1000000000000 has 1000000000000 elements"),
+    # the count 2^n or q^n is never built, nor is a huge field order or
+    # prime tested for primality
+    ("--boolean", "1000000000",
+     "boolean 2^1000000000 has at least 2^1000000000 elements"),
+    ("--vspace", "n=1000000000,q=2",
+     "GF(2)^1000000000 has at least 2^1000000000 elements"),
+    ("--vspace", "n=1000000,q=3",
+     "GF(3)^1000000 has at least 2^1584962 elements"),
+    ("--fields", "1000000000000000003,2,2",
+     "GF(1000000000000000003) x GF(2) x GF(2) has 4000000000000000012 "
+     "elements"),
+    ("--local", "1000000000000000003,2,3",
+     "Z_1000000000000000003 x Z_2 x Z_3 has 6000000000000000018 elements"),
 ], ids=["boolean", "boolean-huge", "blowup", "chains", "mn", "poset",
-        "fields", "local", "vspace", "zn"])
+        "fields", "local", "vspace", "zn", "boolean-exponent",
+        "vspace-exponent", "vspace-exponent-q3", "fields-large-prime",
+        "local-large-prime"])
 def test_lattice_inputs_over_the_element_budget_fail_fast(capsys, flag, value,
                                                           message):
     # adapter inputs included: each input kind counts its elements and is
     # refused before anything is enumerated
+    start = time.perf_counter()
     code, out, err = run(capsys, "sdim", flag, value)
+    assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err == f"error: {message}, over the element budget of 100000\n"
+
+
+def test_zn_builds_the_comaximal_ideal_graph_once(capsys, monkeypatch):
+    # the closed form counts the vertices from the factorisation of N
+    calls = []
+    build = adapters.comaximal_ideal_graph_zn
+
+    def counted(N):
+        calls.append(N)
+        return build(N)
+    monkeypatch.setattr(adapters, "comaximal_ideal_graph_zn", counted)
+    code, out, _ = run(capsys, "sdim", "--zn", "60")
+    assert code == 0 and "formula  | 5 " in out
+    assert calls == [60]

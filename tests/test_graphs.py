@@ -3,10 +3,9 @@ import pytest
 from zdgdim import (LabelCollision, SimpleGraph,boolean_lattice,
                     boolean_ring_annihilator_graph, boolean_ring_zdg,
                     comparability_graph, complete_graph, complete_graph_on,
-                    connected_components, disjoint_union, edgeless_graph,
-                    graph_join, incomparability_graph, labeled_equal,
-                    m_lattice, product_of_chains, remove_isolated,
-                    zero_divisor_graph)
+                    connected_components, disjoint_union, graph_join,
+                    incomparability_graph, labeled_equal, m_lattice,
+                    product_of_chains, remove_isolated, zero_divisor_graph)
 from zdgdim.graphs import graph_from_json
 
 
@@ -118,10 +117,11 @@ def test_union_join_and_friends():
     assert independence_number(u) == 3    # one vertex per clique
     with pytest.raises(LabelCollision):
         disjoint_union([k2, k2])
-    p3 = graph_join(edgeless_graph(["x", "y"]), complete_graph(1, prefix="m"))
+    p3 = graph_join(SimpleGraph.from_edges(["x", "y"], []),
+                    complete_graph(1, prefix="m"))
     assert p3.edge_count() == 2 and p3.degree("m1") == 2
     h = SimpleGraph.from_edges(["u", "v"], [("u", "v")])
-    iso = disjoint_union([h, edgeless_graph(["w"])])
+    iso = disjoint_union([h, SimpleGraph.from_edges(["w"], [])])
     assert labeled_equal(remove_isolated(iso), h)
 
 

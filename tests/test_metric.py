@@ -5,7 +5,7 @@ from zdgdim import (BlowupSpec, Disconnected, HypothesisUnmet, NotApplicable,
                     NotAZeroDivisor, SimpleGraph, TooLarge,
                     all_pairs_distances, beta_gsr_formula, boolean_lattice,
                     boundary, build_blowup, complete_graph_on, diameter,
-                    distance_by_pseudocomplement, disjoint_union, full_report,
+                    distance_by_pseudocomplement, disjoint_union,
                     gstar, gstar_star, independence_number, is_resolving,
                     is_strong_resolving, labeled_equal, m_lattice,
                     max_independent_set, metric_dimension_bruteforce,
@@ -108,6 +108,8 @@ def test_brute_force_cap():
         sdim_bruteforce(g, cap=16)
     with pytest.raises(TooLarge):
         metric_dimension_bruteforce(g, cap=16)
+    with pytest.raises(TooLarge):
+        minimum_strong_resolving_set(g, cap=16)
 
 
 def test_mutually_maximally_distant_cube(cube_graph):
@@ -228,28 +230,20 @@ def test_sdim_formula_and_beta_formula(fig3_spec):
 
 
 def test_full_report_figure3(fig3_lattice, fig3_spec):
-    rep = full_report(fig3_lattice, fig3_spec)
-    assert rep.formula_value == rep.gsr_value == rep.bruteforce_value == 8
-    assert rep.agree()
-    assert rep.zstar_size == 12
-    assert rep.n_atoms == 3 and rep.m_singleton_atoms == 1
-    assert len(rep.vertex_cover) == 8
-    assert len(rep.strong_resolving_set) == 8
-    assert is_strong_resolving(zero_divisor_graph(fig3_lattice),
-                               rep.strong_resolving_set)
-    data = rep.to_json_dict()
-    assert data["formula"] == data["gsr"] == data["bruteforce"] == 8
+    # formula, G_SR cover and brute force agree, each with a witness of size sdim
+    G = zero_divisor_graph(fig3_lattice)
+    assert sdim_formula(fig3_spec) == sdim_via_gsr(G) == sdim_bruteforce(G) == 8
+    assert G.n == 12
+    assert fig3_spec.n == 3 and fig3_spec.singleton_atom_count() == 1
+    assert len(minimum_vertex_cover(strong_resolving_graph(G))) == 8
+    W = minimum_strong_resolving_set(G)
+    assert len(W) == 8 and is_strong_resolving(G, W)
 
 
 def test_full_report_small_n():
+    # n = 2 is outside the formula, but both computed routes still apply
     spec = BlowupSpec(2, {})
-    rep = full_report(build_blowup(spec), spec)
-    assert rep.formula_value is None
-    assert rep.gsr_value == 1 and rep.bruteforce_value == 1
-
-
-def test_full_report_brute_capped(fig3_lattice, fig3_spec):
-    rep = full_report(fig3_lattice, fig3_spec, brute_cap=5)
-    assert rep.bruteforce_value is None
-    assert rep.strong_resolving_set is None
-    assert rep.agree()
+    with pytest.raises(HypothesisUnmet):
+        sdim_formula(spec)
+    small = zero_divisor_graph(build_blowup(spec))
+    assert sdim_via_gsr(small) == sdim_bruteforce(small) == 1
