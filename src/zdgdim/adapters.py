@@ -34,20 +34,25 @@ def check_element_budget(name: str, count: int):
                 else f"at least 2^{count.bit_length() - 1}")
 
 
-def check_power_budget(name: str, q: int, n: int):
-    """check_element_budget(name, q ** n) for q >= 2, without building
-    q ** n once it passes 64 bits: for n near 10^9 that takes seconds."""
-    if n * (q.bit_length() - 1) < 64:
-        return check_element_budget(name, q ** n)
-    # floor(n log2 q), or one less within 10^-20 above an integer; the
-    # rounding error is far smaller, as log2 q < 10^5 for a printable q
-    log2 = n * (q.bit_length() - 1)
-    if q & (q - 1):
+def check_power_budget(name: str, powers: Sequence[tuple[int, int]]):
+    """check_element_budget(name, prod q^n) over (q, n) pairs, without
+    building a q^n past 64 bits: for n near 10^9 that takes seconds.  Such
+    a product with a q below 1 is left unchecked."""
+    if all(n * (abs(q).bit_length() - 1) < 64 for q, n in powers):
+        return check_element_budget(name, prod(q ** n for q, n in powers))
+    if any(q < 1 for q, _ in powers):
+        return
+    # floor(log2 of the product), or one less within 10^-20 above an
+    # integer; the rounding error is far smaller, as log2 q < 10^5 for a
+    # printable q
+    log2 = sum(n * (q.bit_length() - 1) for q, n in powers)
+    if any(q & (q - 1) for q, _ in powers):
         # imported here: decimal adds about 8% to the package's import time
         from decimal import Decimal, localcontext
         with localcontext() as ctx:
-            ctx.prec = len(str(n)) + 45
-            log2 = int(n * Decimal(q).ln() / Decimal(2).ln() - Decimal("1e-20"))
+            ctx.prec = max(len(str(n)) for _, n in powers) + 45
+            ln = sum(n * Decimal(q).ln() for q, n in powers)
+            log2 = int(ln / Decimal(2).ln() - Decimal("1e-20"))
     _refuse(name, f"at least 2^{log2}")
 
 
@@ -65,10 +70,13 @@ def check_fields_budget(field_orders: Sequence[int]):
 
 def check_local_budget(prime_powers: Sequence[tuple[int, int]]):
     """The budget of prod Z_{p^e}, run before LocalProductSpec's primality
-    test; an exponent below 1 is left for the spec to refuse."""
+    test; a modulus over 64 bits is named Z_(p^e).  An exponent below 1 is
+    left for the spec to refuse."""
     if all(e >= 1 for _, e in prime_powers):
-        mods = [p ** e for p, e in prime_powers]
-        check_element_budget(" x ".join(f"Z_{m}" for m in mods), prod(mods))
+        check_power_budget(" x ".join(
+            f"Z_{p ** e}" if e * (abs(p).bit_length() - 1) < 64
+            and (p ** e).bit_length() <= 64 else f"Z_({p}^{e})"
+            for p, e in prime_powers), prime_powers)
 
 
 def _prime_powers(N: int):
@@ -121,12 +129,13 @@ class LocalProductSpec:
     def __init__(self, prime_powers: Sequence[tuple[int, int]]):
         pairs = tuple((int(p), int(e)) for p, e in prime_powers)
         object.__setattr__(self, "prime_powers", pairs)
-        for p, e in pairs:
-            base, exp = prime_power_base(p)
-            if exp != 1:
-                raise NotPrimePower(f"{p} is not prime")
+        # every exponent first: the primality test is slow on a large prime
+        for _, e in pairs:
             if e < 1:
                 raise NotPrimePower(f"exponent {e} must be >= 1")
+        for p, _ in pairs:
+            if prime_power_base(p)[1] != 1:
+                raise NotPrimePower(f"{p} is not prime")
 
     def moduli(self) -> tuple[int, ...]:
         return tuple(p ** e for p, e in self.prime_powers)
@@ -143,16 +152,10 @@ def reduced_ring_zdg(spec: ReducedRingSpec) -> SimpleGraph:
     """
     qs = spec.field_orders
     check_fields_budget(qs)
-    verts = [v for v in product(*[range(q) for q in qs])
-             if any(v) and not all(v)]
-    labels = [tuple_label(v) for v in verts]
-    edges = []
-    for i, x in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            y = verts[j]
-            if all(a == 0 or b == 0 for a, b in zip(x, y)):
-                edges.append((labels[i], labels[j]))
-    return SimpleGraph.from_edges(labels, edges)
+    return SimpleGraph.from_rule(
+        ((tuple_label(v), v) for v in product(*[range(q) for q in qs])
+         if any(v) and not all(v)),
+        lambda x, y: all(a == 0 or b == 0 for a, b in zip(x, y)))
 
 
 def reduced_ring_sdim_formula(spec: ReducedRingSpec) -> int:
@@ -183,15 +186,9 @@ def comaximal_gamma2prime(spec: LocalProductSpec) -> SimpleGraph:
     for x in product(*[range(m) for m in mods]):
         nonunit = sum(1 for xi, p in zip(x, ps) if xi % p == 0)
         if 0 < nonunit < len(mods):
-            verts.append(x)
-    labels = [tuple_label(v) for v in verts]
-    edges = []
-    for i, x in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            y = verts[j]
-            if all(a % p != 0 or b % p != 0 for a, b, p in zip(x, y, ps)):
-                edges.append((labels[i], labels[j]))
-    return SimpleGraph.from_edges(labels, edges)
+            verts.append((tuple_label(x), x))
+    return SimpleGraph.from_rule(verts, lambda x, y: all(
+        a % p != 0 or b % p != 0 for a, b, p in zip(x, y, ps)))
 
 
 def comaximal_blowup_prediction(
@@ -267,11 +264,9 @@ def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:
         raise ValueError("comaximal ideal graph needs N >= 2")
     check_element_budget(f"Z_{N}", N)
     rad = prod(p for p, _ in _prime_powers(N))
-    verts = [d for d in _divisors(N) if d not in (1, N) and d % rad != 0]
-    labels = [str(d) for d in verts]
-    edges = [(str(d), str(e)) for i, d in enumerate(verts)
-             for e in verts[i + 1:] if gcd(d, e) == 1]
-    return SimpleGraph.from_edges(labels, edges)
+    return SimpleGraph.from_rule(
+        ((d, d) for d in _divisors(N) if d not in (1, N) and d % rad != 0),
+        lambda d, e: gcd(d, e) == 1)
 
 
 def comaximal_ideal_sdim_formula(N: int) -> int:
@@ -306,21 +301,13 @@ def component_union_graph(n: int, q: int) -> SimpleGraph:
         raise ValueError("dimension must be >= 1")
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    check_power_budget(f"GF({q})^{n}", q, n)
+    check_power_budget(f"GF({q})^{n}", [(q, n)])
     prime_power_base(q)
     full = (1 << n) - 1
-    verts = []
-    for mask in range(1, full + 1):
-        for t in range(1, (q - 1) ** mask.bit_count() + 1):
-            verts.append((mask, t))
-    labels = {v: _vector_label(v[0], v[1], n) for v in verts}
-    edges = []
-    for i, (mu, _) in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            mv = verts[j][0]
-            if mu | mv == full:
-                edges.append((labels[verts[i]], labels[verts[j]]))
-    return SimpleGraph.from_edges(labels.values(), edges)
+    return SimpleGraph.from_rule(
+        ((_vector_label(mask, t, n), mask) for mask in range(1, full + 1)
+         for t in range(1, (q - 1) ** mask.bit_count() + 1)),
+        lambda mu, mv: mu | mv == full)
 
 
 def component_union_prediction(

@@ -47,9 +47,10 @@ class BlowupSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise InvalidSpec(f"n must be a positive integer, got {self.n!r}")
-        full = (1 << self.n) - 1
         for mask, size in self.chain_sizes.items():
-            if not isinstance(mask, int) or not 0 < mask < full:
+            # 0 < mask < 2^n - 1, without building 2^n for a huge n
+            if (not isinstance(mask, int) or mask <= 0
+                    or mask.bit_length() > self.n or mask.bit_count() == self.n):
                 raise InvalidSpec(
                     f"mask {mask!r} is not a nonempty proper subset of "
                     f"{self.n} atoms")

@@ -1,14 +1,17 @@
 """Simple labeled graphs and the lattice / Boolean-ring graph constructions.
 
 Vertices are kept in sorted label order so DOT and JSON exports are
-byte-stable; adjacency is one bitmask row per vertex.  Graph equality
+byte-stable; adjacency is one bitmask row per vertex.  A graph defined by a
+vertex set and an adjacency rule is built by `SimpleGraph.from_rule`; one
+given by its edge list, by `SimpleGraph.from_edges`.  Graph equality
 throughout the package is labeled equality (same label set, same edge set),
 never isomorphism.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .blowup import tuple_label
 from .errors import LabelCollision, NotBounded, UnknownElement
@@ -45,6 +48,25 @@ class SimpleGraph:
                 raise ValueError(f"loop at {a!r} is not allowed")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
+        return cls(labs, adj)
+
+    @classmethod
+    def from_rule(cls, vertices: Iterable[tuple[Any, Any]],
+                  adjacent: Callable[[Any, Any], bool]) -> "SimpleGraph":
+        """Graph on (label, value) pairs, labels taken through str(), with
+        a ~ b iff adjacent(value_a, value_b); the symmetric rule is called
+        once per unordered pair."""
+        verts = sorted(((str(lab), val) for lab, val in vertices),
+                       key=itemgetter(0))
+        labs = [lab for lab, _ in verts]
+        if len(set(labs)) != len(labs):
+            raise LabelCollision("duplicate vertex labels")
+        adj = [0] * len(verts)
+        for i, (_, a) in enumerate(verts):
+            for j in range(i + 1, len(verts)):
+                if adjacent(a, verts[j][1]):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
         return cls(labs, adj)
 
     # -- basics -----------------------------------------------------------
@@ -169,15 +191,9 @@ def comparability_graph(L: FinitePoset) -> SimpleGraph:
     """Com(L) on L minus bounds; edges between comparable elements."""
     if L.bottom is None or L.top is None:
         raise NotBounded("comparability graph needs a bounded poset")
-    verts = [i for i in range(len(L)) if i not in (L.bottom, L.top)]
-    edges = []
-    for x in range(len(verts)):
-        i = verts[x]
-        for y in range(x + 1, len(verts)):
-            j = verts[y]
-            if L.down[j] >> i & 1 or L.down[i] >> j & 1:
-                edges.append((L.labels[i], L.labels[j]))
-    return SimpleGraph.from_edges([L.labels[i] for i in verts], edges)
+    return SimpleGraph.from_rule(
+        ((L.labels[i], i) for i in range(len(L)) if i not in (L.bottom, L.top)),
+        lambda i, j: L.down[j] >> i & 1 or L.down[i] >> j & 1)
 
 
 def incomparability_graph(L: FinitePoset) -> SimpleGraph:
@@ -195,31 +211,26 @@ def _ring_ann_mask(x: int, size: int) -> int:
     return m
 
 
+def _ring_vertices(n: int):
+    """(label, mask) for the nonzero non-unit elements of prod_1^n Z_2."""
+    return ((tuple_label([x >> i & 1 for i in range(n)]), x)
+            for x in range(1, (1 << n) - 1))
+
+
 def boolean_ring_zdg(n: int) -> SimpleGraph:
     """Zero-divisor graph of prod_1^n Z_2: masks 1..2^n-2, edges xy = 0."""
     if n < 2:
         raise ValueError("boolean_ring_zdg needs n >= 2")
-    verts = list(range(1, (1 << n) - 1))
-    labels = {x: tuple_label([x >> i & 1 for i in range(n)]) for x in verts}
-    edges = [(labels[x], labels[y]) for xi, x in enumerate(verts)
-             for y in verts[xi + 1:] if x & y == 0]
-    return SimpleGraph.from_edges(labels.values(), edges)
+    return SimpleGraph.from_rule(_ring_vertices(n), lambda x, y: x & y == 0)
 
 
 def boolean_ring_annihilator_graph(n: int) -> SimpleGraph:
     """AG(prod Z_2): edges where ann(xy) differs from ann(x) union ann(y)."""
     if n < 2:
         raise ValueError("boolean_ring_annihilator_graph needs n >= 2")
-    size = 1 << n
-    verts = list(range(1, size - 1))
-    labels = {x: tuple_label([x >> i & 1 for i in range(n)]) for x in verts}
-    ann = {x: _ring_ann_mask(x, size) for x in range(size)}
-    edges = []
-    for xi, x in enumerate(verts):
-        for y in verts[xi + 1:]:
-            if ann[x & y] != ann[x] | ann[y]:
-                edges.append((labels[x], labels[y]))
-    return SimpleGraph.from_edges(labels.values(), edges)
+    ann = [_ring_ann_mask(x, 1 << n) for x in range(1 << n)]
+    return SimpleGraph.from_rule(_ring_vertices(n),
+                                 lambda x, y: ann[x & y] != ann[x] | ann[y])
 
 
 # -- combinators -------------------------------------------------------------
@@ -257,10 +268,8 @@ def complete_graph(t: int, prefix: str = "v") -> SimpleGraph:
 
 
 def complete_graph_on(labels: Sequence[str]) -> SimpleGraph:
-    labs = list(labels)
-    edges = [(labs[i], labs[j]) for i in range(len(labs))
-             for j in range(i + 1, len(labs))]
-    return SimpleGraph.from_edges(labs, edges)
+    return SimpleGraph.from_rule(((lab, None) for lab in labels),
+                                 lambda a, b: True)
 
 
 def remove_isolated(g: SimpleGraph) -> SimpleGraph:

@@ -218,19 +218,13 @@ def gstar_star(LB: FinitePoset) -> SimpleGraph:
     part = LB.quotient_classes()
     if part.boolean_image is None:
         raise NotApplicable("annihilator quotient is not Boolean")
-    verts = [LB.index(lab) for lab in LB.zero_divisors()]
-    edges = []
-    for a in range(len(verts)):
-        i = verts[a]
-        ci = part.class_of[i]
-        mi = part.boolean_image[ci]
-        for b in range(a + 1, len(verts)):
-            j = verts[b]
-            cj = part.class_of[j]
-            mj = part.boolean_image[cj]
-            if ci == cj or (mi & mj != 0 and mi & ~mj != 0 and mj & ~mi != 0):
-                edges.append((LB.labels[i], LB.labels[j]))
-    return SimpleGraph.from_edges([LB.labels[i] for i in verts], edges)
+    classes = ((lab, part.class_of[LB.index(lab)])
+               for lab in LB.zero_divisors())
+
+    def adjacent(ci: int, cj: int) -> bool:
+        mi, mj = part.boolean_image[ci], part.boolean_image[cj]
+        return ci == cj or (mi & mj != 0 and mi & ~mj != 0 and mj & ~mi != 0)
+    return SimpleGraph.from_rule(classes, adjacent)
 
 
 def gstar(LB: FinitePoset) -> SimpleGraph:

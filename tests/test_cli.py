@@ -373,10 +373,19 @@ def test_stdout_and_exit_codes_are_pinned(capsys, monkeypatch):
      "elements"),
     ("--local", "1000000000000000003,2,3",
      "Z_1000000000000000003 x Z_2 x Z_3 has 6000000000000000018 elements"),
+    # nor 2^n of a huge blow-up, nor a modulus p^e over 64 bits, which is
+    # named Z_(p^e)
+    ("--blowup", '{"n":2000000000}',
+     "blow-up of 2^2000000000 has at least 2^2000000000 elements"),
+    ("--local", "2^100000,3,5",
+     "Z_(2^100000) x Z_3 x Z_5 has at least 2^100003 elements"),
+    ("--local", "2^1000000000,3",
+     "Z_(2^1000000000) x Z_3 has at least 2^1000000001 elements"),
 ], ids=["boolean", "boolean-huge", "blowup", "chains", "mn", "poset",
         "fields", "local", "vspace", "zn", "boolean-exponent",
         "vspace-exponent", "vspace-exponent-q3", "fields-large-prime",
-        "local-large-prime"])
+        "local-large-prime", "blowup-exponent", "local-huge-modulus",
+        "local-exponent"])
 def test_lattice_inputs_over_the_element_budget_fail_fast(capsys, flag, value,
                                                           message):
     # adapter inputs included: each input kind counts its elements and is
@@ -386,6 +395,16 @@ def test_lattice_inputs_over_the_element_budget_fail_fast(capsys, flag, value,
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err == f"error: {message}, over the element budget of 100000\n"
+
+
+@pytest.mark.parametrize("value", ["1000000000000000003^0,2,3", "4^0,3"])
+def test_local_exponent_below_one_is_refused_before_primality(capsys, value):
+    # an exponent below 1 is refused before any trial division, which
+    # takes minutes on the prime 10^18 + 3
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sdim", "--local", value)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", "error: exponent 0 must be >= 1\n")
 
 
 def test_zn_builds_the_comaximal_ideal_graph_once(capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from zdgdim import (LabelCollision, SimpleGraph,boolean_lattice,
@@ -19,6 +22,34 @@ def test_simple_graph_basics():
         SimpleGraph.from_edges(["a"], [("a", "a")])
     with pytest.raises(LabelCollision):
         SimpleGraph.from_edges(["a", "a"], [])
+
+
+def test_from_rule_matches_from_edges():
+    # from_edges is the reference: the same canonical label order and rows,
+    # with the rule seeing the values and called once per unordered pair
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(0, 20)
+        labels = list(range(n))          # str order differs: "10" < "2"
+        rng.shuffle(labels)
+        density = rng.random()
+        edges = {frozenset(pair)
+                 for pair in itertools.combinations(range(n), 2)
+                 if rng.random() < density}
+        calls = []
+
+        def adjacent(a, b):
+            calls.append(frozenset((a[1], b[1])))
+            return frozenset((a[1], b[1])) in edges
+        vertices = [(x, ("v", x)) for x in labels]
+        g = SimpleGraph.from_rule(vertices, adjacent)
+        ref = SimpleGraph.from_edges(labels, [tuple(e) for e in edges])
+        assert (g.labels, g.adj) == (ref.labels, ref.adj)
+        assert len(calls) == n * (n - 1) // 2 == len(set(calls))
+        if n:
+            with pytest.raises(LabelCollision):
+                SimpleGraph.from_rule(vertices + [(str(labels[0]), None)],
+                                      adjacent)
 
 
 def test_zero_divisor_graph_of_m_n_is_complete():
