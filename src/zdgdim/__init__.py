@@ -26,7 +26,8 @@ from .metric import (DEFAULT_BRUTE_CAP, all_pairs_distances, beta_gsr_formula,
                      metric_dimension_bruteforce, minimum_strong_resolving_set,
                      minimum_vertex_cover, mutually_maximally_distant,
                      sdim_bruteforce, sdim_formula, sdim_via_gsr,
-                     strong_resolving_graph, vertex_cover_number)
+                     strong_resolving_graph, twin_reduce,
+                     vertex_cover_number)
 from .poset import (ClassPartition, FinitePoset, from_cover_relations,
                     m_lattice, poset_from_json, poset_to_json)
 

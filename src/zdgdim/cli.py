@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import adapters
@@ -47,16 +48,32 @@ class ResolvedInput:
     matches_prediction: Callable[[], bool] | None = None
 
 
-def _load_json_arg(text: str):
+# Python converts no decimal string of more than 4300 digits to an int
+# (sys.set_int_max_str_digits); a number that long is past every budget
+MAX_DIGITS = 4300
+
+
+def _parse_int(text: str, flag: str) -> int:
+    """int(text), refusing a number too long to convert in the name of the
+    flag that carried it."""
+    digits = sum(ch.isdigit() for ch in text)
+    if digits > MAX_DIGITS:
+        raise ValueError(f"{flag} has a number of {digits} digits, over the "
+                         f"limit of {MAX_DIGITS}")
+    return int(text)
+
+
+def _load_json_arg(text: str, flag: str):
     """Accept inline JSON or a path to a JSON file."""
+    parse_int = partial(_parse_int, flag=flag)
     if os.path.exists(text):
         with open(text) as fh:
-            return json.load(fh)
-    return json.loads(text)
+            return json.load(fh, parse_int=parse_int)
+    return json.loads(text, parse_int=parse_int)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    return [_parse_int(x, flag) for x in text.split(",") if x.strip()]
 
 
 def _parse_local(text: str) -> adapters.LocalProductSpec:
@@ -65,9 +82,10 @@ def _parse_local(text: str) -> adapters.LocalProductSpec:
         part = part.strip()
         if "^" in part:
             p, e = part.split("^")
-            pairs.append((int(p), int(e)))
+            pairs.append((_parse_int(p, "--local"),
+                          _parse_int(e, "--local")))
         else:
-            pairs.append((int(part), 1))
+            pairs.append((_parse_int(part, "--local"), 1))
     adapters.check_local_budget(pairs)
     return adapters.LocalProductSpec(pairs)
 
@@ -76,7 +94,8 @@ def _parse_vspace(text: str) -> tuple[int, int]:
     fields = dict(kv.split("=") for kv in text.split(","))
     if set(fields) != {"n", "q"}:
         raise ValueError(f"--vspace wants n=..,q=.. (got {text!r})")
-    return int(fields["n"]), int(fields["q"])
+    return (_parse_int(fields["n"], "--vspace"),
+            _parse_int(fields["q"], "--vspace"))
 
 
 def add_input_flags(parser: argparse.ArgumentParser):
@@ -108,7 +127,8 @@ def resolve_input(args) -> ResolvedInput:
         spec = BlowupSpec(args.boolean, {})
         return _lattice_input(name, build_blowup(spec), spec)
     if args.blowup is not None:
-        spec = BlowupSpec.from_json_dict(_load_json_arg(args.blowup))
+        spec = BlowupSpec.from_json_dict(
+            _load_json_arg(args.blowup, "--blowup"))
         name = f"blow-up of 2^{spec.n}"
         if spec.n >= 64:
             # 2^n alone is over the budget; building it takes seconds for n
@@ -117,13 +137,13 @@ def resolve_input(args) -> ResolvedInput:
         check_element_budget(name, spec.total_vertices() + 2)
         return _lattice_input(name, build_blowup(spec), spec)
     if args.poset is not None:
-        data = _load_json_arg(args.poset)
+        data = _load_json_arg(args.poset, "--poset")
         if isinstance(data, dict) and isinstance(data.get("labels"), list):
             check_element_budget("poset", len(data["labels"]))
         P = poset_from_json(data)
         return _lattice_input("poset", P, _try_canonical_spec(P))
     if args.chains is not None:
-        sizes = _parse_int_list(args.chains)
+        sizes = _parse_int_list(args.chains, "--chains")
         name = f"product of chains {sizes}"
         check_element_budget(name, math.prod(sizes))
         P = product_of_chains(sizes)
@@ -134,7 +154,7 @@ def resolve_input(args) -> ResolvedInput:
         return ResolvedInput(name=f"M_{args.mn}", graph=zero_divisor_graph(P),
                              poset=P, formula_note="no closed form for M_n")
     if args.fields is not None:
-        orders = _parse_int_list(args.fields)
+        orders = _parse_int_list(args.fields, "--fields")
         adapters.check_fields_budget(orders)
         spec = adapters.ReducedRingSpec(orders)
         g = adapters.reduced_ring_zdg(spec)

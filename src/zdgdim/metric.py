@@ -11,6 +11,7 @@ which the join-shaped application graphs require.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Sequence
 
@@ -328,9 +329,44 @@ def minimum_vertex_cover(G: SimpleGraph) -> list[str]:
 
 # -- sdim, three ways ----------------------------------------------------------
 
+def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
+    """G cut down to the two smallest-index members of every twin class,
+    and the number of vertices dropped.
+
+    Twins share their open neighbourhood (false twins) or their closed
+    one (true twins).  An open key adj[v] never equals another vertex's
+    closed key adj[u] | 1 << u, so one counter holds both kinds of class.
+    A twin-free G comes back as itself, with its distance table.
+    """
+    members: Counter[int] = Counter()
+    keep = []
+    for v, row in enumerate(G.adj):
+        closed = row | 1 << v
+        members[row] += 1
+        members[closed] += 1
+        if members[row] <= 2 and members[closed] <= 2:
+            keep.append(v)
+    if len(keep) == G.n:
+        return G, 0
+    pos = {v: i for i, v in enumerate(keep)}
+    adj = [sum(1 << pos[w] for w in _bits(G.adj[v]) if w in pos)
+           for v in keep]
+    return SimpleGraph([G.labels[v] for v in keep], adj), G.n - len(keep)
+
+
 def sdim_via_gsr(G: SimpleGraph) -> int:
-    """sdim(G) = vertex cover number of the strong resolving graph."""
-    return vertex_cover_number(strong_resolving_graph(G))
+    """sdim(G) = vertex cover number of the strong resolving graph.
+
+    The cover is solved on `twin_reduce(G)`, and the dropped vertices are
+    added back.  A twin class is a clique of G_SR whose members have the
+    same neighbours outside it, so each dropped member adds exactly one
+    to the cover.  Two members are kept, not one: deleting a twin while
+    its partner stays keeps every distance and every mutually maximally
+    distant pair among the rest, the two survivors stay such a pair, and
+    a disconnected G stays disconnected.
+    """
+    reduced, dropped = twin_reduce(G)
+    return vertex_cover_number(strong_resolving_graph(reduced)) + dropped
 
 
 def sdim_formula(spec: BlowupSpec) -> int:

@@ -256,3 +256,21 @@ def test_component_union_sdim_published_form_disagrees():
     assert component_union_sdim_formula(4, 2) == 13
     assert sdim_via_gsr(g42) == 10
     assert sdim_bruteforce(g42, cap=16) == 10
+
+
+def test_component_union_sdim_grid():
+    # the computed value |V| - n - 1 = q^n - n - 2 on every (n, q) with
+    # n >= 2 and q^n <= 1000, and on q = 2 up to n = 7.  Twin reduction
+    # makes the grid cheap: UG(4,5) solves on 30 of its 624 vertices.
+    # (2,2) is the one exception; the published form is left as it is
+    grid = [(n, 2) for n in range(2, 8)]
+    for q in range(3, 32):
+        try:
+            prime_power_base(q)
+        except NotPrimePower:
+            continue
+        grid += [(n, q) for n in range(2, 10) if q ** n <= 1000]
+    assert len(grid) == 33
+    for n, q in grid:
+        want = 2 if (n, q) == (2, 2) else q ** n - n - 2
+        assert sdim_via_gsr(component_union_graph(n, q)) == want, (n, q)

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -11,8 +13,11 @@ from zdgdim import (BlowupSpec, Disconnected, HypothesisUnmet, NotApplicable,
                     max_independent_set, metric_dimension_bruteforce,
                     minimum_strong_resolving_set, minimum_vertex_cover,
                     mutually_maximally_distant, sdim_bruteforce, sdim_formula,
-                    sdim_via_gsr, strong_resolving_graph, vertex_cover_number,
-                    zero_divisor_graph)
+                    random_blowup_spec, sdim_via_gsr, strong_resolving_graph,
+                    twin_reduce, vertex_cover_number, zero_divisor_graph)
+from zdgdim.adapters import (DEFAULT_ELEMENT_BUDGET, LocalProductSpec,
+                             comaximal_gamma2prime)
+from zdgdim.verify import corpus
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -247,3 +252,67 @@ def test_full_report_small_n():
         sdim_formula(spec)
     small = zero_divisor_graph(build_blowup(spec))
     assert sdim_via_gsr(small) == sdim_bruteforce(small) == 1
+
+
+def test_twin_reduce_keeps_the_two_smallest_members_of_each_class():
+    # false twins a, c, e, g (leaves on z) and true twins b, d, f, h (a
+    # clique on z), interleaved in label order
+    leaves, clique = "aceg", "bdfh"
+    g = SimpleGraph.from_edges(
+        leaves + clique + "z",
+        [(v, "z") for v in leaves + clique]
+        + [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]])
+    reduced, dropped = twin_reduce(g)
+    assert reduced.labels == ("a", "b", "c", "d", "z")
+    assert labeled_equal(reduced, g.subgraph(reduced.labels))
+    # sum over classes of (size - 2)
+    assert dropped == 2 + 2
+    assert sdim_via_gsr(g) == vertex_cover_number(strong_resolving_graph(g))
+
+
+def test_twin_reduce_returns_a_twin_free_graph_itself(cube_graph):
+    dist = all_pairs_distances(cube_graph)
+    reduced, dropped = twin_reduce(cube_graph)
+    assert reduced is cube_graph and dropped == 0
+    assert all_pairs_distances(reduced) is dist
+
+
+def _capped(spec: BlowupSpec) -> tuple[BlowupSpec, int]:
+    """spec with every chain cut to 2 elements, and the elements cut."""
+    return (BlowupSpec(spec.n, {m: min(s, 2)
+                                for m, s in spec.chain_sizes.items()}),
+            sum(max(s - 2, 0) for s in spec.chain_sizes.values()))
+
+
+def test_twin_reduction_matches_the_plain_route_on_the_corpus():
+    # the plain route, the cover number of the unreduced G_SR, is the
+    # oracle; a blow-up's sdim is also that of its chains capped at 2 plus
+    # the elements cut
+    for name, spec, LB in corpus(0, 300):
+        G = zero_divisor_graph(LB)
+        plain = vertex_cover_number(strong_resolving_graph(G))
+        assert sdim_via_gsr(G) == plain, name
+        capped, cut = _capped(spec)
+        assert sdim_via_gsr(zero_divisor_graph(build_blowup(capped))) + cut \
+            == plain, name
+    g = comaximal_gamma2prime(LocalProductSpec([(2, 2), (3, 1), (5, 1),
+                                                (7, 1)]))
+    assert (g.n, twin_reduce(g)[0].n) == (322, 28)
+    assert sdim_via_gsr(g) == vertex_cover_number(strong_resolving_graph(g))
+
+
+def test_formula_matches_capped_chains_past_the_element_budget():
+    # chains of 10^5 to 10^7 elements are never built: the computed value
+    # comes from the same blow-up with every chain capped at 2
+    rng = random.Random(8)
+    for trial in range(20):
+        spec = random_blowup_spec(rng)
+        masks = sorted(spec.chain_sizes) or [1]
+        huge = dict(spec.chain_sizes)
+        for m in rng.sample(masks, rng.randint(1, len(masks))):
+            huge[m] = rng.randint(10 ** 5, 10 ** 7)
+        spec = BlowupSpec(spec.n, huge)
+        assert spec.total_vertices() > DEFAULT_ELEMENT_BUDGET
+        capped, cut = _capped(spec)
+        G = zero_divisor_graph(build_blowup(capped))
+        assert sdim_formula(spec) == sdim_via_gsr(G) + cut, trial

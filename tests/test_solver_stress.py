@@ -5,11 +5,14 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import pytest
 
-from zdgdim import (SimpleGraph, all_pairs_distances, independence_number,
-                    is_strong_resolving, max_independent_set,
-                    metric_dimension_bruteforce, minimum_strong_resolving_set,
-                    sdim_bruteforce, sdim_via_gsr, vertex_cover_number)
+from zdgdim import (Disconnected, SimpleGraph, all_pairs_distances,
+                    independence_number, is_strong_resolving,
+                    max_independent_set, metric_dimension_bruteforce,
+                    minimum_strong_resolving_set, sdim_bruteforce,
+                    sdim_via_gsr, strong_resolving_graph, twin_reduce,
+                    vertex_cover_number)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -17,6 +20,26 @@ def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return SimpleGraph.from_edges(labels, edges)
+
+
+def random_graph_with_twins(rng: random.Random, n: int,
+                            p: float) -> SimpleGraph:
+    """Random graph in which each vertex is, with probability 0.6, made a
+    false or a true twin of an earlier vertex when it is added."""
+    labels = [f"v{i:02d}" for i in range(n)]
+    nbrs: list[set[int]] = []
+    for v in range(n):
+        if v and rng.random() < 0.6:
+            u = rng.randrange(v)
+            row = set(nbrs[u]) | ({u} if rng.random() < 0.5 else set())
+        else:
+            row = {w for w in range(v) if rng.random() < p}
+        nbrs.append(row)
+        for w in row:
+            nbrs[w].add(v)
+    return SimpleGraph.from_edges(
+        labels, [(labels[v], labels[w]) for v in range(n) for w in nbrs[v]
+                 if w > v])
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -97,3 +120,22 @@ def test_degenerate_inputs():
     assert g.n == 1
     assert sdim_via_gsr(g) == 0
     assert sdim_bruteforce(g) == 0
+
+
+def test_twin_reduction_matches_the_plain_route_on_random_graphs():
+    # the plain route, the cover number of the unreduced G_SR, is the
+    # oracle; every size from 0 to 12 vertices comes up equally often
+    rng = random.Random(2016)
+    reduced = 0
+    for trial in range(2015):
+        g = random_graph_with_twins(rng, trial % 13,
+                                    rng.choice([0.2, 0.4, 0.6, 0.8]))
+        try:
+            plain = vertex_cover_number(strong_resolving_graph(g))
+        except Disconnected:
+            with pytest.raises(Disconnected):
+                sdim_via_gsr(g)
+            continue
+        assert sdim_via_gsr(g) == plain, (trial, g.edge_list())
+        reduced += twin_reduce(g)[1] > 0
+    assert reduced > 250
