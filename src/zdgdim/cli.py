@@ -60,7 +60,10 @@ def _parse_int(text: str, flag: str) -> int:
     if digits > MAX_DIGITS:
         raise ValueError(f"{flag} has a number of {digits} digits, over the "
                          f"limit of {MAX_DIGITS}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag} wants integers (got {text!r})") from None
 
 
 def _load_json_arg(text: str, flag: str):
@@ -79,20 +82,19 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _parse_local(text: str) -> adapters.LocalProductSpec:
     pairs = []
     for part in text.split(","):
-        part = part.strip()
-        if "^" in part:
-            p, e = part.split("^")
-            pairs.append((_parse_int(p, "--local"),
-                          _parse_int(e, "--local")))
-        else:
-            pairs.append((_parse_int(part, "--local"), 1))
+        fields = part.split("^")
+        if len(fields) > 2 or not all(f.strip() for f in fields):
+            raise ValueError(f"--local wants P^E,.. (got {text!r})")
+        p, e = fields if len(fields) == 2 else (fields[0], "1")
+        pairs.append((_parse_int(p, "--local"), _parse_int(e, "--local")))
     adapters.check_local_budget(pairs)
     return adapters.LocalProductSpec(pairs)
 
 
 def _parse_vspace(text: str) -> tuple[int, int]:
-    fields = dict(kv.split("=") for kv in text.split(","))
-    if set(fields) != {"n", "q"}:
+    pairs = [kv.split("=") for kv in text.split(",")]
+    fields = dict(kv for kv in pairs if len(kv) == 2)
+    if len(fields) != len(pairs) or set(fields) != {"n", "q"}:
         raise ValueError(f"--vspace wants n=..,q=.. (got {text!r})")
     return (_parse_int(fields["n"], "--vspace"),
             _parse_int(fields["q"], "--vspace"))

@@ -1,11 +1,11 @@
 """Simple labeled graphs and the lattice / Boolean-ring graph constructions.
 
-Vertices are kept in sorted label order so DOT and JSON exports are
-byte-stable; adjacency is one bitmask row per vertex.  A graph defined by a
-vertex set and an adjacency rule is built by `SimpleGraph.from_rule`; one
-given by its edge list, by `SimpleGraph.from_edges`.  Graph equality
-throughout the package is labeled equality (same label set, same edge set),
-never isomorphism.
+Vertices are kept in sorted label order, which the constructor checks, so
+DOT and JSON exports are byte-stable; adjacency is one bitmask row per
+vertex.  `SimpleGraph.from_rule` builds a graph given by a vertex set and
+an adjacency rule, and `SimpleGraph.from_rows` every graph derived from
+rows; `from_edges` parses outside edge lists.  Graph equality is labeled
+equality, never isomorphism: under the sorted order, equal rows.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .blowup import tuple_label
 from .errors import LabelCollision, NotBounded, UnknownElement
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset, _bits, _json_label
 
 
 class SimpleGraph:
@@ -27,16 +27,54 @@ class SimpleGraph:
 
     def __init__(self, labels: Sequence[str], adj: Sequence[int]):
         self.labels = tuple(labels)
+        for a, b in zip(self.labels, self.labels[1:]):
+            if a >= b:
+                raise LabelCollision(f"duplicate vertex label {a!r}" if a == b
+                                     else f"labels {a!r}, {b!r} out of order")
         self.adj = tuple(adj)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._dist = None
 
     @classmethod
+    def from_rows(cls, labels: Sequence[str | None],
+                  rows: Sequence[int]) -> "SimpleGraph":
+        """Graph on the old indices i with labels[i] not None, re-indexed
+        in sorted label order; rows[i] is i's neighbour bitmask over the old
+        indices, whose bits at dropped indices are ignored.  A duplicate
+        label raises LabelCollision."""
+        order = sorted((i for i, lab in enumerate(labels) if lab is not None),
+                       key=labels.__getitem__)
+        # runs of old indices that stay consecutive, at new positions s..e-1
+        starts = [k for k, i in enumerate(order)
+                  if not k or order[k - 1] != i - 1]
+        moves = [(order[s], (1 << e - s) - 1, s)
+                 for s, e in zip(starts, starts[1:] + [len(order)])]
+        # move each row run by run or bit by bit, whichever is fewer steps.
+        # Runs win where few are kept: G_SR of 2^9 takes 1.2 ms against 66
+        # bit by bit.  Bits win where the order is scrambled: G(2^9), whose
+        # labels sort its indices bit-reversed, takes 9 ms against 46.
+        adj = []
+        if len(moves) * len(order) <= sum(rows[i].bit_count() for i in order):
+            for i in order:
+                row, new = rows[i], 0
+                for a, m, s in moves:
+                    new |= (row >> a & m) << s
+                adj.append(new)
+        else:
+            bit = [0] * len(labels)
+            for k, i in enumerate(order):
+                bit[i] = 1 << k
+            for i in order:
+                new = 0
+                for j in _bits(rows[i]):
+                    new |= bit[j]
+                adj.append(new)
+        return cls([labels[i] for i in order], adj)
+
+    @classmethod
     def from_edges(cls, labels: Iterable[str],
                    edges: Iterable[tuple[str, str]]) -> "SimpleGraph":
-        labs = sorted(str(x) for x in labels)
-        if len(set(labs)) != len(labs):
-            raise LabelCollision("duplicate vertex labels")
+        labs = [str(x) for x in labels]
         index = {lab: i for i, lab in enumerate(labs)}
         adj = [0] * len(labs)
         for a, b in edges:
@@ -48,7 +86,7 @@ class SimpleGraph:
                 raise ValueError(f"loop at {a!r} is not allowed")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        return cls(labs, adj)
+        return cls.from_rows(labs, adj)
 
     @classmethod
     def from_rule(cls, vertices: Iterable[tuple[Any, Any]],
@@ -108,10 +146,8 @@ class SimpleGraph:
         return out
 
     def labeled_equal(self, other: "SimpleGraph") -> bool:
-        if set(self.labels) != set(other.labels):
-            return False
-        return (set(map(frozenset, self.edge_list()))
-                == set(map(frozenset, other.edge_list())))
+        # both graphs hold their vertices in sorted label order
+        return self.labels == other.labels and self.adj == other.adj
 
     def is_complete(self) -> bool:
         return self.edge_count() == self.n * (self.n - 1) // 2
@@ -123,17 +159,14 @@ class SimpleGraph:
 
     def subgraph(self, keep: Iterable[str]) -> "SimpleGraph":
         keep_set = set(keep)
-        return SimpleGraph.from_edges(
-            [lab for lab in self.labels if lab in keep_set],
-            [(a, b) for a, b in self.edge_list()
-             if a in keep_set and b in keep_set])
+        return SimpleGraph.from_rows(
+            [lab if lab in keep_set else None for lab in self.labels],
+            self.adj)
 
     def relabeled(self, mapping: Mapping[str, str]) -> "SimpleGraph":
         """New graph with labels pushed through mapping (identity elsewhere)."""
-        new = [str(mapping.get(lab, lab)) for lab in self.labels]
-        return SimpleGraph.from_edges(
-            new, [(mapping.get(a, a), mapping.get(b, b))
-                  for a, b in self.edge_list()])
+        return SimpleGraph.from_rows(
+            [str(mapping.get(lab, lab)) for lab in self.labels], self.adj)
 
     # -- export -----------------------------------------------------------
 
@@ -160,8 +193,9 @@ def dot_text(name: str, labels: Iterable[str],
 def graph_from_json(data: dict) -> SimpleGraph:
     try:
         labels = [str(x) for x in data["labels"]]
-        edges = [(labels[i], labels[j]) for i, j in data["edges"]]
-    except (KeyError, IndexError, TypeError) as exc:
+        edges = [(_json_label(labels, i), _json_label(labels, j))
+                 for i, j in data["edges"]]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     return SimpleGraph.from_edges(labels, edges)
 
@@ -176,15 +210,11 @@ def zero_divisor_graph(P: FinitePoset) -> SimpleGraph:
     """G(P): vertices Z*(P), edges between elements meeting only in 0."""
     # the neighbours of x are the nonzero elements of ann(x), each of which
     # is itself in Z*
-    zero = 1 << P._require_bottom()
-    ann = P._ann_masks()
-    labels = sorted(P.zero_divisors())
-    at = {P.index(lab): k for k, lab in enumerate(labels)}
-    adj = [0] * len(labels)
-    for i, k in at.items():
-        for j in _bits(ann[i] & ~zero):
-            adj[k] |= 1 << at[j]
-    return SimpleGraph(labels, adj)
+    zd = set(P.zero_divisors())
+    zero = 1 << P.bottom
+    return SimpleGraph.from_rows(
+        [lab if lab in zd else None for lab in P.labels],
+        [m & ~zero for m in P._ann_masks()])
 
 
 def comparability_graph(L: FinitePoset) -> SimpleGraph:
@@ -235,31 +265,22 @@ def boolean_ring_annihilator_graph(n: int) -> SimpleGraph:
 
 # -- combinators -------------------------------------------------------------
 
-def _check_disjoint(parts: Sequence[SimpleGraph]):
-    seen: set[str] = set()
-    for g in parts:
-        overlap = seen.intersection(g.labels)
-        if overlap:
-            raise LabelCollision(f"shared vertex labels: {sorted(overlap)[:4]}")
-        seen.update(g.labels)
-
-
 def disjoint_union(parts: Sequence[SimpleGraph]) -> SimpleGraph:
-    _check_disjoint(parts)
     labels: list[str] = []
-    edges: list[tuple[str, str]] = []
+    rows: list[int] = []
     for g in parts:
-        labels.extend(g.labels)
-        edges.extend(g.edge_list())
-    return SimpleGraph.from_edges(labels, edges)
+        rows += [row << len(labels) for row in g.adj]
+        labels += g.labels
+    return SimpleGraph.from_rows(labels, rows)
 
 
 def graph_join(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     """Disjoint union plus all edges between the two sides."""
-    _check_disjoint([g, h])
-    edges = g.edge_list() + h.edge_list()
-    edges += [(a, b) for a in g.labels for b in h.labels]
-    return SimpleGraph.from_edges(list(g.labels) + list(h.labels), edges)
+    left = (1 << g.n) - 1
+    right = ((1 << h.n) - 1) << g.n
+    return SimpleGraph.from_rows(
+        g.labels + h.labels,
+        [row | right for row in g.adj] + [row << g.n | left for row in h.adj])
 
 
 def complete_graph(t: int, prefix: str = "v") -> SimpleGraph:
@@ -273,8 +294,8 @@ def complete_graph_on(labels: Sequence[str]) -> SimpleGraph:
 
 
 def remove_isolated(g: SimpleGraph) -> SimpleGraph:
-    keep = [lab for i, lab in enumerate(g.labels) if g.adj[i]]
-    return g.subgraph(keep)
+    return SimpleGraph.from_rows(
+        [lab if row else None for lab, row in zip(g.labels, g.adj)], g.adj)
 
 
 def connected_components(g: SimpleGraph) -> list[frozenset[str]]:

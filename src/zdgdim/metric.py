@@ -177,15 +177,17 @@ def _maximally_distant(G: SimpleGraph, dist, u: int, v: int) -> bool:
     return all(dist[v][w] <= duv for w in _bits(G.adj[u]))
 
 
-def _mmd_pairs(G: SimpleGraph) -> list[tuple[int, int]]:
+def _mmd_rows(G: SimpleGraph) -> list[int]:
+    """Row u: the vertices mutually maximally distant from u."""
     dist = all_pairs_distances(G)
-    pairs = []
+    rows = [0] * G.n
     for u in range(G.n):
         for v in range(u + 1, G.n):
             if (_maximally_distant(G, dist, u, v)
                     and _maximally_distant(G, dist, v, u)):
-                pairs.append((u, v))
-    return pairs
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
 
 
 def mutually_maximally_distant(G: SimpleGraph, u: str, v: str) -> bool:
@@ -205,10 +207,9 @@ def boundary(G: SimpleGraph) -> list[str]:
 
 def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
     """G_SR: boundary vertices, mutually-maximally-distant pairs as edges."""
-    pairs = _mmd_pairs(G)
-    verts = sorted({i for p in pairs for i in p})
-    edges = [(G.labels[u], G.labels[v]) for u, v in pairs]
-    return SimpleGraph.from_edges([G.labels[i] for i in verts], edges)
+    rows = _mmd_rows(G)
+    return SimpleGraph.from_rows(
+        [lab if row else None for lab, row in zip(G.labels, rows)], rows)
 
 
 # -- class-based shortcut graphs ----------------------------------------------
@@ -339,19 +340,17 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     A twin-free G comes back as itself, with its distance table.
     """
     members: Counter[int] = Counter()
-    keep = []
+    labels: list[str | None] = list(G.labels)
     for v, row in enumerate(G.adj):
         closed = row | 1 << v
         members[row] += 1
         members[closed] += 1
-        if members[row] <= 2 and members[closed] <= 2:
-            keep.append(v)
-    if len(keep) == G.n:
+        if members[row] > 2 or members[closed] > 2:
+            labels[v] = None
+    dropped = labels.count(None)
+    if not dropped:
         return G, 0
-    pos = {v: i for i, v in enumerate(keep)}
-    adj = [sum(1 << pos[w] for w in _bits(G.adj[v]) if w in pos)
-           for v in keep]
-    return SimpleGraph([G.labels[v] for v in keep], adj), G.n - len(keep)
+    return SimpleGraph.from_rows(labels, G.adj), dropped
 
 
 def sdim_via_gsr(G: SimpleGraph) -> int:

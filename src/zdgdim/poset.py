@@ -407,12 +407,22 @@ def poset_to_json(P: FinitePoset) -> dict:
             "bottom": P.bottom, "top": P.top}
 
 
+def _json_label(labels: Sequence[str], i) -> str:
+    """labels[i] for an index read from JSON, which must be an int (not a
+    bool) in range(len(labels)): Python would read -1 as the last label."""
+    if type(i) is not int or not 0 <= i < len(labels):
+        raise IndexError(
+            f"index {i!r} is not an int in range({len(labels)})")
+    return labels[i]
+
+
 def poset_from_json(data: dict) -> FinitePoset:
     try:
         labels = [str(x) for x in data["labels"]]
-        covers = [(labels[i], labels[j]) for i, j in data["covers"]]
-        bottom = labels[data["bottom"]]
-        top = labels[data["top"]]
-    except (KeyError, IndexError, TypeError) as exc:
+        covers = [(_json_label(labels, i), _json_label(labels, j))
+                  for i, j in data["covers"]]
+        bottom = _json_label(labels, data["bottom"])
+        top = _json_label(labels, data["top"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed poset JSON: {exc}") from exc
     return from_cover_relations(labels, covers, bottom, top)

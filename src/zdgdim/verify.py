@@ -38,7 +38,11 @@ FIG3 = BlowupSpec(3, {0b001: 3, 0b010: 1, 0b100: 2,
 def brute_cap() -> int:
     """The brute-force vertex cap: SDIM_BRUTE_CAP if set, else the default."""
     raw = os.environ.get("SDIM_BRUTE_CAP")
-    return int(raw) if raw else DEFAULT_BRUTE_CAP
+    try:
+        return int(raw) if raw else DEFAULT_BRUTE_CAP
+    except ValueError:
+        raise ValueError(
+            f"SDIM_BRUTE_CAP wants an integer (got {raw!r})") from None
 
 
 @dataclass

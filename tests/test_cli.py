@@ -425,3 +425,31 @@ def test_overlong_numbers_are_refused_as_input(capsys, flag, value):
     assert err == (f"error: {flag} has a number of 5001 digits, over the "
                    "limit of 4300\n")
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["--vspace", "n=3,q"], None, "--vspace wants n=..,q=.. (got 'n=3,q')"),
+    (["--vspace", "n=3=4,q=2"], None,
+     "--vspace wants n=..,q=.. (got 'n=3=4,q=2')"),
+    (["--local", "2^3^4,3,5"], None, "--local wants P^E,.. (got '2^3^4,3,5')"),
+    (["--local", "2^,3,5"], None, "--local wants P^E,.. (got '2^,3,5')"),
+    (["--boolean", "3"], "abc", "SDIM_BRUTE_CAP wants an integer (got 'abc')"),
+], ids=["vspace-missing-value", "vspace-two-values", "local-two-exponents",
+        "local-empty-exponent", "brute-cap"])
+def test_parse_errors_name_their_flag(capsys, monkeypatch, argv, env, message):
+    # the message names the flag or variable and its form, not the Python
+    # exception that the parse raised
+    if env is not None:
+        monkeypatch.setenv("SDIM_BRUTE_CAP", env)
+    code, out, err = run(capsys, "sdim", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("index", ["-1", "true", "1.0", "4"])
+def test_poset_json_indices_must_be_in_range(capsys, index):
+    # -1 would name the last label and true the label at index 1
+    poset = ('{"labels":["0","a","b","1"],"covers":[[0,1],[0,2],[1,%s],'
+             '[2,3]],"bottom":0,"top":3}' % index)
+    code, out, err = run(capsys, "build", "--poset", poset)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed poset JSON: index ")

@@ -8,7 +8,8 @@ from zdgdim import (LabelCollision, SimpleGraph,boolean_lattice,
                     comparability_graph, complete_graph, complete_graph_on,
                     connected_components, disjoint_union, graph_join,
                     incomparability_graph, labeled_equal, m_lattice,
-                    product_of_chains, remove_isolated, zero_divisor_graph)
+                    product_of_chains, remove_isolated, twin_reduce,
+                    zero_divisor_graph)
 from zdgdim.graphs import graph_from_json
 
 
@@ -172,3 +173,110 @@ def test_dot_and_json_exports():
     assert labeled_equal(graph_from_json(data), g)
     with pytest.raises(ValueError):
         graph_from_json({"labels": ["a"]})
+
+
+@pytest.mark.parametrize("edge", [[0, -1], [True, 2], [0, 3], [0, 1.0],
+                                  [0, 1, 2]])
+def test_graph_json_indices_must_be_in_range(edge):
+    # -1 would name the last label and True the label at index 1
+    with pytest.raises(ValueError, match="malformed graph JSON"):
+        graph_from_json({"labels": ["a", "b", "c"], "edges": [edge]})
+
+
+def _reference(labels, edges):
+    """(labels, rows) by the label-string definition: the labels sorted,
+    each edge a frozenset of two labels looked up by name."""
+    labs = sorted(map(str, labels))
+    if len(set(labs)) != len(labs):
+        raise LabelCollision("duplicate vertex labels")
+    rows = dict.fromkeys(labs, 0)
+    for edge in {frozenset(map(str, e)) for e in edges}:
+        a, b = edge
+        rows[a] |= 1 << labs.index(b)
+        rows[b] |= 1 << labs.index(a)
+    return tuple(labs), tuple(rows[lab] for lab in labs)
+
+
+def _edges(g):
+    return {frozenset(e) for e in g.edge_list()}
+
+
+def _random_graph(rng, pool):
+    labels = rng.sample(pool, rng.randint(0, 15))
+    density = rng.random()
+    edges = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+             if rng.random() < density]
+    g = SimpleGraph.from_edges(labels, edges)
+    assert (g.labels, g.adj) == _reference(labels, edges)
+    return g
+
+
+def _same(got, ref):
+    """got() agrees with ref(): the same labels and rows, or both raise
+    LabelCollision."""
+    try:
+        want = ref()
+    except LabelCollision:
+        with pytest.raises(LabelCollision):
+            got()
+        return
+    g = got()
+    assert (g.labels, g.adj) == want
+
+
+def test_row_constructor_matches_the_label_edge_reference():
+    # integer labels compare differently as strings ("10" < "2"), so the
+    # re-indexing moves rows; the random maps and the second graph of each
+    # union or join collide with the first graph's labels now and then
+    rng = random.Random(9)
+    pool = list(range(40))
+    for trial in range(200):
+        g = _random_graph(rng, pool)
+        h = _random_graph(rng, pool)
+        E = _edges(g)
+        keep = set(rng.sample(g.labels, rng.randint(0, g.n)))
+        _same(lambda: g.subgraph(keep),
+              lambda: _reference(keep, [e for e in E if e <= keep]))
+        busy = {v for e in E for v in e}
+        _same(lambda: remove_isolated(g), lambda: _reference(busy, E))
+        mapping = {lab: str(rng.choice(pool)) for lab in g.labels
+                   if rng.random() < 0.5}
+        _same(lambda: g.relabeled(mapping),
+              lambda: _reference([mapping.get(v, v) for v in g.labels],
+                                 [[mapping.get(v, v) for v in e] for e in E]))
+        _same(lambda: disjoint_union([g, h]),
+              lambda: _reference(g.labels + h.labels, E | _edges(h)))
+        _same(lambda: graph_join(g, h),
+              lambda: _reference(g.labels + h.labels,
+                                 E | _edges(h) | {frozenset((a, b))
+                                                  for a in g.labels
+                                                  for b in h.labels}))
+        reduced, dropped = twin_reduce(g)
+        kept = set(reduced.labels)
+        _same(lambda: reduced,
+              lambda: _reference(kept, [e for e in E if e <= kept]))
+        assert (reduced is g) == (dropped == 0) == (len(kept) == g.n)
+        # labeled equality against the label-set and edge-set definition
+        others = [h, SimpleGraph.from_edges(reversed(g.labels),
+                                            [tuple(e) for e in E])]
+        if g.n >= 2:
+            a, b = rng.sample(g.labels, 2)
+            others.append(SimpleGraph.from_edges(
+                g.labels, [tuple(e) for e in E ^ {frozenset((a, b))}]))
+        for other in others:
+            assert labeled_equal(g, other) == (
+                set(g.labels) == set(other.labels)
+                and E == _edges(other)), trial
+
+
+def test_simple_graph_requires_sorted_distinct_labels():
+    # explicit errors, so the invariant holds under python -O as well
+    with pytest.raises(LabelCollision, match="out of order"):
+        SimpleGraph(["b", "a"], [0, 0])
+    with pytest.raises(LabelCollision, match="duplicate"):
+        SimpleGraph(["a", "a"], [0, 0])
+    with pytest.raises(LabelCollision):
+        SimpleGraph.from_rows(["b", None, "b"], [0, 0, 0])
+    # the bit at the dropped index 1 is ignored
+    g = SimpleGraph.from_rows(["c", None, "a"], [0b110, 0b001, 0b001])
+    assert (g.labels, g.adj) == (("a", "c"), (0b10, 0b01))
