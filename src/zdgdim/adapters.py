@@ -6,6 +6,11 @@ realizes the same graph through a chain blow-up, so tests can cross-check
 labeled equality by explicit bijection.  Only zero-versus-nonzero and
 unit-versus-non-unit coordinate patterns ever matter for adjacency, so no
 finite-field arithmetic is implemented.
+
+`reduced_ring`, `comaximal`, `comaximal_ideal` and `component_union` give
+each application's graph, closed form and prediction check as one
+`Application`.  Every input is refused past its element budget before it
+is enumerated, and before any primality test.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .blowup import (BlowupSpec, blowup_label, build_blowup, mask_to_binstr,
-                     tuple_label)
+                     product_of_chains, tuple_label)
 from .errors import HypothesisUnmet, NotPrimePower, TooLarge
 from .graphs import SimpleGraph, complete_graph_on, graph_join, zero_divisor_graph
 from .poset import FinitePoset
@@ -61,24 +66,6 @@ def _refuse(name: str, shown):
                    f"of {DEFAULT_ELEMENT_BUDGET}")
 
 
-def check_fields_budget(field_orders: Sequence[int]):
-    """The budget of prod GF(q), run before ReducedRingSpec's primality
-    test, which is slow on a large prime."""
-    check_element_budget(" x ".join(f"GF({q})" for q in field_orders),
-                         prod(field_orders))
-
-
-def check_local_budget(prime_powers: Sequence[tuple[int, int]]):
-    """The budget of prod Z_{p^e}, run before LocalProductSpec's primality
-    test; a modulus over 64 bits is named Z_(p^e).  An exponent below 1 is
-    left for the spec to refuse."""
-    if all(e >= 1 for _, e in prime_powers):
-        check_power_budget(" x ".join(
-            f"Z_{p ** e}" if e * (abs(p).bit_length() - 1) < 64
-            and (p ** e).bit_length() <= 64 else f"Z_({p}^{e})"
-            for p, e in prime_powers), prime_powers)
-
-
 def _prime_powers(N: int):
     """Yield (p, e) for each prime p exactly dividing N as p^e, by trial
     division in increasing p.  Lazy: a caller may stop after the first."""
@@ -115,8 +102,11 @@ class ReducedRingSpec:
     field_orders: tuple[int, ...]
 
     def __init__(self, field_orders: Sequence[int]):
-        object.__setattr__(self, "field_orders", tuple(field_orders))
-        for q in self.field_orders:
+        qs = tuple(field_orders)
+        object.__setattr__(self, "field_orders", qs)
+        # the budget first: the primality test is slow on a large prime
+        check_element_budget(" x ".join(f"GF({q})" for q in qs), prod(qs))
+        for q in qs:
             prime_power_base(q)
 
 
@@ -129,10 +119,15 @@ class LocalProductSpec:
     def __init__(self, prime_powers: Sequence[tuple[int, int]]):
         pairs = tuple((int(p), int(e)) for p, e in prime_powers)
         object.__setattr__(self, "prime_powers", pairs)
-        # every exponent first: the primality test is slow on a large prime
+        # every exponent and the budget first: the primality test is slow on
+        # a large prime.  A modulus over 64 bits is named Z_(p^e)
         for _, e in pairs:
             if e < 1:
                 raise NotPrimePower(f"exponent {e} must be >= 1")
+        check_power_budget(" x ".join(
+            f"Z_{p ** e}" if e * (abs(p).bit_length() - 1) < 64
+            and (p ** e).bit_length() <= 64 else f"Z_({p}^{e})"
+            for p, e in pairs), pairs)
         for p, _ in pairs:
             if prime_power_base(p)[1] != 1:
                 raise NotPrimePower(f"{p} is not prime")
@@ -151,7 +146,6 @@ def reduced_ring_zdg(spec: ReducedRingSpec) -> SimpleGraph:
     to the zero-divisor graph of the product of chains with sizes |F_i|.
     """
     qs = spec.field_orders
-    check_fields_budget(qs)
     return SimpleGraph.from_rule(
         ((tuple_label(v), v) for v in product(*[range(q) for q in qs])
          if any(v) and not all(v)),
@@ -179,7 +173,6 @@ def comaximal_gamma2prime(spec: LocalProductSpec) -> SimpleGraph:
     """Non-units outside the Jacobson radical of prod Z_{p_i^{e_i}}; x ~ y
     iff x and y generate the whole ring, i.e. every coordinate has a unit
     on at least one side."""
-    check_local_budget(spec.prime_powers)
     mods = spec.moduli()
     ps = [p for p, _ in spec.prime_powers]
     verts = []
@@ -353,3 +346,57 @@ def component_union_sdim_formula(n: int, q: int) -> int:
     if n < 3:
         raise HypothesisUnmet("n<3: formula inapplicable")
     return q ** n - 1 - n + 2
+
+
+# -- the four applications ----------------------------------------------------
+
+class Application(NamedTuple):
+    """An application graph, its closed form (a thunk, which may raise
+    HypothesisUnmet) and its labeled-equality check against the blow-up
+    construction named by `prediction`.  A NamedTuple, not a dataclass:
+    a dataclass would add about 1 ms to the import of the package."""
+
+    graph: SimpleGraph
+    formula: Callable[[], int]
+    prediction: str
+    matches_prediction: Callable[[], bool]
+
+
+def reduced_ring(field_orders: Sequence[int]) -> Application:
+    spec = ReducedRingSpec(field_orders)
+    g = reduced_ring_zdg(spec)
+    return Application(
+        g, lambda: reduced_ring_sdim_formula(spec),
+        "product-of-chains zero-divisor graph",
+        lambda: g.labeled_equal(zero_divisor_graph(
+            product_of_chains(spec.field_orders))))
+
+
+def comaximal(prime_powers: Sequence[tuple[int, int]]) -> Application:
+    spec = LocalProductSpec(prime_powers)
+    g = comaximal_gamma2prime(spec)
+
+    def matches() -> bool:
+        # the ring graph takes the blow-up labels: the other way round,
+        # from_rows re-indexes a scrambled order, which is slower
+        bspec, mapping = comaximal_blowup_prediction(spec)
+        return g.relabeled(mapping).labeled_equal(
+            zero_divisor_graph(build_blowup(bspec)))
+    return Application(g, lambda: comaximal_sdim_formula(spec),
+                       "blow-up zero-divisor graph", matches)
+
+
+def comaximal_ideal(N: int) -> Application:
+    g = comaximal_ideal_graph_zn(N)
+    return Application(
+        g, lambda: comaximal_ideal_sdim_formula(N),
+        "dual ideal-lattice zero-divisor graph",
+        lambda: g.labeled_equal(zero_divisor_graph(ideal_lattice_dual_zn(N))))
+
+
+def component_union(n: int, q: int) -> Application:
+    g = component_union_graph(n, q)
+    return Application(
+        g, lambda: component_union_sdim_formula(n, q),
+        "join of blow-up graph with K_t",
+        lambda: g.labeled_equal(component_union_predicted_graph(n, q)))

@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import InvalidSpec, NotBounded, NotZeroDistributive
+from .errors import (InvalidSpec, NotApplicable, NotBounded,
+                     NotZeroDistributive)
 from .poset import FinitePoset
 
 
@@ -166,6 +167,8 @@ def canonical_blowup_of(P: FinitePoset) -> tuple[BlowupSpec, dict[str, str]]:
         raise NotBounded("canonical blow-up needs a bounded lattice")
     if not P.is_zero_distributive():
         raise NotZeroDistributive("the lattice is not 0-distributive")
+    if P.bottom == P.top:
+        raise NotApplicable("the one-element lattice has no atoms")
     part = P.quotient_classes()
     if part.boolean_image is None:
         raise AssertionError("annihilator quotient of a bounded "

@@ -3,11 +3,12 @@
 Subcommands: build, zdg, gsr, gstarstar, sdim, adapter, verify.  Inputs are
 mutually exclusive flags naming a lattice (--boolean, --blowup, --poset,
 --chains, --mn) or an algebraic adapter (--fields, --local, --zn, --vspace).
-An input with more elements than `adapters.DEFAULT_ELEMENT_BUDGET` is
-refused before it is built.  The verification suites live in
-`zdgdim.verify`.  The environment variable SDIM_BRUTE_CAP overrides the
-brute-force vertex cap.  Identical inputs and seeds produce byte-identical
-output.
+An adapter flag is parsed here and handed to one `adapters` constructor,
+which owns its graph, closed form, prediction check and budget.  An input
+with more elements than `adapters.DEFAULT_ELEMENT_BUDGET` is refused
+before it is built.  The verification suites live in `zdgdim.verify`.
+The environment variable SDIM_BRUTE_CAP overrides the brute-force vertex
+cap.  Identical inputs and seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import adapters
 from .adapters import check_element_budget, check_power_budget
 from .blowup import (BlowupSpec, build_blowup, canonical_blowup_of,
                      product_of_chains)
-from .errors import HypothesisUnmet, UnknownSuite, ZdgError
+from .errors import HypothesisUnmet, NotApplicable, UnknownSuite, ZdgError
 from .graphs import SimpleGraph, dot_text, zero_divisor_graph
 from .metric import (gstar_star, sdim_bruteforce, sdim_formula, sdim_via_gsr,
                      strong_resolving_graph)
@@ -42,10 +43,7 @@ class ResolvedInput:
     poset: FinitePoset | None = None
     formula_value: int | None = None
     formula_note: str = ""
-    # adapters only: the construction the graph is predicted to equal, and
-    # the labeled-equality check against it
-    prediction: str = ""
-    matches_prediction: Callable[[], bool] | None = None
+    application: adapters.Application | None = None
 
 
 # Python converts no decimal string of more than 4300 digits to an int
@@ -76,10 +74,13 @@ def _load_json_arg(text: str, flag: str):
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    return [_parse_int(x, flag) for x in text.split(",") if x.strip()]
+    values = [_parse_int(x, flag) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"{flag} wants a list of integers (got {text!r})")
+    return values
 
 
-def _parse_local(text: str) -> adapters.LocalProductSpec:
+def _parse_local(text: str) -> list[tuple[int, int]]:
     pairs = []
     for part in text.split(","):
         fields = part.split("^")
@@ -87,8 +88,7 @@ def _parse_local(text: str) -> adapters.LocalProductSpec:
             raise ValueError(f"--local wants P^E,.. (got {text!r})")
         p, e = fields if len(fields) == 2 else (fields[0], "1")
         pairs.append((_parse_int(p, "--local"), _parse_int(e, "--local")))
-    adapters.check_local_budget(pairs)
-    return adapters.LocalProductSpec(pairs)
+    return pairs
 
 
 def _parse_vspace(text: str) -> tuple[int, int]:
@@ -143,57 +143,34 @@ def resolve_input(args) -> ResolvedInput:
         if isinstance(data, dict) and isinstance(data.get("labels"), list):
             check_element_budget("poset", len(data["labels"]))
         P = poset_from_json(data)
-        return _lattice_input("poset", P, _try_canonical_spec(P))
+        return _lattice_input("poset", P)
     if args.chains is not None:
         sizes = _parse_int_list(args.chains, "--chains")
         name = f"product of chains {sizes}"
         check_element_budget(name, math.prod(sizes))
         P = product_of_chains(sizes)
-        return _lattice_input(name, P, _try_canonical_spec(P))
+        return _lattice_input(name, P)
     if args.mn is not None:
         check_element_budget(f"M_{args.mn}", args.mn + 2)
         P = m_lattice(args.mn)
         return ResolvedInput(name=f"M_{args.mn}", graph=zero_divisor_graph(P),
                              poset=P, formula_note="no closed form for M_n")
     if args.fields is not None:
-        orders = _parse_int_list(args.fields, "--fields")
-        adapters.check_fields_budget(orders)
-        spec = adapters.ReducedRingSpec(orders)
-        g = adapters.reduced_ring_zdg(spec)
-        return _adapter_input(
-            f"reduced ring fields {args.fields}", g,
-            lambda: adapters.reduced_ring_sdim_formula(spec),
-            "product-of-chains zero-divisor graph",
-            lambda: g.labeled_equal(zero_divisor_graph(
-                product_of_chains(spec.field_orders))))
-    if args.local is not None:
-        spec = _parse_local(args.local)
-        g = adapters.comaximal_gamma2prime(spec)
-
-        def matches_blowup():
-            bspec, mapping = adapters.comaximal_blowup_prediction(spec)
-            return g.relabeled(mapping).labeled_equal(
-                zero_divisor_graph(build_blowup(bspec)))
-        return _adapter_input(
-            f"comaximal graph of {args.local}", g,
-            lambda: adapters.comaximal_sdim_formula(spec),
-            "blow-up zero-divisor graph", matches_blowup)
-    if args.zn is not None:
-        N = args.zn
-        g = adapters.comaximal_ideal_graph_zn(N)
-        return _adapter_input(
-            f"comaximal ideal graph of Z_{N}", g,
-            lambda: adapters.comaximal_ideal_sdim_formula(N),
-            "dual ideal-lattice zero-divisor graph",
-            lambda: g.labeled_equal(zero_divisor_graph(
-                adapters.ideal_lattice_dual_zn(N))))
-    n, q = _parse_vspace(args.vspace)
-    g = adapters.component_union_graph(n, q)
-    return _adapter_input(
-        f"component union graph n={n} q={q}", g,
-        lambda: adapters.component_union_sdim_formula(n, q),
-        "join of blow-up graph with K_t",
-        lambda: g.labeled_equal(adapters.component_union_predicted_graph(n, q)))
+        name = f"reduced ring fields {args.fields}"
+        app = adapters.reduced_ring(_parse_int_list(args.fields, "--fields"))
+    elif args.local is not None:
+        name = f"comaximal graph of {args.local}"
+        app = adapters.comaximal(_parse_local(args.local))
+    elif args.zn is not None:
+        name = f"comaximal ideal graph of Z_{args.zn}"
+        app = adapters.comaximal_ideal(args.zn)
+    else:
+        n, q = _parse_vspace(args.vspace)
+        name = f"component union graph n={n} q={q}"
+        app = adapters.component_union(n, q)
+    value, note = _closed_form(app.formula)
+    return ResolvedInput(name=name, graph=app.graph, formula_value=value,
+                         formula_note=note, application=app)
 
 
 def _closed_form(formula: Callable[[], int]) -> tuple[int | None, str]:
@@ -204,29 +181,18 @@ def _closed_form(formula: Callable[[], int]) -> tuple[int | None, str]:
         return None, str(exc)
 
 
-def _adapter_input(name: str, g: SimpleGraph, formula: Callable[[], int],
-                   prediction: str,
-                   matches_prediction: Callable[[], bool]) -> ResolvedInput:
-    value, note = _closed_form(formula)
-    return ResolvedInput(name=name, graph=g, formula_value=value,
-                         formula_note=note, prediction=prediction,
-                         matches_prediction=matches_prediction)
-
-
-def _try_canonical_spec(P: FinitePoset) -> BlowupSpec | None:
-    try:
-        spec, _ = canonical_blowup_of(P)
-        return spec
-    except ZdgError:
-        return None
-
-
 def _lattice_input(name: str, P: FinitePoset,
-                   spec: BlowupSpec | None) -> ResolvedInput:
+                   spec: BlowupSpec | None = None) -> ResolvedInput:
     value, note = None, "not a bounded 0-distributive lattice: " \
         "formula inapplicable"
-    if spec is not None:
+    try:
+        if spec is None:
+            spec, _ = canonical_blowup_of(P)
         value, note = _closed_form(lambda: sdim_formula(spec))
+    except NotApplicable as exc:
+        note = f"{exc}: formula inapplicable"
+    except ZdgError:
+        pass
     return ResolvedInput(name=name, graph=zero_divisor_graph(P), poset=P,
                          formula_value=value, formula_note=note)
 
@@ -364,9 +330,9 @@ def cmd_adapter(args) -> int:
         tag = "agrees" if res.formula_value == gsr_value else "DISAGREES"
         print(f"closed form: {res.formula_value} ({tag})")
     ok = True
-    if res.matches_prediction is not None:
-        ok = res.matches_prediction()
-        print(f"matches {res.prediction}: {ok}")
+    if res.application is not None:
+        ok = res.application.matches_prediction()
+        print(f"matches {res.application.prediction}: {ok}")
     _emit(g, args.out)
     if args.check and (not ok or (res.formula_value is not None
                                   and res.formula_value != gsr_value)):

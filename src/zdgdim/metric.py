@@ -66,8 +66,7 @@ def diameter(G: SimpleGraph) -> int:
 def distance_by_pseudocomplement(LB: FinitePoset, x: str, y: str) -> int:
     """Distance in G(L^B) read off the pseudocomplement trichotomy:
     1 iff y <= x*, else 3 iff y* <= x**, else 2."""
-    zstar = set(LB.zero_divisors())
-    if x not in zstar or y not in zstar:
+    if not (LB.is_zero_divisor(x) and LB.is_zero_divisor(y)):
         raise NotAZeroDivisor(f"{x!r} and {y!r} must be nonzero zero divisors")
     if x == y:
         return 0

@@ -10,6 +10,7 @@ principal down-set, and then it equals that principal element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import CycleDetected, NotALattice, NotBounded, UnknownElement
@@ -50,7 +51,7 @@ class FinitePoset:
     """
 
     __slots__ = ("labels", "down", "up", "bottom", "top",
-                 "_index", "_down_index", "_up_index", "_ann")
+                 "_index", "_down_index", "_up_index", "_ann", "_zd")
 
     def __init__(self, labels: Sequence[str], down: Sequence[int],
                  bottom: Optional[int] = None, top: Optional[int] = None,
@@ -82,6 +83,7 @@ class FinitePoset:
         self._down_index = {self.down[i]: i for i in range(n)}
         self._up_index = {self.up[i]: i for i in range(n)}
         self._ann = None
+        self._zd = None
 
     # -- basics ---------------------------------------------------------
 
@@ -194,12 +196,22 @@ class FinitePoset:
         """Elements b with {a, b}^lower = {bottom}."""
         return self._labels_of(self._ann_masks()[self.index(a)])
 
+    def _zero_divisor_flags(self) -> tuple[bool, ...]:
+        """Z*(P) by element index: not bottom, annihilator beyond {0}."""
+        if self._zd is None:
+            zero = 1 << self._require_bottom()
+            flags = [m != zero for m in self._ann_masks()]
+            flags[self.bottom] = False
+            self._zd = tuple(flags)
+        return self._zd
+
     def zero_divisors(self) -> list[str]:
-        """Z*(P): elements other than bottom whose annihilator exceeds {0}."""
-        zero = 1 << self._require_bottom()
-        ann = self._ann_masks()
-        return [self.labels[i] for i in range(len(self.labels))
-                if i != self.bottom and ann[i] != zero]
+        return list(compress(self.labels, self._zero_divisor_flags()))
+
+    def is_zero_divisor(self, a: str) -> bool:
+        """a is in Z*(P); False for a label that is not in P."""
+        i = self._index.get(a)
+        return i is not None and self._zero_divisor_flags()[i]
 
     def dense_elements(self) -> list[str]:
         """Elements outside Z(P), i.e. with annihilator exactly {0}."""

@@ -1,3 +1,4 @@
+import time
 from math import prod
 
 import pytest
@@ -52,6 +53,20 @@ def test_spec_validation():
         LocalProductSpec([(4, 1)])
     with pytest.raises(NotPrimePower):
         LocalProductSpec([(2, 0)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda q: ReducedRingSpec([q]), lambda q: LocalProductSpec([(q, 1)]),
+], ids=["fields", "local"])
+def test_specs_check_the_budget_before_the_primality_test(make):
+    # trial division takes about 0.2 s to accept the prime 10^12 + 39 and
+    # minutes on 10^18 + 3; the spec refuses both first
+    for prime in (10 ** 12 + 39, 10 ** 18 + 3):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"{prime} .*over the element "
+                                           "budget"):
+            make(prime)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_budget():

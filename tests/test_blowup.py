@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
-from zdgdim import (BlowupSpec, InvalidSpec, NotZeroDistributive,
-                    boolean_lattice, build_blowup, canonical_blowup_of,
-                    labeled_equal, m_lattice, product_of_chains,
-                    random_blowup_spec, tuple_label, zero_divisor_graph)
+from zdgdim import (BlowupSpec, InvalidSpec, NotApplicable,
+                    NotZeroDistributive, boolean_lattice, build_blowup,
+                    canonical_blowup_of, labeled_equal, m_lattice,
+                    product_of_chains, random_blowup_spec, tuple_label,
+                    zero_divisor_graph)
 
 
 def test_spec_validation():
@@ -154,6 +155,14 @@ def test_canonical_blowup_figure2(fig2_lattice):
 def test_canonical_blowup_rejects_m3():
     with pytest.raises(NotZeroDistributive):
         canonical_blowup_of(m_lattice(3))
+
+
+@pytest.mark.parametrize("sizes", [[1], [1, 1]])
+def test_canonical_blowup_refuses_the_one_element_lattice(sizes):
+    # bounded and 0-distributive, but with no atoms it is no blow-up of a
+    # 2^n with n >= 1
+    with pytest.raises(NotApplicable, match="no atoms"):
+        canonical_blowup_of(product_of_chains(sizes))
 
 
 def test_random_spec_generator_is_deterministic():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from zdgdim import adapters
+from zdgdim import SimpleGraph, adapters
 from zdgdim.cli import main
 from zdgdim.verify import FIG3
 
@@ -191,6 +191,52 @@ def test_adapter_vspace_reports_disagreement(capsys):
     assert "matches join of blow-up graph with K_t: True" in out
     code, _, _ = run(capsys, "adapter", "--vspace", "n=3,q=2", "--check")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, target, prediction", [
+    (("--fields", "3,3,2"), "zero_divisor_graph",
+     "product-of-chains zero-divisor graph"),
+    (("--local", "2^2,3,5"), "zero_divisor_graph",
+     "blow-up zero-divisor graph"),
+    (("--zn", "210"), "zero_divisor_graph",
+     "dual ideal-lattice zero-divisor graph"),
+    (("--vspace", "n=3,q=2"), "component_union_predicted_graph",
+     "join of blow-up graph with K_t"),
+], ids=["fields", "local", "zn", "vspace"])
+def test_adapter_reports_a_prediction_mismatch(capsys, monkeypatch, argv,
+                                               target, prediction):
+    # the predicted construction loses one edge, so the application graph
+    # no longer equals it
+    build = getattr(adapters, target)
+
+    def one_edge_short(*args):
+        g = build(*args)
+        return SimpleGraph.from_edges(g.labels, g.edge_list()[1:])
+    monkeypatch.setattr(adapters, target, one_edge_short)
+    code, out, _ = run(capsys, "adapter", *argv, "--check")
+    assert code == 2
+    assert out.splitlines()[-1] == f"matches {prediction}: False"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--chains", "1"), ("--chains", "1,1"),
+    ("--poset", '{"labels":["0"],"covers":[],"bottom":0,"top":0}'),
+], ids=["chain", "two-chains", "poset"])
+def test_one_element_lattice(capsys, flag, value):
+    # bounded and 0-distributive with an empty zero-divisor graph; the
+    # closed form needs an atom
+    code, out, err = run(capsys, "sdim", flag, value)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].endswith("(|V|=0)")
+    assert lines[2].split(" | ")[1].rstrip() == \
+        "the one-element lattice has no atoms: formula inapplicable"
+    assert lines[3].split(" | ")[1].rstrip() == "0"
+    for command in ("build", "zdg", "gsr"):
+        code, out, err = run(capsys, command, flag, value)
+        assert (code, err) == (0, ""), command
+    code, out, err = run(capsys, "gstarstar", flag, value)
+    assert (code, out) == (1, "") and err.startswith("error: ")
 
 
 def test_gstarstar_rejects_graph_only_inputs(capsys):
@@ -434,8 +480,12 @@ def test_overlong_numbers_are_refused_as_input(capsys, flag, value):
     (["--local", "2^3^4,3,5"], None, "--local wants P^E,.. (got '2^3^4,3,5')"),
     (["--local", "2^,3,5"], None, "--local wants P^E,.. (got '2^,3,5')"),
     (["--boolean", "3"], "abc", "SDIM_BRUTE_CAP wants an integer (got 'abc')"),
+    (["--fields", ""], None, "--fields wants a list of integers (got '')"),
+    (["--fields", ",,"], None, "--fields wants a list of integers (got ',,')"),
+    (["--chains", ""], None, "--chains wants a list of integers (got '')"),
 ], ids=["vspace-missing-value", "vspace-two-values", "local-two-exponents",
-        "local-empty-exponent", "brute-cap"])
+        "local-empty-exponent", "brute-cap", "fields-empty", "fields-commas",
+        "chains-empty"])
 def test_parse_errors_name_their_flag(capsys, monkeypatch, argv, env, message):
     # the message names the flag or variable and its form, not the Python
     # exception that the parse raised

@@ -85,6 +85,9 @@ def test_annihilators_in_the_cube():
     assert P.dense_elements() == ["111"]
     assert sorted(P.zero_divisors()) == sorted(
         ["100", "010", "001", "110", "101", "011"])
+    assert [lab for lab in P.labels if P.is_zero_divisor(lab)] == \
+        P.zero_divisors()
+    assert not P.is_zero_divisor("not an element")
 
 
 def test_pseudocomplements():
