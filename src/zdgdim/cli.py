@@ -220,7 +220,8 @@ def _class_size_note(P: FinitePoset) -> str:
         part = P.quotient_classes()
     except ZdgError:
         return ""
-    if part.boolean_image is None:
+    # 2^0, the one-element lattice, has no classes to list
+    if part.boolean_image is None or len(part.classes) == 1:
         return ""
     k = max(part.boolean_image).bit_length()
     full = (1 << k) - 1
@@ -344,6 +345,9 @@ def cmd_verify(args) -> int:
     if args.suite and args.suite not in SUITES:
         raise UnknownSuite(f"unknown suite {args.suite!r}; "
                            f"choose from {', '.join(SUITES)}")
+    if args.count < 0:
+        raise ValueError("--count wants a nonnegative integer "
+                         f"(got {args.count})")
     names = [args.suite] if args.suite else list(SUITES)
     results = []
     for name in names:

@@ -323,7 +323,8 @@ class FinitePoset:
     def _boolean_image(self, ann, classes, class_of):
         atoms = list(_bits(self._atoms_mask()))
         k = len(atoms)
-        if k == 0 or len(classes) != 1 << k:
+        # k = 0 holds only for the one-element lattice: its quotient is 2^0
+        if len(classes) != 1 << k:
             return None
         atom_class = [class_of[a] for a in atoms]
         # class order: [a] <= [b] iff ann(b) is contained in ann(a)

@@ -2,9 +2,9 @@
 
 Each suite takes a seed and a count and returns a VerifySuiteResult.  The
 seven corpus suites run on `corpus(seed, count)`: the figure-3 blow-up, 2^3,
-2^4 and `count` seeded random blow-up specs.  The `adapters` and `examples`
-suites check fixed inputs.  The test suite runs the same functions on its
-own corpus, so every check is written once.  The environment variable
+2^4 and `count` seeded random blow-up specs.  `adapters` and `examples` hold
+the paper's worked examples, each value once.  The tests run the same
+functions, so every check is written once.  The environment variable
 SDIM_BRUTE_CAP overrides the brute-force vertex cap.
 """
 
@@ -48,16 +48,20 @@ def brute_cap() -> int:
 @dataclass
 class VerifySuiteResult:
     name: str
-    cases: int = 0
+    case_names: list[str] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
     seconds: float = 0.0
+
+    @property
+    def cases(self) -> int:
+        return len(self.case_names)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def check(self, case: str, ok: bool, expected="ok", got="failed"):
-        self.cases += 1
+        self.case_names.append(case)
         if not ok:
             self.failures.append(
                 {"case": case, "expected": str(expected), "got": str(got)})
@@ -215,22 +219,23 @@ def _suite_formula_agreement(seed, count) -> VerifySuiteResult:
 
 def _suite_adapters(seed, count) -> VerifySuiteResult:
     out = VerifySuiteResult("adapters")
-    # (tag, application, its sdim); the component-union sdim is left out:
-    # its published closed form is the claim under test
-    table = [(f"reduced {orders}", adapters.reduced_ring(orders), want)
-             for orders, want in (((3, 3, 3), 14), ((3, 2, 2), 5))]
-    table += [(f"comaximal {pairs}", adapters.comaximal(pairs), want)
-              for pairs, want in ((((2, 1), (3, 1), (5, 1)), 17),
-                                  (((2, 2), (3, 1), (5, 1)), 38),
-                                  (((2, 1), (2, 1), (2, 1)), 2))]
-    table += [(f"CG(Z_{N})", adapters.comaximal_ideal(N), want)
-              for N, want in ((210, 8), (15, 1), (60, 5))]
-    table += [(f"UG({n},{q})", adapters.component_union(n, q), None)
-              for n, q in ((3, 2), (3, 3))]
-    for tag, app, want in table:
+    # (tag, application, |V|, its sdim); the component-union sdim is left
+    # out: its published closed form is the claim under test
+    table = [(f"reduced {orders}", adapters.reduced_ring(orders), nv, want)
+             for orders, nv, want in (((3, 3, 3), 18, 14), ((3, 2, 2), 9, 5))]
+    table += [(f"comaximal {pairs}", adapters.comaximal(pairs), nv, want)
+              for pairs, nv, want in ((((2, 1), (3, 1), (5, 1)), 21, 17),
+                                      (((2, 2), (3, 1), (5, 1)), 42, 38),
+                                      (((2, 1), (2, 1), (2, 1)), 6, 2))]
+    table += [(f"CG(Z_{N})", adapters.comaximal_ideal(N), nv, want)
+              for N, nv, want in ((210, 14, 8), (15, 2, 1), (60, 9, 5))]
+    table += [(f"UG({n},{q})", adapters.component_union(n, q), nv, None)
+              for n, q, nv in ((3, 2, 7), (3, 3, 26))]
+    for tag, app, nv, want in table:
         g = app.graph
         got = sdim_via_gsr(g)
         out.check(f"{tag}: equals {app.prediction}", app.matches_prediction())
+        out.expect_equal(f"{tag}: |V|", nv, g.n)
         # the published component-union form disagrees with definition-level
         # computation on every instance checked; report, do not hide
         out.expect_equal(f"{tag}: published form = gsr", app.formula(), got)
@@ -256,7 +261,7 @@ def _suite_examples(seed, count) -> VerifySuiteResult:
     L = boolean_lattice(3)
     G = zero_divisor_graph(L)
     out.expect_equal("2^3: boundary",
-                     ["(0,1,1)", "(1,0,1)", "(1,1,0)"], sorted(boundary(G)))
+                     ["(0,1,1)", "(1,0,1)", "(1,1,0)"], boundary(G))
     out.check("2^3: G_SR is K_3", strong_resolving_graph(G).labeled_equal(
         complete_graph_on(["(0,1,1)", "(1,0,1)", "(1,1,0)"])))
     out.expect_equal("2^3: formula", 2, sdim_formula(BlowupSpec(3, {})))
@@ -265,7 +270,8 @@ def _suite_examples(seed, count) -> VerifySuiteResult:
     out.check("2^3: W strong-resolves",
               is_strong_resolving(G, ["(1,1,0)", "(0,1,1)"]))
 
-    G3 = zero_divisor_graph(build_blowup(FIG3))
+    LB3 = build_blowup(FIG3)
+    G3 = zero_divisor_graph(LB3)
     out.expect_equal("figure-3: |Z*|", 12, G3.n)
     W = ["(1,0,0)", "(2,0,0)", "(0,0,1)", "(1,0,1)", "(2,0,2)", "(3,0,3)",
          "(1,1,0)", "(2,2,0)"]
@@ -273,19 +279,19 @@ def _suite_examples(seed, count) -> VerifySuiteResult:
     out.expect_equal("figure-3: formula", 8, sdim_formula(FIG3))
     out.expect_equal("figure-3: gsr", 8, sdim_via_gsr(G3))
     out.expect_equal("figure-3: brute", 8, sdim_bruteforce(G3))
+    gss = gstar_star(LB3)
+    comps = sorted(connected_components(gss), key=len)
+    out.expect_equal("figure-3: G** component sizes", [1, 2, 3, 6],
+                     [len(c) for c in comps])
+    out.check("figure-3: G** small components are complete",
+              all(gss.subgraph(c).is_complete() for c in comps[:-1]))
 
-    out.expect_equal("reduced (3,3,3): gsr", 14, sdim_via_gsr(
-        adapters.reduced_ring_zdg(adapters.ReducedRingSpec((3, 3, 3)))))
-    out.expect_equal("comaximal Z30: gsr", 17, sdim_via_gsr(
-        adapters.comaximal_gamma2prime(
-            adapters.LocalProductSpec(((2, 1), (3, 1), (5, 1))))))
-    out.expect_equal("CG(Z210): gsr", 8, sdim_via_gsr(
-        adapters.comaximal_ideal_graph_zn(210)))
+    # these repeat two `adapters` cases; the benchmark's oracle pins both
+    # failures in this suite as well
     for n, q in ((3, 2), (3, 3)):
-        out.expect_equal(
-            f"UG({n},{q}): published form",
-            adapters.component_union_sdim_formula(n, q),
-            sdim_via_gsr(adapters.component_union_graph(n, q)))
+        app = adapters.component_union(n, q)
+        out.expect_equal(f"UG({n},{q}): published form", app.formula(),
+                         sdim_via_gsr(app.graph))
     return out
 
 

@@ -100,23 +100,8 @@ def test_reduced_ring_zdg_basics():
     g = reduced_ring_zdg(ReducedRingSpec([2, 2]))
     assert g.n == 2 and g.edge_count() == 1
     g = reduced_ring_zdg(ReducedRingSpec([3, 2, 2]))
-    assert g.n == 9                      # frozen: 12 - 2 units - 1 zero
     assert g.has_edge("(1,0,0)", "(0,1,1)")
     assert not g.has_edge("(1,0,0)", "(2,1,0)")
-
-
-@pytest.mark.parametrize("orders,zstar,want", [
-    ((3, 3, 3), 18, 14),
-    ((3, 2, 2), 9, 5),
-])
-def test_reduced_ring_sdim(orders, zstar, want):
-    spec = ReducedRingSpec(orders)
-    g = reduced_ring_zdg(spec)
-    assert g.n == zstar
-    assert reduced_ring_sdim_formula(spec) == want
-    assert sdim_via_gsr(g) == want
-    if g.n <= 9:
-        assert sdim_bruteforce(g) == want
 
 
 def test_reduced_ring_equals_chain_product():
@@ -127,14 +112,6 @@ def test_reduced_ring_equals_chain_product():
 
 
 # -- comaximal graph ----------------------------------------------------------
-
-def test_comaximal_z30():
-    spec = LocalProductSpec([(2, 1), (3, 1), (5, 1)])
-    g = comaximal_gamma2prime(spec)
-    assert g.n == 21
-    assert comaximal_sdim_formula(spec) == 17
-    assert sdim_via_gsr(g) == 17
-
 
 def test_comaximal_z2_cubed_matches_the_cube():
     spec = LocalProductSpec([(2, 1), (2, 1), (2, 1)])
@@ -161,14 +138,6 @@ def test_comaximal_matches_blowup_prediction(pairs):
     assert labeled_equal(g.relabeled(mapping), predicted)
 
 
-def test_comaximal_z60_vertex_count():
-    # Z_4 x Z_3 x Z_5: 60 elements, 16 units, |J| = 2
-    spec = LocalProductSpec([(2, 2), (3, 1), (5, 1)])
-    g = comaximal_gamma2prime(spec)
-    assert g.n == 42
-    assert comaximal_sdim_formula(spec) == 38
-
-
 # -- comaximal ideal graph ------------------------------------------------------
 
 def test_ideal_lattice_dual():
@@ -185,16 +154,6 @@ def test_cg_vertices_and_equality():
     assert sorted(g.labels, key=int) == \
         ["2", "3", "4", "5", "6", "10", "12", "15", "20"]
     assert g.has_edge("4", "15") and not g.has_edge("4", "6")
-    assert labeled_equal(g, zero_divisor_graph(ideal_lattice_dual_zn(60)))
-
-
-@pytest.mark.parametrize("N,want", [(210, 8), (15, 1), (60, 5)])
-def test_cg_sdim(N, want):
-    g = comaximal_ideal_graph_zn(N)
-    assert comaximal_ideal_sdim_formula(N) == want
-    assert sdim_via_gsr(g) == want
-    if g.n <= 9:
-        assert sdim_bruteforce(g) == want
 
 
 def test_cg_closed_form_matches_the_built_graph():
@@ -243,9 +202,8 @@ def test_component_union_graph_basics():
 
 
 def test_component_union_join_equality():
-    for n, q in ((3, 2), (3, 3), (4, 2)):
-        g = component_union_graph(n, q)
-        assert labeled_equal(g, component_union_predicted_graph(n, q))
+    g = component_union_graph(4, 2)
+    assert labeled_equal(g, component_union_predicted_graph(4, 2))
 
 
 def test_component_union_prediction_shape():
@@ -258,15 +216,9 @@ def test_component_union_prediction_shape():
 
 def test_component_union_sdim_published_form_disagrees():
     # the published closed form |V| - n + 2 does not survive definition-level
-    # computation; the computed values are frozen here from brute force and
-    # the vertex-cover reduction, which agree with each other
-    g32 = component_union_graph(3, 2)
-    assert component_union_sdim_formula(3, 2) == 6
-    assert sdim_via_gsr(g32) == 3
-    assert sdim_bruteforce(g32) == 3
-    g33 = component_union_graph(3, 3)
-    assert component_union_sdim_formula(3, 3) == 25
-    assert sdim_via_gsr(g33) == 22
+    # computation; the computed value is frozen here from brute force and
+    # the vertex-cover reduction, which agree with each other.  The
+    # `adapters` verify suite holds UG(3,2) and UG(3,3)
     g42 = component_union_graph(4, 2)
     assert component_union_sdim_formula(4, 2) == 13
     assert sdim_via_gsr(g42) == 10

@@ -224,7 +224,7 @@ def test_adapter_reports_a_prediction_mismatch(capsys, monkeypatch, argv,
 ], ids=["chain", "two-chains", "poset"])
 def test_one_element_lattice(capsys, flag, value):
     # bounded and 0-distributive with an empty zero-divisor graph; the
-    # closed form needs an atom
+    # closed form needs an atom, and the quotient is 2^0
     code, out, err = run(capsys, "sdim", flag, value)
     assert (code, err) == (0, "")
     lines = out.splitlines()
@@ -232,11 +232,17 @@ def test_one_element_lattice(capsys, flag, value):
     assert lines[2].split(" | ")[1].rstrip() == \
         "the one-element lattice has no atoms: formula inapplicable"
     assert lines[3].split(" | ")[1].rstrip() == "0"
-    for command in ("build", "zdg", "gsr"):
+    for command in ("build", "zdg", "gsr", "gstarstar"):
         code, out, err = run(capsys, command, flag, value)
         assert (code, err) == (0, ""), command
-    code, out, err = run(capsys, "gstarstar", flag, value)
-    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert out.startswith("G** of ")
+    assert out.endswith(": 0 vertices, 0 edges\n")
+
+
+def test_gstarstar_refuses_a_quotient_that_is_not_boolean(capsys):
+    code, out, err = run(capsys, "gstarstar", "--mn", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: annihilator quotient is not Boolean\n"
 
 
 def test_gstarstar_rejects_graph_only_inputs(capsys):
@@ -265,6 +271,12 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_refuses_a_negative_count(capsys):
+    code, out, err = run(capsys, "verify", "--count", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: --count wants a nonnegative integer (got -1)\n"
+
+
 def test_verify_deterministic(capsys):
     args = ("verify", "--suite", "quotient", "--seed", "3",
             "--count", "8", "--json")
@@ -286,7 +298,7 @@ def test_verify_case_counts_and_failures_are_pinned(capsys):
     assert [(r["suite"], r["cases"]) for r in payload] == [
         ("diameter", 36), ("gallai", 252), ("distance-lemma", 28),
         ("quotient", 140), ("gsr-equality", 85), ("decomposition", 248),
-        ("formula-agreement", 44), ("adapters", 33), ("examples", 32)]
+        ("formula-agreement", 44), ("adapters", 43), ("examples", 31)]
     assert sorted((r["suite"], f["case"]) for r in payload
                   for f in r["failures"]) == [
         ("adapters", "UG(3,2): published form = gsr"),
@@ -298,6 +310,12 @@ def test_verify_case_counts_and_failures_are_pinned(capsys):
 PINNED_STDOUT = [
     (("build", "--chains", "3,2,2"), 0, """\
 product of chains [3, 2, 2]: 12 elements, 3 atoms, |Z*|=9, classes sizes 1,1,2,1,2,2
+"""),
+    (("build", "--chains", "1"), 0, """\
+product of chains [1]: 1 elements, 0 atoms, |Z*|=0
+"""),
+    (("gstarstar", "--chains", "1"), 0, """\
+G** of product of chains [1]: 0 vertices, 0 edges
 """),
     (("build", "--zn", "60"), 0, """\
 comaximal ideal graph of Z_60: 9 vertices, 11 edges

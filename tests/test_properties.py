@@ -6,8 +6,7 @@ from itertools import product
 
 import pytest
 
-from zdgdim import (beta_gsr_formula, boolean_lattice, boundary,
-                    build_blowup, canonical_blowup_of, gstar, gstar_star,
+from zdgdim import (boolean_lattice, build_blowup, canonical_blowup_of,
                     independence_number, labeled_equal,
                     metric_dimension_bruteforce, mutually_maximally_distant,
                     product_of_chains, sdim_bruteforce, sdim_via_gsr,
@@ -34,27 +33,6 @@ def test_blowups_are_pseudocomplemented_lattices(corpus_graphs):
         assert LB.is_pseudocomplemented(), name
         assert LB.dual().is_pseudocomplemented(), name
         assert LB.is_zero_distributive(), name
-
-
-def test_quotient_has_2n_classes_with_spec_sizes(corpus_graphs):
-    for name, spec, LB, G in corpus_graphs:
-        part = LB.quotient_classes()
-        assert len(part.classes) == 1 << spec.n, name
-        assert part.boolean_image is not None, name
-        full = (1 << spec.n) - 1
-        sizes = {part.boolean_image[c]: len(m)
-                 for c, m in enumerate(part.classes)}
-        assert sizes[0] == 1 and sizes[full] == 1, name
-        for mask in spec.masks():
-            assert sizes[mask] == spec.size_of(mask), name
-
-
-def test_annihilator_of_join_is_intersection(corpus_graphs):
-    for name, spec, LB, G in corpus_graphs[:10]:
-        ann = {lab: frozenset(LB.annihilator(lab)) for lab in LB.labels}
-        for x in LB.labels:
-            for y in LB.labels:
-                assert ann[LB.join(x, y)] == ann[x] & ann[y], name
 
 
 def test_pseudocomplement_classes_match_annihilator_classes(corpus_graphs):
@@ -84,23 +62,6 @@ def test_mmd_pairs_meet_above_zero_and_incomparable(corpus_graphs):
                 if mmd:
                     assert LB.meet(x, y) != bottom, name
                     assert not LB.leq(x, y) and not LB.leq(y, x), name
-
-
-def test_gsr_vertex_count_and_beta_formula(corpus_graphs):
-    for name, spec, LB, G in corpus_graphs:
-        gsr = strong_resolving_graph(G)
-        assert boundary(G) == list(gsr.labels), name
-        m = spec.singleton_atom_count()
-        assert gsr.n == spec.total_vertices() - m, name
-        assert independence_number(gsr) == beta_gsr_formula(spec), name
-
-
-def test_gstar_equals_gsr_everywhere(corpus_graphs):
-    for name, spec, LB, G in corpus_graphs:
-        gsr = strong_resolving_graph(G)
-        assert labeled_equal(gstar(LB), gsr), name
-        if spec.singleton_atom_count() == 0:
-            assert labeled_equal(gstar_star(LB), gsr), name
 
 
 def test_dim_at_most_sdim_on_small_graphs(corpus_graphs):
