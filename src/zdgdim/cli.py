@@ -220,14 +220,15 @@ def _class_size_note(P: FinitePoset) -> str:
         part = P.quotient_classes()
     except ZdgError:
         return ""
-    # 2^0, the one-element lattice, has no classes to list
-    if part.boolean_image is None or len(part.classes) == 1:
+    if part.boolean_image is None:
         return ""
     k = max(part.boolean_image).bit_length()
     full = (1 << k) - 1
     pairs = [(part.boolean_image[c], len(members))
              for c, members in enumerate(part.classes)
              if 0 < part.boolean_image[c] < full]
+    if not pairs:
+        return ""
     pairs.sort(key=lambda mc: (mc[0].bit_count(), mc[0]))
     return ", classes sizes " + ",".join(str(c) for _, c in pairs)
 
@@ -342,13 +343,13 @@ def cmd_adapter(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite and args.suite not in SUITES:
-        raise UnknownSuite(f"unknown suite {args.suite!r}; "
+    if args.suite is not None and args.suite not in SUITES:
+        raise UnknownSuite(f"--suite names an unknown suite {args.suite!r}; "
                            f"choose from {', '.join(SUITES)}")
     if args.count < 0:
         raise ValueError("--count wants a nonnegative integer "
                          f"(got {args.count})")
-    names = [args.suite] if args.suite else list(SUITES)
+    names = list(SUITES) if args.suite is None else [args.suite]
     results = []
     for name in names:
         start = time.perf_counter()

@@ -21,9 +21,9 @@ from .poset import FinitePoset, _bits, _json_label
 class SimpleGraph:
     """Immutable simple undirected graph with canonical vertex order."""
 
-    # _dist holds the distance table that metric.all_pairs_distances
+    # _balls holds every vertex's balls, which metric.distance_balls
     # computes on first use and every later caller shares
-    __slots__ = ("labels", "adj", "_index", "_dist")
+    __slots__ = ("labels", "adj", "_index", "_balls")
 
     def __init__(self, labels: Sequence[str], adj: Sequence[int]):
         self.labels = tuple(labels)
@@ -33,7 +33,7 @@ class SimpleGraph:
                                      else f"labels {a!r}, {b!r} out of order")
         self.adj = tuple(adj)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._dist = None
+        self._balls = None
 
     @classmethod
     def from_rows(cls, labels: Sequence[str | None],
@@ -133,6 +133,20 @@ class SimpleGraph:
 
     def degree(self, a: str) -> int:
         return self.adj[self.index(a)].bit_count()
+
+    def balls(self, s: int) -> tuple[int, ...]:
+        """Breadth-first search from vertex s: element d is the bitmask of
+        the vertices within distance d of s, and the last is s's component."""
+        ball = [1 << s]
+        frontier = ball[0]
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= self.adj[v]
+            frontier = nxt & ~ball[-1]
+            if frontier:
+                ball.append(ball[-1] | frontier)
+        return tuple(ball)
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -299,20 +313,12 @@ def remove_isolated(g: SimpleGraph) -> SimpleGraph:
 
 
 def connected_components(g: SimpleGraph) -> list[frozenset[str]]:
-    """Vertex sets of the components, ordered by least label."""
-    unseen = set(range(g.n))
+    """Vertex sets of the components, ordered by least label (index order
+    is label order)."""
     comps = []
+    unseen = (1 << g.n) - 1
     while unseen:
-        start = min(unseen)
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        members = frozenset(g.labels[i] for i in _bits(seen))
-        comps.append(members)
-        unseen -= set(_bits(seen))
-    return sorted(comps, key=lambda c: min(c))
+        comp = g.balls((unseen & -unseen).bit_length() - 1)[-1]
+        comps.append(frozenset(g.labels[i] for i in _bits(comp)))
+        unseen &= ~comp
+    return comps

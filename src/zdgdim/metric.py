@@ -26,41 +26,37 @@ DEFAULT_BRUTE_CAP = 16
 
 # -- distances ---------------------------------------------------------------
 
-def all_pairs_distances(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
-    """Exact unweighted distances via one bitmask BFS per vertex.
+def distance_balls(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    """`G.balls(s)` for every vertex s: element d of row s is the bitmask of
+    the vertices within distance d of s.
 
-    The table is computed once per graph and kept on it; every distance
-    and mutually-maximally-distant question in this module reads it.  Rows
-    are tuples, so no caller can change the shared table.
+    The balls are computed once per graph and kept on it; every distance
+    and mutually-maximally-distant question in this module reads them.
     """
-    if G._dist is not None:
-        return G._dist
-    n = G.n
-    full = (1 << n) - 1
-    dist = [[0] * n for _ in range(n)]
-    for s in range(n):
-        row = dist[s]
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= G.adj[v]
-            frontier = nxt & ~seen
-            for v in _bits(frontier):
-                row[v] = d
-            seen |= frontier
-        if seen != full:
+    if G._balls is None:
+        balls = tuple(G.balls(s) for s in range(G.n))
+        if balls and balls[0][-1] != (1 << G.n) - 1:
             raise Disconnected("graph is not connected")
-    G._dist = tuple(map(tuple, dist))
-    return G._dist
+        G._balls = balls
+    return G._balls
+
+
+def all_pairs_distances(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    """Exact unweighted distances as an n x n table, read off the balls on
+    each call and kept nowhere."""
+    table = []
+    for ball in distance_balls(G):
+        row = [0] * G.n
+        for d in range(1, len(ball)):
+            for v in _bits(ball[d] & ~ball[d - 1]):
+                row[v] = d
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def diameter(G: SimpleGraph) -> int:
-    dist = all_pairs_distances(G)
-    return max((d for row in dist for d in row), default=0)
+    """The largest eccentricity."""
+    return max((len(ball) - 1 for ball in distance_balls(G)), default=0)
 
 
 def distance_by_pseudocomplement(LB: FinitePoset, x: str, y: str) -> int:
@@ -85,32 +81,14 @@ def distance_by_pseudocomplement(LB: FinitePoset, x: str, y: str) -> int:
 # -- resolving sets by definition ---------------------------------------------
 
 def is_resolving(G: SimpleGraph, S: Sequence[str]) -> bool:
-    """S resolves G when distance vectors to S separate all vertex pairs.
-
-    Vertices of S are separated for free by their zero coordinate, so
-    checking all vertices is equivalent to checking the pairs outside S.
-    """
-    dist = all_pairs_distances(G)
-    idx = [G.index(s) for s in S]
-    vecs = {tuple(dist[v][w] for w in idx) for v in range(G.n)}
-    return len(vecs) == G.n
-
-
-def _strongly_resolves(dist, w: int, u: int, v: int) -> bool:
-    return (dist[u][w] == dist[u][v] + dist[v][w]
-            or dist[v][w] == dist[v][u] + dist[u][w])
+    """S resolves G when distance vectors to S separate all vertex pairs."""
+    return _covers_all_pairs(G, S, strong=False)
 
 
 def is_strong_resolving(G: SimpleGraph, W: Sequence[str]) -> bool:
     """W strong-resolves G when every vertex pair lies on a shortest path
     to (or from) some member of W."""
-    dist = all_pairs_distances(G)
-    idx = [G.index(w) for w in W]
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if not any(_strongly_resolves(dist, w, u, v) for w in idx):
-                return False
-    return True
+    return _covers_all_pairs(G, W, strong=True)
 
 
 def _pair_cover_masks(G: SimpleGraph, strong: bool) -> list[int]:
@@ -122,7 +100,8 @@ def _pair_cover_masks(G: SimpleGraph, strong: bool) -> list[int]:
             m = 0
             for w in range(G.n):
                 if strong:
-                    ok = _strongly_resolves(dist, w, u, v)
+                    ok = (dist[u][w] == dist[u][v] + dist[v][w]
+                          or dist[v][w] == dist[v][u] + dist[u][w])
                 else:
                     ok = dist[u][w] != dist[v][w]
                 if ok:
@@ -131,71 +110,78 @@ def _pair_cover_masks(G: SimpleGraph, strong: bool) -> list[int]:
     return masks
 
 
-def _min_cover_size(G: SimpleGraph, strong: bool, cap: int,
-                    want_witness: bool):
+def _covers_all_pairs(G: SimpleGraph, S: Sequence[str], strong: bool) -> bool:
+    w = sum({1 << G.index(lab) for lab in S})
+    return all(m & w for m in _pair_cover_masks(G, strong))
+
+
+def _min_cover(G: SimpleGraph, strong: bool, cap: int) -> tuple[str, ...]:
+    """The first vertex set in subset order that resolves (or strongly
+    resolves) every pair: smallest size first, then lexicographic."""
     if G.n > cap:
         raise TooLarge(f"brute force capped at {cap} vertices, graph has {G.n}")
     masks = _pair_cover_masks(G, strong)
-    if not masks:
-        return (0, ()) if want_witness else 0
-    for size in range(1, G.n + 1):
+    for size in range(G.n + 1):
         for sub in combinations(range(G.n), size):
             w = 0
             for i in sub:
                 w |= 1 << i
             if all(m & w for m in masks):
-                if want_witness:
-                    return size, tuple(G.labels[i] for i in sub)
-                return size
+                return tuple(G.labels[i] for i in sub)
     raise AssertionError("the full vertex set always resolves")
 
 
 def metric_dimension_bruteforce(G: SimpleGraph,
                                 cap: int = DEFAULT_BRUTE_CAP) -> int:
     """Smallest resolving set size, by subset enumeration in ascending size."""
-    return _min_cover_size(G, strong=False, cap=cap, want_witness=False)
+    return len(_min_cover(G, strong=False, cap=cap))
 
 
 def sdim_bruteforce(G: SimpleGraph, cap: int = DEFAULT_BRUTE_CAP) -> int:
     """Smallest strong resolving set size, by subset enumeration."""
-    return _min_cover_size(G, strong=True, cap=cap, want_witness=False)
+    return len(_min_cover(G, strong=True, cap=cap))
 
 
 def minimum_strong_resolving_set(G: SimpleGraph,
                                  cap: int = DEFAULT_BRUTE_CAP) -> tuple[str, ...]:
     """A minimum strong resolving set (first in subset order, so the
     lexicographically least one for the sorted vertex labels)."""
-    return _min_cover_size(G, strong=True, cap=cap, want_witness=True)[1]
+    return _min_cover(G, strong=True, cap=cap)
 
 
 # -- boundary and the strong resolving graph ----------------------------------
 
-def _maximally_distant(G: SimpleGraph, dist, u: int, v: int) -> bool:
-    """v is maximally distant from u: no neighbour of u lies farther from v."""
-    duv = dist[u][v]
-    return all(dist[v][w] <= duv for w in _bits(G.adj[u]))
-
-
 def _mmd_rows(G: SimpleGraph) -> list[int]:
-    """Row u: the vertices mutually maximally distant from u."""
-    dist = all_pairs_distances(G)
+    """Row u: the vertices mutually maximally distant from u.  A pair
+    u < v, found in u's sphere of radius d, is kept when every neighbour of
+    u lies in v's ball of radius d and every neighbour of v in u's."""
+    balls = distance_balls(G)
+    adj = G.adj
     rows = [0] * G.n
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if (_maximally_distant(G, dist, u, v)
-                    and _maximally_distant(G, dist, v, u)):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+    for u, ball in enumerate(balls):
+        later = -1 << u + 1
+        for d in range(1, len(ball)):
+            for v in _bits(ball[d] & ~ball[d - 1] & later):
+                if (adj[u] & ~balls[v][d] == 0
+                        and adj[v] & ~ball[d] == 0):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
     return rows
 
 
 def mutually_maximally_distant(G: SimpleGraph, u: str, v: str) -> bool:
+    """The definition, pair by pair: no neighbour of either vertex lies
+    farther from the other than the two lie apart."""
     if u == v:
         return False
-    dist = all_pairs_distances(G)
+    balls = distance_balls(G)
+
+    def dist(a: int, b: int) -> int:
+        return next(d for d, ball in enumerate(balls[a]) if ball >> b & 1)
     i, j = G.index(u), G.index(v)
-    return (_maximally_distant(G, dist, i, j)
-            and _maximally_distant(G, dist, j, i))
+    d = dist(i, j)
+    return (all(dist(w, j) <= d for w in _bits(G.adj[i]))
+            and all(dist(w, i) <= d for w in _bits(G.adj[j])))
 
 
 def boundary(G: SimpleGraph) -> list[str]:
@@ -336,7 +322,7 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     Twins share their open neighbourhood (false twins) or their closed
     one (true twins).  An open key adj[v] never equals another vertex's
     closed key adj[u] | 1 << u, so one counter holds both kinds of class.
-    A twin-free G comes back as itself, with its distance table.
+    A twin-free G comes back as itself, with its balls.
     """
     members: Counter[int] = Counter()
     labels: list[str | None] = list(G.labels)

@@ -39,10 +39,14 @@ def brute_cap() -> int:
     """The brute-force vertex cap: SDIM_BRUTE_CAP if set, else the default."""
     raw = os.environ.get("SDIM_BRUTE_CAP")
     try:
-        return int(raw) if raw else DEFAULT_BRUTE_CAP
+        cap = int(raw) if raw else DEFAULT_BRUTE_CAP
     except ValueError:
         raise ValueError(
             f"SDIM_BRUTE_CAP wants an integer (got {raw!r})") from None
+    if cap < 0:
+        raise ValueError(
+            f"SDIM_BRUTE_CAP wants a nonnegative integer (got {raw!r})")
+    return cap
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from zdgdim import SimpleGraph, adapters
 from zdgdim.cli import main
-from zdgdim.verify import FIG3
+from zdgdim.verify import FIG3, SUITES
 
 FIG3_JSON = json.dumps(FIG3.to_json_dict())
 
@@ -314,6 +314,19 @@ product of chains [3, 2, 2]: 12 elements, 3 atoms, |Z*|=9, classes sizes 1,1,2,1
     (("build", "--chains", "1"), 0, """\
 product of chains [1]: 1 elements, 0 atoms, |Z*|=0
 """),
+    # no class lies strictly between bottom and top, so none is listed
+    (("build", "--chains", "2"), 0, """\
+product of chains [2]: 2 elements, 1 atoms, |Z*|=0
+"""),
+    (("build", "--chains", "3"), 0, """\
+product of chains [3]: 3 elements, 1 atoms, |Z*|=0
+"""),
+    (("build", "--boolean", "1"), 0, """\
+boolean 2^1: 2 elements, 1 atoms, |Z*|=0
+"""),
+    (("build", "--boolean", "2"), 0, """\
+boolean 2^2: 4 elements, 2 atoms, |Z*|=2, classes sizes 1,1
+"""),
     (("gstarstar", "--chains", "1"), 0, """\
 G** of product of chains [1]: 0 vertices, 0 edges
 """),
@@ -492,24 +505,34 @@ def test_overlong_numbers_are_refused_as_input(capsys, flag, value):
 
 
 @pytest.mark.parametrize("argv, env, message", [
-    (["--vspace", "n=3,q"], None, "--vspace wants n=..,q=.. (got 'n=3,q')"),
-    (["--vspace", "n=3=4,q=2"], None,
+    (["sdim", "--vspace", "n=3,q"], None,
+     "--vspace wants n=..,q=.. (got 'n=3,q')"),
+    (["sdim", "--vspace", "n=3=4,q=2"], None,
      "--vspace wants n=..,q=.. (got 'n=3=4,q=2')"),
-    (["--local", "2^3^4,3,5"], None, "--local wants P^E,.. (got '2^3^4,3,5')"),
-    (["--local", "2^,3,5"], None, "--local wants P^E,.. (got '2^,3,5')"),
-    (["--boolean", "3"], "abc", "SDIM_BRUTE_CAP wants an integer (got 'abc')"),
-    (["--fields", ""], None, "--fields wants a list of integers (got '')"),
-    (["--fields", ",,"], None, "--fields wants a list of integers (got ',,')"),
-    (["--chains", ""], None, "--chains wants a list of integers (got '')"),
+    (["sdim", "--local", "2^3^4,3,5"], None,
+     "--local wants P^E,.. (got '2^3^4,3,5')"),
+    (["sdim", "--local", "2^,3,5"], None, "--local wants P^E,.. (got '2^,3,5')"),
+    (["sdim", "--boolean", "3"], "abc",
+     "SDIM_BRUTE_CAP wants an integer (got 'abc')"),
+    (["sdim", "--fields", ""], None,
+     "--fields wants a list of integers (got '')"),
+    (["sdim", "--fields", ",,"], None,
+     "--fields wants a list of integers (got ',,')"),
+    (["sdim", "--chains", ""], None,
+     "--chains wants a list of integers (got '')"),
+    (["sdim", "--boolean", "3"], "-3",
+     "SDIM_BRUTE_CAP wants a nonnegative integer (got '-3')"),
+    (["verify", "--suite", ""], None,
+     "--suite names an unknown suite ''; choose from " + ", ".join(SUITES)),
 ], ids=["vspace-missing-value", "vspace-two-values", "local-two-exponents",
         "local-empty-exponent", "brute-cap", "fields-empty", "fields-commas",
-        "chains-empty"])
+        "chains-empty", "brute-cap-negative", "suite-empty"])
 def test_parse_errors_name_their_flag(capsys, monkeypatch, argv, env, message):
     # the message names the flag or variable and its form, not the Python
     # exception that the parse raised
     if env is not None:
         monkeypatch.setenv("SDIM_BRUTE_CAP", env)
-    code, out, err = run(capsys, "sdim", *argv)
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -17,6 +18,7 @@ from zdgdim import (BlowupSpec, Disconnected, HypothesisUnmet, NotApplicable,
                     twin_reduce, vertex_cover_number, zero_divisor_graph)
 from zdgdim.adapters import (DEFAULT_ELEMENT_BUDGET, LocalProductSpec,
                              comaximal_gamma2prime)
+from zdgdim.metric import distance_balls
 from zdgdim.verify import corpus
 
 
@@ -41,9 +43,11 @@ def cube_graph():
 
 def test_distances_match_networkx(cube_graph, fig3_lattice):
     for g in (cube_graph, zero_divisor_graph(fig3_lattice)):
+        balls = distance_balls(g)
+        # the balls are computed once per graph and shared; the table is
+        # read off them
+        assert distance_balls(g) is balls
         dist = all_pairs_distances(g)
-        # computed once per graph, shared, and read-only
-        assert all_pairs_distances(g) is dist
         assert all(type(row) is tuple for row in dist)
         oracle = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
         for i, a in enumerate(g.labels):
@@ -254,10 +258,10 @@ def test_twin_reduce_keeps_the_two_smallest_members_of_each_class():
 
 
 def test_twin_reduce_returns_a_twin_free_graph_itself(cube_graph):
-    dist = all_pairs_distances(cube_graph)
+    balls = distance_balls(cube_graph)
     reduced, dropped = twin_reduce(cube_graph)
     assert reduced is cube_graph and dropped == 0
-    assert all_pairs_distances(reduced) is dist
+    assert distance_balls(reduced) is balls
 
 
 def _capped(spec: BlowupSpec) -> tuple[BlowupSpec, int]:
@@ -273,7 +277,12 @@ def test_twin_reduction_matches_the_plain_route_on_the_corpus():
     # the elements cut
     for name, spec, LB in corpus(0, 300):
         G = zero_divisor_graph(LB)
-        plain = vertex_cover_number(strong_resolving_graph(G))
+        gsr = strong_resolving_graph(G)
+        # the G_SR rows against the per-pair definition
+        assert gsr.edge_list() == [
+            (a, b) for a, b in combinations(G.labels, 2)
+            if mutually_maximally_distant(G, a, b)], name
+        plain = vertex_cover_number(gsr)
         assert sdim_via_gsr(G) == plain, name
         capped, cut = _capped(spec)
         assert sdim_via_gsr(zero_divisor_graph(build_blowup(capped))) + cut \

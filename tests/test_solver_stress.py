@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from zdgdim import (Disconnected, SimpleGraph, all_pairs_distances,
+                    connected_components, diameter,
                     independence_number, is_strong_resolving,
                     max_independent_set, metric_dimension_bruteforce,
                     minimum_strong_resolving_set, sdim_bruteforce,
@@ -124,18 +125,36 @@ def test_degenerate_inputs():
 
 def test_twin_reduction_matches_the_plain_route_on_random_graphs():
     # the plain route, the cover number of the unreduced G_SR, is the
-    # oracle; every size from 0 to 12 vertices comes up equally often
+    # oracle; every size from 0 to 12 vertices comes up equally often.
+    # Components, distances, the diameter and the G_SR edges, by the
+    # textbook neighbour rule, are checked against networkx on each graph
     rng = random.Random(2016)
     reduced = 0
     for trial in range(2015):
         g = random_graph_with_twins(rng, trial % 13,
                                     rng.choice([0.2, 0.4, 0.6, 0.8]))
+        h = to_nx(g)
+        assert connected_components(g) == sorted(
+            map(frozenset, nx.connected_components(h)), key=min), trial
         try:
-            plain = vertex_cover_number(strong_resolving_graph(g))
+            gsr = strong_resolving_graph(g)
         except Disconnected:
+            assert not nx.is_connected(h)
             with pytest.raises(Disconnected):
                 sdim_via_gsr(g)
             continue
+        dist = dict(nx.all_pairs_shortest_path_length(h))
+        assert all_pairs_distances(g) == tuple(
+            tuple(dist[a][b] for b in g.labels) for a in g.labels), trial
+        assert diameter(g) == max(
+            (d for row in dist.values() for d in row.values()), default=0)
+        # u, v are mutually maximally distant when no neighbour of either
+        # lies farther from the other
+        assert gsr.edge_list() == [
+            (a, b) for a, b in combinations(g.labels, 2)
+            if all(dist[w][b] <= dist[a][b] for w in h[a])
+            and all(dist[a][w] <= dist[a][b] for w in h[b])], trial
+        plain = vertex_cover_number(gsr)
         assert sdim_via_gsr(g) == plain, (trial, g.edge_list())
         reduced += twin_reduce(g)[1] > 0
     assert reduced > 250
