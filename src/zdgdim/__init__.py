@@ -19,8 +19,8 @@ from .graphs import (SimpleGraph, boolean_ring_annihilator_graph,
                      complete_graph_on, connected_components, disjoint_union,
                      graph_from_json, graph_join, incomparability_graph,
                      labeled_equal, remove_isolated, zero_divisor_graph)
-from .metric import (DEFAULT_BRUTE_CAP, all_pairs_distances, beta_gsr_formula,
-                     boundary, diameter, distance_by_pseudocomplement, gstar,
+from .metric import (DEFAULT_BRUTE_CAP, beta_gsr_formula, boundary, diameter,
+                     distance_balls, distance_by_pseudocomplement, gstar,
                      gstar_star, independence_number, is_resolving,
                      is_strong_resolving, max_independent_set,
                      metric_dimension_bruteforce, minimum_strong_resolving_set,

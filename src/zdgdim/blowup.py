@@ -46,7 +46,7 @@ class BlowupSpec:
     chain_sizes: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise InvalidSpec(f"n must be a positive integer, got {self.n!r}")
         for mask, size in self.chain_sizes.items():
             # 0 < mask < 2^n - 1, without building 2^n for a huge n
@@ -55,7 +55,7 @@ class BlowupSpec:
                 raise InvalidSpec(
                     f"mask {mask!r} is not a nonempty proper subset of "
                     f"{self.n} atoms")
-            if not isinstance(size, int) or size < 1:
+            if type(size) is not int or size < 1:
                 raise InvalidSpec(f"chain size for mask {mask} must be >= 1")
         object.__setattr__(self, "chain_sizes", dict(self.chain_sizes))
 
@@ -88,10 +88,16 @@ class BlowupSpec:
         try:
             n = data["n"]
             raw = data.get("chains", {})
+        except KeyError:
+            raise InvalidSpec("malformed blow-up spec: no field 'n'") from None
         except TypeError as exc:
             raise InvalidSpec(f"malformed blow-up spec: {exc}") from exc
-        if not isinstance(n, int):
+        # JSON true and false are Python ints
+        if type(n) is not int:
             raise InvalidSpec("blow-up spec field 'n' must be an integer")
+        if not isinstance(raw, dict):
+            raise InvalidSpec("malformed blow-up spec: field 'chains' must be "
+                              f"an object (got {raw!r})")
         sizes = {}
         for key, size in raw.items():
             sizes[binstr_to_mask(str(key), n)] = size

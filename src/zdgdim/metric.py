@@ -41,19 +41,6 @@ def distance_balls(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
     return G._balls
 
 
-def all_pairs_distances(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
-    """Exact unweighted distances as an n x n table, read off the balls on
-    each call and kept nowhere."""
-    table = []
-    for ball in distance_balls(G):
-        row = [0] * G.n
-        for d in range(1, len(ball)):
-            for v in _bits(ball[d] & ~ball[d - 1]):
-                row[v] = d
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def diameter(G: SimpleGraph) -> int:
     """The largest eccentricity."""
     return max((len(ball) - 1 for ball in distance_balls(G)), default=0)
@@ -92,21 +79,33 @@ def is_strong_resolving(G: SimpleGraph, W: Sequence[str]) -> bool:
 
 
 def _pair_cover_masks(G: SimpleGraph, strong: bool) -> list[int]:
-    """For each vertex pair, the bitmask of vertices resolving it."""
-    dist = all_pairs_distances(G)
+    """For each vertex pair, the bitmask of vertices resolving it, read off
+    the spheres S_k(x) = ball[k] & ~ball[k-1].
+
+    With v in u's sphere of radius d, w strongly resolves the pair iff it
+    lies in some S_k(v) & S_{d+k}(u) or S_k(u) & S_{d+k}(v): one of the pair
+    is on a shortest path from the other to w.  w resolves the pair iff it
+    lies in no S_k(u) & S_k(v).
+    """
+    spheres = [[b & ~a for a, b in zip((0,) + ball, ball)]
+               for ball in distance_balls(G)]
+
+    def meet(xs: list[int], ys: list[int]) -> int:
+        m = 0
+        for x, y in zip(xs, ys):
+            m |= x & y
+        return m
+    full = (1 << G.n) - 1
     masks = []
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            m = 0
-            for w in range(G.n):
+    for u, su in enumerate(spheres):
+        later = -1 << u + 1
+        for d in range(1, len(su)):
+            for v in _bits(su[d] & later):
+                sv = spheres[v]
                 if strong:
-                    ok = (dist[u][w] == dist[u][v] + dist[v][w]
-                          or dist[v][w] == dist[v][u] + dist[u][w])
+                    masks.append(meet(sv, su[d:]) | meet(su, sv[d:]))
                 else:
-                    ok = dist[u][w] != dist[v][w]
-                if ok:
-                    m |= 1 << w
-            masks.append(m)
+                    masks.append(full & ~meet(su, sv))
     return masks
 
 

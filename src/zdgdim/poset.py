@@ -51,7 +51,7 @@ class FinitePoset:
     """
 
     __slots__ = ("labels", "down", "up", "bottom", "top",
-                 "_index", "_down_index", "_up_index", "_ann", "_zd")
+                 "_index", "_down_index", "_up_index", "_ann", "_zd", "_pc")
 
     def __init__(self, labels: Sequence[str], down: Sequence[int],
                  bottom: Optional[int] = None, top: Optional[int] = None,
@@ -84,6 +84,7 @@ class FinitePoset:
         self._up_index = {self.up[i]: i for i in range(n)}
         self._ann = None
         self._zd = None
+        self._pc = None
 
     # -- basics ---------------------------------------------------------
 
@@ -231,21 +232,27 @@ class FinitePoset:
                 m |= 1 << i
         return m
 
-    def _pseudocomplement_idx(self, i: int) -> int:
-        ann = self._ann_masks()[i]
-        # the pseudocomplement is the maximum of the annihilator, which in a
-        # finite poset exists iff the annihilator has a single maximal element
-        maximal = [j for j in _bits(ann) if self.up[j] & ann == 1 << j]
-        return maximal[0] if len(maximal) == 1 else -1
+    def _pseudocomplement_indices(self) -> tuple[int, ...]:
+        """The pseudocomplement of each element by index, -1 where none."""
+        if self._pc is None:
+            pcs = []
+            for ann in self._ann_masks():
+                # the pseudocomplement is the maximum of the annihilator,
+                # which in a finite poset exists iff the annihilator has a
+                # single maximal element
+                maximal = [j for j in _bits(ann) if self.up[j] & ann == 1 << j]
+                pcs.append(maximal[0] if len(maximal) == 1 else -1)
+            self._pc = tuple(pcs)
+        return self._pc
 
     def pseudocomplement(self, a: str) -> Optional[str]:
-        k = self._pseudocomplement_idx(self.index(a))
+        i = self.index(a)
+        k = self._pseudocomplement_indices()[i]
         return None if k < 0 else self.labels[k]
 
     def is_pseudocomplemented(self) -> bool:
         self._require_bottom()
-        return all(self._pseudocomplement_idx(i) >= 0
-                   for i in range(len(self.labels)))
+        return all(k >= 0 for k in self._pseudocomplement_indices())
 
     # -- structural predicates -------------------------------------------
 
@@ -306,7 +313,7 @@ class FinitePoset:
             for i in members:
                 class_of[i] = cid
 
-        pcs = [self._pseudocomplement_idx(i) for i in range(n)]
+        pcs = self._pseudocomplement_indices()
         if all(k >= 0 for k in pcs):
             for members in classes:
                 if len({pcs[i] for i in members}) != 1:

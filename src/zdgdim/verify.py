@@ -23,12 +23,12 @@ from .blowup import (BlowupSpec, boolean_lattice, build_blowup,
 from .errors import ZdgError
 from .graphs import (complete_graph_on, connected_components,
                      zero_divisor_graph)
-from .metric import (DEFAULT_BRUTE_CAP, all_pairs_distances, beta_gsr_formula,
-                     boundary, diameter, distance_by_pseudocomplement, gstar,
+from .metric import (DEFAULT_BRUTE_CAP, beta_gsr_formula, boundary, diameter,
+                     distance_balls, distance_by_pseudocomplement, gstar,
                      gstar_star, independence_number, is_strong_resolving,
                      minimum_vertex_cover, sdim_bruteforce, sdim_formula,
                      sdim_via_gsr, strong_resolving_graph)
-from .poset import FinitePoset, m_lattice
+from .poset import FinitePoset, _bits, m_lattice
 
 # the 14-element blow-up of the paper's figure 3: |Z*| = 12, sdim 8
 FIG3 = BlowupSpec(3, {0b001: 3, 0b010: 1, 0b100: 2,
@@ -128,14 +128,15 @@ def _suite_distance_lemma(seed, count) -> VerifySuiteResult:
     out = VerifySuiteResult("distance-lemma")
     for name, _, LB in corpus(seed, count):
         G = zero_divisor_graph(LB)
-        dist = all_pairs_distances(G)
         bad = 0
-        for i in range(G.n):
-            for j in range(i + 1, G.n):
-                got = distance_by_pseudocomplement(
-                    LB, G.labels[i], G.labels[j])
-                if got != dist[i][j]:
-                    bad += 1
+        # j in the sphere ball[d] & ~ball[d-1] of i lies at distance d from it
+        for i, ball in enumerate(distance_balls(G)):
+            later = -1 << i + 1
+            for d in range(1, len(ball)):
+                for j in _bits(ball[d] & ~ball[d - 1] & later):
+                    if distance_by_pseudocomplement(
+                            LB, G.labels[i], G.labels[j]) != d:
+                        bad += 1
         out.expect_equal(f"{name}: trichotomy matches BFS", 0, bad)
     return out
 

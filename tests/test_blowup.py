@@ -20,6 +20,11 @@ def test_spec_validation():
         BlowupSpec(3, {0: 2})
     with pytest.raises(InvalidSpec):
         BlowupSpec(3, {1: 0})
+    # bool is a subclass of int
+    with pytest.raises(InvalidSpec):
+        BlowupSpec(True, {})
+    with pytest.raises(InvalidSpec):
+        BlowupSpec(3, {1: True})
 
 
 def test_spec_counts(fig3_spec):

@@ -524,9 +524,21 @@ def test_overlong_numbers_are_refused_as_input(capsys, flag, value):
      "SDIM_BRUTE_CAP wants a nonnegative integer (got '-3')"),
     (["verify", "--suite", ""], None,
      "--suite names an unknown suite ''; choose from " + ", ".join(SUITES)),
+    (["sdim", "--blowup", '{"n":3,"chains":[]}'], None,
+     "malformed blow-up spec: field 'chains' must be an object (got [])"),
+    (["sdim", "--blowup", '{"n":3,"chains":null}'], None,
+     "malformed blow-up spec: field 'chains' must be an object (got None)"),
+    (["sdim", "--blowup", "{}"], None, "malformed blow-up spec: no field 'n'"),
+    # JSON true is a Python int
+    (["sdim", "--blowup", '{"n":true}'], None,
+     "blow-up spec field 'n' must be an integer"),
+    (["sdim", "--blowup", '{"n":3,"chains":{"001":true}}'], None,
+     "chain size for mask 1 must be >= 1"),
 ], ids=["vspace-missing-value", "vspace-two-values", "local-two-exponents",
         "local-empty-exponent", "brute-cap", "fields-empty", "fields-commas",
-        "chains-empty", "brute-cap-negative", "suite-empty"])
+        "chains-empty", "brute-cap-negative", "suite-empty",
+        "blowup-chains-list", "blowup-chains-null", "blowup-no-n",
+        "blowup-n-bool", "blowup-size-bool"])
 def test_parse_errors_name_their_flag(capsys, monkeypatch, argv, env, message):
     # the message names the flag or variable and its form, not the Python
     # exception that the parse raised

@@ -6,8 +6,8 @@ import pytest
 
 from zdgdim import (BlowupSpec, Disconnected, HypothesisUnmet, NotApplicable,
                     NotAZeroDivisor, SimpleGraph, TooLarge,
-                    all_pairs_distances, beta_gsr_formula, boolean_lattice,
-                    build_blowup, complete_graph_on, diameter,
+                    beta_gsr_formula, boolean_lattice,
+                    build_blowup, complete_graph_on, diameter, distance_balls,
                     distance_by_pseudocomplement, disjoint_union,
                     gstar, gstar_star, independence_number, is_resolving,
                     is_strong_resolving, labeled_equal, m_lattice,
@@ -18,7 +18,6 @@ from zdgdim import (BlowupSpec, Disconnected, HypothesisUnmet, NotApplicable,
                     twin_reduce, vertex_cover_number, zero_divisor_graph)
 from zdgdim.adapters import (DEFAULT_ELEMENT_BUDGET, LocalProductSpec,
                              comaximal_gamma2prime)
-from zdgdim.metric import distance_balls
 from zdgdim.verify import corpus
 
 
@@ -27,6 +26,23 @@ def to_nx(g: SimpleGraph) -> nx.Graph:
     out.add_nodes_from(g.labels)
     out.add_edges_from(g.edge_list())
     return out
+
+
+def nx_balls(g: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    """`distance_balls(g)` of a connected g, built from networkx distances:
+    element d of row a is the mask of the vertices within distance d."""
+    dist = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
+    return tuple(
+        tuple(sum(1 << g.index(b) for b, db in dist[a].items() if db <= d)
+              for d in range(max(dist[a].values()) + 1))
+        for a in g.labels)
+
+
+def distance(g: SimpleGraph, a: str, b: str) -> int:
+    """The index of the first ball of a that holds b."""
+    j = g.index(b)
+    return next(d for d, ball in enumerate(distance_balls(g)[g.index(a)])
+                if ball >> j & 1)
 
 
 def nx_alpha_beta(g: SimpleGraph) -> tuple[int, int]:
@@ -44,21 +60,14 @@ def cube_graph():
 def test_distances_match_networkx(cube_graph, fig3_lattice):
     for g in (cube_graph, zero_divisor_graph(fig3_lattice)):
         balls = distance_balls(g)
-        # the balls are computed once per graph and shared; the table is
-        # read off them
+        # the balls are computed once per graph and shared
         assert distance_balls(g) is balls
-        dist = all_pairs_distances(g)
-        assert all(type(row) is tuple for row in dist)
-        oracle = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
-        for i, a in enumerate(g.labels):
-            for j, b in enumerate(g.labels):
-                assert dist[i][j] == oracle[a][b]
+        assert balls == nx_balls(g)
 
 
 def test_cube_distances_frozen(cube_graph):
     g = cube_graph
-    dist = all_pairs_distances(g)
-    d = lambda a, b: dist[g.index(a)][g.index(b)]
+    d = lambda a, b: distance(g, a, b)
     assert d("(1,1,0)", "(1,0,1)") == 3
     assert d("(1,0,0)", "(1,1,0)") == 2
     assert d("(1,0,0)", "(0,1,1)") == 1
@@ -67,8 +76,7 @@ def test_cube_distances_frozen(cube_graph):
 
 def test_complete_graph_distances():
     k = complete_graph_on(["a", "b", "c", "d"])
-    dist = all_pairs_distances(k)
-    assert all(dist[i][j] == 1 for i in range(4) for j in range(4) if i != j)
+    assert distance_balls(k) == tuple((1 << i, 0b1111) for i in range(4))
     assert diameter(k) == 1
 
 
@@ -76,7 +84,7 @@ def test_disconnected_raises():
     g = disjoint_union([complete_graph_on(["a", "b"]),
                         complete_graph_on(["c", "d"])])
     with pytest.raises(Disconnected):
-        all_pairs_distances(g)
+        distance_balls(g)
 
 
 def test_distance_trichotomy_examples(fig3_lattice):
@@ -122,11 +130,10 @@ def test_brute_force_cap():
 def test_mutually_maximally_distant_cube(cube_graph):
     g = cube_graph
     # (1,0,1) is maximally distant from (0,1,0) but not conversely
-    dist = all_pairs_distances(g)
-    i, j = g.index("(1,0,1)"), g.index("(0,1,0)")
-    from zdgdim.poset import _bits
-    assert all(dist[j][w] <= dist[i][j] for w in _bits(g.adj[i]))
-    assert not all(dist[i][w] <= dist[i][j] for w in _bits(g.adj[j]))
+    a, b = "(1,0,1)", "(0,1,0)"
+    d = distance(g, a, b)
+    assert all(distance(g, w, b) <= d for w in g.neighbors(a))
+    assert not all(distance(g, a, w) <= d for w in g.neighbors(b))
     assert not mutually_maximally_distant(g, "(1,0,1)", "(0,1,0)")
     assert mutually_maximally_distant(g, "(1,1,0)", "(0,1,1)")
     assert not mutually_maximally_distant(g, "(1,1,0)", "(1,1,0)")

@@ -7,13 +7,14 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from zdgdim import (Disconnected, SimpleGraph, all_pairs_distances,
-                    connected_components, diameter,
+from zdgdim import (Disconnected, SimpleGraph, connected_components,
+                    diameter, distance_balls,
                     independence_number, is_strong_resolving,
                     max_independent_set, metric_dimension_bruteforce,
                     minimum_strong_resolving_set, sdim_bruteforce,
                     sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     vertex_cover_number)
+from zdgdim.metric import _pair_cover_masks
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -84,8 +85,8 @@ def test_sdim_bruteforce_matches_gsr_on_random_connected_graphs():
         n = rng.randint(3, 9)
         g = random_graph(rng, n, 0.5)
         try:
-            all_pairs_distances(g)
-        except Exception:
+            distance_balls(g)
+        except Disconnected:
             continue
         done += 1
         brute = sdim_bruteforce(g)
@@ -102,8 +103,8 @@ def test_metric_dimension_at_most_strong_on_random_graphs():
         n = rng.randint(3, 9)
         g = random_graph(rng, n, 0.6)
         try:
-            all_pairs_distances(g)
-        except Exception:
+            distance_balls(g)
+        except Disconnected:
             continue
         done += 1
         assert metric_dimension_bruteforce(g) <= sdim_bruteforce(g)
@@ -126,8 +127,9 @@ def test_degenerate_inputs():
 def test_twin_reduction_matches_the_plain_route_on_random_graphs():
     # the plain route, the cover number of the unreduced G_SR, is the
     # oracle; every size from 0 to 12 vertices comes up equally often.
-    # Components, distances, the diameter and the G_SR edges, by the
-    # textbook neighbour rule, are checked against networkx on each graph
+    # Components, distance balls, the diameter, the G_SR edges by the
+    # textbook neighbour rule and the resolving masks of every pair by the
+    # textbook distance rules are checked against networkx on each graph
     rng = random.Random(2016)
     reduced = 0
     for trial in range(2015):
@@ -144,8 +146,10 @@ def test_twin_reduction_matches_the_plain_route_on_random_graphs():
                 sdim_via_gsr(g)
             continue
         dist = dict(nx.all_pairs_shortest_path_length(h))
-        assert all_pairs_distances(g) == tuple(
-            tuple(dist[a][b] for b in g.labels) for a in g.labels), trial
+        assert distance_balls(g) == tuple(
+            tuple(sum(1 << g.index(b) for b in g.labels if dist[a][b] <= d)
+                  for d in range(max(dist[a].values()) + 1))
+            for a in g.labels), trial
         assert diameter(g) == max(
             (d for row in dist.values() for d in row.values()), default=0)
         # u, v are mutually maximally distant when no neighbour of either
@@ -154,6 +158,17 @@ def test_twin_reduction_matches_the_plain_route_on_random_graphs():
             (a, b) for a, b in combinations(g.labels, 2)
             if all(dist[w][b] <= dist[a][b] for w in h[a])
             and all(dist[a][w] <= dist[a][b] for w in h[b])], trial
+        # w strongly resolves u, v when one of them lies on a shortest path
+        # from the other to w, and resolves them when its distances to them
+        # differ; callers only ask whether every mask meets a set, so the
+        # masks are compared as a multiset
+        for strong in (False, True):
+            assert sorted(_pair_cover_masks(g, strong)) == sorted(
+                sum(1 << g.index(w) for w in g.labels
+                    if (dist[u][w] == dist[u][v] + dist[v][w]
+                        or dist[v][w] == dist[v][u] + dist[u][w]
+                        if strong else dist[u][w] != dist[v][w]))
+                for u, v in combinations(g.labels, 2)), (trial, strong)
         plain = vertex_cover_number(gsr)
         assert sdim_via_gsr(g) == plain, (trial, g.edge_list())
         reduced += twin_reduce(g)[1] > 0
