@@ -55,7 +55,10 @@ class BlowupSpec:
                 raise InvalidSpec(
                     f"mask {mask!r} is not a nonempty proper subset of "
                     f"{self.n} atoms")
-            if type(size) is not int or size < 1:
+            if type(size) is not int:
+                raise InvalidSpec(f"chain size for mask {mask} must be an "
+                                  f"integer (got {size!r})")
+            if size < 1:
                 raise InvalidSpec(f"chain size for mask {mask} must be >= 1")
         object.__setattr__(self, "chain_sizes", dict(self.chain_sizes))
 
@@ -85,13 +88,13 @@ class BlowupSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlowupSpec":
-        try:
-            n = data["n"]
-            raw = data.get("chains", {})
-        except KeyError:
-            raise InvalidSpec("malformed blow-up spec: no field 'n'") from None
-        except TypeError as exc:
-            raise InvalidSpec(f"malformed blow-up spec: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InvalidSpec("malformed blow-up spec: a spec is a JSON object "
+                              f"(got {data!r})")
+        if "n" not in data:
+            raise InvalidSpec("malformed blow-up spec: no field 'n'")
+        n = data["n"]
+        raw = data.get("chains", {})
         # JSON true and false are Python ints
         if type(n) is not int:
             raise InvalidSpec("blow-up spec field 'n' must be an integer")

@@ -224,45 +224,36 @@ def gstar(LB: FinitePoset) -> SimpleGraph:
 
 # -- exact independent set / vertex cover -------------------------------------
 
-def _greedy_clique_cover(adj: Sequence[int], cand: int) -> int:
-    """Number of cliques in a greedy cover of cand; upper bound for alpha."""
-    cliques: list[int] = []
-    for v in _bits(cand):
-        av = adj[v]
-        for k, members in enumerate(cliques):
-            if members & ~av == 0:
-                cliques[k] = members | 1 << v
-                break
-        else:
-            cliques.append(1 << v)
-    return len(cliques)
-
-
 def _alpha(adj: Sequence[int], cand: int) -> int:
-    """Exact max independent set size on the vertices of cand."""
+    """Exact max independent set size on the vertices of cand.
+
+    Each search node covers cand by cliques greedily: the candidates, in
+    ascending order of their degree inside cand (ties by index), each join
+    the first clique whose members are all their neighbours, or start a
+    new one.  The cover gives both the bound and the branching order, as
+    in colour-ordered branch and bound (Tomita & Seki's MCQ): the cliques
+    are searched from last to first, and with only cliques 0..k left an
+    independent set gains at most k + 1 vertices, one per clique.
+    """
     best = 0
 
     def expand(cand: int, size: int):
         nonlocal best
-        while cand:
-            if size + _greedy_clique_cover(adj, cand) <= best:
-                return
-            # pull out isolated candidates for free
-            v = -1
-            deg_v = -1
-            for u in _bits(cand):
-                d = (adj[u] & cand).bit_count()
-                if d == 0:
-                    cand &= ~(1 << u)
-                    size += 1
-                elif d > deg_v:
-                    deg_v = d
-                    v = u
-            if v < 0:
-                break
-            # branch on the highest-degree candidate: include, then exclude
-            expand(cand & ~(adj[v] | 1 << v), size + 1)
-            cand &= ~(1 << v)
+        cliques: list[int] = []
+        for v in sorted(_bits(cand), key=lambda u: (adj[u] & cand).bit_count()):
+            for k, members in enumerate(cliques):
+                if members & ~adj[v] == 0:
+                    cliques[k] = members | 1 << v
+                    break
+            else:
+                cliques.append(1 << v)
+        for k in range(len(cliques) - 1, -1, -1):
+            for v in _bits(cliques[k]):
+                if size + k + 1 <= best:
+                    return
+                # include v, then go on without it
+                expand(cand & ~(adj[v] | 1 << v), size + 1)
+                cand &= ~(1 << v)
         best = max(best, size)
 
     expand(cand, 0)

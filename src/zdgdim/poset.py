@@ -437,6 +437,9 @@ def _json_label(labels: Sequence[str], i) -> str:
 
 
 def poset_from_json(data: dict) -> FinitePoset:
+    if not isinstance(data, dict):
+        raise ValueError("malformed poset JSON: a poset is a JSON object "
+                         f"(got {data!r})")
     try:
         labels = [str(x) for x in data["labels"]]
         covers = [(_json_label(labels, i), _json_label(labels, j))

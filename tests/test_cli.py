@@ -533,12 +533,28 @@ def test_overlong_numbers_are_refused_as_input(capsys, flag, value):
     (["sdim", "--blowup", '{"n":true}'], None,
      "blow-up spec field 'n' must be an integer"),
     (["sdim", "--blowup", '{"n":3,"chains":{"001":true}}'], None,
-     "chain size for mask 1 must be >= 1"),
+     "chain size for mask 1 must be an integer (got True)"),
+    (["sdim", "--blowup", '{"n":3,"chains":{"001":2.0}}'], None,
+     "chain size for mask 1 must be an integer (got 2.0)"),
+    (["sdim", "--blowup", "[1]"], None,
+     "malformed blow-up spec: a spec is a JSON object (got [1])"),
+    (["sdim", "--blowup", "3"], None,
+     "malformed blow-up spec: a spec is a JSON object (got 3)"),
+    (["sdim", "--blowup", '"x"'], None,
+     "malformed blow-up spec: a spec is a JSON object (got 'x')"),
+    (["build", "--poset", "[1]"], None,
+     "malformed poset JSON: a poset is a JSON object (got [1])"),
+    (["build", "--poset", "3"], None,
+     "malformed poset JSON: a poset is a JSON object (got 3)"),
+    (["build", "--poset", '"x"'], None,
+     "malformed poset JSON: a poset is a JSON object (got 'x')"),
 ], ids=["vspace-missing-value", "vspace-two-values", "local-two-exponents",
         "local-empty-exponent", "brute-cap", "fields-empty", "fields-commas",
         "chains-empty", "brute-cap-negative", "suite-empty",
         "blowup-chains-list", "blowup-chains-null", "blowup-no-n",
-        "blowup-n-bool", "blowup-size-bool"])
+        "blowup-n-bool", "blowup-size-bool", "blowup-size-float",
+        "blowup-list", "blowup-number", "blowup-string", "poset-list",
+        "poset-number", "poset-string"])
 def test_parse_errors_name_their_flag(capsys, monkeypatch, argv, env, message):
     # the message names the flag or variable and its form, not the Python
     # exception that the parse raised

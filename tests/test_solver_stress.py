@@ -51,24 +51,32 @@ def to_nx(g: SimpleGraph) -> nx.Graph:
     return out
 
 
+def nx_alpha(g: SimpleGraph) -> int:
+    return nx.max_weight_clique(nx.complement(to_nx(g)), weight=None)[1]
+
+
 def test_alpha_beta_against_networkx_on_random_graphs():
+    # a random induced subgraph stands for the sub-searches on candidate
+    # subsets that max_independent_set runs
     rng = random.Random(99)
-    for trial in range(40):
-        n = rng.randint(1, 18)
-        g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.8]))
-        _, beta = nx.max_weight_clique(nx.complement(to_nx(g)), weight=None)
+    for trial in range(300):
+        n = trial % 23
+        g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+        beta = nx_alpha(g)
         assert independence_number(g) == beta, trial
         assert vertex_cover_number(g) == n - beta
         mis = max_independent_set(g)
         assert len(mis) == beta
         assert all(not g.has_edge(a, b) for a, b in combinations(mis, 2))
+        sub = g.subgraph(lab for lab in g.labels if rng.random() < 0.6)
+        assert independence_number(sub) == nx_alpha(sub), trial
 
 
 def test_max_independent_set_is_lex_least_by_enumeration():
     rng = random.Random(5)
-    for trial in range(25):
-        n = rng.randint(2, 10)
-        g = random_graph(rng, n, 0.4)
+    for trial in range(200):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.8))
         beta = independence_number(g)
         best = None
         for sub in combinations(range(n), beta):
