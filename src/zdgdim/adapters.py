@@ -24,7 +24,7 @@ from .blowup import (BlowupSpec, blowup_label, build_blowup, mask_to_binstr,
                      product_of_chains, tuple_label)
 from .errors import HypothesisUnmet, NotPrimePower, TooLarge
 from .graphs import SimpleGraph, complete_graph_on, graph_join, zero_divisor_graph
-from .poset import FinitePoset
+from .poset import FinitePoset, _down_sets
 
 DEFAULT_ELEMENT_BUDGET = 100_000
 
@@ -241,13 +241,13 @@ def ideal_lattice_dual_zn(N: int) -> FinitePoset:
         raise ValueError("ideal lattice needs N >= 2")
     check_element_budget(f"Z_{N}", N)
     divs = _divisors(N)
-    down = [0] * len(divs)
-    for i, d in enumerate(divs):
-        for j, e in enumerate(divs):
-            if d % e == 0:
-                down[i] |= 1 << j
-    return FinitePoset([str(d) for d in divs], down,
-                       bottom=0, top=len(divs) - 1, validate=False)
+    index = {d: i for i, d in enumerate(divs)}
+    primes = [p for p, _ in _prime_powers(N)]
+    # d covers d/p for each prime p dividing d
+    below = [[index[d // p] for p in primes if d % p == 0] for d in divs]
+    return FinitePoset([str(d) for d in divs],
+                       _down_sets(below, range(len(divs))),
+                       bottom=0, top=len(divs) - 1)
 
 
 def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:

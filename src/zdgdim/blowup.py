@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import (InvalidSpec, NotApplicable, NotBounded,
                      NotZeroDistributive)
-from .poset import FinitePoset
+from .poset import FinitePoset, _down_sets
 
 
 def tuple_label(values: Sequence[int]) -> str:
@@ -115,51 +116,44 @@ def boolean_lattice(n: int) -> FinitePoset:
 def product_of_chains(sizes: Sequence[int]) -> FinitePoset:
     """Direct product of chains with the given element counts.
 
-    Elements are level tuples in lexicographic order, compared coordinatewise.
+    Elements are level tuples in lexicographic order, compared coordinatewise:
+    t covers t - e_k, which lies prod(sizes[k+1:]) indices earlier.
     """
     if not sizes or any(c < 1 for c in sizes):
         raise InvalidSpec("chain sizes must be positive")
     elems = [()]
     for c in sizes:
         elems = [t + (lv,) for t in elems for lv in range(c)]
-    n = len(elems)
-    down = [0] * n
-    for i, t in enumerate(elems):
-        for j, u in enumerate(elems):
-            if all(x <= y for x, y in zip(u, t)):
-                down[i] |= 1 << j
-    return FinitePoset([tuple_label(t) for t in elems], down,
-                       bottom=0, top=n - 1, validate=False)
+    strides = [prod(sizes[k + 1:]) for k in range(len(sizes))]
+    below = [[i - s for lv, s in zip(t, strides) if lv]
+             for i, t in enumerate(elems)]
+    return FinitePoset([tuple_label(t) for t in elems],
+                       _down_sets(below, range(len(elems))),
+                       bottom=0, top=len(elems) - 1)
 
 
 def build_blowup(spec: BlowupSpec) -> FinitePoset:
     """The blow-up lattice of 2^n with the spec's chain sizes.
 
-    Element order: bottom, then masks ascending with levels ascending inside
-    each chain, then top.  Bottom and top are labeled with the all-zeros and
-    all-ones tuples, so the all-sizes-one blow-up is boolean_lattice(n)
-    exactly.
+    Every mask carries a chain, of one element for the bottom (mask 0) and
+    the top (the full mask); elements are in mask order, levels ascending
+    inside each chain, so the all-sizes-one blow-up is boolean_lattice(n)
+    exactly.  Level t > 1 covers level t - 1, and level 1 of mask m covers
+    the top of the chain of every mask one atom below m.
     """
     n = spec.n
-    chain: list[tuple[int, int]] = [(0, 0)]
-    for mask in spec.masks():
+    labels: list[str] = []
+    below: list[Sequence[int]] = []
+    chain_top = [0] * (1 << n)       # index of the top of each mask's chain
+    for mask in range(1 << n):
+        covered = [chain_top[mask ^ (1 << i)]
+                   for i in range(n) if mask >> i & 1]
         for level in range(1, spec.size_of(mask) + 1):
-            chain.append((mask, level))
-    full = (1 << n) - 1
-    chain.append((full, 1))
-    labels = [blowup_label(m, t, n) if 0 < m < full
-              else tuple_label([1 if m else 0] * n)
-              for m, t in chain]
-    size = len(chain)
-    down = [0] * size
-    for i, (mi, ti) in enumerate(chain):
-        for j, (mj, tj) in enumerate(chain):
-            # (mj, tj) <= (mi, ti): equal mask and lower level, or strictly
-            # contained mask; bottom/top masks 0 and full are covered by the
-            # same rule
-            if (mj == mi and tj <= ti) or (mj != mi and mj & ~mi == 0):
-                down[i] |= 1 << j
-    return FinitePoset(labels, down, bottom=0, top=size - 1, validate=False)
+            below.append(covered if level == 1 else (len(below) - 1,))
+            labels.append(blowup_label(mask, level, n))
+        chain_top[mask] = len(below) - 1
+    return FinitePoset(labels, _down_sets(below, range(len(below))),
+                       bottom=0, top=len(below) - 1)
 
 
 def canonical_blowup_of(P: FinitePoset) -> tuple[BlowupSpec, dict[str, str]]:

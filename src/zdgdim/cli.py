@@ -40,9 +40,10 @@ from .verify import SUITES, brute_cap
 class ResolvedInput:
     name: str
     graph: SimpleGraph
+    # the closed form, which may raise HypothesisUnmet; a thunk, so that
+    # only the commands that print it pay for it
+    formula: Callable[[], int]
     poset: FinitePoset | None = None
-    formula_value: int | None = None
-    formula_note: str = ""
     application: adapters.Application | None = None
 
 
@@ -153,8 +154,11 @@ def resolve_input(args) -> ResolvedInput:
     if args.mn is not None:
         check_element_budget(f"M_{args.mn}", args.mn + 2)
         P = m_lattice(args.mn)
+
+        def no_closed_form() -> int:
+            raise HypothesisUnmet("no closed form for M_n")
         return ResolvedInput(name=f"M_{args.mn}", graph=zero_divisor_graph(P),
-                             poset=P, formula_note="no closed form for M_n")
+                             formula=no_closed_form, poset=P)
     if args.fields is not None:
         name = f"reduced ring fields {args.fields}"
         app = adapters.reduced_ring(_parse_int_list(args.fields, "--fields"))
@@ -168,9 +172,8 @@ def resolve_input(args) -> ResolvedInput:
         n, q = _parse_vspace(args.vspace)
         name = f"component union graph n={n} q={q}"
         app = adapters.component_union(n, q)
-    value, note = _closed_form(app.formula)
-    return ResolvedInput(name=name, graph=app.graph, formula_value=value,
-                         formula_note=note, application=app)
+    return ResolvedInput(name=name, graph=app.graph, formula=app.formula,
+                         application=app)
 
 
 def _closed_form(formula: Callable[[], int]) -> tuple[int | None, str]:
@@ -183,18 +186,17 @@ def _closed_form(formula: Callable[[], int]) -> tuple[int | None, str]:
 
 def _lattice_input(name: str, P: FinitePoset,
                    spec: BlowupSpec | None = None) -> ResolvedInput:
-    value, note = None, "not a bounded 0-distributive lattice: " \
-        "formula inapplicable"
-    try:
-        if spec is None:
-            spec, _ = canonical_blowup_of(P)
-        value, note = _closed_form(lambda: sdim_formula(spec))
-    except NotApplicable as exc:
-        note = f"{exc}: formula inapplicable"
-    except ZdgError:
-        pass
-    return ResolvedInput(name=name, graph=zero_divisor_graph(P), poset=P,
-                         formula_value=value, formula_note=note)
+    def formula() -> int:
+        try:
+            blowup = spec if spec is not None else canonical_blowup_of(P)[0]
+        except NotApplicable as exc:
+            raise HypothesisUnmet(f"{exc}: formula inapplicable") from None
+        except ZdgError:
+            raise HypothesisUnmet("not a bounded 0-distributive lattice: "
+                                  "formula inapplicable") from None
+        return sdim_formula(blowup)
+    return ResolvedInput(name=name, graph=zero_divisor_graph(P),
+                         formula=formula, poset=P)
 
 
 # -- output helpers -----------------------------------------------------------
@@ -284,11 +286,12 @@ def cmd_sdim(args) -> int:
     values = []
     for method in methods:
         if method == "formula":
-            if res.formula_value is None:
-                rows.append(("formula", res.formula_note, "-"))
+            value, note = _closed_form(res.formula)
+            if value is None:
+                rows.append(("formula", note, "-"))
             else:
-                rows.append(("formula", str(res.formula_value), "-"))
-                values.append(res.formula_value)
+                rows.append(("formula", str(value), "-"))
+                values.append(value)
         elif method == "gsr":
             value = sdim_via_gsr(res.graph)
             rows.append(("gsr", str(value), f"cover size {value}"))
@@ -324,20 +327,21 @@ def cmd_sdim(args) -> int:
 
 def cmd_adapter(args) -> int:
     res = resolve_input(args)
+    formula_value, _ = _closed_form(res.formula)
     g = res.graph
     print(f"{res.name}: {g.n} vertices, {g.edge_count()} edges")
     gsr_value = sdim_via_gsr(g)
     print(f"sdim via gsr: {gsr_value}")
-    if res.formula_value is not None:
-        tag = "agrees" if res.formula_value == gsr_value else "DISAGREES"
-        print(f"closed form: {res.formula_value} ({tag})")
+    if formula_value is not None:
+        tag = "agrees" if formula_value == gsr_value else "DISAGREES"
+        print(f"closed form: {formula_value} ({tag})")
     ok = True
     if res.application is not None:
         ok = res.application.matches_prediction()
         print(f"matches {res.application.prediction}: {ok}")
     _emit(g, args.out)
-    if args.check and (not ok or (res.formula_value is not None
-                                  and res.formula_value != gsr_value)):
+    if args.check and (not ok or (formula_value is not None
+                                  and formula_value != gsr_value)):
         return 2
     return 0
 

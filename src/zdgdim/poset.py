@@ -47,34 +47,24 @@ class FinitePoset:
     """Immutable finite poset, optionally bounded.
 
     down[i] is the bitmask of {j : j <= i}; up[i] the bitmask of {j : i <= j}.
-    All label-returning operations sort by element index.
+    All label-returning operations sort by element index.  The constructor
+    takes its labels, down masks and bounds as given; from_cover_relations
+    is the checked entry for outside data.
     """
 
     __slots__ = ("labels", "down", "up", "bottom", "top",
                  "_index", "_down_index", "_up_index", "_ann", "_zd", "_pc")
 
     def __init__(self, labels: Sequence[str], down: Sequence[int],
-                 bottom: Optional[int] = None, top: Optional[int] = None,
-                 validate: bool = True):
+                 bottom: Optional[int] = None, top: Optional[int] = None):
         self.labels = tuple(str(x) for x in labels)
         n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("element labels must be unique")
-        if len(down) != n:
-            raise ValueError("down mask count does not match label count")
         self.down = tuple(down)
         up = [0] * n
         for i in range(n):
             for j in _bits(self.down[i]):
                 up[j] |= 1 << i
         self.up = tuple(up)
-        if validate:
-            self._check_order_axioms()
-        full = (1 << n) - 1
-        if bottom is not None and self.up[bottom] != full:
-            raise NotBounded(f"{self.labels[bottom]!r} is not a least element")
-        if top is not None and self.down[top] != full:
-            raise NotBounded(f"{self.labels[top]!r} is not a greatest element")
         self.bottom = bottom
         self.top = top
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -103,17 +93,6 @@ class FinitePoset:
     def __repr__(self) -> str:
         return f"FinitePoset({len(self)} elements)"
 
-    def _check_order_axioms(self):
-        n = len(self.labels)
-        for i in range(n):
-            if not self.down[i] >> i & 1:
-                raise ValueError("order is not reflexive")
-            for j in _bits(self.down[i]):
-                if j != i and self.down[j] >> i & 1:
-                    raise ValueError("order is not antisymmetric")
-                if self.down[j] & ~self.down[i]:
-                    raise ValueError("order is not transitive")
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]
@@ -128,13 +107,9 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[str, str]]:
         """Cover pairs (a, b) with b covering a, in index order."""
-        out = []
-        n = len(self.labels)
-        for b in range(n):
-            for a in _bits(self.down[b]):
-                if a != b and self.up[a] & self.down[b] == (1 << a) | (1 << b):
-                    out.append((self.labels[a], self.labels[b]))
-        return out
+        return [(self.labels[a], self.labels[b])
+                for b in range(len(self.labels)) for a in _bits(self.down[b])
+                if a != b and self.up[a] & self.down[b] == (1 << a) | (1 << b)]
 
     # -- cones, meets, joins ---------------------------------------------
 
@@ -275,7 +250,7 @@ class FinitePoset:
 
     def dual(self) -> "FinitePoset":
         return FinitePoset(self.labels, self.up, bottom=self.top,
-                           top=self.bottom, validate=False)
+                           top=self.bottom)
 
     def is_boolean(self) -> bool:
         """Bounded + distributive + complemented.
@@ -358,6 +333,20 @@ class FinitePoset:
 
 # -- constructors ----------------------------------------------------------
 
+def _down_sets(below: Sequence[Sequence[int]],
+               order: Iterable[int]) -> list[int]:
+    """Down-set masks of the reflexive-transitive closure of a cover
+    relation, where below[j] lists the indices that j covers and order
+    visits each index after everything below it."""
+    down = [0] * len(below)
+    for j in order:
+        m = 1 << j
+        for i in below[j]:
+            m |= down[i]
+        down[j] = m
+    return down
+
+
 def from_cover_relations(labels: Sequence[str],
                          covers: Iterable[tuple[str, str]],
                          bottom: str, top: str) -> FinitePoset:
@@ -386,7 +375,8 @@ def from_cover_relations(labels: Sequence[str],
         below[j].append(i)
         outdeg[i] += 1
 
-    # Kahn's algorithm: a topological order with covered elements first
+    # Kahn's algorithm from the maximal elements: each element comes after
+    # every element that covers it
     pending = outdeg[:]
     order = [i for i in range(n) if pending[i] == 0]
     head = 0
@@ -400,14 +390,13 @@ def from_cover_relations(labels: Sequence[str],
     if len(order) != n:
         raise CycleDetected("cover relation contains a cycle")
 
-    # down sets accumulate along reversed topological order
-    down = [0] * n
-    for j in reversed(order):
-        m = 1 << j
-        for i in below[j]:
-            m |= down[i]
-        down[j] = m
-    return FinitePoset(labels, down, bottom=index[bottom], top=index[top])
+    down = _down_sets(below, reversed(order))
+    b, t = index[bottom], index[top]
+    if not all(d >> b & 1 for d in down):
+        raise NotBounded(f"{bottom!r} is not a least element")
+    if down[t] != (1 << n) - 1:
+        raise NotBounded(f"{top!r} is not a greatest element")
+    return FinitePoset(labels, down, bottom=b, top=t)
 
 
 def m_lattice(n: int) -> FinitePoset:
@@ -437,15 +426,26 @@ def _json_label(labels: Sequence[str], i) -> str:
 
 
 def poset_from_json(data: dict) -> FinitePoset:
+    def malformed(why: str) -> ValueError:
+        return ValueError(f"malformed poset JSON: {why}")
+
     if not isinstance(data, dict):
-        raise ValueError("malformed poset JSON: a poset is a JSON object "
-                         f"(got {data!r})")
+        raise malformed(f"a poset is a JSON object (got {data!r})")
+    for key in ("labels", "covers", "bottom", "top"):
+        if key not in data:
+            raise malformed(f"no field {key!r}")
+        if key in ("labels", "covers") and not isinstance(data[key], list):
+            raise malformed(
+                f"field {key!r} must be a list (got {data[key]!r})")
+    for pair in data["covers"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise malformed(f"a cover is a pair of indices (got {pair!r})")
+    labels = [str(x) for x in data["labels"]]
     try:
-        labels = [str(x) for x in data["labels"]]
         covers = [(_json_label(labels, i), _json_label(labels, j))
                   for i, j in data["covers"]]
         bottom = _json_label(labels, data["bottom"])
         top = _json_label(labels, data["top"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed poset JSON: {exc}") from exc
+    except IndexError as exc:
+        raise malformed(str(exc)) from exc
     return from_cover_relations(labels, covers, bottom, top)

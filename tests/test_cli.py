@@ -548,13 +548,32 @@ def test_overlong_numbers_are_refused_as_input(capsys, flag, value):
      "malformed poset JSON: a poset is a JSON object (got 3)"),
     (["build", "--poset", '"x"'], None,
      "malformed poset JSON: a poset is a JSON object (got 'x')"),
+    (["build", "--poset", '{"labels":["a","b"]}'], None,
+     "malformed poset JSON: no field 'covers'"),
+    (["build", "--poset", '{"labels":["a","b"],"covers":[[0,1]],"top":1}'],
+     None, "malformed poset JSON: no field 'bottom'"),
+    # a string would be split into one label per character
+    (["build", "--poset",
+      '{"labels":"abc","covers":[[0,1],[1,2]],"bottom":0,"top":2}'], None,
+     "malformed poset JSON: field 'labels' must be a list (got 'abc')"),
+    (["build", "--poset",
+      '{"labels":["a","b"],"covers":{"0":1},"bottom":0,"top":1}'], None,
+     "malformed poset JSON: field 'covers' must be a list (got {'0': 1})"),
+    (["build", "--poset",
+      '{"labels":["a","b"],"covers":[[0]],"bottom":0,"top":1}'], None,
+     "malformed poset JSON: a cover is a pair of indices (got [0])"),
+    (["build", "--poset",
+      '{"labels":["a","b"],"covers":[1],"bottom":0,"top":1}'], None,
+     "malformed poset JSON: a cover is a pair of indices (got 1)"),
 ], ids=["vspace-missing-value", "vspace-two-values", "local-two-exponents",
         "local-empty-exponent", "brute-cap", "fields-empty", "fields-commas",
         "chains-empty", "brute-cap-negative", "suite-empty",
         "blowup-chains-list", "blowup-chains-null", "blowup-no-n",
         "blowup-n-bool", "blowup-size-bool", "blowup-size-float",
         "blowup-list", "blowup-number", "blowup-string", "poset-list",
-        "poset-number", "poset-string"])
+        "poset-number", "poset-string", "poset-no-covers", "poset-no-bottom",
+        "poset-labels-string", "poset-covers-object", "poset-cover-single",
+        "poset-cover-number"])
 def test_parse_errors_name_their_flag(capsys, monkeypatch, argv, env, message):
     # the message names the flag or variable and its form, not the Python
     # exception that the parse raised

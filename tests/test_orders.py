@@ -1,0 +1,124 @@
+"""Every lattice builder against the rule that defines its order.
+
+The builders take their down-sets from the closure of a cover relation.
+Here each order is stated directly, as a rule on pairs of elements, and
+its down-sets are compared with the builder's; the closure itself is
+checked against the order axioms and a plain transitive closure.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from zdgdim import (BlowupSpec, boolean_lattice, build_blowup,
+                    from_cover_relations, product_of_chains)
+from zdgdim.adapters import ideal_lattice_dual_zn
+from zdgdim.poset import _bits
+from zdgdim.verify import corpus
+
+
+def rule_down(elems, leq):
+    """down[i] = the mask of {j : elems[j] <= elems[i]} under leq."""
+    return tuple(sum(1 << j for j, u in enumerate(elems) if leq(u, t))
+                 for t in elems)
+
+
+def check_order_axioms(P):
+    n = len(P)
+    for i in range(n):
+        assert P.down[i] >> i & 1, "order is not reflexive"
+        for j in _bits(P.down[i]):
+            assert j == i or not P.down[j] >> i & 1, \
+                "order is not antisymmetric"
+            assert not P.down[j] & ~P.down[i], "order is not transitive"
+        assert P.up[i] == sum(1 << k for k in range(n) if P.down[k] >> i & 1)
+
+
+def blowup_elements(spec):
+    """(mask, level) pairs in the builder's element order."""
+    full = (1 << spec.n) - 1
+    return ([(0, 0)]
+            + [(m, t) for m in range(1, full)
+               for t in range(1, spec.size_of(m) + 1)]
+            + [(full, 1)])
+
+
+def blowup_leq(a, b):
+    # equal mask and lower level, or a strictly contained mask; the masks 0
+    # and full of the bottom and top fall under the same rule
+    (ma, ta), (mb, tb) = a, b
+    return (ma == mb and ta <= tb) or (ma != mb and ma & ~mb == 0)
+
+
+def assert_blowup_order(spec, P):
+    assert P.down == rule_down(blowup_elements(spec), blowup_leq)
+    assert (P.bottom, P.top) == (0, len(P) - 1)
+
+
+def test_blowups_match_their_order_rule_on_the_corpus():
+    for _, spec, LB in corpus(0, 300):
+        assert_blowup_order(spec, LB)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_boolean_lattices_match_their_order_rule(n):
+    assert_blowup_order(BlowupSpec(n, {}), boolean_lattice(n))
+
+
+def test_the_400_400_blowup_matches_its_order_rule():
+    spec = BlowupSpec(3, {1: 400, 6: 400})
+    assert_blowup_order(spec, build_blowup(spec))
+
+
+def test_chain_products_match_the_coordinatewise_order():
+    for k in range(1, 5):
+        for sizes in product([1, 2, 3], repeat=k):
+            elems = list(product(*(range(c) for c in sizes)))
+            P = product_of_chains(list(sizes))
+            assert P.down == rule_down(
+                elems, lambda u, t: all(x <= y for x, y in zip(u, t))), sizes
+            assert (P.bottom, P.top) == (0, len(elems) - 1)
+
+
+@pytest.mark.parametrize("N", [2, 4, 12, 60, 210, 720, 2310, 30030])
+def test_dual_ideal_lattice_matches_divisibility(N):
+    divs = [d for d in range(1, N + 1) if N % d == 0]
+    P = ideal_lattice_dual_zn(N)
+    assert P.labels == tuple(str(d) for d in divs)
+    assert P.down == rule_down(divs, lambda e, d: d % e == 0)
+    assert (P.bottom, P.top) == (0, len(divs) - 1)
+
+
+def test_cover_closure_is_the_transitive_closure_of_any_acyclic_relation():
+    # random acyclic relations on shuffled labels, with repeated pairs and
+    # transitive (non-Hasse) pairs, bounded by a bottom and a top that are
+    # linked to every element
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        rank = list(range(n))
+        rng.shuffle(rank)      # a pair (a, b) is added only if a ranks lower
+        pairs = [(a, b) for a in range(n) for b in range(n)
+                 if rank[a] < rank[b] and rng.random() < 0.3]
+        pairs += rng.choices(pairs, k=len(pairs) // 3)
+        pairs += [("bot", x) for x in range(n)]
+        pairs += [(x, "top") for x in range(n)]
+        pairs.append(("bot", "top"))
+        rng.shuffle(pairs)
+        labels = ["bot", *range(n), "top"]
+        rng.shuffle(labels)
+        P = from_cover_relations(labels, [(str(a), str(b)) for a, b in pairs],
+                                 "bot", "top")
+        check_order_axioms(P)
+        # the least reflexive and transitive relation holding every pair
+        idx = {str(lab): i for i, lab in enumerate(labels)}
+        reach = [1 << i for i in range(len(labels))]
+        for a, b in pairs:
+            reach[idx[str(b)]] |= 1 << idx[str(a)]
+        for k in range(len(labels)):
+            for i in range(len(labels)):
+                if reach[i] >> k & 1:
+                    reach[i] |= reach[k]
+        assert P.down == tuple(reach)
+        assert (P.bottom, P.top) == (idx["bot"], idx["top"])
