@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .blowup import tuple_label
 from .errors import LabelCollision, NotBounded, UnknownElement
-from .poset import FinitePoset, _bits, _json_label
+from .poset import FinitePoset, _bits, _read_json
 
 
 class SimpleGraph:
@@ -205,13 +205,8 @@ def dot_text(name: str, labels: Iterable[str],
 
 
 def graph_from_json(data: dict) -> SimpleGraph:
-    try:
-        labels = [str(x) for x in data["labels"]]
-        edges = [(_json_label(labels, i), _json_label(labels, j))
-                 for i, j in data["edges"]]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed graph JSON: {exc}") from exc
-    return SimpleGraph.from_edges(labels, edges)
+    return SimpleGraph.from_edges(
+        *_read_json(data, "graph", "edges", "an edge"))
 
 
 def labeled_equal(g: SimpleGraph, h: SimpleGraph) -> bool:

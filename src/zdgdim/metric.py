@@ -224,7 +224,8 @@ def gstar(LB: FinitePoset) -> SimpleGraph:
 
 # -- exact independent set / vertex cover -------------------------------------
 
-def _alpha(adj: Sequence[int], cand: int) -> int:
+def _alpha(adj: Sequence[int], cand: int,
+           gens: Sequence[Sequence[int]] = ()) -> int:
     """Exact max independent set size on the vertices of cand.
 
     Each search node covers cand by cliques greedily: the candidates, in
@@ -234,10 +235,31 @@ def _alpha(adj: Sequence[int], cand: int) -> int:
     in colour-ordered branch and bound (Tomita & Seki's MCQ): the cliques
     are searched from last to first, and with only cliques 0..k left an
     independent set gains at most k + 1 vertices, one per clique.
+
+    gens are automorphisms of the graph, each a list mapping every vertex
+    to its image, under which cand is invariant.  They make the search
+    orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, 2011): at
+    each node the group they generate fixes every vertex included so far
+    and maps the node's candidates onto themselves, so an independent set
+    through any vertex of v's orbit is the image of one through v.  After
+    the include branch of v, the exclude branch drops v's whole orbit,
+    and the include branch keeps only the generators that fix v.  With
+    no gens every orbit is a single vertex and the search is the plain one.
     """
     best = 0
 
-    def expand(cand: int, size: int):
+    def orbit(v: int, gens) -> int:
+        seen = 1 << v
+        todo = [v]
+        for u in todo:
+            for g in gens:
+                w = g[u]
+                if not seen >> w & 1:
+                    seen |= 1 << w
+                    todo.append(w)
+        return seen
+
+    def expand(cand: int, size: int, gens):
         nonlocal best
         cliques: list[int] = []
         for v in sorted(_bits(cand), key=lambda u: (adj[u] & cand).bit_count()):
@@ -249,24 +271,35 @@ def _alpha(adj: Sequence[int], cand: int) -> int:
                 cliques.append(1 << v)
         for k in range(len(cliques) - 1, -1, -1):
             for v in _bits(cliques[k]):
+                if not cand >> v & 1:
+                    continue    # dropped with an earlier vertex's orbit
                 if size + k + 1 <= best:
                     return
-                # include v, then go on without it
-                expand(cand & ~(adj[v] | 1 << v), size + 1)
-                cand &= ~(1 << v)
+                # include v, then go on without v's orbit
+                if gens:
+                    expand(cand & ~(adj[v] | 1 << v), size + 1,
+                           [g for g in gens if g[v] == v])
+                    cand &= ~orbit(v, gens)
+                else:
+                    expand(cand & ~(adj[v] | 1 << v), size + 1, gens)
+                    cand &= ~(1 << v)
         best = max(best, size)
 
-    expand(cand, 0)
+    expand(cand, 0, gens)
     return best
 
 
-def independence_number(G: SimpleGraph) -> int:
-    return _alpha(G.adj, (1 << G.n) - 1)
+def independence_number(G: SimpleGraph,
+                        gens: Sequence[Sequence[int]] = ()) -> int:
+    """The largest independent set size; gens are automorphisms of G for
+    the solver's orbital branching (see `_alpha`)."""
+    return _alpha(G.adj, (1 << G.n) - 1, gens)
 
 
-def vertex_cover_number(G: SimpleGraph) -> int:
+def vertex_cover_number(G: SimpleGraph,
+                        gens: Sequence[Sequence[int]] = ()) -> int:
     """alpha(G) = |V| - beta(G), via the exact independent-set solver."""
-    return G.n - independence_number(G)
+    return G.n - independence_number(G, gens)
 
 
 def max_independent_set(G: SimpleGraph) -> list[str]:
@@ -328,6 +361,90 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     return SimpleGraph.from_rows(labels, G.adj), dropped
 
 
+def _tuple_parts(labels: Sequence[str]) -> list[list[str]] | None:
+    """The coordinates of every label, when all are tuple labels
+    "(x1,...,xk)" of one length k; else None."""
+    if not all(lab[:1] == "(" and lab[-1:] == ")" for lab in labels):
+        return None
+    parts = [lab[1:-1].split(",") for lab in labels]
+    if len({len(p) for p in parts}) > 1:
+        return None
+    return parts
+
+
+def _swap_perm(index: dict[str, int], parts: Sequence[list[str]],
+               i: int, j: int) -> list[int] | None:
+    """The vertex map that swaps coordinates i and j in every label, or
+    None when some swapped label is not a vertex.  The swap is one-to-one
+    on labels, so a map into the vertices is a permutation of them."""
+    perm = []
+    for p in parts:
+        q = p.copy()
+        q[i], q[j] = q[j], q[i]
+        w = index.get("(" + ",".join(q) + ")")
+        if w is None:
+            return None
+        perm.append(w)
+    return perm
+
+
+def _is_automorphism(nbrs: Sequence[list[int]], adj: Sequence[int],
+                     perm: Sequence[int]) -> bool:
+    """Every row, mapped through the permutation perm, is the row of its
+    image; nbrs[v] lists the bits of adj[v].  O(|E|)."""
+    bit = [1 << w for w in perm]
+    return all(sum(map(bit.__getitem__, nbrs[v])) == adj[w]
+               for v, w in enumerate(perm))
+
+
+def _coordinate_swaps(G: SimpleGraph) -> list[tuple[int, int]]:
+    """The coordinate pairs (i, j) whose swap in every tuple label is an
+    automorphism of G; none unless the labels are tuples of one length.
+
+    Pairs are taken in order.  A swap is checked against G's rows only
+    when i and j are not yet joined by checked swaps; when they are, the
+    swap is a product of those and needs no check.  So a spanning set of
+    the swaps is checked, 8 of the 36 on 2^9, and every swap is listed.
+    """
+    parts = _tuple_parts(G.labels)
+    if not parts:
+        return []
+    comp = list(range(len(parts[0])))   # coordinates joined by checked swaps
+    nbrs = None
+    swaps = []
+    for i, j in combinations(range(len(comp)), 2):
+        if comp[i] != comp[j]:
+            perm = _swap_perm(G._index, parts, i, j)
+            if perm is None:
+                continue
+            if nbrs is None:
+                nbrs = [list(_bits(row)) for row in G.adj]
+            if not _is_automorphism(nbrs, G.adj, perm):
+                continue
+            old = comp[j]
+            comp = [comp[i] if c == old else c for c in comp]
+        swaps.append((i, j))
+    return swaps
+
+
+def _swap_generators(G: SimpleGraph, H: SimpleGraph) -> list[list[int]]:
+    """The coordinate swaps that `_coordinate_swaps` verifies on G, as
+    permutations of H's vertices.  H's labels are G's labels of a vertex
+    set that every automorphism of G maps onto itself, such as G_SR's; a
+    swapped label outside H raises."""
+    gens = []
+    swaps = _coordinate_swaps(G)
+    if swaps:
+        parts = _tuple_parts(H.labels)
+        for i, j in swaps:
+            perm = _swap_perm(H._index, parts, i, j)
+            if perm is None:
+                raise AssertionError(f"the swap of coordinates {i} and {j} "
+                                     "does not map the vertex set onto itself")
+            gens.append(perm)
+    return gens
+
+
 def sdim_via_gsr(G: SimpleGraph) -> int:
     """sdim(G) = vertex cover number of the strong resolving graph.
 
@@ -338,9 +455,17 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
     its partner stays keeps every distance and every mutually maximally
     distant pair among the rest, the two survivors stay such a pair, and
     a disconnected G stays disconnected.
+
+    The solver branches on orbits (see `_alpha`) of the coordinate swaps
+    that `_coordinate_swaps` verifies on the reduced graph's rows; no
+    theorem about the input is trusted.  An automorphism keeps distances
+    and mutually maximally distant pairs, so it maps G_SR onto itself.
+    Labels that are not tuples of one length, or with no swap that is an
+    automorphism, leave the plain search.
     """
     reduced, dropped = twin_reduce(G)
-    return vertex_cover_number(strong_resolving_graph(reduced)) + dropped
+    gsr = strong_resolving_graph(reduced)
+    return vertex_cover_number(gsr, _swap_generators(reduced, gsr)) + dropped
 
 
 def sdim_formula(spec: BlowupSpec) -> int:

@@ -154,16 +154,24 @@ class FinitePoset:
         return self.bottom
 
     def _ann_masks(self) -> tuple[int, ...]:
+        """ann(x) = the complement of the union of up(a) over the atoms
+        a <= x.  In a finite poset every nonzero common lower bound of x
+        and y lies above an atom, so x and y meet only in 0 iff no atom
+        lies below both.  One union per distinct set of atoms below."""
         if self._ann is None:
-            zero = 1 << self._require_bottom()
-            n = len(self.labels)
+            self._require_bottom()
+            atoms = self._atoms_mask()
+            full = (1 << len(self.labels)) - 1
+            by_atoms: dict[int, int] = {}
             ann = []
-            for i in range(n):
-                di = self.down[i]
-                m = 0
-                for j in range(n):
-                    if di & self.down[j] == zero:
-                        m |= 1 << j
+            for d in self.down:
+                key = d & atoms
+                m = by_atoms.get(key)
+                if m is None:
+                    m = full
+                    for a in _bits(key):
+                        m &= ~self.up[a]
+                    by_atoms[key] = m
                 ann.append(m)
             self._ann = tuple(ann)
         return self._ann
@@ -416,36 +424,46 @@ def poset_to_json(P: FinitePoset) -> dict:
             "bottom": P.bottom, "top": P.top}
 
 
-def _json_label(labels: Sequence[str], i) -> str:
+def _malformed(kind: str, why: str) -> ValueError:
+    return ValueError(f"malformed {kind} JSON: {why}")
+
+
+def _json_label(labels: Sequence[str], i, kind: str) -> str:
     """labels[i] for an index read from JSON, which must be an int (not a
     bool) in range(len(labels)): Python would read -1 as the last label."""
     if type(i) is not int or not 0 <= i < len(labels):
-        raise IndexError(
-            f"index {i!r} is not an int in range({len(labels)})")
+        raise _malformed(
+            kind, f"index {i!r} is not an int in range({len(labels)})")
     return labels[i]
 
 
-def poset_from_json(data: dict) -> FinitePoset:
-    def malformed(why: str) -> ValueError:
-        return ValueError(f"malformed poset JSON: {why}")
-
+def _read_json(data, kind: str, pairs: str, pair_noun: str,
+               scalars: Sequence[str] = ()) -> tuple[list[str], list]:
+    """The labels and the label pairs of the JSON form of a poset or a
+    graph.  Raises `_malformed` for the first defect: data is not an
+    object, one of "labels", pairs and the scalars fields is missing,
+    "labels" or pairs is not a list, a member of pairs is not a pair, or
+    an index is out of range."""
     if not isinstance(data, dict):
-        raise malformed(f"a poset is a JSON object (got {data!r})")
-    for key in ("labels", "covers", "bottom", "top"):
+        raise _malformed(kind, f"a {kind} is a JSON object (got {data!r})")
+    for key in ("labels", pairs, *scalars):
         if key not in data:
-            raise malformed(f"no field {key!r}")
-        if key in ("labels", "covers") and not isinstance(data[key], list):
-            raise malformed(
-                f"field {key!r} must be a list (got {data[key]!r})")
-    for pair in data["covers"]:
+            raise _malformed(kind, f"no field {key!r}")
+        if key in ("labels", pairs) and not isinstance(data[key], list):
+            raise _malformed(
+                kind, f"field {key!r} must be a list (got {data[key]!r})")
+    for pair in data[pairs]:
         if not isinstance(pair, list) or len(pair) != 2:
-            raise malformed(f"a cover is a pair of indices (got {pair!r})")
+            raise _malformed(
+                kind, f"{pair_noun} is a pair of indices (got {pair!r})")
     labels = [str(x) for x in data["labels"]]
-    try:
-        covers = [(_json_label(labels, i), _json_label(labels, j))
-                  for i, j in data["covers"]]
-        bottom = _json_label(labels, data["bottom"])
-        top = _json_label(labels, data["top"])
-    except IndexError as exc:
-        raise malformed(str(exc)) from exc
-    return from_cover_relations(labels, covers, bottom, top)
+    return labels, [tuple(_json_label(labels, i, kind) for i in pair)
+                    for pair in data[pairs]]
+
+
+def poset_from_json(data: dict) -> FinitePoset:
+    labels, covers = _read_json(data, "poset", "covers", "a cover",
+                                ("bottom", "top"))
+    return from_cover_relations(labels, covers,
+                                _json_label(labels, data["bottom"], "poset"),
+                                _json_label(labels, data["top"], "poset"))

@@ -183,6 +183,25 @@ def test_graph_json_indices_must_be_in_range(edge):
         graph_from_json({"labels": ["a", "b", "c"], "edges": [edge]})
 
 
+def test_graph_json_names_a_missing_field():
+    with pytest.raises(ValueError,
+                       match="^malformed graph JSON: no field 'edges'$"):
+        graph_from_json({"labels": ["a", "b"]})
+
+
+def test_graph_json_labels_must_be_a_list():
+    # a string would otherwise be split into one label per character
+    with pytest.raises(ValueError, match=r"^malformed graph JSON: field "
+                       r"'labels' must be a list \(got 'ab'\)$"):
+        graph_from_json({"labels": "ab", "edges": [[0, 1]]})
+
+
+def test_graph_json_edge_must_be_a_pair():
+    with pytest.raises(ValueError, match=r"^malformed graph JSON: an edge "
+                       r"is a pair of indices \(got \[0\]\)$"):
+        graph_from_json({"labels": ["a", "b"], "edges": [[0]]})
+
+
 def _reference(labels, edges):
     """(labels, rows) by the label-string definition: the labels sorted,
     each edge a frozenset of two labels looked up by name."""

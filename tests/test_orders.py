@@ -3,7 +3,9 @@
 The builders take their down-sets from the closure of a cover relation.
 Here each order is stated directly, as a rule on pairs of elements, and
 its down-sets are compared with the builder's; the closure itself is
-checked against the order axioms and a plain transitive closure.
+checked against the order axioms and a plain transitive closure.  The
+annihilators, which the package reads off the atoms, are checked against
+their definition, pair by pair.
 """
 
 import random
@@ -12,7 +14,7 @@ from itertools import product
 import pytest
 
 from zdgdim import (BlowupSpec, boolean_lattice, build_blowup,
-                    from_cover_relations, product_of_chains)
+                    from_cover_relations, m_lattice, product_of_chains)
 from zdgdim.adapters import ideal_lattice_dual_zn
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
@@ -90,26 +92,35 @@ def test_dual_ideal_lattice_matches_divisibility(N):
     assert (P.bottom, P.top) == (0, len(divs) - 1)
 
 
+def random_bounded_relation(rng):
+    """Labels and pairs of a random acyclic relation on shuffled labels,
+    with repeated pairs and transitive (non-Hasse) pairs, bounded by a
+    bottom and a top that are linked to every element."""
+    n = rng.randint(0, 12)
+    rank = list(range(n))
+    rng.shuffle(rank)      # a pair (a, b) is added only if a ranks lower
+    pairs = [(a, b) for a in range(n) for b in range(n)
+             if rank[a] < rank[b] and rng.random() < 0.3]
+    pairs += rng.choices(pairs, k=len(pairs) // 3)
+    pairs += [("bot", x) for x in range(n)]
+    pairs += [(x, "top") for x in range(n)]
+    pairs.append(("bot", "top"))
+    rng.shuffle(pairs)
+    labels = ["bot", *range(n), "top"]
+    rng.shuffle(labels)
+    return labels, pairs
+
+
+def bounded_poset(labels, pairs):
+    return from_cover_relations(labels, [(str(a), str(b)) for a, b in pairs],
+                                "bot", "top")
+
+
 def test_cover_closure_is_the_transitive_closure_of_any_acyclic_relation():
-    # random acyclic relations on shuffled labels, with repeated pairs and
-    # transitive (non-Hasse) pairs, bounded by a bottom and a top that are
-    # linked to every element
     rng = random.Random(2024)
     for _ in range(300):
-        n = rng.randint(0, 12)
-        rank = list(range(n))
-        rng.shuffle(rank)      # a pair (a, b) is added only if a ranks lower
-        pairs = [(a, b) for a in range(n) for b in range(n)
-                 if rank[a] < rank[b] and rng.random() < 0.3]
-        pairs += rng.choices(pairs, k=len(pairs) // 3)
-        pairs += [("bot", x) for x in range(n)]
-        pairs += [(x, "top") for x in range(n)]
-        pairs.append(("bot", "top"))
-        rng.shuffle(pairs)
-        labels = ["bot", *range(n), "top"]
-        rng.shuffle(labels)
-        P = from_cover_relations(labels, [(str(a), str(b)) for a, b in pairs],
-                                 "bot", "top")
+        labels, pairs = random_bounded_relation(rng)
+        P = bounded_poset(labels, pairs)
         check_order_axioms(P)
         # the least reflexive and transitive relation holding every pair
         idx = {str(lab): i for i, lab in enumerate(labels)}
@@ -122,3 +133,33 @@ def test_cover_closure_is_the_transitive_closure_of_any_acyclic_relation():
                     reach[i] |= reach[k]
         assert P.down == tuple(reach)
         assert (P.bottom, P.top) == (idx["bot"], idx["top"])
+
+
+def pair_loop_ann(P):
+    """ann(x) by definition: every y whose down-set meets x's only in the
+    bottom, one element pair at a time."""
+    zero = 1 << P.bottom
+    return tuple(sum(1 << j for j, dj in enumerate(P.down) if di & dj == zero)
+                 for di in P.down)
+
+
+def test_annihilators_match_the_pair_loop_on_lattices():
+    lattices = [LB for _, _, LB in corpus(0, 300)]
+    lattices += [boolean_lattice(n) for n in range(1, 8)]
+    lattices += [m_lattice(n) for n in range(1, 7)]
+    lattices += [product_of_chains(list(sizes)) for k in range(1, 5)
+                 for sizes in product([1, 2, 3], repeat=k)]
+    lattices += [ideal_lattice_dual_zn(N) for N in (2, 12, 60, 210, 720)]
+    lattices += [L.dual() for L in lattices[::4]]
+    for P in lattices:
+        assert P._ann_masks() == pair_loop_ann(P), P.labels
+
+
+def test_annihilators_match_the_pair_loop_on_posets_that_are_not_lattices():
+    rng = random.Random(77)
+    others = 0
+    for _ in range(300):
+        P = bounded_poset(*random_bounded_relation(rng))
+        others += not P.is_lattice()
+        assert P._ann_masks() == pair_loop_ann(P), P.labels
+    assert others > 50

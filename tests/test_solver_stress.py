@@ -2,19 +2,20 @@
 brute-force searchers, cross-checked against networkx."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
 
-from zdgdim import (Disconnected, SimpleGraph, connected_components,
-                    diameter, distance_balls,
+from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, build_blowup,
+                    connected_components, diameter, distance_balls,
                     independence_number, is_strong_resolving,
                     max_independent_set, metric_dimension_bruteforce,
-                    minimum_strong_resolving_set, sdim_bruteforce,
-                    sdim_via_gsr, strong_resolving_graph, twin_reduce,
-                    vertex_cover_number)
-from zdgdim.metric import _pair_cover_masks
+                    minimum_strong_resolving_set, product_of_chains,
+                    random_blowup_spec, sdim_bruteforce, sdim_via_gsr,
+                    strong_resolving_graph, twin_reduce, vertex_cover_number,
+                    zero_divisor_graph)
+from zdgdim.metric import _alpha, _pair_cover_masks, _swap_generators
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -181,3 +182,159 @@ def test_twin_reduction_matches_the_plain_route_on_random_graphs():
         assert sdim_via_gsr(g) == plain, (trial, g.edge_list())
         reduced += twin_reduce(g)[1] > 0
     assert reduced > 250
+
+
+# -- orbital branching ----------------------------------------------------------
+
+def swapped(label: str, i: int, j: int) -> str:
+    parts = label[1:-1].split(",")
+    parts[i], parts[j] = parts[j], parts[i]
+    return "(" + ",".join(parts) + ")"
+
+
+def swap_automorphisms(g: SimpleGraph) -> list[tuple[int, int]]:
+    """Every coordinate pair whose swap maps the labels and the edge set of
+    g onto themselves, by the definition, on label strings."""
+    k = g.labels[0].count(",") + 1
+    edges = set(map(frozenset, g.edge_list()))
+    return [(i, j) for i, j in combinations(range(k), 2)
+            if {swapped(lab, i, j) for lab in g.labels} == set(g.labels)
+            and {frozenset(swapped(lab, i, j) for lab in e)
+                 for e in edges} == edges]
+
+
+def check_orbital_alpha(g: SimpleGraph, gens, rng: random.Random) -> None:
+    """alpha with the generators equals plain alpha and networkx, on g and
+    on a random union of orbits, which every generator maps to itself."""
+    full = (1 << g.n) - 1
+    beta = nx_alpha(g)
+    assert _alpha(g.adj, full, gens) == _alpha(g.adj, full) == beta
+    cand = 0
+    for v in range(g.n):
+        if not cand >> v & 1 and rng.random() < 0.5:
+            orbit, todo = 1 << v, [v]
+            for u in todo:
+                for p in gens:
+                    if not orbit >> p[u] & 1:
+                        orbit |= 1 << p[u]
+                        todo.append(p[u])
+            cand |= orbit
+    assert _alpha(g.adj, cand, gens) == _alpha(g.adj, cand) == nx_alpha(
+        g.subgraph(g.labels[v] for v in range(g.n) if cand >> v & 1))
+
+
+def gsr_with_generators(G: SimpleGraph):
+    """G_SR of the twin-reduced G and the generators sdim_via_gsr uses,
+    each checked against the edge set of G_SR by the definition."""
+    reduced = twin_reduce(G)[0]
+    gsr = strong_resolving_graph(reduced)
+    gens = _swap_generators(reduced, gsr)
+    edges = {frozenset(e) for e in combinations(range(gsr.n), 2)
+             if gsr.adj[min(e)] >> max(e) & 1}
+    for p in gens:
+        assert sorted(p) == list(range(gsr.n))
+        assert {frozenset(p[v] for v in e) for e in edges} == edges
+    return gsr, gens
+
+
+def test_orbital_alpha_matches_plain_alpha_on_blowups_and_chain_products():
+    rng = random.Random(1234)
+    lattices = [build_blowup(random_blowup_spec(rng)) for _ in range(200)]
+    lattices += [product_of_chains(sizes) for sizes in
+                 ([3, 3, 3], [2, 2, 2, 2, 2], [2, 3, 2], [3, 3, 2, 2])]
+    # 2^5 and two of its blow-ups: chains of 2 on every two-atom mask, which
+    # every atom permutation keeps, and on the masks holding atom 0 only
+    pairs = [m for m in range(32) if m.bit_count() == 2]
+    lattices += [build_blowup(BlowupSpec(5, sizes)) for sizes in
+                 ({}, dict.fromkeys(pairs, 2),
+                  {m: 2 for m in pairs if m & 1})]
+    with_gens = 0
+    for LB in lattices:
+        G = zero_divisor_graph(LB)
+        gsr, gens = gsr_with_generators(G)
+        with_gens += bool(gens)
+        check_orbital_alpha(gsr, gens, rng)
+        assert sdim_via_gsr(G) == twin_reduce(G)[1] + vertex_cover_number(gsr)
+        # the zero-divisor graph itself, with its own swaps
+        check_orbital_alpha(G, _swap_generators(G, G), rng)
+    assert with_gens > 100
+
+
+def test_coordinate_swaps_are_exactly_the_automorphisms_on_tuple_graphs():
+    # random graphs on all of {0,1,2}^2, {0,1}^3 or {0,1}^4 as tuple
+    # labels, so every swap maps the labels onto themselves; half are
+    # closed under permuting coordinates, the rest have random edges, most
+    # of whose swaps are not automorphisms
+    rng = random.Random(4321)
+    bogus = 0
+    for trial in range(120):
+        k, values = rng.choice([(2, 3), (3, 2), (4, 2)])
+        labels = ["(" + ",".join(map(str, t)) + ")"
+                  for t in product(range(values), repeat=k)]
+        edges = {frozenset(e) for e in combinations(labels, 2)
+                 if rng.random() < rng.choice([0.2, 0.5])}
+        if trial % 2:
+            edges = {frozenset("(" + ",".join(lab[1:-1].split(",")[c]
+                                              for c in perm) + ")"
+                               for lab in e)
+                     for e in edges for perm in permutations(range(k))}
+        g = SimpleGraph.from_edges(labels, [tuple(e) for e in edges])
+        gens = _swap_generators(g, g)
+        want = swap_automorphisms(g)
+        assert len(gens) == len(want), trial
+        assert all(g.labels[p[v]] == swapped(g.labels[v], i, j)
+                   for p, (i, j) in zip(gens, want) for v in range(g.n))
+        bogus += len(want) < k * (k - 1) // 2
+        check_orbital_alpha(g, gens, rng)
+        try:
+            plain = vertex_cover_number(strong_resolving_graph(g))
+        except Disconnected:
+            continue
+        assert sdim_via_gsr(g) == plain, trial
+    assert bogus > 30
+
+
+def test_random_graphs_with_plain_labels_get_no_generators():
+    rng = random.Random(1234)
+    for trial in range(100):
+        g = random_graph(rng, trial % 15, rng.uniform(0.1, 0.9))
+        assert _swap_generators(g, g) == []
+        check_orbital_alpha(g, [], rng)
+
+
+def test_a_swap_that_maps_the_labels_but_not_the_edges_is_no_generator():
+    # swapping the coordinates maps (0,1) <-> (1,0) and fixes (1,1), but
+    # the one edge (0,1)-(1,1) would go to the non-edge (1,0)-(1,1)
+    g = SimpleGraph.from_edges(["(0,1)", "(1,0)", "(1,1)"],
+                               [("(0,1)", "(1,1)")])
+    assert _swap_generators(g, g) == []
+    assert independence_number(g) == 2
+
+
+def test_a_vertex_set_that_a_checked_swap_leaves_raises():
+    # the swaps of 2^3 are checked on G itself; H lacks the image (1,0,0)
+    # of (0,1,0), so mapping them onto H leaves a hole
+    G = zero_divisor_graph(build_blowup(BlowupSpec(3, {})))
+    H = G.subgraph(lab for lab in G.labels if lab != "(1,0,0)")
+    with pytest.raises(AssertionError, match="does not map the vertex set"):
+        _swap_generators(G, H)
+
+
+def test_the_include_branch_keeps_only_the_generators_that_fix_its_vertex():
+    # twelve vertices of {0,1,2}^3 and five edge orbits under permuting the
+    # coordinates, found by a seeded search and cut down: an include branch
+    # that kept the swaps moving its vertex would drop whole orbits from
+    # candidate sets they do not map onto themselves, and alpha would come
+    # out one too small
+    seeds = [((0, 0, 1), (0, 1, 0)), ((0, 0, 1), (0, 0, 2)),
+             ((0, 0, 2), (1, 1, 2)), ((0, 1, 1), (1, 0, 1)),
+             ((0, 1, 1), (1, 1, 2))]
+    edges = {frozenset("(%d,%d,%d)" % tuple(t[c] for c in p) for t in e)
+             for e in seeds for p in permutations(range(3))}
+    g = SimpleGraph.from_edges({lab for e in edges for lab in e},
+                               [tuple(e) for e in edges])
+    assert (g.n, g.edge_count()) == (12, 18)
+    gens = _swap_generators(g, g)
+    assert len(gens) == 3
+    full = (1 << g.n) - 1
+    assert _alpha(g.adj, full, gens) == _alpha(g.adj, full) == nx_alpha(g)
