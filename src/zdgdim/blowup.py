@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import prod
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (InvalidSpec, NotApplicable, NotBounded,
                      NotZeroDistributive)
@@ -21,7 +21,20 @@ from .poset import FinitePoset, _down_sets
 
 
 def tuple_label(values: Sequence[int]) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
+    return coordinates_label(map(str, values))
+
+
+def coordinates_label(coords: Iterable[str]) -> str:
+    """The tuple label with the given coordinates, each as written."""
+    return "(" + ",".join(coords) + ")"
+
+
+def tuple_coordinates(label: str) -> list[str] | None:
+    """The coordinates, as written, of a label that `coordinates_label`
+    writes, or None when label is not a tuple label."""
+    if label[:1] != "(" or label[-1:] != ")":
+        return None
+    return label[1:-1].split(",")
 
 
 def blowup_label(mask: int, level: int, n: int) -> str:

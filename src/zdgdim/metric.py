@@ -15,7 +15,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Sequence
 
-from .blowup import BlowupSpec
+from .blowup import BlowupSpec, coordinates_label, tuple_coordinates
 from .errors import (Disconnected, HypothesisUnmet, NotApplicable,
                      NotAZeroDivisor, TooLarge)
 from .graphs import SimpleGraph, remove_isolated, zero_divisor_graph
@@ -250,6 +250,8 @@ def _alpha(adj: Sequence[int], cand: int,
 
     def orbit(v: int, gens) -> int:
         seen = 1 << v
+        if not gens:
+            return seen
         todo = [v]
         for u in todo:
             for g in gens:
@@ -276,30 +278,22 @@ def _alpha(adj: Sequence[int], cand: int,
                 if size + k + 1 <= best:
                     return
                 # include v, then go on without v's orbit
-                if gens:
-                    expand(cand & ~(adj[v] | 1 << v), size + 1,
-                           [g for g in gens if g[v] == v])
-                    cand &= ~orbit(v, gens)
-                else:
-                    expand(cand & ~(adj[v] | 1 << v), size + 1, gens)
-                    cand &= ~(1 << v)
+                expand(cand & ~(adj[v] | 1 << v), size + 1,
+                       [g for g in gens if g[v] == v])
+                cand &= ~orbit(v, gens)
         best = max(best, size)
 
     expand(cand, 0, gens)
     return best
 
 
-def independence_number(G: SimpleGraph,
-                        gens: Sequence[Sequence[int]] = ()) -> int:
-    """The largest independent set size; gens are automorphisms of G for
-    the solver's orbital branching (see `_alpha`)."""
-    return _alpha(G.adj, (1 << G.n) - 1, gens)
+def independence_number(G: SimpleGraph) -> int:
+    return _alpha(G.adj, (1 << G.n) - 1)
 
 
-def vertex_cover_number(G: SimpleGraph,
-                        gens: Sequence[Sequence[int]] = ()) -> int:
+def vertex_cover_number(G: SimpleGraph) -> int:
     """alpha(G) = |V| - beta(G), via the exact independent-set solver."""
-    return G.n - independence_number(G, gens)
+    return G.n - independence_number(G)
 
 
 def max_independent_set(G: SimpleGraph) -> list[str]:
@@ -362,12 +356,10 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
 
 
 def _tuple_parts(labels: Sequence[str]) -> list[list[str]] | None:
-    """The coordinates of every label, when all are tuple labels
-    "(x1,...,xk)" of one length k; else None."""
-    if not all(lab[:1] == "(" and lab[-1:] == ")" for lab in labels):
-        return None
-    parts = [lab[1:-1].split(",") for lab in labels]
-    if len({len(p) for p in parts}) > 1:
+    """The `tuple_coordinates` of every label, when all labels are tuple
+    labels of one length; else None."""
+    parts = [tuple_coordinates(lab) for lab in labels]
+    if None in parts or len({len(p) for p in parts}) > 1:
         return None
     return parts
 
@@ -381,7 +373,7 @@ def _swap_perm(index: dict[str, int], parts: Sequence[list[str]],
     for p in parts:
         q = p.copy()
         q[i], q[j] = q[j], q[i]
-        w = index.get("(" + ",".join(q) + ")")
+        w = index.get(coordinates_label(q))
         if w is None:
             return None
         perm.append(w)
@@ -465,7 +457,8 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
     """
     reduced, dropped = twin_reduce(G)
     gsr = strong_resolving_graph(reduced)
-    return vertex_cover_number(gsr, _swap_generators(reduced, gsr)) + dropped
+    gens = _swap_generators(reduced, gsr)
+    return gsr.n - _alpha(gsr.adj, (1 << gsr.n) - 1, gens) + dropped
 
 
 def sdim_formula(spec: BlowupSpec) -> int:

@@ -8,6 +8,7 @@ from zdgdim import (BlowupSpec, InvalidSpec, NotApplicable,
                     canonical_blowup_of, labeled_equal, m_lattice,
                     product_of_chains, random_blowup_spec, tuple_label,
                     zero_divisor_graph)
+from zdgdim.blowup import coordinates_label, tuple_coordinates
 
 
 def test_spec_validation():
@@ -51,6 +52,15 @@ def test_boolean_lattice_basics():
     assert L.join("(1,0,0)", "(0,0,1)") == "(1,0,1)"
     assert len(L.zero_divisors()) == 6
     assert boolean_lattice(1).labels == ("(0)", "(1)")
+
+
+def test_tuple_coordinates_reads_back_what_tuple_label_writes():
+    for values in [(0,), (2, 0, 2), (10, 1), tuple(range(12))]:
+        coords = tuple_coordinates(tuple_label(values))
+        assert coords == [str(v) for v in values]
+        assert coordinates_label(coords) == tuple_label(values)
+    for label in ["", "v00", "[0,1]", "(0,1", "0,1)"]:
+        assert tuple_coordinates(label) is None, label
 
 
 def test_identity_blowup_is_the_boolean_lattice():

@@ -302,6 +302,18 @@ def test_random_graphs_with_plain_labels_get_no_generators():
         check_orbital_alpha(g, [], rng)
 
 
+def test_tuple_labels_with_any_coordinates_get_checked_generators():
+    # the coordinates need not be numbers: the swap of (a,b) and (b,a)
+    # fixes (a,a) and keeps both edges, so it is the one generator
+    labels = ["(a,b)", "(b,a)", "(a,a)"]
+    g = SimpleGraph.from_edges(labels, [("(a,b)", "(a,a)"),
+                                        ("(b,a)", "(a,a)")])
+    gens = _swap_generators(g, g)
+    assert [[g.labels[w] for w in p] for p in gens] == [
+        ["(a,a)", "(b,a)", "(a,b)"]]
+    check_orbital_alpha(g, gens, random.Random(0))
+
+
 def test_a_swap_that_maps_the_labels_but_not_the_edges_is_no_generator():
     # swapping the coordinates maps (0,1) <-> (1,0) and fixes (1,1), but
     # the one edge (0,1)-(1,1) would go to the non-edge (1,0)-(1,1)
