@@ -21,9 +21,10 @@ from .poset import FinitePoset, _bits, _read_json
 class SimpleGraph:
     """Immutable simple undirected graph with canonical vertex order."""
 
-    # _balls holds every vertex's balls, which metric.distance_balls
-    # computes on first use and every later caller shares
-    __slots__ = ("labels", "adj", "_index", "_balls")
+    # _balls and _far hold every vertex's balls and far set, which
+    # metric.distance_balls computes on first use and every later caller
+    # shares
+    __slots__ = ("labels", "adj", "_index", "_balls", "_far")
 
     def __init__(self, labels: Sequence[str], adj: Sequence[int]):
         self.labels = tuple(labels)
@@ -33,7 +34,7 @@ class SimpleGraph:
                                      else f"labels {a!r}, {b!r} out of order")
         self.adj = tuple(adj)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._balls = None
+        self._balls = self._far = None
 
     @classmethod
     def from_rows(cls, labels: Sequence[str | None],
@@ -134,19 +135,28 @@ class SimpleGraph:
     def degree(self, a: str) -> int:
         return self.adj[self.index(a)].bit_count()
 
-    def balls(self, s: int) -> tuple[int, ...]:
-        """Breadth-first search from vertex s: element d is the bitmask of
-        the vertices within distance d of s, and the last is s's component."""
+    def bfs(self, s: int) -> tuple[tuple[int, ...], int]:
+        """Breadth-first search from vertex s: the balls, element d the
+        bitmask of the vertices within distance d of s and the last s's
+        component, and the far set of s.
+
+        The far set holds the vertices v other than s, in s's component,
+        with no neighbour farther from s than v: v is maximally distant
+        from s.  A vertex of sphere d has a farther neighbour iff it is a
+        neighbour of sphere d + 1, so the far set is every sphere less the
+        neighbours of the next one, which the search reaches anyway.
+        """
         ball = [1 << s]
-        frontier = ball[0]
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~ball[-1]
-            if frontier:
-                ball.append(ball[-1] | frontier)
-        return tuple(ball)
+        sphere, last, far = ball[0], 0, 0
+        while sphere:
+            reach = 0
+            for v in _bits(sphere):
+                reach |= self.adj[v]
+            far |= last & ~reach
+            last, sphere = sphere, reach & ~ball[-1]
+            if sphere:
+                ball.append(ball[-1] | sphere)
+        return tuple(ball), (far | last) & ~ball[0]
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -313,7 +323,7 @@ def connected_components(g: SimpleGraph) -> list[frozenset[str]]:
     comps = []
     unseen = (1 << g.n) - 1
     while unseen:
-        comp = g.balls((unseen & -unseen).bit_length() - 1)[-1]
+        comp = g.bfs((unseen & -unseen).bit_length() - 1)[0][-1]
         comps.append(frozenset(g.labels[i] for i in _bits(comp)))
         unseen &= ~comp
     return comps

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .blowup import BlowupSpec, coordinates_label, tuple_coordinates
@@ -26,18 +27,26 @@ DEFAULT_BRUTE_CAP = 16
 
 # -- distances ---------------------------------------------------------------
 
-def distance_balls(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
-    """`G.balls(s)` for every vertex s: element d of row s is the bitmask of
-    the vertices within distance d of s.
+def _search(G: SimpleGraph, s: int) -> tuple[tuple[int, ...], int]:
+    """`G.bfs(s)`, refusing a G that s does not span."""
+    ball, far = G.bfs(s)
+    if ball[-1] != (1 << G.n) - 1:
+        raise Disconnected("graph is not connected")
+    return ball, far
 
-    The balls are computed once per graph and kept on it; every distance
-    and mutually-maximally-distant question in this module reads them.
+
+def distance_balls(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    """The balls of `G.bfs(s)` for every vertex s: element d of row s is
+    the bitmask of the vertices within distance d of s.
+
+    The balls, and the far sets the same searches give, are computed once
+    per graph and kept on it; every distance and mutually-maximally-distant
+    question in this module reads them.
     """
     if G._balls is None:
-        balls = tuple(G.balls(s) for s in range(G.n))
-        if balls and balls[0][-1] != (1 << G.n) - 1:
-            raise Disconnected("graph is not connected")
-        G._balls = balls
+        searches = [_search(G, s) for s in range(G.n)]
+        G._balls = tuple(ball for ball, _ in searches)
+        G._far = tuple(far for _, far in searches)
     return G._balls
 
 
@@ -150,22 +159,47 @@ def minimum_strong_resolving_set(G: SimpleGraph,
 
 # -- boundary and the strong resolving graph ----------------------------------
 
-def _mmd_rows(G: SimpleGraph) -> list[int]:
-    """Row u: the vertices mutually maximally distant from u.  A pair
-    u < v, found in u's sphere of radius d, is kept when every neighbour of
-    u lies in v's ball of radius d and every neighbour of v in u's."""
-    balls = distance_balls(G)
-    adj = G.adj
-    rows = [0] * G.n
-    for u, ball in enumerate(balls):
-        later = -1 << u + 1
-        for d in range(1, len(ball)):
-            for v in _bits(ball[d] & ~ball[d - 1] & later):
-                if (adj[u] & ~balls[v][d] == 0
-                        and adj[v] & ~ball[d] == 0):
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-    return rows
+def _mmd_rows(G: SimpleGraph,
+              gens: Sequence[Sequence[int]] = ()) -> list[int]:
+    """Row u: the vertices mutually maximally distant from u.
+
+    u and v are such a pair iff each lies in the other's far set (see
+    `SimpleGraph.bfs`), so the rows are far AND its transpose.  Each far
+    set is kept as a string of n characters, '1' at each member's index,
+    and the transpose is one `zip` over the strings.
+
+    gens are automorphisms of G, each a list mapping every vertex to its
+    image.  An automorphism g keeps distances, so far(g(u)) = g(far(u)):
+    far is searched for the least vertex of each orbit and carried to the
+    rest of the orbit along the generators, each step one rewrite of a
+    string by `itemgetter`.  Those searches are not kept on G.  With no
+    gens every orbit is one vertex, and the far sets are the ones
+    `distance_balls(G)` keeps.
+    """
+    n = G.n
+    if not gens:
+        distance_balls(G)
+    moves = []
+    for g in gens:
+        inverse = [0] * n
+        for v, w in enumerate(g):
+            inverse[w] = v
+        moves.append(itemgetter(*inverse))
+    far: list[str | None] = [None] * n
+    for r in range(n):
+        if far[r] is not None:
+            continue
+        f = G._far[r] if G._far else _search(G, r)[1]
+        far[r] = format(f, f"0{n}b")[::-1]
+        orbit = [r]
+        for u in orbit:
+            for g, move in zip(gens, moves):
+                w = g[u]
+                if far[w] is None:
+                    far[w] = "".join(move(far[u]))
+                    orbit.append(w)
+    return [int(row[::-1], 2) & int("".join(col)[::-1], 2)
+            for row, col in zip(far, zip(*far))]
 
 
 def mutually_maximally_distant(G: SimpleGraph, u: str, v: str) -> bool:
@@ -190,8 +224,16 @@ def boundary(G: SimpleGraph) -> list[str]:
 
 
 def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
-    """G_SR: boundary vertices, mutually-maximally-distant pairs as edges."""
-    rows = _mmd_rows(G)
+    """G_SR: boundary vertices, mutually-maximally-distant pairs as edges.
+
+    The rows are far AND its transpose (see `_mmd_rows`), with far read
+    off `distance_balls(G)` for every vertex.  `sdim_via_gsr` builds G_SR
+    from far sets carried along verified automorphisms instead."""
+    return _gsr_of_rows(G, _mmd_rows(G))
+
+
+def _gsr_of_rows(G: SimpleGraph, rows: Sequence[int]) -> SimpleGraph:
+    """The graph on G's vertices with a nonzero row, in G's order."""
     return SimpleGraph.from_rows(
         [lab if row else None for lab, row in zip(G.labels, rows)], rows)
 
@@ -389,52 +431,64 @@ def _is_automorphism(nbrs: Sequence[list[int]], adj: Sequence[int],
                for v, w in enumerate(perm))
 
 
-def _coordinate_swaps(G: SimpleGraph) -> list[tuple[int, int]]:
-    """The coordinate pairs (i, j) whose swap in every tuple label is an
-    automorphism of G; none unless the labels are tuples of one length.
+def _coordinate_swaps(
+        G: SimpleGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """The swaps of two coordinates in every tuple label that are
+    automorphisms of G, as permutations of G's indices: a spanning set of
+    them, each checked against G's rows, and all of them in the order of
+    their coordinate pairs.  Both lists are empty unless the labels are
+    tuples of one length.
 
-    Pairs are taken in order.  A swap is checked against G's rows only
-    when i and j are not yet joined by checked swaps; when they are, the
-    swap is a product of those and needs no check.  So a spanning set of
-    the swaps is checked, 8 of the 36 on 2^9, and every swap is listed.
+    The swaps that are automorphisms are the transpositions inside the
+    classes of an equivalence on the coordinates: with (m i) and (m j),
+    (i j) = (m i)(m j)(m i) is one too.  Pairs (i, j) are taken in order,
+    so the least coordinate m of a class meets each other member j first,
+    and (m j) is the swap checked on the rows.  A later pair in m's class
+    is that product, composed by index.  So 8 of the 36 swaps on 2^9 are
+    checked, and none is rebuilt from labels.
     """
     parts = _tuple_parts(G.labels)
     if not parts:
-        return []
-    comp = list(range(len(parts[0])))   # coordinates joined by checked swaps
+        return [], []
+    # least[c]: the least coordinate known to share c's class
+    least = list(range(len(parts[0])))
     nbrs = None
-    swaps = []
-    for i, j in combinations(range(len(comp)), 2):
-        if comp[i] != comp[j]:
+    checked = []
+    swaps: dict[tuple[int, int], list[int]] = {}
+    for i, j in combinations(range(len(least)), 2):
+        m = least[i]
+        if m < i:
+            if least[j] == m:
+                a, b = swaps[m, i], swaps[m, j]
+                swaps[i, j] = list(map(a.__getitem__, map(b.__getitem__, a)))
+        elif least[j] == j:
             perm = _swap_perm(G._index, parts, i, j)
             if perm is None:
                 continue
             if nbrs is None:
                 nbrs = [list(_bits(row)) for row in G.adj]
-            if not _is_automorphism(nbrs, G.adj, perm):
-                continue
-            old = comp[j]
-            comp = [comp[i] if c == old else c for c in comp]
-        swaps.append((i, j))
-    return swaps
+            if _is_automorphism(nbrs, G.adj, perm):
+                least[j] = i
+                checked.append(perm)
+                swaps[i, j] = perm
+    return checked, list(swaps.values())
 
 
-def _swap_generators(G: SimpleGraph, H: SimpleGraph) -> list[list[int]]:
-    """The coordinate swaps that `_coordinate_swaps` verifies on G, as
-    permutations of H's vertices.  H's labels are G's labels of a vertex
-    set that every automorphism of G maps onto itself, such as G_SR's; a
-    swapped label outside H raises."""
-    gens = []
-    swaps = _coordinate_swaps(G)
-    if swaps:
-        parts = _tuple_parts(H.labels)
-        for i, j in swaps:
-            perm = _swap_perm(H._index, parts, i, j)
-            if perm is None:
-                raise AssertionError(f"the swap of coordinates {i} and {j} "
-                                     "does not map the vertex set onto itself")
-            gens.append(perm)
-    return gens
+def _restricted(perms: Sequence[Sequence[int]],
+                keep: Sequence[int]) -> list[list[int]]:
+    """Permutations of a graph's indices, restricted to the ascending
+    indices keep and renumbered by position in keep, as G_SR renumbers the
+    vertices it keeps.  keep should be a vertex set that every automorphism
+    maps onto itself, such as G_SR's; an image outside it raises."""
+    pos = {v: k for k, v in enumerate(keep)}
+    out = []
+    for p in perms:
+        q = list(map(pos.get, map(p.__getitem__, keep)))
+        if None in q:
+            raise AssertionError("a coordinate swap does not map the vertex "
+                                 "set onto itself")
+        out.append(q)
+    return out
 
 
 def sdim_via_gsr(G: SimpleGraph) -> int:
@@ -448,16 +502,21 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
     distant pair among the rest, the two survivors stay such a pair, and
     a disconnected G stays disconnected.
 
-    The solver branches on orbits (see `_alpha`) of the coordinate swaps
-    that `_coordinate_swaps` verifies on the reduced graph's rows; no
-    theorem about the input is trusted.  An automorphism keeps distances
-    and mutually maximally distant pairs, so it maps G_SR onto itself.
-    Labels that are not tuples of one length, or with no swap that is an
-    automorphism, leave the plain search.
+    The coordinate swaps that `_coordinate_swaps` verifies on the reduced
+    graph's rows are its automorphisms; no theorem about the input is
+    trusted.  The checked spanning set carries the far sets of G_SR's rows
+    along each orbit (see `_mmd_rows`).  An automorphism keeps distances
+    and mutually maximally distant pairs, so it maps G_SR onto itself:
+    every swap, restricted to G_SR by index, is a generator for the
+    solver's orbital branching (see `_alpha`).  Labels that are not tuples
+    of one length, or with no swap that is an automorphism, leave the plain
+    computation.
     """
     reduced, dropped = twin_reduce(G)
-    gsr = strong_resolving_graph(reduced)
-    gens = _swap_generators(reduced, gsr)
+    checked, swaps = _coordinate_swaps(reduced)
+    rows = _mmd_rows(reduced, checked)
+    gsr = _gsr_of_rows(reduced, rows)
+    gens = _restricted(swaps, [v for v, row in enumerate(rows) if row])
     return gsr.n - _alpha(gsr.adj, (1 << gsr.n) - 1, gens) + dropped
 
 

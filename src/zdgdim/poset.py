@@ -242,19 +242,15 @@ class FinitePoset:
     def is_zero_distributive(self) -> bool:
         """a ∧ b = 0 and a ∧ c = 0 imply a ∧ (b ∨ c) = 0, over all triples.
 
-        Equivalent formulation used here: every annihilator is join-closed.
+        A finite lattice has this property iff it is pseudocomplemented
+        (Varlet 1968), which is what is tested.  With a pseudocomplement,
+        b and c lie below a*, and so does b ∨ c.  Without one, some ann(a)
+        has two maximal elements b and c, and b ∨ c, above both, is not in
+        ann(a).
         """
         if not self.is_lattice():
             raise NotALattice("0-distributivity is tested on lattices")
-        ann = self._ann_masks()
-        for i in range(len(self.labels)):
-            members = list(_bits(ann[i]))
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    j = self._join_idx(members[x], members[y])
-                    if not ann[i] >> j & 1:
-                        return False
-        return True
+        return self.is_pseudocomplemented()
 
     def dual(self) -> "FinitePoset":
         return FinitePoset(self.labels, self.up, bottom=self.top,

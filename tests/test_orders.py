@@ -9,7 +9,8 @@ their definition, pair by pair.
 """
 
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -163,3 +164,36 @@ def test_annihilators_match_the_pair_loop_on_posets_that_are_not_lattices():
         others += not P.is_lattice()
         assert P._ann_masks() == pair_loop_ann(P), P.labels
     assert others > 50
+
+
+def join_closed_annihilators(P):
+    """0-distributivity by its definition, one triple at a time: for every
+    a and every two members b, c of ann(a), read pair by pair, b v c is in
+    ann(a).  The join is the element whose up-set is up(b) & up(c)."""
+    ann = pair_loop_ann(P)
+    join = {up: i for i, up in enumerate(P.up)}
+    return all(ann[a] >> join[P.up[b] & P.up[c]] & 1
+               for a in range(len(P))
+               for b, c in combinations(_bits(ann[a]), 2))
+
+
+def test_zero_distributivity_matches_the_triple_loop():
+    rng = random.Random(5)
+    lattices = [LB for _, _, LB in corpus(0, 300)]
+    lattices += [product_of_chains(list(sizes)) for k in range(1, 4)
+                 for sizes in product([1, 2, 3], repeat=k)]
+    # M_3 ... M_6 and the random bounded lattices are mostly not
+    # 0-distributive; duals of blow-ups may be either
+    lattices += [m_lattice(n) for n in range(1, 7)]
+    lattices += [ideal_lattice_dual_zn(N) for N in (2, 12, 60, 210, 720)]
+    lattices += [L.dual() for L in lattices[::4]]
+    for _ in range(400):
+        P = bounded_poset(*random_bounded_relation(rng))
+        if P.is_lattice():
+            lattices.append(P)
+    verdicts = Counter()
+    for P in lattices:
+        want = join_closed_annihilators(P)
+        assert P.is_zero_distributive() == want, P.labels
+        verdicts[want] += 1
+    assert verdicts[False] > 100 and verdicts[True] > 300

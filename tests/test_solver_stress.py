@@ -7,15 +7,19 @@ from itertools import combinations, permutations, product
 import networkx as nx
 import pytest
 
-from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, build_blowup,
-                    connected_components, diameter, distance_balls,
-                    independence_number, is_strong_resolving,
-                    max_independent_set, metric_dimension_bruteforce,
-                    minimum_strong_resolving_set, product_of_chains,
+from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
+                    build_blowup, connected_components, diameter,
+                    distance_balls, independence_number, is_strong_resolving,
+                    m_lattice, max_independent_set,
+                    metric_dimension_bruteforce, minimum_strong_resolving_set,
+                    mutually_maximally_distant, product_of_chains,
                     random_blowup_spec, sdim_bruteforce, sdim_via_gsr,
                     strong_resolving_graph, twin_reduce, vertex_cover_number,
                     zero_divisor_graph)
-from zdgdim.metric import _alpha, _pair_cover_masks, _swap_generators
+from zdgdim.metric import (_alpha, _coordinate_swaps, _mmd_rows,
+                           _pair_cover_masks, _restricted)
+from zdgdim.poset import _bits
+from zdgdim.verify import corpus
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -228,7 +232,8 @@ def gsr_with_generators(G: SimpleGraph):
     each checked against the edge set of G_SR by the definition."""
     reduced = twin_reduce(G)[0]
     gsr = strong_resolving_graph(reduced)
-    gens = _swap_generators(reduced, gsr)
+    gens = _restricted(_coordinate_swaps(reduced)[1],
+                       [reduced.index(lab) for lab in gsr.labels])
     edges = {frozenset(e) for e in combinations(range(gsr.n), 2)
              if gsr.adj[min(e)] >> max(e) & 1}
     for p in gens:
@@ -256,7 +261,7 @@ def test_orbital_alpha_matches_plain_alpha_on_blowups_and_chain_products():
         check_orbital_alpha(gsr, gens, rng)
         assert sdim_via_gsr(G) == twin_reduce(G)[1] + vertex_cover_number(gsr)
         # the zero-divisor graph itself, with its own swaps
-        check_orbital_alpha(G, _swap_generators(G, G), rng)
+        check_orbital_alpha(G, _coordinate_swaps(G)[1], rng)
     assert with_gens > 100
 
 
@@ -279,7 +284,7 @@ def test_coordinate_swaps_are_exactly_the_automorphisms_on_tuple_graphs():
                                for lab in e)
                      for e in edges for perm in permutations(range(k))}
         g = SimpleGraph.from_edges(labels, [tuple(e) for e in edges])
-        gens = _swap_generators(g, g)
+        gens = _coordinate_swaps(g)[1]
         want = swap_automorphisms(g)
         assert len(gens) == len(want), trial
         assert all(g.labels[p[v]] == swapped(g.labels[v], i, j)
@@ -298,7 +303,7 @@ def test_random_graphs_with_plain_labels_get_no_generators():
     rng = random.Random(1234)
     for trial in range(100):
         g = random_graph(rng, trial % 15, rng.uniform(0.1, 0.9))
-        assert _swap_generators(g, g) == []
+        assert _coordinate_swaps(g)[1] == []
         check_orbital_alpha(g, [], rng)
 
 
@@ -308,7 +313,7 @@ def test_tuple_labels_with_any_coordinates_get_checked_generators():
     labels = ["(a,b)", "(b,a)", "(a,a)"]
     g = SimpleGraph.from_edges(labels, [("(a,b)", "(a,a)"),
                                         ("(b,a)", "(a,a)")])
-    gens = _swap_generators(g, g)
+    gens = _coordinate_swaps(g)[1]
     assert [[g.labels[w] for w in p] for p in gens] == [
         ["(a,a)", "(b,a)", "(a,b)"]]
     check_orbital_alpha(g, gens, random.Random(0))
@@ -319,7 +324,7 @@ def test_a_swap_that_maps_the_labels_but_not_the_edges_is_no_generator():
     # the one edge (0,1)-(1,1) would go to the non-edge (1,0)-(1,1)
     g = SimpleGraph.from_edges(["(0,1)", "(1,0)", "(1,1)"],
                                [("(0,1)", "(1,1)")])
-    assert _swap_generators(g, g) == []
+    assert _coordinate_swaps(g)[1] == []
     assert independence_number(g) == 2
 
 
@@ -329,24 +334,186 @@ def test_a_vertex_set_that_a_checked_swap_leaves_raises():
     G = zero_divisor_graph(build_blowup(BlowupSpec(3, {})))
     H = G.subgraph(lab for lab in G.labels if lab != "(1,0,0)")
     with pytest.raises(AssertionError, match="does not map the vertex set"):
-        _swap_generators(G, H)
+        _restricted(_coordinate_swaps(G)[1],
+                    [G.index(lab) for lab in H.labels])
 
 
-def test_the_include_branch_keeps_only_the_generators_that_fix_its_vertex():
-    # twelve vertices of {0,1,2}^3 and five edge orbits under permuting the
-    # coordinates, found by a seeded search and cut down: an include branch
-    # that kept the swaps moving its vertex would drop whole orbits from
-    # candidate sets they do not map onto themselves, and alpha would come
-    # out one too small
+def pinned_orbit_graph() -> SimpleGraph:
+    """Twelve vertices of {0,1,2}^3 and five edge orbits under permuting
+    the coordinates, found by a seeded search and cut down."""
     seeds = [((0, 0, 1), (0, 1, 0)), ((0, 0, 1), (0, 0, 2)),
              ((0, 0, 2), (1, 1, 2)), ((0, 1, 1), (1, 0, 1)),
              ((0, 1, 1), (1, 1, 2))]
     edges = {frozenset("(%d,%d,%d)" % tuple(t[c] for c in p) for t in e)
              for e in seeds for p in permutations(range(3))}
-    g = SimpleGraph.from_edges({lab for e in edges for lab in e},
-                               [tuple(e) for e in edges])
+    return SimpleGraph.from_edges({lab for e in edges for lab in e},
+                                  [tuple(e) for e in edges])
+
+
+def test_the_include_branch_keeps_only_the_generators_that_fix_its_vertex():
+    # on the pinned graph, an include branch that kept the swaps moving its
+    # vertex would drop whole orbits from candidate sets they do not map
+    # onto themselves, and alpha would come out one too small
+    g = pinned_orbit_graph()
     assert (g.n, g.edge_count()) == (12, 18)
-    gens = _swap_generators(g, g)
+    gens = _coordinate_swaps(g)[1]
     assert len(gens) == 3
     full = (1 << g.n) - 1
     assert _alpha(g.adj, full, gens) == _alpha(g.adj, full) == nx_alpha(g)
+
+
+# -- G_SR rows from far sets carried along the checked swaps ---------------------
+
+def pair_loop_mmd_rows(g: SimpleGraph) -> list[int]:
+    """The G_SR rows by a scan of every vertex pair: u < v, found in u's
+    sphere of radius d, are kept when every neighbour of u lies in v's ball
+    of radius d and every neighbour of v in u's."""
+    balls = distance_balls(g)
+    adj = g.adj
+    rows = [0] * g.n
+    for u, ball in enumerate(balls):
+        later = -1 << u + 1
+        for d in range(1, len(ball)):
+            for v in _bits(ball[d] & ~ball[d - 1] & later):
+                if (adj[u] & ~balls[v][d] == 0
+                        and adj[v] & ~ball[d] == 0):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+    return rows
+
+
+def check_mmd_rows(g: SimpleGraph, rng: random.Random) -> int:
+    """The rows from far sets carried along g's checked swaps against the
+    rows with no generators, the pair loop and the pair-by-pair definition
+    (on all pairs up to 60 vertices, on 500 sampled pairs above).  The
+    orbit path runs on a copy with no kept searches, where it searches the
+    least vertex of each orbit itself, and on g, where it reads the far
+    sets `distance_balls(g)` keeps.  Returns the number of generators."""
+    gens = _coordinate_swaps(g)[0]
+    bare = SimpleGraph(g.labels, g.adj)
+    try:
+        want = pair_loop_mmd_rows(g)
+    except Disconnected:
+        with pytest.raises(Disconnected):
+            _mmd_rows(bare, gens)
+        with pytest.raises(Disconnected):
+            _mmd_rows(g)
+        return len(gens)
+    assert _mmd_rows(bare, gens) == _mmd_rows(g) == want
+    assert _mmd_rows(g, gens) == want
+    pairs = list(combinations(range(g.n), 2))
+    if g.n > 60:
+        pairs = rng.sample(pairs, min(500, len(pairs)))
+    for u, v in pairs:
+        assert want[u] >> v & 1 == mutually_maximally_distant(
+            g, g.labels[u], g.labels[v]), (g.labels[u], g.labels[v])
+    return len(gens)
+
+
+def test_mmd_rows_on_the_corpus_with_and_without_twins():
+    rng = random.Random(17)
+    with_gens = 0
+    for _, _, LB in corpus(0, 300):
+        G = zero_divisor_graph(LB)
+        with_gens += bool(check_mmd_rows(twin_reduce(G)[0], rng))
+        check_mmd_rows(G, rng)
+    assert with_gens > 100
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_mmd_rows_on_boolean_lattices(n):
+    g = zero_divisor_graph(boolean_lattice(n))
+    assert check_mmd_rows(g, random.Random(n)) == max(n - 1, 0)
+
+
+def test_mmd_rows_on_chain_products():
+    rng = random.Random(3)
+    for k in range(1, 4):
+        for sizes in product([1, 2, 3], repeat=k):
+            check_mmd_rows(zero_divisor_graph(product_of_chains(sizes)), rng)
+
+
+def test_mmd_rows_on_symmetric_blowups():
+    # the benchmark's chain blow-up shapes, all but the second with a
+    # checked swap, and two blow-ups of 2^5 that every atom permutation
+    # keeps, or those fixing atom 0
+    pairs = [m for m in range(32) if m.bit_count() == 2]
+    specs = [BlowupSpec(3, {0b001: 100, 0b110: 100}),
+             BlowupSpec(3, {0b001: 90, 0b011: 100, 0b110: 100}),
+             BlowupSpec(4, {0b0001: 40, 0b0011: 40, 0b1110: 40}),
+             BlowupSpec(4, {0b0011: 70, 0b0101: 70, 0b1100: 70,
+                            0b1010: 70}),
+             BlowupSpec(4, {0b0001: 50, 0b0110: 60, 0b1110: 80,
+                            0b1001: 70}),
+             BlowupSpec(5, dict.fromkeys(pairs, 2)),
+             BlowupSpec(5, {m: 2 for m in pairs if m & 1})]
+    rng = random.Random(4)
+    with_gens = 0
+    for spec in specs:
+        G = zero_divisor_graph(build_blowup(spec))
+        with_gens += bool(check_mmd_rows(G, rng))
+        check_mmd_rows(twin_reduce(G)[0], rng)
+    assert with_gens == len(specs) - 1
+
+
+def test_mmd_rows_on_the_pinned_orbit_graph_and_random_tuple_graphs():
+    # random graphs on all of {0,1,2}^2, {0,1}^3 or {0,1}^4, half closed
+    # under permuting coordinates: a swap that maps the labels but not the
+    # edges would carry far sets that are not the images of far sets
+    rng = random.Random(1111)
+    assert check_mmd_rows(pinned_orbit_graph(), rng) == 2
+    connected = 0
+    for trial in range(200):
+        k, values = rng.choice([(2, 3), (3, 2), (4, 2)])
+        labels = ["(" + ",".join(map(str, t)) + ")"
+                  for t in product(range(values), repeat=k)]
+        edges = {frozenset(e) for e in combinations(labels, 2)
+                 if rng.random() < rng.choice([0.3, 0.5])}
+        if trial % 2:
+            edges = {frozenset(swapped(swapped(a, 0, c), 0, d) for a in e)
+                     for e in edges for c in range(k) for d in range(k)}
+        g = SimpleGraph.from_edges(labels, [tuple(e) for e in edges])
+        check_mmd_rows(g, rng)
+        connected += len(connected_components(g)) == 1
+    assert connected > 100
+
+
+def test_mmd_rows_on_graphs_of_zero_one_and_two_vertices():
+    rng = random.Random(0)
+    # `gsr --boolean 1` and `gsr --mn 2`
+    assert zero_divisor_graph(boolean_lattice(1)).n == 0
+    assert check_mmd_rows(zero_divisor_graph(boolean_lattice(1)), rng) == 0
+    assert _mmd_rows(zero_divisor_graph(m_lattice(2))) == [0b10, 0b01]
+    for labels, edges, gens in ((["(0,0)"], [], 1),
+                                (["(0,1)", "(1,0)"], [("(0,1)", "(1,0)")], 1),
+                                (["a", "b"], [("a", "b")], 0)):
+        g = SimpleGraph.from_edges(labels, edges)
+        assert check_mmd_rows(g, rng) == gens
+        assert _mmd_rows(g, _coordinate_swaps(g)[0]) == (
+            [0] if g.n == 1 else [0b10, 0b01])
+
+
+def test_a_disconnected_graph_raises_on_both_paths():
+    # two edges that the one coordinate swap exchanges
+    g = SimpleGraph.from_edges(["(0,1)", "(0,2)", "(1,0)", "(2,0)"],
+                               [("(0,1)", "(0,2)"), ("(1,0)", "(2,0)")])
+    gens = _coordinate_swaps(g)[0]
+    assert len(gens) == 1
+    with pytest.raises(Disconnected):
+        _mmd_rows(g, gens)
+    with pytest.raises(Disconnected):
+        _mmd_rows(g)
+    with pytest.raises(Disconnected):
+        sdim_via_gsr(g)
+
+
+def test_the_checked_swaps_span_every_swap():
+    # 8 of the 36 swaps of 2^9 are checked, those of coordinate 0; every
+    # other is the product (0 i)(0 j)(0 i) and moves the same labels
+    g = zero_divisor_graph(boolean_lattice(9))
+    checked, swaps = _coordinate_swaps(g)
+    assert (len(checked), len(swaps)) == (8, 36)
+    assert all(any(p is q for q in swaps) for p in checked)
+    for p, (i, j) in zip(swaps, combinations(range(9), 2)):
+        assert [g.labels[w] for w in p] == [swapped(lab, i, j)
+                                            for lab in g.labels]
