@@ -144,7 +144,8 @@ class SimpleGraph:
         with no neighbour farther from s than v: v is maximally distant
         from s.  A vertex of sphere d has a farther neighbour iff it is a
         neighbour of sphere d + 1, so the far set is every sphere less the
-        neighbours of the next one, which the search reaches anyway.
+        neighbours of the next one, which the search gathers anyway to
+        find the sphere after that.
         """
         ball = [1 << s]
         sphere, last, far = ball[0], 0, 0
