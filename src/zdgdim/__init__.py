@@ -14,20 +14,14 @@ from .errors import (CycleDetected, Disconnected, HypothesisUnmet,
                      NotAZeroDivisor, NotBounded, NotPrimePower,
                      NotZeroDistributive, TooLarge, UnknownElement,
                      UnknownSuite, ZdgError)
-from .graphs import (SimpleGraph, boolean_ring_annihilator_graph,
-                     boolean_ring_zdg, comparability_graph, complete_graph,
-                     complete_graph_on, connected_components, disjoint_union,
-                     graph_from_json, graph_join, incomparability_graph,
-                     labeled_equal, remove_isolated, zero_divisor_graph)
-from .metric import (DEFAULT_BRUTE_CAP, beta_gsr_formula, boundary, diameter,
+from .graphs import (SimpleGraph, complete_graph_on, connected_components,
+                     graph_join, remove_isolated, zero_divisor_graph)
+from .metric import (DEFAULT_BRUTE_CAP, beta_gsr_formula, diameter,
                      distance_balls, distance_by_pseudocomplement, gstar,
-                     gstar_star, independence_number, is_resolving,
-                     is_strong_resolving, max_independent_set,
-                     metric_dimension_bruteforce, minimum_strong_resolving_set,
-                     minimum_vertex_cover, mutually_maximally_distant,
+                     gstar_star, independence_number, is_strong_resolving,
+                     max_independent_set, minimum_vertex_cover,
                      sdim_bruteforce, sdim_formula, sdim_via_gsr,
-                     strong_resolving_graph, twin_reduce,
-                     vertex_cover_number)
+                     strong_resolving_graph, twin_reduce)
 from .poset import (ClassPartition, FinitePoset, from_cover_relations,
                     m_lattice, poset_from_json, poset_to_json)
 

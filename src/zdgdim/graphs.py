@@ -1,11 +1,13 @@
-"""Simple labeled graphs and the lattice / Boolean-ring graph constructions.
+"""Simple labeled graphs, the zero-divisor graph of a poset, and joins.
 
 Vertices are kept in sorted label order, which the constructor checks, so
 DOT and JSON exports are byte-stable; adjacency is one bitmask row per
 vertex.  `SimpleGraph.from_rule` builds a graph given by a vertex set and
 an adjacency rule, and `SimpleGraph.from_rows` every graph derived from
-rows; `from_edges` parses outside edge lists.  Graph equality is labeled
-equality, never isomorphism: under the sorted order, equal rows.
+rows.  No command reads an edge list, but `SimpleGraph.from_edges` stays:
+the tests build their graphs with it, and the benchmark's tracer
+(`bench/tracer.py`) wraps it by name.  Graph equality is labeled equality,
+never isomorphism: under the sorted order, equal rows.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .blowup import tuple_label
-from .errors import LabelCollision, NotBounded, UnknownElement
-from .poset import FinitePoset, _bits, _read_json
+from .errors import LabelCollision, UnknownElement
+from .poset import FinitePoset, _bits
 
 
 class SimpleGraph:
@@ -177,11 +178,6 @@ class SimpleGraph:
     def is_complete(self) -> bool:
         return self.edge_count() == self.n * (self.n - 1) // 2
 
-    def complement(self) -> "SimpleGraph":
-        full = (1 << self.n) - 1
-        adj = [full & ~(self.adj[i] | 1 << i) for i in range(self.n)]
-        return SimpleGraph(self.labels, adj)
-
     def subgraph(self, keep: Iterable[str]) -> "SimpleGraph":
         keep_set = set(keep)
         return SimpleGraph.from_rows(
@@ -215,15 +211,6 @@ def dot_text(name: str, labels: Iterable[str],
     return "\n".join(lines) + "\n"
 
 
-def graph_from_json(data: dict) -> SimpleGraph:
-    return SimpleGraph.from_edges(
-        *_read_json(data, "graph", "edges", "an edge"))
-
-
-def labeled_equal(g: SimpleGraph, h: SimpleGraph) -> bool:
-    return g.labeled_equal(h)
-
-
 # -- graphs from posets ------------------------------------------------------
 
 def zero_divisor_graph(P: FinitePoset) -> SimpleGraph:
@@ -237,62 +224,7 @@ def zero_divisor_graph(P: FinitePoset) -> SimpleGraph:
         [m & ~zero for m in P._ann_masks()])
 
 
-def comparability_graph(L: FinitePoset) -> SimpleGraph:
-    """Com(L) on L minus bounds; edges between comparable elements."""
-    if L.bottom is None or L.top is None:
-        raise NotBounded("comparability graph needs a bounded poset")
-    return SimpleGraph.from_rule(
-        ((L.labels[i], i) for i in range(len(L)) if i not in (L.bottom, L.top)),
-        lambda i, j: L.down[j] >> i & 1 or L.down[i] >> j & 1)
-
-
-def incomparability_graph(L: FinitePoset) -> SimpleGraph:
-    return comparability_graph(L).complement()
-
-
-# -- graphs from the Boolean ring prod Z_2 -----------------------------------
-
-def _ring_ann_mask(x: int, size: int) -> int:
-    """Annihilator of x in prod Z_2 as a bitmask over all 2^n ring elements."""
-    m = 0
-    for z in range(size):
-        if z & x == 0:
-            m |= 1 << z
-    return m
-
-
-def _ring_vertices(n: int):
-    """(label, mask) for the nonzero non-unit elements of prod_1^n Z_2."""
-    return ((tuple_label([x >> i & 1 for i in range(n)]), x)
-            for x in range(1, (1 << n) - 1))
-
-
-def boolean_ring_zdg(n: int) -> SimpleGraph:
-    """Zero-divisor graph of prod_1^n Z_2: masks 1..2^n-2, edges xy = 0."""
-    if n < 2:
-        raise ValueError("boolean_ring_zdg needs n >= 2")
-    return SimpleGraph.from_rule(_ring_vertices(n), lambda x, y: x & y == 0)
-
-
-def boolean_ring_annihilator_graph(n: int) -> SimpleGraph:
-    """AG(prod Z_2): edges where ann(xy) differs from ann(x) union ann(y)."""
-    if n < 2:
-        raise ValueError("boolean_ring_annihilator_graph needs n >= 2")
-    ann = [_ring_ann_mask(x, 1 << n) for x in range(1 << n)]
-    return SimpleGraph.from_rule(_ring_vertices(n),
-                                 lambda x, y: ann[x & y] != ann[x] | ann[y])
-
-
 # -- combinators -------------------------------------------------------------
-
-def disjoint_union(parts: Sequence[SimpleGraph]) -> SimpleGraph:
-    labels: list[str] = []
-    rows: list[int] = []
-    for g in parts:
-        rows += [row << len(labels) for row in g.adj]
-        labels += g.labels
-    return SimpleGraph.from_rows(labels, rows)
-
 
 def graph_join(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     """Disjoint union plus all edges between the two sides."""
@@ -301,11 +233,6 @@ def graph_join(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     return SimpleGraph.from_rows(
         g.labels + h.labels,
         [row | right for row in g.adj] + [row << g.n | left for row in h.adj])
-
-
-def complete_graph(t: int, prefix: str = "v") -> SimpleGraph:
-    labels = [f"{prefix}{i}" for i in range(1, t + 1)]
-    return complete_graph_on(labels)
 
 
 def complete_graph_on(labels: Sequence[str]) -> SimpleGraph:

@@ -74,27 +74,22 @@ def distance_by_pseudocomplement(LB: FinitePoset, x: str, y: str) -> int:
     return 2
 
 
-# -- resolving sets by definition ---------------------------------------------
-
-def is_resolving(G: SimpleGraph, S: Sequence[str]) -> bool:
-    """S resolves G when distance vectors to S separate all vertex pairs."""
-    return _covers_all_pairs(G, S, strong=False)
-
+# -- strong resolving sets by definition --------------------------------------
 
 def is_strong_resolving(G: SimpleGraph, W: Sequence[str]) -> bool:
     """W strong-resolves G when every vertex pair lies on a shortest path
     to (or from) some member of W."""
-    return _covers_all_pairs(G, W, strong=True)
+    w = sum({1 << G.index(lab) for lab in W})
+    return all(m & w for m in _pair_cover_masks(G))
 
 
-def _pair_cover_masks(G: SimpleGraph, strong: bool) -> list[int]:
-    """For each vertex pair, the bitmask of vertices resolving it, read off
-    the spheres S_k(x) = ball[k] & ~ball[k-1].
+def _pair_cover_masks(G: SimpleGraph) -> list[int]:
+    """For each vertex pair, the bitmask of vertices strongly resolving it,
+    read off the spheres S_k(x) = ball[k] & ~ball[k-1].
 
     With v in u's sphere of radius d, w strongly resolves the pair iff it
     lies in some S_k(v) & S_{d+k}(u) or S_k(u) & S_{d+k}(v): one of the pair
-    is on a shortest path from the other to w.  w resolves the pair iff it
-    lies in no S_k(u) & S_k(v).
+    is on a shortest path from the other to w.
     """
     spheres = [[b & ~a for a, b in zip((0,) + ball, ball)]
                for ball in distance_balls(G)]
@@ -104,60 +99,33 @@ def _pair_cover_masks(G: SimpleGraph, strong: bool) -> list[int]:
         for x, y in zip(xs, ys):
             m |= x & y
         return m
-    full = (1 << G.n) - 1
     masks = []
     for u, su in enumerate(spheres):
         later = -1 << u + 1
         for d in range(1, len(su)):
             for v in _bits(su[d] & later):
                 sv = spheres[v]
-                if strong:
-                    masks.append(meet(sv, su[d:]) | meet(su, sv[d:]))
-                else:
-                    masks.append(full & ~meet(su, sv))
+                masks.append(meet(sv, su[d:]) | meet(su, sv[d:]))
     return masks
 
 
-def _covers_all_pairs(G: SimpleGraph, S: Sequence[str], strong: bool) -> bool:
-    w = sum({1 << G.index(lab) for lab in S})
-    return all(m & w for m in _pair_cover_masks(G, strong))
-
-
-def _min_cover(G: SimpleGraph, strong: bool, cap: int) -> tuple[str, ...]:
-    """The first vertex set in subset order that resolves (or strongly
-    resolves) every pair: smallest size first, then lexicographic."""
+def sdim_bruteforce(G: SimpleGraph, cap: int = DEFAULT_BRUTE_CAP) -> int:
+    """Smallest strong resolving set size, by subset enumeration in
+    ascending size."""
     if G.n > cap:
         raise TooLarge(f"brute force capped at {cap} vertices, graph has {G.n}")
-    masks = _pair_cover_masks(G, strong)
+    masks = _pair_cover_masks(G)
     for size in range(G.n + 1):
         for sub in combinations(range(G.n), size):
             w = 0
             for i in sub:
                 w |= 1 << i
             if all(m & w for m in masks):
-                return tuple(G.labels[i] for i in sub)
+                return size
     raise AssertionError("the full vertex set always resolves")
 
 
-def metric_dimension_bruteforce(G: SimpleGraph,
-                                cap: int = DEFAULT_BRUTE_CAP) -> int:
-    """Smallest resolving set size, by subset enumeration in ascending size."""
-    return len(_min_cover(G, strong=False, cap=cap))
-
-
-def sdim_bruteforce(G: SimpleGraph, cap: int = DEFAULT_BRUTE_CAP) -> int:
-    """Smallest strong resolving set size, by subset enumeration."""
-    return len(_min_cover(G, strong=True, cap=cap))
-
-
-def minimum_strong_resolving_set(G: SimpleGraph,
-                                 cap: int = DEFAULT_BRUTE_CAP) -> tuple[str, ...]:
-    """A minimum strong resolving set (first in subset order, so the
-    lexicographically least one for the sorted vertex labels)."""
-    return _min_cover(G, strong=True, cap=cap)
-
-
-# -- boundary and the strong resolving graph ----------------------------------
+# -- the strong resolving graph -----------------------------------------------
 
 def _mmd_rows(G: SimpleGraph,
               gens: Sequence[Sequence[int]] = ()) -> list[int]:
@@ -202,29 +170,9 @@ def _mmd_rows(G: SimpleGraph,
             for row, col in zip(far, zip(*far))]
 
 
-def mutually_maximally_distant(G: SimpleGraph, u: str, v: str) -> bool:
-    """The definition, pair by pair: no neighbour of either vertex lies
-    farther from the other than the two lie apart."""
-    if u == v:
-        return False
-    balls = distance_balls(G)
-
-    def dist(a: int, b: int) -> int:
-        return next(d for d, ball in enumerate(balls[a]) if ball >> b & 1)
-    i, j = G.index(u), G.index(v)
-    d = dist(i, j)
-    return (all(dist(w, j) <= d for w in _bits(G.adj[i]))
-            and all(dist(w, i) <= d for w in _bits(G.adj[j])))
-
-
-def boundary(G: SimpleGraph) -> list[str]:
-    """Vertices participating in some mutually-maximally-distant pair: the
-    vertices of G_SR, in sorted label order."""
-    return list(strong_resolving_graph(G).labels)
-
-
 def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
-    """G_SR: boundary vertices, mutually-maximally-distant pairs as edges.
+    """G_SR: the vertices of mutually maximally distant pairs, and those
+    pairs as edges.
 
     The rows are far AND its transpose (see `_mmd_rows`), with far read
     off `distance_balls(G)` for every vertex.  `sdim_via_gsr` builds G_SR
@@ -331,11 +279,6 @@ def _alpha(adj: Sequence[int], cand: int,
 
 def independence_number(G: SimpleGraph) -> int:
     return _alpha(G.adj, (1 << G.n) - 1)
-
-
-def vertex_cover_number(G: SimpleGraph) -> int:
-    """alpha(G) = |V| - beta(G), via the exact independent-set solver."""
-    return G.n - independence_number(G)
 
 
 def max_independent_set(G: SimpleGraph) -> list[str]:

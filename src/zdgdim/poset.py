@@ -1,7 +1,7 @@
 """Finite bounded posets and lattices with annihilator machinery.
 
 Elements are indexed 0..n-1 in construction order and addressed by label.
-The order relation is stored as one down-set bitmask per element, so cone
+The order relation is stored as one down-set bitmask per element, so down-set
 intersections, annihilators and meet/join lookups are single integer
 operations: the meet of x and y exists iff down(x) & down(y) is itself a
 principal down-set, and then it equals that principal element.
@@ -111,40 +111,37 @@ class FinitePoset:
                 for b in range(len(self.labels)) for a in _bits(self.down[b])
                 if a != b and self.up[a] & self.down[b] == (1 << a) | (1 << b)]
 
-    # -- cones, meets, joins ---------------------------------------------
-
-    def _cone_mask(self, elements: Iterable[str], *, lower: bool) -> int:
-        mask = (1 << len(self.labels)) - 1
-        rel = self.down if lower else self.up
-        for a in elements:
-            mask &= rel[self.index(a)]
-        return mask
-
-    def lower_cone(self, elements: Iterable[str]) -> list[str]:
-        return self._labels_of(self._cone_mask(elements, lower=True))
-
-    def upper_cone(self, elements: Iterable[str]) -> list[str]:
-        return self._labels_of(self._cone_mask(elements, lower=False))
-
-    def _meet_idx(self, i: int, j: int) -> int:
-        """Index of the meet of elements i, j; -1 when it does not exist."""
-        return self._down_index.get(self.down[i] & self.down[j], -1)
-
-    def _join_idx(self, i: int, j: int) -> int:
-        return self._up_index.get(self.up[i] & self.up[j], -1)
+    # -- meets and joins --------------------------------------------------
 
     def meet(self, a: str, b: str) -> Optional[str]:
-        k = self._meet_idx(self.index(a), self.index(b))
-        return None if k < 0 else self.labels[k]
+        """The meet of a and b; None when it does not exist."""
+        k = self._down_index.get(
+            self.down[self.index(a)] & self.down[self.index(b)])
+        return None if k is None else self.labels[k]
 
     def join(self, a: str, b: str) -> Optional[str]:
-        k = self._join_idx(self.index(a), self.index(b))
-        return None if k < 0 else self.labels[k]
+        k = self._up_index.get(self.up[self.index(a)] & self.up[self.index(b)])
+        return None if k is None else self.labels[k]
 
     def is_lattice(self) -> bool:
-        n = len(self.labels)
-        return all(self._meet_idx(i, j) >= 0 and self._join_idx(i, j) >= 0
-                   for i in range(n) for j in range(i + 1, n))
+        """Some element lies above every element, and every two elements
+        have a meet.
+
+        In a finite poset with a greatest element, pairwise meets give the
+        meet of any nonempty set, and the join of x and y is the meet of
+        their common upper bounds, a set that holds the greatest element
+        (Davey & Priestley, ch. 2).  A comparable pair has its lesser
+        element as meet; it passes the test anyway, and one `map` over
+        every later element is cheaper than picking the incomparable ones
+        out first.
+        """
+        index = self._down_index
+        if (1 << len(self.labels)) - 1 not in index:
+            return False
+        has = index.__contains__
+        down = self.down
+        return all(all(map(has, map(d.__and__, down[i + 1:])))
+                   for i, d in enumerate(down))
 
     # -- annihilators and friends ----------------------------------------
 
@@ -197,13 +194,6 @@ class FinitePoset:
         i = self._index.get(a)
         return i is not None and self._zero_divisor_flags()[i]
 
-    def dense_elements(self) -> list[str]:
-        """Elements outside Z(P), i.e. with annihilator exactly {0}."""
-        zero = 1 << self._require_bottom()
-        ann = self._ann_masks()
-        return [self.labels[i] for i in range(len(self.labels))
-                if ann[i] == zero]
-
     def atoms(self) -> list[str]:
         return self._labels_of(self._atoms_mask())
 
@@ -255,22 +245,6 @@ class FinitePoset:
     def dual(self) -> "FinitePoset":
         return FinitePoset(self.labels, self.up, bottom=self.top,
                            top=self.bottom)
-
-    def is_boolean(self) -> bool:
-        """Bounded + distributive + complemented.
-
-        Tested as: a bounded lattice with 2^k elements for its k atoms, in
-        which no two elements lie above the same set of atoms.  The map
-        x -> (atoms below x) is then a bijection onto the subsets of the
-        atoms, and it reflects order because x ∧ y lies above exactly the
-        atoms common to x and y, so the lattice is the Boolean lattice 2^k.
-        """
-        if self.bottom is None or self.top is None or not self.is_lattice():
-            return False
-        atoms = self._atoms_mask()
-        if len(self.labels) != 1 << atoms.bit_count():
-            return False
-        return len({d & atoms for d in self.down}) == len(self.labels)
 
     # -- the annihilator quotient ------------------------------------------
 
@@ -420,46 +394,37 @@ def poset_to_json(P: FinitePoset) -> dict:
             "bottom": P.bottom, "top": P.top}
 
 
-def _malformed(kind: str, why: str) -> ValueError:
-    return ValueError(f"malformed {kind} JSON: {why}")
+def _malformed(why: str) -> ValueError:
+    return ValueError(f"malformed poset JSON: {why}")
 
 
-def _json_label(labels: Sequence[str], i, kind: str) -> str:
+def _json_label(labels: Sequence[str], i) -> str:
     """labels[i] for an index read from JSON, which must be an int (not a
     bool) in range(len(labels)): Python would read -1 as the last label."""
     if type(i) is not int or not 0 <= i < len(labels):
-        raise _malformed(
-            kind, f"index {i!r} is not an int in range({len(labels)})")
+        raise _malformed(f"index {i!r} is not an int in range({len(labels)})")
     return labels[i]
 
 
-def _read_json(data, kind: str, pairs: str, pair_noun: str,
-               scalars: Sequence[str] = ()) -> tuple[list[str], list]:
-    """The labels and the label pairs of the JSON form of a poset or a
-    graph.  Raises `_malformed` for the first defect: data is not an
-    object, one of "labels", pairs and the scalars fields is missing,
-    "labels" or pairs is not a list, a member of pairs is not a pair, or
-    an index is out of range."""
-    if not isinstance(data, dict):
-        raise _malformed(kind, f"a {kind} is a JSON object (got {data!r})")
-    for key in ("labels", pairs, *scalars):
-        if key not in data:
-            raise _malformed(kind, f"no field {key!r}")
-        if key in ("labels", pairs) and not isinstance(data[key], list):
-            raise _malformed(
-                kind, f"field {key!r} must be a list (got {data[key]!r})")
-    for pair in data[pairs]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise _malformed(
-                kind, f"{pair_noun} is a pair of indices (got {pair!r})")
-    labels = [str(x) for x in data["labels"]]
-    return labels, [tuple(_json_label(labels, i, kind) for i in pair)
-                    for pair in data[pairs]]
-
-
 def poset_from_json(data: dict) -> FinitePoset:
-    labels, covers = _read_json(data, "poset", "covers", "a cover",
-                                ("bottom", "top"))
+    """The poset of `poset_to_json`'s form.  Raises `_malformed` for the
+    first defect: data is not an object, a field is missing, "labels" or
+    "covers" is not a list, a cover is not a pair, or an index is out of
+    range."""
+    if not isinstance(data, dict):
+        raise _malformed(f"a poset is a JSON object (got {data!r})")
+    for key in ("labels", "covers", "bottom", "top"):
+        if key not in data:
+            raise _malformed(f"no field {key!r}")
+        if key in ("labels", "covers") and not isinstance(data[key], list):
+            raise _malformed(
+                f"field {key!r} must be a list (got {data[key]!r})")
+    for pair in data["covers"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise _malformed(f"a cover is a pair of indices (got {pair!r})")
+    labels = [str(x) for x in data["labels"]]
+    covers = [tuple(_json_label(labels, i) for i in pair)
+              for pair in data["covers"]]
     return from_cover_relations(labels, covers,
-                                _json_label(labels, data["bottom"], "poset"),
-                                _json_label(labels, data["top"], "poset"))
+                                _json_label(labels, data["bottom"]),
+                                _json_label(labels, data["top"]))

@@ -23,7 +23,7 @@ from .blowup import (BlowupSpec, boolean_lattice, build_blowup,
 from .errors import ZdgError
 from .graphs import (complete_graph_on, connected_components,
                      zero_divisor_graph)
-from .metric import (DEFAULT_BRUTE_CAP, beta_gsr_formula, boundary, diameter,
+from .metric import (DEFAULT_BRUTE_CAP, beta_gsr_formula, diameter,
                      distance_balls, distance_by_pseudocomplement, gstar,
                      gstar_star, independence_number, is_strong_resolving,
                      minimum_vertex_cover, sdim_bruteforce, sdim_formula,
@@ -114,7 +114,8 @@ def _suite_gallai(seed, count) -> VerifySuiteResult:
         for tag, g in (("G", G), ("G_SR", strong_resolving_graph(G)),
                        ("G**", gstar_star(LB))):
             beta = independence_number(g)
-            # vertex_cover_number(g) would repeat the solve behind beta
+            # the cover number is |V| - beta: a second solve would repeat
+            # the one behind beta
             alpha = g.n - beta
             out.expect_equal(f"{name}/{tag}: alpha+beta=|V|", g.n, alpha + beta)
             cover = set(minimum_vertex_cover(g))
@@ -265,9 +266,10 @@ def _suite_examples(seed, count) -> VerifySuiteResult:
 
     L = boolean_lattice(3)
     G = zero_divisor_graph(L)
+    gsr = strong_resolving_graph(G)
     out.expect_equal("2^3: boundary",
-                     ["(0,1,1)", "(1,0,1)", "(1,1,0)"], boundary(G))
-    out.check("2^3: G_SR is K_3", strong_resolving_graph(G).labeled_equal(
+                     ["(0,1,1)", "(1,0,1)", "(1,1,0)"], list(gsr.labels))
+    out.check("2^3: G_SR is K_3", gsr.labeled_equal(
         complete_graph_on(["(0,1,1)", "(1,0,1)", "(1,1,0)"])))
     out.expect_equal("2^3: formula", 2, sdim_formula(BlowupSpec(3, {})))
     out.expect_equal("2^3: gsr", 2, sdim_via_gsr(G))

@@ -1,8 +1,12 @@
 import functools
+from itertools import combinations
 
 import pytest
 
-from zdgdim import build_blowup, from_cover_relations, zero_divisor_graph
+from zdgdim import (SimpleGraph, build_blowup, distance_balls,
+                    from_cover_relations, independence_number, tuple_label,
+                    zero_divisor_graph)
+from zdgdim.poset import _bits
 from zdgdim.verify import FIG3, SUITES, corpus
 
 # Acceptance corpus: 50 seeded random blow-up specs plus the named ones.
@@ -58,3 +62,60 @@ def corpus_graphs():
 def suite_result():
     """Run a verify suite on the acceptance corpus, once per session."""
     return functools.cache(lambda name: SUITES[name](CORPUS_SEED, CORPUS_SIZE))
+
+
+# -- definitions the tests check the package against --------------------------
+
+def cover_number(g: SimpleGraph) -> int:
+    """The vertex cover number, |V| - beta."""
+    return g.n - independence_number(g)
+
+
+def mutually_maximally_distant(g: SimpleGraph, u: str, v: str) -> bool:
+    """The definition, pair by pair: no neighbour of either vertex lies
+    farther from the other than the two lie apart."""
+    if u == v:
+        return False
+    balls = distance_balls(g)
+
+    def dist(a: int, b: int) -> int:
+        return next(d for d, ball in enumerate(balls[a]) if ball >> b & 1)
+    i, j = g.index(u), g.index(v)
+    d = dist(i, j)
+    return (all(dist(w, j) <= d for w in _bits(g.adj[i]))
+            and all(dist(w, i) <= d for w in _bits(g.adj[j])))
+
+
+def metric_dimension_bruteforce(g: SimpleGraph) -> int:
+    """The metric dimension by its definition: the size of the smallest
+    vertex set S whose distance vectors (d(v, s) for s in S) tell every
+    two vertices apart, found by trying every set in ascending size."""
+    # dist[u][v]: the index of the first of u's balls that holds v
+    dist = [[next(d for d, ball in enumerate(balls) if ball >> v & 1)
+             for v in range(g.n)] for balls in distance_balls(g)]
+    for size in range(g.n + 1):
+        for S in combinations(range(g.n), size):
+            if len({tuple(row[s] for s in S) for row in dist}) == g.n:
+                return size
+    raise AssertionError("the full vertex set always resolves")
+
+
+def boolean_ring_annihilator_graph(n: int) -> SimpleGraph:
+    """AG of the Boolean ring prod_1^n Z_2 by its definition: the nonzero
+    non-units x, y, as bitmasks, adjacent when ann(xy) differs from
+    ann(x) | ann(y), each annihilator a set of ring elements."""
+    ring = range(1 << n)
+    ann = [frozenset(z for z in ring if z & x == 0) for x in ring]
+    return SimpleGraph.from_rule(
+        ((tuple_label([x >> i & 1 for i in range(n)]), x)
+         for x in range(1, (1 << n) - 1)),
+        lambda x, y: ann[x & y] != ann[x] | ann[y])
+
+
+def incomparability_graph(L) -> SimpleGraph:
+    """Incomp(L) by its definition: the elements other than the bounds,
+    adjacent when neither lies below the other."""
+    return SimpleGraph.from_rule(
+        ((lab, lab) for i, lab in enumerate(L.labels)
+         if i not in (L.bottom, L.top)),
+        lambda a, b: not L.leq(a, b) and not L.leq(b, a))

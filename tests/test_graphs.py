@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from zdgdim import (LabelCollision, SimpleGraph,boolean_lattice,
-                    boolean_ring_annihilator_graph, boolean_ring_zdg,
-                    comparability_graph, complete_graph, complete_graph_on,
-                    connected_components, disjoint_union, graph_join,
-                    incomparability_graph, labeled_equal, m_lattice,
-                    product_of_chains, remove_isolated, twin_reduce,
-                    zero_divisor_graph)
-from zdgdim.graphs import graph_from_json
+from zdgdim import (LabelCollision, SimpleGraph, boolean_lattice,
+                    complete_graph_on, connected_components, graph_join,
+                    independence_number, m_lattice, product_of_chains,
+                    remove_isolated, twin_reduce, zero_divisor_graph)
+from zdgdim.adapters import reduced_ring
+
+from conftest import boolean_ring_annihilator_graph, incomparability_graph
 
 
 def test_simple_graph_basics():
@@ -56,7 +55,7 @@ def test_from_rule_matches_from_edges():
 def test_zero_divisor_graph_of_m_n_is_complete():
     for n in (2, 3, 5):
         G = zero_divisor_graph(m_lattice(n))
-        assert labeled_equal(G, complete_graph_on(G.labels))
+        assert G.labeled_equal(complete_graph_on(G.labels))
         assert G.n == n
 
 
@@ -68,7 +67,7 @@ def test_zero_divisor_graph_of_the_cube():
         [("(1,0,0)", "(0,1,0)"), ("(1,0,0)", "(0,0,1)"),
          ("(0,1,0)", "(0,0,1)"), ("(1,0,0)", "(0,1,1)"),
          ("(0,1,0)", "(1,0,1)"), ("(0,0,1)", "(1,1,0)")])
-    assert labeled_equal(G, expected)
+    assert G.labeled_equal(expected)
     for atom in ("(1,0,0)", "(0,1,0)", "(0,0,1)"):
         assert G.degree(atom) == 3
 
@@ -81,13 +80,14 @@ def test_zero_divisor_graph_matches_pairwise_lower_cones(corpus_graphs,
     lattices += [fig2_lattice, m_lattice(3), product_of_chains([3, 3, 2])]
     lattices += [L.dual() for L in lattices]
     for L in lattices:
-        zero = L.labels[L.bottom]
-        nonzero = [a for a in L.labels if a != zero]
-        edges = [(a, b) for i, a in enumerate(nonzero) for b in nonzero[i + 1:]
-                 if L.lower_cone([a, b]) == [zero]]
+        zero = 1 << L.bottom
+        nonzero = [i for i in range(len(L)) if i != L.bottom]
+        edges = [(L.labels[i], L.labels[j])
+                 for k, i in enumerate(nonzero) for j in nonzero[k + 1:]
+                 if L.down[i] & L.down[j] == zero]
         verts = {a for edge in edges for a in edge}
-        assert labeled_equal(zero_divisor_graph(L),
-                             SimpleGraph.from_edges(verts, edges))
+        assert zero_divisor_graph(L).labeled_equal(
+            SimpleGraph.from_edges(verts, edges))
 
 
 def test_figure4_left_panel(fig3_lattice):
@@ -99,62 +99,34 @@ def test_figure4_left_panel(fig3_lattice):
     assert not G.has_edge("(1,0,0)", "(1,1,0)")
 
 
-def test_comparability_and_incomparability():
-    L = boolean_lattice(3)
-    com = comparability_graph(L)
-    inc = incomparability_graph(L)
-    assert set(com.labels) == set(L.zero_divisors())
-    assert inc.has_edge("(1,0,0)", "(0,1,0)")
-    assert not inc.has_edge("(1,0,0)", "(1,1,0)")
-    # frozen by pair enumeration: 9 incomparable pairs among the 6 vertices
-    assert inc.edge_count() == 9
-    assert com.edge_count() + inc.edge_count() == 15
-    # edge-disjoint complementary union is complete
-    union = set(map(frozenset, com.edge_list())) | \
-        set(map(frozenset, inc.edge_list()))
-    assert len(union) == 15
-    # a chain's interior: comparability complete, incomparability edgeless
-    from zdgdim import product_of_chains
-    C = product_of_chains([5])
-    assert comparability_graph(C).is_complete()
-    assert incomparability_graph(C).edge_count() == 0
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_boolean_ring_graphs_match_lattice_graphs(n):
-    assert labeled_equal(boolean_ring_zdg(n),
-                         zero_divisor_graph(boolean_lattice(n)))
+    # the reduced-ring adapter at q = 2 is the zero-divisor graph of the
+    # Boolean ring prod Z_2; AG and Incomp are the tests' definitions
+    assert reduced_ring([2] * n).graph.labeled_equal(
+        zero_divisor_graph(boolean_lattice(n)))
     # observed equality includes the degenerate n = 2 case, where both
     # AG and Incomp consist of the single edge between the two atoms
-    assert labeled_equal(boolean_ring_annihilator_graph(n),
-                         incomparability_graph(boolean_lattice(n)))
-
-
-def test_gamma_edges_inside_ag_edges():
-    for n in (2, 3, 4):
-        gamma = set(map(frozenset, boolean_ring_zdg(n).edge_list()))
-        ag = set(map(frozenset,
-                     boolean_ring_annihilator_graph(n).edge_list()))
-        assert gamma <= ag
+    assert boolean_ring_annihilator_graph(n).labeled_equal(
+        incomparability_graph(boolean_lattice(n)))
 
 
 def test_union_join_and_friends():
-    k1 = complete_graph(1, prefix="a")
-    k2 = complete_graph(2, prefix="b")
-    k3 = complete_graph(3, prefix="c")
-    u = disjoint_union([k1, k2, k3])
-    assert u.n == 6 and u.edge_count() == 1 + 3
+    # K_1 + K_2 + K_3
+    u = SimpleGraph.from_edges(
+        ["a1", "b1", "b2", "c1", "c2", "c3"],
+        [("b1", "b2"), ("c1", "c2"), ("c1", "c3"), ("c2", "c3")])
     assert len(connected_components(u)) == 3
-    from zdgdim import independence_number
     assert independence_number(u) == 3    # one vertex per clique
+    k2 = complete_graph_on(["b1", "b2"])
     with pytest.raises(LabelCollision):
-        disjoint_union([k2, k2])
+        graph_join(k2, k2)
     p3 = graph_join(SimpleGraph.from_edges(["x", "y"], []),
-                    complete_graph(1, prefix="m"))
+                    complete_graph_on(["m1"]))
     assert p3.edge_count() == 2 and p3.degree("m1") == 2
     h = SimpleGraph.from_edges(["u", "v"], [("u", "v")])
-    iso = disjoint_union([h, SimpleGraph.from_edges(["w"], [])])
-    assert labeled_equal(remove_isolated(iso), h)
+    iso = SimpleGraph.from_edges(["u", "v", "w"], [("u", "v")])
+    assert remove_isolated(iso).labeled_equal(h)
 
 
 def test_relabeled():
@@ -170,36 +142,6 @@ def test_dot_and_json_exports():
     assert '"a" -- "b";' in dot
     data = g.to_json_dict()
     assert data == {"labels": ["a", "b"], "edges": [[0, 1]]}
-    assert labeled_equal(graph_from_json(data), g)
-    with pytest.raises(ValueError):
-        graph_from_json({"labels": ["a"]})
-
-
-@pytest.mark.parametrize("edge", [[0, -1], [True, 2], [0, 3], [0, 1.0],
-                                  [0, 1, 2]])
-def test_graph_json_indices_must_be_in_range(edge):
-    # -1 would name the last label and True the label at index 1
-    with pytest.raises(ValueError, match="malformed graph JSON"):
-        graph_from_json({"labels": ["a", "b", "c"], "edges": [edge]})
-
-
-def test_graph_json_names_a_missing_field():
-    with pytest.raises(ValueError,
-                       match="^malformed graph JSON: no field 'edges'$"):
-        graph_from_json({"labels": ["a", "b"]})
-
-
-def test_graph_json_labels_must_be_a_list():
-    # a string would otherwise be split into one label per character
-    with pytest.raises(ValueError, match=r"^malformed graph JSON: field "
-                       r"'labels' must be a list \(got 'ab'\)$"):
-        graph_from_json({"labels": "ab", "edges": [[0, 1]]})
-
-
-def test_graph_json_edge_must_be_a_pair():
-    with pytest.raises(ValueError, match=r"^malformed graph JSON: an edge "
-                       r"is a pair of indices \(got \[0\]\)$"):
-        graph_from_json({"labels": ["a", "b"], "edges": [[0]]})
 
 
 def _reference(labels, edges):
@@ -246,7 +188,7 @@ def _same(got, ref):
 def test_row_constructor_matches_the_label_edge_reference():
     # integer labels compare differently as strings ("10" < "2"), so the
     # re-indexing moves rows; the random maps and the second graph of each
-    # union or join collide with the first graph's labels now and then
+    # join collide with the first graph's labels now and then
     rng = random.Random(9)
     pool = list(range(40))
     for trial in range(200):
@@ -263,8 +205,6 @@ def test_row_constructor_matches_the_label_edge_reference():
         _same(lambda: g.relabeled(mapping),
               lambda: _reference([mapping.get(v, v) for v in g.labels],
                                  [[mapping.get(v, v) for v in e] for e in E]))
-        _same(lambda: disjoint_union([g, h]),
-              lambda: _reference(g.labels + h.labels, E | _edges(h)))
         _same(lambda: graph_join(g, h),
               lambda: _reference(g.labels + h.labels,
                                  E | _edges(h) | {frozenset((a, b))
@@ -283,7 +223,7 @@ def test_row_constructor_matches_the_label_edge_reference():
             others.append(SimpleGraph.from_edges(
                 g.labels, [tuple(e) for e in E ^ {frozenset((a, b))}]))
         for other in others:
-            assert labeled_equal(g, other) == (
+            assert g.labeled_equal(other) == (
                 set(g.labels) == set(other.labels)
                 and E == _edges(other)), trial
 

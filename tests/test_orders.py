@@ -4,8 +4,9 @@ The builders take their down-sets from the closure of a cover relation.
 Here each order is stated directly, as a rule on pairs of elements, and
 its down-sets are compared with the builder's; the closure itself is
 checked against the order axioms and a plain transitive closure.  The
-annihilators, which the package reads off the atoms, are checked against
-their definition, pair by pair.
+annihilators, which the package reads off the atoms, and the lattice test,
+which looks for a top and for meets only, are checked against their
+definitions, pair by pair.
 """
 
 import random
@@ -14,7 +15,7 @@ from itertools import combinations, product
 
 import pytest
 
-from zdgdim import (BlowupSpec, boolean_lattice, build_blowup,
+from zdgdim import (BlowupSpec, FinitePoset, boolean_lattice, build_blowup,
                     from_cover_relations, m_lattice, product_of_chains)
 from zdgdim.adapters import ideal_lattice_dual_zn
 from zdgdim.poset import _bits
@@ -197,3 +198,69 @@ def test_zero_distributivity_matches_the_triple_loop():
         assert P.is_zero_distributive() == want, P.labels
         verdicts[want] += 1
     assert verdicts[False] > 100 and verdicts[True] > 300
+
+
+def random_poset(rng):
+    """A random poset on 1 to 12 elements, in shuffled index order: the
+    transitive closure of a random relation that goes up a random linear
+    order, with a least element added half the time and a greatest one
+    half the time.  No bounds are declared."""
+    n = rng.randint(1, 10)
+    density = rng.choice([0.1, 0.25, 0.5])
+    down = [1 << b for b in range(n)]
+    for b in range(n):
+        for a in range(b):
+            if rng.random() < density:
+                down[b] |= down[a]
+    if rng.random() < 0.5:
+        down = [1] + [d << 1 | 1 for d in down]
+    if rng.random() < 0.5:
+        down.append((1 << len(down) + 1) - 1)
+    place = list(range(len(down)))
+    rng.shuffle(place)
+    moved = [0] * len(down)
+    for b, d in enumerate(down):
+        moved[place[b]] = sum(1 << place[a] for a in _bits(d))
+    return FinitePoset([f"e{i}" for i in range(len(down))], moved)
+
+
+def meets_exist(P):
+    """Every two elements have a meet: their common lower bounds
+    down(x) & down(y) are the down-set of one element."""
+    downs = set(P.down)
+    return all(P.down[i] & P.down[j] in downs
+               for i, j in combinations(range(len(P)), 2))
+
+
+def meet_join_lattice(P):
+    """The lattice test by its definition, one pair at a time: every two
+    elements have a meet, and a join, read off the up-sets likewise."""
+    ups = set(P.up)
+    return meets_exist(P) and all(P.up[i] & P.up[j] in ups
+                                  for i, j in combinations(range(len(P)), 2))
+
+
+def test_the_lattice_test_matches_the_meet_and_join_pair_loop():
+    rng = random.Random(31)
+    posets = [LB for _, _, LB in corpus(0, 300)]
+    posets += [boolean_lattice(n) for n in range(1, 8)]
+    posets += [m_lattice(n) for n in range(1, 7)]
+    posets += [product_of_chains(list(sizes)) for k in range(1, 4)
+               for sizes in product([1, 2, 3], repeat=k)]
+    posets += [ideal_lattice_dual_zn(N) for N in (2, 12, 60, 210, 720)]
+    posets += [bounded_poset(*random_bounded_relation(rng))
+               for _ in range(300)]
+    posets += [random_poset(rng) for _ in range(600)]
+    posets += [P.dual() for P in posets[::4]]
+    # 0 below two maximal elements a and b: every meet exists, no top
+    posets.append(FinitePoset(["0", "a", "b"], [0b001, 0b011, 0b101],
+                              bottom=0))
+    kinds = Counter()
+    for P in posets:
+        want = meet_join_lattice(P)
+        assert P.is_lattice() == want, (P.labels, P.down)
+        kinds[want, meets_exist(P)] += 1
+    # lattices, posets that lack a meet, and posets with every meet but no
+    # greatest element
+    assert kinds[True, True] > 900
+    assert kinds[False, False] > 300 and kinds[False, True] > 100

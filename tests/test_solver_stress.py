@@ -10,16 +10,17 @@ import pytest
 from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
                     build_blowup, connected_components, diameter,
                     distance_balls, independence_number, is_strong_resolving,
-                    m_lattice, max_independent_set,
-                    metric_dimension_bruteforce, minimum_strong_resolving_set,
-                    mutually_maximally_distant, product_of_chains,
-                    random_blowup_spec, sdim_bruteforce, sdim_via_gsr,
-                    strong_resolving_graph, twin_reduce, vertex_cover_number,
+                    m_lattice, max_independent_set, minimum_vertex_cover,
+                    product_of_chains, random_blowup_spec, sdim_bruteforce,
+                    sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     zero_divisor_graph)
 from zdgdim.metric import (_alpha, _coordinate_swaps, _mmd_rows,
                            _pair_cover_masks, _restricted)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
+
+from conftest import (cover_number, metric_dimension_bruteforce,
+                      mutually_maximally_distant)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -69,7 +70,6 @@ def test_alpha_beta_against_networkx_on_random_graphs():
         g = random_graph(rng, n, rng.uniform(0.05, 0.95))
         beta = nx_alpha(g)
         assert independence_number(g) == beta, trial
-        assert vertex_cover_number(g) == n - beta
         mis = max_independent_set(g)
         assert len(mis) == beta
         assert all(not g.has_edge(a, b) for a, b in combinations(mis, 2))
@@ -104,7 +104,7 @@ def test_sdim_bruteforce_matches_gsr_on_random_connected_graphs():
         done += 1
         brute = sdim_bruteforce(g)
         assert brute == sdim_via_gsr(g), (done, g.edge_list())
-        witness = minimum_strong_resolving_set(g)
+        witness = minimum_vertex_cover(strong_resolving_graph(g))
         assert len(witness) == brute
         assert is_strong_resolving(g, witness)
 
@@ -141,8 +141,9 @@ def test_twin_reduction_matches_the_plain_route_on_random_graphs():
     # the plain route, the cover number of the unreduced G_SR, is the
     # oracle; every size from 0 to 12 vertices comes up equally often.
     # Components, distance balls, the diameter, the G_SR edges by the
-    # textbook neighbour rule and the resolving masks of every pair by the
-    # textbook distance rules are checked against networkx on each graph
+    # textbook neighbour rule and the strong resolving masks of every pair
+    # by the textbook distance rule are checked against networkx on each
+    # graph
     rng = random.Random(2016)
     reduced = 0
     for trial in range(2015):
@@ -172,17 +173,14 @@ def test_twin_reduction_matches_the_plain_route_on_random_graphs():
             if all(dist[w][b] <= dist[a][b] for w in h[a])
             and all(dist[a][w] <= dist[a][b] for w in h[b])], trial
         # w strongly resolves u, v when one of them lies on a shortest path
-        # from the other to w, and resolves them when its distances to them
-        # differ; callers only ask whether every mask meets a set, so the
-        # masks are compared as a multiset
-        for strong in (False, True):
-            assert sorted(_pair_cover_masks(g, strong)) == sorted(
-                sum(1 << g.index(w) for w in g.labels
-                    if (dist[u][w] == dist[u][v] + dist[v][w]
-                        or dist[v][w] == dist[v][u] + dist[u][w]
-                        if strong else dist[u][w] != dist[v][w]))
-                for u, v in combinations(g.labels, 2)), (trial, strong)
-        plain = vertex_cover_number(gsr)
+        # from the other to w; callers only ask whether every mask meets a
+        # set, so the masks are compared as a multiset
+        assert sorted(_pair_cover_masks(g)) == sorted(
+            sum(1 << g.index(w) for w in g.labels
+                if dist[u][w] == dist[u][v] + dist[v][w]
+                or dist[v][w] == dist[v][u] + dist[u][w])
+            for u, v in combinations(g.labels, 2)), trial
+        plain = cover_number(gsr)
         assert sdim_via_gsr(g) == plain, (trial, g.edge_list())
         reduced += twin_reduce(g)[1] > 0
     assert reduced > 250
@@ -259,7 +257,7 @@ def test_orbital_alpha_matches_plain_alpha_on_blowups_and_chain_products():
         gsr, gens = gsr_with_generators(G)
         with_gens += bool(gens)
         check_orbital_alpha(gsr, gens, rng)
-        assert sdim_via_gsr(G) == twin_reduce(G)[1] + vertex_cover_number(gsr)
+        assert sdim_via_gsr(G) == twin_reduce(G)[1] + cover_number(gsr)
         # the zero-divisor graph itself, with its own swaps
         check_orbital_alpha(G, _coordinate_swaps(G)[1], rng)
     assert with_gens > 100
@@ -292,7 +290,7 @@ def test_coordinate_swaps_are_exactly_the_automorphisms_on_tuple_graphs():
         bogus += len(want) < k * (k - 1) // 2
         check_orbital_alpha(g, gens, rng)
         try:
-            plain = vertex_cover_number(strong_resolving_graph(g))
+            plain = cover_number(strong_resolving_graph(g))
         except Disconnected:
             continue
         assert sdim_via_gsr(g) == plain, trial
