@@ -22,10 +22,9 @@ from .poset import FinitePoset, _bits
 class SimpleGraph:
     """Immutable simple undirected graph with canonical vertex order."""
 
-    # _balls and _far hold every vertex's balls and far set, which
-    # metric.distance_balls computes on first use and every later caller
-    # shares
-    __slots__ = ("labels", "adj", "_index", "_balls", "_far")
+    # _balls holds every vertex's balls, which metric.distance_balls
+    # computes on first use and every later caller shares
+    __slots__ = ("labels", "adj", "_index", "_balls")
 
     def __init__(self, labels: Sequence[str], adj: Sequence[int]):
         self.labels = tuple(labels)
@@ -35,7 +34,7 @@ class SimpleGraph:
                                      else f"labels {a!r}, {b!r} out of order")
         self.adj = tuple(adj)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._balls = self._far = None
+        self._balls = None
 
     @classmethod
     def from_rows(cls, labels: Sequence[str | None],

@@ -39,14 +39,11 @@ def distance_balls(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
     """The balls of `G.bfs(s)` for every vertex s: element d of row s is
     the bitmask of the vertices within distance d of s.
 
-    The balls, and the far sets the same searches give, are computed once
-    per graph and kept on it; every distance and mutually-maximally-distant
+    The balls are computed once per graph and kept on it; every distance
     question in this module reads them.
     """
     if G._balls is None:
-        searches = [_search(G, s) for s in range(G.n)]
-        G._balls = tuple(ball for ball, _ in searches)
-        G._far = tuple(far for _, far in searches)
+        G._balls = tuple(_search(G, s)[0] for s in range(G.n))
     return G._balls
 
 
@@ -140,13 +137,10 @@ def _mmd_rows(G: SimpleGraph,
     image.  An automorphism g keeps distances, so far(g(u)) = g(far(u)):
     far is searched for the least vertex of each orbit and carried to the
     rest of the orbit along the generators, each step one rewrite of a
-    string by `itemgetter`.  Those searches are not kept on G.  With no
-    gens every orbit is one vertex, and the far sets are the ones
-    `distance_balls(G)` keeps.
+    string by `itemgetter`.  With no gens every orbit is one vertex, and
+    every vertex is searched.
     """
     n = G.n
-    if not gens:
-        distance_balls(G)
     moves = []
     for g in gens:
         inverse = [0] * n
@@ -157,8 +151,7 @@ def _mmd_rows(G: SimpleGraph,
     for r in range(n):
         if far[r] is not None:
             continue
-        f = G._far[r] if G._far else _search(G, r)[1]
-        far[r] = format(f, f"0{n}b")[::-1]
+        far[r] = format(_search(G, r)[1], f"0{n}b")[::-1]
         orbit = [r]
         for u in orbit:
             for g, move in zip(gens, moves):
@@ -174,14 +167,10 @@ def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
     """G_SR: the vertices of mutually maximally distant pairs, and those
     pairs as edges.
 
-    The rows are far AND its transpose (see `_mmd_rows`), with far read
-    off `distance_balls(G)` for every vertex.  `sdim_via_gsr` builds G_SR
-    from far sets carried along verified automorphisms instead."""
-    return _gsr_of_rows(G, _mmd_rows(G))
-
-
-def _gsr_of_rows(G: SimpleGraph, rows: Sequence[int]) -> SimpleGraph:
-    """The graph on G's vertices with a nonzero row, in G's order."""
+    The rows are far AND its transpose, with the far sets carried along
+    the coordinate swaps that `_coordinate_swaps` checks on G's rows (see
+    `_mmd_rows`); `sdim_via_gsr` reads the same rows."""
+    rows = _mmd_rows(G, _coordinate_swaps(G)[0])
     return SimpleGraph.from_rows(
         [lab if row else None for lab, row in zip(G.labels, rows)], rows)
 
@@ -417,21 +406,13 @@ def _coordinate_swaps(
     return checked, list(swaps.values())
 
 
-def _restricted(perms: Sequence[Sequence[int]],
-                keep: Sequence[int]) -> list[list[int]]:
-    """Permutations of a graph's indices, restricted to the ascending
-    indices keep and renumbered by position in keep, as G_SR renumbers the
-    vertices it keeps.  keep should be a vertex set that every automorphism
-    maps onto itself, such as G_SR's; an image outside it raises."""
-    pos = {v: k for k, v in enumerate(keep)}
-    out = []
+def _check_invariant(perms: Sequence[Sequence[int]], cand: int) -> None:
+    """Raise unless each permutation maps the vertex set cand into, and so
+    onto, itself."""
     for p in perms:
-        q = list(map(pos.get, map(p.__getitem__, keep)))
-        if None in q:
+        if any(not cand >> p[v] & 1 for v in _bits(cand)):
             raise AssertionError("a coordinate swap does not map the vertex "
                                  "set onto itself")
-        out.append(q)
-    return out
 
 
 def sdim_via_gsr(G: SimpleGraph) -> int:
@@ -449,18 +430,23 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
     graph's rows are its automorphisms; no theorem about the input is
     trusted.  The checked spanning set carries the far sets of G_SR's rows
     along each orbit (see `_mmd_rows`).  An automorphism keeps distances
-    and mutually maximally distant pairs, so it maps G_SR onto itself:
-    every swap, restricted to G_SR by index, is a generator for the
-    solver's orbital branching (see `_alpha`).  Labels that are not tuples
-    of one length, or with no swap that is an automorphism, leave the plain
-    computation.
+    and mutually maximally distant pairs, so it maps G_SR onto itself.
+    The independent set is solved on those rows directly, in the reduced
+    graph's indices: the candidates are the vertices with a nonzero row,
+    which the checked swaps must map onto themselves, and every swap is a
+    generator for the solver's orbital branching (see `_alpha`).  Labels
+    that are not tuples of one length, or with no swap that is an
+    automorphism, leave the plain computation.
     """
     reduced, dropped = twin_reduce(G)
     checked, swaps = _coordinate_swaps(reduced)
     rows = _mmd_rows(reduced, checked)
-    gsr = _gsr_of_rows(reduced, rows)
-    gens = _restricted(swaps, [v for v, row in enumerate(rows) if row])
-    return gsr.n - _alpha(gsr.adj, (1 << gsr.n) - 1, gens) + dropped
+    # the rows are symmetric, so their union is the vertices of G_SR
+    cand = 0
+    for row in rows:
+        cand |= row
+    _check_invariant(checked, cand)
+    return cand.bit_count() - _alpha(rows, cand, swaps) + dropped
 
 
 def sdim_formula(spec: BlowupSpec) -> int:

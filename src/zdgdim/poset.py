@@ -206,16 +206,14 @@ class FinitePoset:
         return m
 
     def _pseudocomplement_indices(self) -> tuple[int, ...]:
-        """The pseudocomplement of each element by index, -1 where none."""
+        """The pseudocomplement of each element by index, -1 where none.
+
+        The pseudocomplement of x is the maximum of ann(x).  ann(x) is a
+        down-set, so it has a maximum exactly when it is some element's
+        down-set, and that element is the maximum."""
         if self._pc is None:
-            pcs = []
-            for ann in self._ann_masks():
-                # the pseudocomplement is the maximum of the annihilator,
-                # which in a finite poset exists iff the annihilator has a
-                # single maximal element
-                maximal = [j for j in _bits(ann) if self.up[j] & ann == 1 << j]
-                pcs.append(maximal[0] if len(maximal) == 1 else -1)
-            self._pc = tuple(pcs)
+            self._pc = tuple(self._down_index.get(a, -1)
+                             for a in self._ann_masks())
         return self._pc
 
     def pseudocomplement(self, a: str) -> Optional[str]:

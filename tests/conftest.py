@@ -86,6 +86,32 @@ def mutually_maximally_distant(g: SimpleGraph, u: str, v: str) -> bool:
             and all(dist(w, i) <= d for w in _bits(g.adj[j])))
 
 
+def pair_loop_mmd_rows(g: SimpleGraph) -> list[int]:
+    """The G_SR rows by a scan of every vertex pair: u < v, found in u's
+    sphere of radius d, are kept when every neighbour of u lies in v's ball
+    of radius d and every neighbour of v in u's."""
+    balls = distance_balls(g)
+    adj = g.adj
+    rows = [0] * g.n
+    for u, ball in enumerate(balls):
+        later = -1 << u + 1
+        for d in range(1, len(ball)):
+            for v in _bits(ball[d] & ~ball[d - 1] & later):
+                if (adj[u] & ~balls[v][d] == 0
+                        and adj[v] & ~ball[d] == 0):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+    return rows
+
+
+def plain_gsr(g: SimpleGraph) -> SimpleGraph:
+    """G_SR from the rows of `pair_loop_mmd_rows`, which read no
+    coordinate swap."""
+    rows = pair_loop_mmd_rows(g)
+    return SimpleGraph.from_rows(
+        [lab if row else None for lab, row in zip(g.labels, rows)], rows)
+
+
 def metric_dimension_bruteforce(g: SimpleGraph) -> int:
     """The metric dimension by its definition: the size of the smallest
     vertex set S whose distance vectors (d(v, s) for s in S) tell every

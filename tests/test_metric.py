@@ -19,7 +19,7 @@ from zdgdim.adapters import (DEFAULT_ELEMENT_BUDGET, LocalProductSpec,
 from zdgdim.verify import corpus
 
 from conftest import (cover_number, metric_dimension_bruteforce,
-                      mutually_maximally_distant)
+                      mutually_maximally_distant, plain_gsr)
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -252,7 +252,7 @@ def test_twin_reduce_keeps_the_two_smallest_members_of_each_class():
     assert reduced.labeled_equal(g.subgraph(reduced.labels))
     # sum over classes of (size - 2)
     assert dropped == 2 + 2
-    assert sdim_via_gsr(g) == cover_number(strong_resolving_graph(g))
+    assert sdim_via_gsr(g) == cover_number(plain_gsr(g))
 
 
 def test_twin_reduce_returns_a_twin_free_graph_itself(cube_graph):
@@ -288,7 +288,7 @@ def test_twin_reduction_matches_the_plain_route_on_the_corpus():
     g = comaximal_gamma2prime(LocalProductSpec([(2, 2), (3, 1), (5, 1),
                                                 (7, 1)]))
     assert (g.n, twin_reduce(g)[0].n) == (322, 28)
-    assert sdim_via_gsr(g) == cover_number(strong_resolving_graph(g))
+    assert sdim_via_gsr(g) == cover_number(plain_gsr(g))
 
 
 def test_formula_matches_capped_chains_past_the_element_budget():

@@ -178,8 +178,8 @@ def join_closed_annihilators(P):
                for b, c in combinations(_bits(ann[a]), 2))
 
 
-def test_zero_distributivity_matches_the_triple_loop():
-    rng = random.Random(5)
+def zero_distributivity_lattices(rng):
+    """The lattices that the 0-distributivity test runs on."""
     lattices = [LB for _, _, LB in corpus(0, 300)]
     lattices += [product_of_chains(list(sizes)) for k in range(1, 4)
                  for sizes in product([1, 2, 3], repeat=k)]
@@ -192,12 +192,49 @@ def test_zero_distributivity_matches_the_triple_loop():
         P = bounded_poset(*random_bounded_relation(rng))
         if P.is_lattice():
             lattices.append(P)
+    return lattices
+
+
+def test_zero_distributivity_matches_the_triple_loop():
     verdicts = Counter()
-    for P in lattices:
+    for P in zero_distributivity_lattices(random.Random(5)):
         want = join_closed_annihilators(P)
         assert P.is_zero_distributive() == want, P.labels
         verdicts[want] += 1
     assert verdicts[False] > 100 and verdicts[True] > 300
+
+
+def maximal_element_pseudocomplements(P):
+    """The pseudocomplement of each element by index, -1 where none, by a
+    scan of ann(x) for its maximal elements: the maximum exists iff
+    exactly one is maximal."""
+    pcs = []
+    for ann in pair_loop_ann(P):
+        maximal = [j for j in _bits(ann) if P.up[j] & ann == 1 << j]
+        pcs.append(maximal[0] if len(maximal) == 1 else -1)
+    return tuple(pcs)
+
+
+def test_pseudocomplements_match_the_maximal_element_scan():
+    # M_3 ... M_6 and their duals have elements with no pseudocomplement
+    posets = zero_distributivity_lattices(random.Random(5))
+    posets += [m_lattice(n) for n in range(3, 7)]
+    posets += [m_lattice(n).dual() for n in range(3, 7)]
+    rng = random.Random(6)
+    others = 0
+    for _ in range(300):
+        P = bounded_poset(*random_bounded_relation(rng))
+        if not P.is_lattice():
+            others += 1
+            posets.append(P)
+    missing = 0
+    for P in posets:
+        want = maximal_element_pseudocomplements(P)
+        assert P._pseudocomplement_indices() == want, P.labels
+        missing += -1 in want
+    assert others > 50 and missing > 100
+    assert all(-1 in maximal_element_pseudocomplements(m_lattice(n).dual())
+               for n in range(3, 7))
 
 
 def random_poset(rng):

@@ -14,13 +14,15 @@ from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
                     product_of_chains, random_blowup_spec, sdim_bruteforce,
                     sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     zero_divisor_graph)
-from zdgdim.metric import (_alpha, _coordinate_swaps, _mmd_rows,
-                           _pair_cover_masks, _restricted)
+from zdgdim import metric
+from zdgdim.metric import (_alpha, _check_invariant, _coordinate_swaps,
+                           _mmd_rows, _pair_cover_masks)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
 
 from conftest import (cover_number, metric_dimension_bruteforce,
-                      mutually_maximally_distant)
+                      mutually_maximally_distant, pair_loop_mmd_rows,
+                      plain_gsr)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -226,12 +228,12 @@ def check_orbital_alpha(g: SimpleGraph, gens, rng: random.Random) -> None:
 
 
 def gsr_with_generators(G: SimpleGraph):
-    """G_SR of the twin-reduced G and the generators sdim_via_gsr uses,
-    each checked against the edge set of G_SR by the definition."""
+    """G_SR of the twin-reduced G, on all of its vertices and in its
+    indices, as sdim_via_gsr solves it, from the rows of the pair loop, and
+    the generators sdim_via_gsr uses, each checked against that edge set."""
     reduced = twin_reduce(G)[0]
-    gsr = strong_resolving_graph(reduced)
-    gens = _restricted(_coordinate_swaps(reduced)[1],
-                       [reduced.index(lab) for lab in gsr.labels])
+    gsr = SimpleGraph(reduced.labels, pair_loop_mmd_rows(reduced))
+    gens = _coordinate_swaps(reduced)[1]
     edges = {frozenset(e) for e in combinations(range(gsr.n), 2)
              if gsr.adj[min(e)] >> max(e) & 1}
     for p in gens:
@@ -290,10 +292,11 @@ def test_coordinate_swaps_are_exactly_the_automorphisms_on_tuple_graphs():
         bogus += len(want) < k * (k - 1) // 2
         check_orbital_alpha(g, gens, rng)
         try:
-            plain = cover_number(strong_resolving_graph(g))
+            gsr = plain_gsr(g)
         except Disconnected:
             continue
-        assert sdim_via_gsr(g) == plain, trial
+        assert strong_resolving_graph(g).labeled_equal(gsr), trial
+        assert sdim_via_gsr(g) == cover_number(gsr), trial
     assert bogus > 30
 
 
@@ -327,13 +330,28 @@ def test_a_swap_that_maps_the_labels_but_not_the_edges_is_no_generator():
 
 
 def test_a_vertex_set_that_a_checked_swap_leaves_raises():
-    # the swaps of 2^3 are checked on G itself; H lacks the image (1,0,0)
-    # of (0,1,0), so mapping them onto H leaves a hole
+    # the swaps of 2^3 are checked on G itself; the vertex set lacks the
+    # image (1,0,0) of (0,1,0), so mapping it into itself fails
     G = zero_divisor_graph(build_blowup(BlowupSpec(3, {})))
-    H = G.subgraph(lab for lab in G.labels if lab != "(1,0,0)")
+    checked = _coordinate_swaps(G)[0]
+    full = (1 << G.n) - 1
+    _check_invariant(checked, full)
     with pytest.raises(AssertionError, match="does not map the vertex set"):
-        _restricted(_coordinate_swaps(G)[1],
-                    [G.index(lab) for lab in H.labels])
+        _check_invariant(checked, full & ~(1 << G.index("(1,0,0)")))
+
+
+def test_sdim_via_gsr_refuses_a_swap_that_leaves_the_gsr_vertices(
+        monkeypatch):
+    # on the path a-b-c-d, a swap of a and b passed off as checked carries
+    # far(a) = {d} to b, and G_SR's vertices come out as {a, d}, which the
+    # swap does not map onto itself; without the check the solve still
+    # returns sdim = 1
+    g = SimpleGraph.from_edges("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    bogus = [1, 0, 2, 3]
+    monkeypatch.setattr(metric, "_coordinate_swaps",
+                        lambda g: ([bogus], [bogus]))
+    with pytest.raises(AssertionError, match="does not map the vertex set"):
+        sdim_via_gsr(g)
 
 
 def pinned_orbit_graph() -> SimpleGraph:
@@ -362,43 +380,25 @@ def test_the_include_branch_keeps_only_the_generators_that_fix_its_vertex():
 
 # -- G_SR rows from far sets carried along the checked swaps ---------------------
 
-def pair_loop_mmd_rows(g: SimpleGraph) -> list[int]:
-    """The G_SR rows by a scan of every vertex pair: u < v, found in u's
-    sphere of radius d, are kept when every neighbour of u lies in v's ball
-    of radius d and every neighbour of v in u's."""
-    balls = distance_balls(g)
-    adj = g.adj
-    rows = [0] * g.n
-    for u, ball in enumerate(balls):
-        later = -1 << u + 1
-        for d in range(1, len(ball)):
-            for v in _bits(ball[d] & ~ball[d - 1] & later):
-                if (adj[u] & ~balls[v][d] == 0
-                        and adj[v] & ~ball[d] == 0):
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-    return rows
-
-
 def check_mmd_rows(g: SimpleGraph, rng: random.Random) -> int:
     """The rows from far sets carried along g's checked swaps against the
     rows with no generators, the pair loop and the pair-by-pair definition
-    (on all pairs up to 60 vertices, on 500 sampled pairs above).  The
-    orbit path runs on a copy with no kept searches, where it searches the
-    least vertex of each orbit itself, and on g, where it reads the far
-    sets `distance_balls(g)` keeps.  Returns the number of generators."""
+    (on all pairs up to 60 vertices, on 500 sampled pairs above), and
+    `strong_resolving_graph(g)` against the graph of the pair loop's rows.
+    Returns the number of generators."""
     gens = _coordinate_swaps(g)[0]
-    bare = SimpleGraph(g.labels, g.adj)
     try:
         want = pair_loop_mmd_rows(g)
     except Disconnected:
         with pytest.raises(Disconnected):
-            _mmd_rows(bare, gens)
+            _mmd_rows(g, gens)
         with pytest.raises(Disconnected):
             _mmd_rows(g)
+        with pytest.raises(Disconnected):
+            strong_resolving_graph(g)
         return len(gens)
-    assert _mmd_rows(bare, gens) == _mmd_rows(g) == want
-    assert _mmd_rows(g, gens) == want
+    assert _mmd_rows(g, gens) == _mmd_rows(g) == want
+    assert strong_resolving_graph(g).labeled_equal(plain_gsr(g))
     pairs = list(combinations(range(g.n), 2))
     if g.n > 60:
         pairs = rng.sample(pairs, min(500, len(pairs)))
