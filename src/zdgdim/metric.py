@@ -20,7 +20,7 @@ from .blowup import BlowupSpec, coordinates_label, tuple_coordinates
 from .errors import (Disconnected, HypothesisUnmet, NotApplicable,
                      NotAZeroDivisor, TooLarge)
 from .graphs import SimpleGraph, remove_isolated, zero_divisor_graph
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset, _bits, _transpose
 
 DEFAULT_BRUTE_CAP = 16
 
@@ -129,9 +129,9 @@ def _mmd_rows(G: SimpleGraph,
     """Row u: the vertices mutually maximally distant from u.
 
     u and v are such a pair iff each lies in the other's far set (see
-    `SimpleGraph.bfs`), so the rows are far AND its transpose.  Each far
-    set is kept as a string of n characters, '1' at each member's index,
-    and the transpose is one `zip` over the strings.
+    `SimpleGraph.bfs`), so the rows are far AND its transpose
+    (`poset._transpose`).  While the far sets are carried, each is kept as
+    a string of n characters, '1' at each member's index.
 
     gens are automorphisms of G, each a list mapping every vertex to its
     image.  An automorphism g keeps distances, so far(g(u)) = g(far(u)):
@@ -159,8 +159,8 @@ def _mmd_rows(G: SimpleGraph,
                 if far[w] is None:
                     far[w] = "".join(move(far[u]))
                     orbit.append(w)
-    return [int(row[::-1], 2) & int("".join(col)[::-1], 2)
-            for row, col in zip(far, zip(*far))]
+    rows = [int(row[::-1], 2) for row in far]
+    return list(map(int.__and__, rows, _transpose(rows, n)))
 
 
 def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:

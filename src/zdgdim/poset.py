@@ -24,6 +24,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The columns of a 0/1 matrix whose rows are masks below 1 << width:
+    bit i of column j is bit j of rows[i].  The rows, last first, are
+    joined as binary strings, so column j is the stride-width slice that
+    starts at its character in the last row, read as a binary number."""
+    text = "".join(format(r, f"0{width}b") for r in reversed(rows))
+    return [int(text[k::width] or "0", 2) for k in range(width - 1, -1, -1)]
+
+
 @dataclass(frozen=True)
 class ClassPartition:
     """Partition of a bounded poset by equal annihilators.
@@ -31,8 +40,8 @@ class ClassPartition:
     classes are tuples of element indices (each sorted, ordered by least
     member); class_of maps element index -> class id.  boolean_image is
     present only when the quotient order is Boolean: it maps each class to
-    the subset mask of atom-classes lying below it, with the i-th atom (in
-    element order) at bit i.
+    the subset mask of the atoms lying below its members, with the i-th
+    atom (in element order) at bit i.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -60,11 +69,7 @@ class FinitePoset:
         self.labels = tuple(str(x) for x in labels)
         n = len(self.labels)
         self.down = tuple(down)
-        up = [0] * n
-        for i in range(n):
-            for j in _bits(self.down[i]):
-                up[j] |= 1 << i
-        self.up = tuple(up)
+        self.up = tuple(_transpose(self.down, n))
         self.bottom = bottom
         self.top = top
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -247,64 +252,35 @@ class FinitePoset:
     # -- the annihilator quotient ------------------------------------------
 
     def quotient_classes(self) -> ClassPartition:
-        """Partition by equal annihilators, with Boolean image when it exists.
+        """Partition by equal annihilators, with its Boolean image when the
+        quotient is Boolean.
 
-        When the poset is pseudocomplemented the partition by equal
-        pseudocomplements must coincide; this is cross-checked on every call.
+        ann(b) is contained in ann(a) exactly when every atom below a lies
+        below b.  One way is `_ann_masks`'s lemma; the other holds because
+        an atom t below a but not below b is in ann(b) and not in ann(a).
+        So the classes are the sets of atoms below, ordered by inclusion,
+        and with k atoms the quotient is Boolean, 2^k, iff all 2^k sets
+        occur.  boolean_image then gives each class's atom set with the
+        i-th atom (in element order) at bit i.
         """
-        ann = self._ann_masks()
-        n = len(self.labels)
-        by_ann: dict[int, list[int]] = {}
-        for i in range(n):
-            by_ann.setdefault(ann[i], []).append(i)
-        classes = tuple(sorted((tuple(v) for v in by_ann.values()),
-                               key=lambda c: c[0]))
-        class_of = [0] * n
+        atoms = self._atoms_mask()
+        by_atoms: dict[int, list[int]] = {}
+        for i, d in enumerate(self.down):
+            by_atoms.setdefault(d & atoms, []).append(i)
+        # first seen in index order, so ordered by least member
+        classes = tuple(map(tuple, by_atoms.values()))
+        class_of = [0] * len(self.labels)
         for cid, members in enumerate(classes):
             for i in members:
                 class_of[i] = cid
-
-        pcs = self._pseudocomplement_indices()
-        if all(k >= 0 for k in pcs):
-            for members in classes:
-                if len({pcs[i] for i in members}) != 1:
-                    raise AssertionError("annihilator classes disagree with "
-                                         "pseudocomplement classes")
-            if len({pcs[c[0]] for c in classes}) != len(classes):
-                raise AssertionError("pseudocomplement classes disagree with "
-                                     "annihilator classes")
-
-        boolean_image = self._boolean_image(ann, classes, class_of)
+        place = list(_bits(atoms))
+        image = None
+        # no atom holds only for the one-element lattice: its quotient is 2^0
+        if len(classes) == 1 << len(place):
+            image = tuple(sum(1 << t for t, a in enumerate(place)
+                              if key >> a & 1) for key in by_atoms)
         return ClassPartition(classes=classes, class_of=tuple(class_of),
-                              boolean_image=boolean_image)
-
-    def _boolean_image(self, ann, classes, class_of):
-        atoms = list(_bits(self._atoms_mask()))
-        k = len(atoms)
-        # k = 0 holds only for the one-element lattice: its quotient is 2^0
-        if len(classes) != 1 << k:
-            return None
-        atom_class = [class_of[a] for a in atoms]
-        # class order: [a] <= [b] iff ann(b) is contained in ann(a)
-        reps = [c[0] for c in classes]
-
-        def cls_leq(c, d):
-            return ann[reps[d]] & ~ann[reps[c]] == 0
-
-        masks = []
-        for cid in range(len(classes)):
-            m = 0
-            for t in range(k):
-                if cls_leq(atom_class[t], cid):
-                    m |= 1 << t
-            masks.append(m)
-        if len(set(masks)) != len(classes):
-            return None
-        for c in range(len(classes)):
-            for d in range(len(classes)):
-                if cls_leq(c, d) != (masks[c] & ~masks[d] == 0):
-                    return None
-        return tuple(masks)
+                              boolean_image=image)
 
 
 # -- constructors ----------------------------------------------------------

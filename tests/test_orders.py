@@ -4,9 +4,10 @@ The builders take their down-sets from the closure of a cover relation.
 Here each order is stated directly, as a rule on pairs of elements, and
 its down-sets are compared with the builder's; the closure itself is
 checked against the order axioms and a plain transitive closure.  The
-annihilators, which the package reads off the atoms, and the lattice test,
-which looks for a top and for meets only, are checked against their
-definitions, pair by pair.
+annihilators and the annihilator quotient, which the package reads off the
+atoms, the up-sets, which it takes from one string transpose of the
+down-sets, and the lattice test, which looks for a top and for meets only,
+are checked against their definitions, pair by pair or bit by bit.
 """
 
 import random
@@ -215,26 +216,107 @@ def maximal_element_pseudocomplements(P):
     return tuple(pcs)
 
 
-def test_pseudocomplements_match_the_maximal_element_scan():
-    # M_3 ... M_6 and their duals have elements with no pseudocomplement
+@pytest.fixture(scope="module")
+def quotient_posets():
+    """The 0-distributivity lattices, M_1 ... M_6 and their duals, and
+    random bounded posets that are not lattices."""
     posets = zero_distributivity_lattices(random.Random(5))
-    posets += [m_lattice(n) for n in range(3, 7)]
-    posets += [m_lattice(n).dual() for n in range(3, 7)]
+    posets += [m_lattice(n) for n in range(1, 7)]
+    posets += [m_lattice(n).dual() for n in range(1, 7)]
     rng = random.Random(6)
-    others = 0
     for _ in range(300):
         P = bounded_poset(*random_bounded_relation(rng))
         if not P.is_lattice():
-            others += 1
             posets.append(P)
-    missing = 0
-    for P in posets:
+    return posets
+
+
+def test_pseudocomplements_match_the_maximal_element_scan(quotient_posets):
+    # M_3 ... M_6 and their duals have elements with no pseudocomplement
+    others = missing = 0
+    for P in quotient_posets:
         want = maximal_element_pseudocomplements(P)
         assert P._pseudocomplement_indices() == want, P.labels
         missing += -1 in want
+        others += not P.is_lattice()
     assert others > 50 and missing > 100
     assert all(-1 in maximal_element_pseudocomplements(m_lattice(n).dual())
                for n in range(3, 7))
+
+
+def pair_loop_quotient(P):
+    """(classes, class_of, boolean_image) by definition: the classes of
+    equal pair-loop annihilators, ordered by least member, and the image
+    only where the class order, [a] <= [b] iff ann(b) is contained in
+    ann(a), is the inclusion order of the atom-class masks, pair by
+    pair."""
+    ann = pair_loop_ann(P)
+    by_ann = {}
+    for i, m in enumerate(ann):
+        by_ann.setdefault(m, []).append(i)
+    classes = tuple(sorted((tuple(v) for v in by_ann.values()),
+                           key=lambda c: c[0]))
+    class_of = [0] * len(P)
+    for cid, members in enumerate(classes):
+        for i in members:
+            class_of[i] = cid
+    atoms = [i for i, d in enumerate(P.down) if d.bit_count() == 2]
+    if len(classes) != 1 << len(atoms):
+        return classes, tuple(class_of), None
+    reps = [c[0] for c in classes]
+
+    def cls_leq(c, d):
+        return ann[reps[d]] & ~ann[reps[c]] == 0
+
+    masks = [sum(1 << t for t, a in enumerate(atoms)
+                 if cls_leq(class_of[a], cid))
+             for cid in range(len(classes))]
+    if len(set(masks)) != len(classes):
+        return classes, tuple(class_of), None
+    for c in range(len(classes)):
+        for d in range(len(classes)):
+            if cls_leq(c, d) != (masks[c] & ~masks[d] == 0):
+                return classes, tuple(class_of), None
+    return classes, tuple(class_of), tuple(masks)
+
+
+def test_quotient_classes_match_the_pair_loop_quotient(quotient_posets):
+    images = Counter()
+    for P in quotient_posets:
+        part = P.quotient_classes()
+        want = pair_loop_quotient(P)
+        assert (part.classes, part.class_of, part.boolean_image) == want, \
+            (P.labels, P.down)
+        images[want[2] is None] += 1
+    # Boolean quotients (blow-ups, chain products) and others (M_n for
+    # n > 2, most random posets)
+    assert images[False] > 300 and images[True] > 100
+
+
+def test_pseudocomplement_classes_are_the_annihilator_classes(
+        quotient_posets):
+    checked = 0
+    for P in quotient_posets:
+        pcs = maximal_element_pseudocomplements(P)
+        if -1 in pcs:
+            continue
+        by_pc = {}
+        for i, k in enumerate(pcs):
+            by_pc.setdefault(k, []).append(i)
+        assert sorted(map(tuple, by_pc.values())) == \
+            sorted(P.quotient_classes().classes), P.labels
+        checked += 1
+    assert checked > 300
+
+
+def bit_loop_up(P):
+    """up[j] = the mask of {i : j <= i}, one set bit of each down-set at a
+    time."""
+    up = [0] * len(P)
+    for i, d in enumerate(P.down):
+        for j in _bits(d):
+            up[j] |= 1 << i
+    return tuple(up)
 
 
 def random_poset(rng):
@@ -259,6 +341,15 @@ def random_poset(rng):
     for b, d in enumerate(down):
         moved[place[b]] = sum(1 << place[a] for a in _bits(d))
     return FinitePoset([f"e{i}" for i in range(len(down))], moved)
+
+
+def test_up_sets_match_the_bit_loop_transpose(quotient_posets):
+    # random_poset declares no bounds; the empty poset has no rows
+    rng = random.Random(8)
+    posets = quotient_posets + [random_poset(rng) for _ in range(300)]
+    posets.append(FinitePoset([], []))
+    for P in posets:
+        assert P.up == bit_loop_up(P), (P.labels, P.down)
 
 
 def meets_exist(P):
