@@ -3,9 +3,11 @@
 Each construction enumerates concrete algebraic objects (field tuples, ring
 residues, ideals of Z_N, vectors) and exposes a companion prediction that
 realizes the same graph through a chain blow-up, so tests can cross-check
-labeled equality by explicit bijection.  Only zero-versus-nonzero and
-unit-versus-non-unit coordinate patterns ever matter for adjacency, so no
-finite-field arithmetic is implemented.
+labeled equality by explicit bijection.  Each graph is built from its
+coordinate patterns, two vertices adjacent when theirs are disjoint: the
+nonzero coordinates of a field tuple, the non-unit coordinates of a
+residue, the primes dividing d, the zero coordinates of a vector.  Only
+these patterns matter, so no finite-field arithmetic is implemented.
 
 `reduced_ring`, `comaximal`, `comaximal_ideal` and `component_union` give
 each application's graph, closed form and prediction check as one
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, prod
+from math import prod
 from typing import Callable, NamedTuple, Sequence
 
 from .blowup import (BlowupSpec, blowup_label, build_blowup, mask_to_binstr,
@@ -80,6 +82,10 @@ def _prime_powers(N: int):
         p += 1
     if N > 1:
         yield N, 1
+
+
+def _pattern(flags) -> int:
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
 def prime_power_base(q: int):
@@ -146,10 +152,9 @@ def reduced_ring_zdg(spec: ReducedRingSpec) -> SimpleGraph:
     to the zero-divisor graph of the product of chains with sizes |F_i|.
     """
     qs = spec.field_orders
-    return SimpleGraph.from_rule(
-        ((tuple_label(v), v) for v in product(*[range(q) for q in qs])
-         if any(v) and not all(v)),
-        lambda x, y: all(a == 0 or b == 0 for a, b in zip(x, y)))
+    return SimpleGraph.from_patterns(
+        (tuple_label(v), _pattern(a != 0 for a in v))
+        for v in product(*[range(q) for q in qs]) if any(v) and not all(v))
 
 
 def reduced_ring_sdim_formula(spec: ReducedRingSpec) -> int:
@@ -175,13 +180,10 @@ def comaximal_gamma2prime(spec: LocalProductSpec) -> SimpleGraph:
     on at least one side."""
     mods = spec.moduli()
     ps = [p for p, _ in spec.prime_powers]
-    verts = []
-    for x in product(*[range(m) for m in mods]):
-        nonunit = sum(1 for xi, p in zip(x, ps) if xi % p == 0)
-        if 0 < nonunit < len(mods):
-            verts.append((tuple_label(x), x))
-    return SimpleGraph.from_rule(verts, lambda x, y: all(
-        a % p != 0 or b % p != 0 for a, b, p in zip(x, y, ps)))
+    pats = ((tuple_label(x), _pattern(xi % p == 0 for xi, p in zip(x, ps)))
+            for x in product(*[range(m) for m in mods]))
+    return SimpleGraph.from_patterns(
+        (lab, pat) for lab, pat in pats if 0 < pat < (1 << len(mods)) - 1)
 
 
 def comaximal_blowup_prediction(
@@ -256,10 +258,10 @@ def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:
     if N < 2:
         raise ValueError("comaximal ideal graph needs N >= 2")
     check_element_budget(f"Z_{N}", N)
-    rad = prod(p for p, _ in _prime_powers(N))
-    return SimpleGraph.from_rule(
-        ((d, d) for d in _divisors(N) if d not in (1, N) and d % rad != 0),
-        lambda d, e: gcd(d, e) == 1)
+    primes = [p for p, _ in _prime_powers(N)]
+    pats = ((d, _pattern(d % p == 0 for p in primes)) for d in _divisors(N))
+    return SimpleGraph.from_patterns(
+        (d, pat) for d, pat in pats if 0 < pat < (1 << len(primes)) - 1)
 
 
 def comaximal_ideal_sdim_formula(N: int) -> int:
@@ -297,10 +299,10 @@ def component_union_graph(n: int, q: int) -> SimpleGraph:
     check_power_budget(f"GF({q})^{n}", [(q, n)])
     prime_power_base(q)
     full = (1 << n) - 1
-    return SimpleGraph.from_rule(
-        ((_vector_label(mask, t, n), mask) for mask in range(1, full + 1)
-         for t in range(1, (q - 1) ** mask.bit_count() + 1)),
-        lambda mu, mv: mu | mv == full)
+    return SimpleGraph.from_patterns(
+        (_vector_label(mask, t, n), full & ~mask)
+        for mask in range(1, full + 1)
+        for t in range(1, (q - 1) ** mask.bit_count() + 1))
 
 
 def component_union_prediction(

@@ -2,18 +2,20 @@
 
 Vertices are kept in sorted label order, which the constructor checks, so
 DOT and JSON exports are byte-stable; adjacency is one bitmask row per
-vertex.  `SimpleGraph.from_rule` builds a graph given by a vertex set and
-an adjacency rule, and `SimpleGraph.from_rows` every graph derived from
-rows.  No command reads an edge list, but `SimpleGraph.from_edges` stays:
-the tests build their graphs with it, and the benchmark's tracer
+vertex.  `SimpleGraph.from_patterns` builds every graph whose vertices
+are adjacent when their coordinate patterns are disjoint (G(P), the
+application graphs, K_t) and, by a second rule, G**; `from_rows` every
+graph derived from rows.  No command reads an edge list, but `from_edges`
+stays: the tests build their graphs with it, and the benchmark's tracer
 (`bench/tracer.py`) wraps it by name.  Graph equality is labeled equality,
 never isomorphism: under the sorted order, equal rows.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import LabelCollision, UnknownElement
 from .poset import FinitePoset, _bits
@@ -52,8 +54,8 @@ class SimpleGraph:
                  for s, e in zip(starts, starts[1:] + [len(order)])]
         # move each row run by run or bit by bit, whichever is fewer steps.
         # Runs win where few are kept: G_SR of 2^9 takes 1.2 ms against 66
-        # bit by bit.  Bits win where the order is scrambled: G(2^9), whose
-        # labels sort its indices bit-reversed, takes 9 ms against 46.
+        # bit by bit.  Bits win where the order is scrambled, which on the
+        # commands' paths only `relabeled` does (the prediction checks).
         adj = []
         if len(moves) * len(order) <= sum(rows[i].bit_count() for i in order):
             for i in order:
@@ -90,23 +92,39 @@ class SimpleGraph:
         return cls.from_rows(labs, adj)
 
     @classmethod
-    def from_rule(cls, vertices: Iterable[tuple[Any, Any]],
-                  adjacent: Callable[[Any, Any], bool]) -> "SimpleGraph":
-        """Graph on (label, value) pairs, labels taken through str(), with
-        a ~ b iff adjacent(value_a, value_b); the symmetric rule is called
-        once per unordered pair."""
-        verts = sorted(((str(lab), val) for lab, val in vertices),
+    def from_patterns(cls, vertices: Iterable[tuple[Any, int]],
+                      crossing: bool = False) -> "SimpleGraph":
+        """Graph on (label, pattern) pairs, labels taken through str() and
+        each pattern a bitmask of coordinates: a ~ b iff a != b and their
+        patterns are disjoint, or with crossing, equal or crossing (they
+        meet and neither holds the other).  A duplicate label raises
+        LabelCollision.  Each distinct pattern's row is read off one mask
+        per coordinate, the vertices whose pattern holds it."""
+        verts = sorted(((str(lab), pat) for lab, pat in vertices),
                        key=itemgetter(0))
-        labs = [lab for lab, _ in verts]
-        if len(set(labs)) != len(labs):
-            raise LabelCollision("duplicate vertex labels")
-        adj = [0] * len(verts)
-        for i, (_, a) in enumerate(verts):
-            for j in range(i + 1, len(verts)):
-                if adjacent(a, verts[j][1]):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return cls(labs, adj)
+        group: dict[int, int] = {}
+        for i, (_, pat) in enumerate(verts):
+            group[pat] = group.get(pat, 0) | 1 << i
+        hold: dict[int, int] = {}
+        for pat, m in group.items():
+            for c in _bits(pat):
+                hold[c] = hold.get(c, 0) | m
+        full, row = (1 << len(verts)) - 1, {}
+        for pat, m in group.items():
+            meet = 0
+            for c in _bits(pat):
+                meet |= hold[c]
+            row[pat] = full & ~meet
+            if crossing:
+                outside = lacks = 0
+                for c, h in hold.items():
+                    if pat >> c & 1:
+                        lacks |= full & ~h
+                    else:
+                        outside |= h
+                row[pat] = m | meet & outside & lacks
+        return cls([lab for lab, _ in verts],
+                   [row[pat] & ~(1 << i) for i, (_, pat) in enumerate(verts)])
 
     # -- basics -----------------------------------------------------------
 
@@ -214,13 +232,12 @@ def dot_text(name: str, labels: Iterable[str],
 
 def zero_divisor_graph(P: FinitePoset) -> SimpleGraph:
     """G(P): vertices Z*(P), edges between elements meeting only in 0."""
-    # the neighbours of x are the nonzero elements of ann(x), each of which
-    # is itself in Z*
-    zd = set(P.zero_divisors())
-    zero = 1 << P.bottom
-    return SimpleGraph.from_rows(
-        [lab if lab in zd else None for lab in P.labels],
-        [m & ~zero for m in P._ann_masks()])
+    # x and y meet only in 0 iff no atom lies below both (the lemma of
+    # `_ann_masks`), so each element's pattern is its set of atoms below
+    atoms = P._atoms_mask()
+    return SimpleGraph.from_patterns(
+        (lab, d & atoms) for lab, d in compress(
+            zip(P.labels, P.down), P._zero_divisor_flags()))
 
 
 # -- combinators -------------------------------------------------------------
@@ -235,8 +252,7 @@ def graph_join(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
 
 
 def complete_graph_on(labels: Sequence[str]) -> SimpleGraph:
-    return SimpleGraph.from_rule(((lab, None) for lab in labels),
-                                 lambda a, b: True)
+    return SimpleGraph.from_patterns((lab, 0) for lab in labels)
 
 
 def remove_isolated(g: SimpleGraph) -> SimpleGraph:

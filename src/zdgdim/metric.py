@@ -183,13 +183,10 @@ def gstar_star(LB: FinitePoset) -> SimpleGraph:
     part = LB.quotient_classes()
     if part.boolean_image is None:
         raise NotApplicable("annihilator quotient is not Boolean")
-    classes = ((lab, part.class_of[LB.index(lab)])
-               for lab in LB.zero_divisors())
-
-    def adjacent(ci: int, cj: int) -> bool:
-        mi, mj = part.boolean_image[ci], part.boolean_image[cj]
-        return ci == cj or (mi & mj != 0 and mi & ~mj != 0 and mj & ~mi != 0)
-    return SimpleGraph.from_rule(classes, adjacent)
+    # the classes are the atom sets, so equal images mean equal classes
+    return SimpleGraph.from_patterns(
+        ((lab, part.boolean_image[part.class_of[LB.index(lab)]])
+         for lab in LB.zero_divisors()), crossing=True)
 
 
 def gstar(LB: FinitePoset) -> SimpleGraph:

@@ -1,11 +1,12 @@
 import functools
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
-from zdgdim import (SimpleGraph, build_blowup, distance_balls,
-                    from_cover_relations, independence_number, tuple_label,
-                    zero_divisor_graph)
+from zdgdim import (LabelCollision, SimpleGraph, build_blowup,
+                    distance_balls, from_cover_relations, independence_number,
+                    tuple_label, zero_divisor_graph)
 from zdgdim.poset import _bits
 from zdgdim.verify import FIG3, SUITES, corpus
 
@@ -126,13 +127,65 @@ def metric_dimension_bruteforce(g: SimpleGraph) -> int:
     raise AssertionError("the full vertex set always resolves")
 
 
+def rule_graph(vertices, adjacent) -> SimpleGraph:
+    """The graph on (label, value) pairs, labels taken through str(), with
+    a ~ b iff adjacent(value_a, value_b): the symmetric rule is called once
+    per unordered pair."""
+    verts = sorted(((str(lab), val) for lab, val in vertices),
+                   key=itemgetter(0))
+    labs = [lab for lab, _ in verts]
+    if len(set(labs)) != len(labs):
+        raise LabelCollision("duplicate vertex labels")
+    adj = [0] * len(verts)
+    for i, (_, a) in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            if adjacent(a, verts[j][1]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return SimpleGraph(labs, adj)
+
+
+def ann_rows_zdg(P) -> SimpleGraph:
+    """G(P) from its annihilator rows: the neighbours of x are the nonzero
+    elements of ann(x), each of which is itself in Z*."""
+    zd = set(P.zero_divisors())
+    zero = 1 << P.bottom
+    return SimpleGraph.from_rows(
+        [lab if lab in zd else None for lab in P.labels],
+        [m & ~zero for m in P._ann_masks()])
+
+
+def random_bounded_relation(rng):
+    """Labels and pairs of a random acyclic relation on shuffled labels,
+    with repeated pairs and transitive (non-Hasse) pairs, bounded by a
+    bottom and a top that are linked to every element."""
+    n = rng.randint(0, 12)
+    rank = list(range(n))
+    rng.shuffle(rank)      # a pair (a, b) is added only if a ranks lower
+    pairs = [(a, b) for a in range(n) for b in range(n)
+             if rank[a] < rank[b] and rng.random() < 0.3]
+    pairs += rng.choices(pairs, k=len(pairs) // 3)
+    pairs += [("bot", x) for x in range(n)]
+    pairs += [(x, "top") for x in range(n)]
+    pairs.append(("bot", "top"))
+    rng.shuffle(pairs)
+    labels = ["bot", *range(n), "top"]
+    rng.shuffle(labels)
+    return labels, pairs
+
+
+def bounded_poset(labels, pairs):
+    return from_cover_relations(labels, [(str(a), str(b)) for a, b in pairs],
+                                "bot", "top")
+
+
 def boolean_ring_annihilator_graph(n: int) -> SimpleGraph:
     """AG of the Boolean ring prod_1^n Z_2 by its definition: the nonzero
     non-units x, y, as bitmasks, adjacent when ann(xy) differs from
     ann(x) | ann(y), each annihilator a set of ring elements."""
     ring = range(1 << n)
     ann = [frozenset(z for z in ring if z & x == 0) for x in ring]
-    return SimpleGraph.from_rule(
+    return rule_graph(
         ((tuple_label([x >> i & 1 for i in range(n)]), x)
          for x in range(1, (1 << n) - 1)),
         lambda x, y: ann[x & y] != ann[x] | ann[y])
@@ -141,7 +194,7 @@ def boolean_ring_annihilator_graph(n: int) -> SimpleGraph:
 def incomparability_graph(L) -> SimpleGraph:
     """Incomp(L) by its definition: the elements other than the bounds,
     adjacent when neither lies below the other."""
-    return SimpleGraph.from_rule(
+    return rule_graph(
         ((lab, lab) for i, lab in enumerate(L.labels)
          if i not in (L.bottom, L.top)),
         lambda a, b: not L.leq(a, b) and not L.leq(b, a))

@@ -1,5 +1,6 @@
 import time
-from math import prod
+from itertools import product
+from math import gcd, prod
 
 import pytest
 
@@ -16,7 +17,11 @@ from zdgdim.adapters import (LocalProductSpec, ReducedRingSpec,
                              component_union_prediction,
                              component_union_sdim_formula,
                              ideal_lattice_dual_zn, prime_power_base,
-                             reduced_ring_sdim_formula, reduced_ring_zdg)
+                             reduced_ring_sdim_formula, reduced_ring_zdg,
+                             _vector_label)
+from zdgdim.blowup import tuple_label
+
+from conftest import rule_graph
 
 
 def _primes_up_to(n):
@@ -241,3 +246,48 @@ def test_component_union_sdim_grid():
     for n, q in grid:
         want = 2 if (n, q) == (2, 2) else q ** n - n - 2
         assert sdim_via_gsr(component_union_graph(n, q)) == want, (n, q)
+
+
+# -- each application graph against its adjacency rule, pair by pair ----------
+
+def test_reduced_ring_matches_its_pair_rule():
+    for qs in ([2, 2, 2], [4, 2], [8, 3], [9, 2, 2], [4, 8], [9, 4, 2]):
+        want = rule_graph(
+            ((tuple_label(v), v) for v in product(*map(range, qs))
+             if any(v) and not all(v)),
+            lambda x, y: all(a == 0 or b == 0 for a, b in zip(x, y)))
+        assert reduced_ring_zdg(ReducedRingSpec(qs)).labeled_equal(want), qs
+
+
+def test_comaximal_matches_its_pair_rule():
+    for pairs in (((2, 1), (2, 1), (2, 1)), ((2, 2), (3, 1), (5, 1)),
+                  ((3, 2), (2, 3)), ((2, 3), (3, 1), (5, 1)),
+                  ((2, 2), (3, 2), (2, 1))):
+        spec = LocalProductSpec(pairs)
+        ps = [p for p, _ in pairs]
+        want = rule_graph(
+            ((tuple_label(x), x) for x in product(*map(range, spec.moduli()))
+             if 0 < sum(xi % p == 0 for xi, p in zip(x, ps)) < len(ps)),
+            lambda x, y: all(a % p != 0 or b % p != 0
+                             for a, b, p in zip(x, y, ps)))
+        assert comaximal_gamma2prime(spec).labeled_equal(want), pairs
+
+
+def test_comaximal_ideal_graph_matches_its_pair_rule():
+    primes = _primes_up_to(3000)
+    for N in range(2, 3001):
+        rad = prod(p for p in primes if N % p == 0)
+        want = rule_graph(((d, d) for d in range(2, N)
+                           if N % d == 0 and d % rad != 0),
+                          lambda d, e: gcd(d, e) == 1)
+        assert comaximal_ideal_graph_zn(N).labeled_equal(want), N
+
+
+def test_component_union_graph_matches_its_pair_rule():
+    for n, q in product(range(1, 5), (2, 3, 4)):
+        full = (1 << n) - 1
+        want = rule_graph(
+            ((_vector_label(mask, t, n), mask) for mask in range(1, full + 1)
+             for t in range(1, (q - 1) ** mask.bit_count() + 1)),
+            lambda mu, mv: mu | mv == full)
+        assert component_union_graph(n, q).labeled_equal(want), (n, q)

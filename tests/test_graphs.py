@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,8 +9,11 @@ from zdgdim import (LabelCollision, SimpleGraph, boolean_lattice,
                     independence_number, m_lattice, product_of_chains,
                     remove_isolated, twin_reduce, zero_divisor_graph)
 from zdgdim.adapters import reduced_ring
+from zdgdim.verify import corpus
 
-from conftest import boolean_ring_annihilator_graph, incomparability_graph
+from conftest import (ann_rows_zdg, boolean_ring_annihilator_graph,
+                      bounded_poset, incomparability_graph,
+                      random_bounded_relation, rule_graph)
 
 
 def test_simple_graph_basics():
@@ -24,32 +28,47 @@ def test_simple_graph_basics():
         SimpleGraph.from_edges(["a", "a"], [])
 
 
-def test_from_rule_matches_from_edges():
-    # from_edges is the reference: the same canonical label order and rows,
-    # with the rule seeing the values and called once per unordered pair
+def test_from_patterns_matches_the_rule_graph():
+    # rule_graph is the reference: the same canonical label order and rows.
+    # Labels are ints, whose str order differs ("10" < "2"); with at most
+    # five coordinates, empty and repeated patterns are common
     rng = random.Random(2024)
-    for _ in range(40):
+    seen = Counter()
+    for _ in range(60):
         n = rng.randint(0, 20)
-        labels = list(range(n))          # str order differs: "10" < "2"
+        labels = list(range(n))
         rng.shuffle(labels)
-        density = rng.random()
-        edges = {frozenset(pair)
-                 for pair in itertools.combinations(range(n), 2)
-                 if rng.random() < density}
-        calls = []
-
-        def adjacent(a, b):
-            calls.append(frozenset((a[1], b[1])))
-            return frozenset((a[1], b[1])) in edges
-        vertices = [(x, ("v", x)) for x in labels]
-        g = SimpleGraph.from_rule(vertices, adjacent)
-        ref = SimpleGraph.from_edges(labels, [tuple(e) for e in edges])
-        assert (g.labels, g.adj) == (ref.labels, ref.adj)
-        assert len(calls) == n * (n - 1) // 2 == len(set(calls))
+        width = rng.randint(0, 5)
+        vertices = [(x, rng.getrandbits(width)) for x in labels]
+        pats = [pat for _, pat in vertices]
+        seen["empty"] += 0 in pats
+        seen["repeated"] += len(set(pats)) < n
+        assert SimpleGraph.from_patterns(vertices).labeled_equal(
+            rule_graph(vertices, lambda a, b: not a & b))
+        crossing = rule_graph(vertices, lambda a, b: a == b or bool(
+            a & b and a & ~b and b & ~a))
+        assert SimpleGraph.from_patterns(vertices, crossing=True) \
+            .labeled_equal(crossing)
         if n:
             with pytest.raises(LabelCollision):
-                SimpleGraph.from_rule(vertices + [(str(labels[0]), None)],
-                                      adjacent)
+                SimpleGraph.from_patterns(vertices + [(str(labels[0]), 0)])
+        else:
+            assert SimpleGraph.from_patterns(vertices).n == 0
+    assert seen["empty"] > 20 and seen["repeated"] > 20
+
+
+def test_zero_divisor_graph_matches_the_annihilator_rows():
+    rng = random.Random(5)
+    posets = [LB for _, _, LB in corpus(0, 300)]
+    posets += [P.dual() for P in posets]
+    posets += [m_lattice(n) for n in range(1, 7)]
+    posets += [product_of_chains(list(sizes)) for k in range(1, 5)
+               for sizes in itertools.product([1, 2, 3], repeat=k)]
+    others = [bounded_poset(*random_bounded_relation(rng))
+              for _ in range(300)]
+    assert sum(not P.is_lattice() for P in others) > 50
+    for P in posets + others:
+        assert zero_divisor_graph(P).labeled_equal(ann_rows_zdg(P)), P.labels
 
 
 def test_zero_divisor_graph_of_m_n_is_complete():

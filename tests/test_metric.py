@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
@@ -11,7 +11,8 @@ from zdgdim import (BlowupSpec, Disconnected, HypothesisUnmet, NotApplicable,
                     distance_by_pseudocomplement, gstar, gstar_star,
                     independence_number, is_strong_resolving, m_lattice,
                     max_independent_set, minimum_vertex_cover,
-                    sdim_bruteforce, sdim_formula, random_blowup_spec,
+                    product_of_chains, sdim_bruteforce, sdim_formula,
+                    random_blowup_spec,
                     sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     zero_divisor_graph)
 from zdgdim.adapters import (DEFAULT_ELEMENT_BUDGET, LocalProductSpec,
@@ -19,7 +20,7 @@ from zdgdim.adapters import (DEFAULT_ELEMENT_BUDGET, LocalProductSpec,
 from zdgdim.verify import corpus
 
 from conftest import (cover_number, metric_dimension_bruteforce,
-                      mutually_maximally_distant, plain_gsr)
+                      mutually_maximally_distant, plain_gsr, rule_graph)
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -176,6 +177,30 @@ def test_gstar_of_complete_zdg():
     LB = build_blowup(BlowupSpec(2, {}))
     g = gstar(LB)
     assert g.n == 2 and g.edge_count() == 1
+
+
+def class_rule_gstar_star(LB):
+    """G** by its class rule, pair by pair: equal classes, or classes whose
+    Boolean images meet while neither holds the other."""
+    part = LB.quotient_classes()
+    image = part.boolean_image
+
+    def adjacent(ci: int, cj: int) -> bool:
+        mi, mj = image[ci], image[cj]
+        return ci == cj or (mi & mj != 0 and mi & ~mj != 0 and mj & ~mi != 0)
+    return rule_graph(((lab, part.class_of[LB.index(lab)])
+                       for lab in LB.zero_divisors()), adjacent)
+
+
+def test_gstar_star_matches_the_class_rule():
+    lattices = [LB for _, _, LB in corpus(0, 300)]
+    lattices += [boolean_lattice(n) for n in range(1, 10)]
+    lattices += [product_of_chains(list(sizes)) for k in range(1, 4)
+                 for sizes in product([2, 3, 4], repeat=k)]
+    lattices.append(build_blowup(BlowupSpec(3, {0b001: 400, 0b110: 400})))
+    for LB in lattices:
+        assert gstar_star(LB).labeled_equal(class_rule_gstar_star(LB)), \
+            LB.labels
 
 
 def test_gstar_star_not_applicable():

@@ -17,10 +17,12 @@ from itertools import combinations, product
 import pytest
 
 from zdgdim import (BlowupSpec, FinitePoset, boolean_lattice, build_blowup,
-                    from_cover_relations, m_lattice, product_of_chains)
+                    m_lattice, product_of_chains)
 from zdgdim.adapters import ideal_lattice_dual_zn
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
+
+from conftest import bounded_poset, random_bounded_relation
 
 
 def rule_down(elems, leq):
@@ -93,30 +95,6 @@ def test_dual_ideal_lattice_matches_divisibility(N):
     assert P.labels == tuple(str(d) for d in divs)
     assert P.down == rule_down(divs, lambda e, d: d % e == 0)
     assert (P.bottom, P.top) == (0, len(divs) - 1)
-
-
-def random_bounded_relation(rng):
-    """Labels and pairs of a random acyclic relation on shuffled labels,
-    with repeated pairs and transitive (non-Hasse) pairs, bounded by a
-    bottom and a top that are linked to every element."""
-    n = rng.randint(0, 12)
-    rank = list(range(n))
-    rng.shuffle(rank)      # a pair (a, b) is added only if a ranks lower
-    pairs = [(a, b) for a in range(n) for b in range(n)
-             if rank[a] < rank[b] and rng.random() < 0.3]
-    pairs += rng.choices(pairs, k=len(pairs) // 3)
-    pairs += [("bot", x) for x in range(n)]
-    pairs += [(x, "top") for x in range(n)]
-    pairs.append(("bot", "top"))
-    rng.shuffle(pairs)
-    labels = ["bot", *range(n), "top"]
-    rng.shuffle(labels)
-    return labels, pairs
-
-
-def bounded_poset(labels, pairs):
-    return from_cover_relations(labels, [(str(a), str(b)) for a, b in pairs],
-                                "bot", "top")
 
 
 def test_cover_closure_is_the_transitive_closure_of_any_acyclic_relation():
