@@ -26,7 +26,7 @@ from .blowup import (BlowupSpec, blowup_label, build_blowup, mask_to_binstr,
                      product_of_chains, tuple_label)
 from .errors import HypothesisUnmet, NotPrimePower, TooLarge
 from .graphs import SimpleGraph, complete_graph_on, graph_join, zero_divisor_graph
-from .poset import FinitePoset, _down_sets
+from .poset import FinitePoset
 
 DEFAULT_ELEMENT_BUDGET = 100_000
 
@@ -247,8 +247,7 @@ def ideal_lattice_dual_zn(N: int) -> FinitePoset:
     primes = [p for p, _ in _prime_powers(N)]
     # d covers d/p for each prime p dividing d
     below = [[index[d // p] for p in primes if d % p == 0] for d in divs]
-    return FinitePoset([str(d) for d in divs],
-                       _down_sets(below, range(len(divs))),
+    return FinitePoset([str(d) for d in divs], below,
                        bottom=0, top=len(divs) - 1)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (InvalidSpec, NotApplicable, NotBounded,
                      NotZeroDistributive)
-from .poset import FinitePoset, _down_sets
+from .poset import FinitePoset
 
 
 def tuple_label(values: Sequence[int]) -> str:
@@ -140,8 +140,7 @@ def product_of_chains(sizes: Sequence[int]) -> FinitePoset:
     strides = [prod(sizes[k + 1:]) for k in range(len(sizes))]
     below = [[i - s for lv, s in zip(t, strides) if lv]
              for i, t in enumerate(elems)]
-    return FinitePoset([tuple_label(t) for t in elems],
-                       _down_sets(below, range(len(elems))),
+    return FinitePoset([tuple_label(t) for t in elems], below,
                        bottom=0, top=len(elems) - 1)
 
 
@@ -165,8 +164,7 @@ def build_blowup(spec: BlowupSpec) -> FinitePoset:
             below.append(covered if level == 1 else (len(below) - 1,))
             labels.append(blowup_label(mask, level, n))
         chain_top[mask] = len(below) - 1
-    return FinitePoset(labels, _down_sets(below, range(len(below))),
-                       bottom=0, top=len(below) - 1)
+    return FinitePoset(labels, below, bottom=0, top=len(below) - 1)
 
 
 def canonical_blowup_of(P: FinitePoset) -> tuple[BlowupSpec, dict[str, str]]:

@@ -144,15 +144,6 @@ class SimpleGraph:
         except KeyError:
             raise UnknownElement(f"no vertex {label!r}") from None
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return self.adj[self.index(a)] >> self.index(b) & 1 == 1
-
-    def neighbors(self, a: str) -> list[str]:
-        return [self.labels[j] for j in _bits(self.adj[self.index(a)])]
-
-    def degree(self, a: str) -> int:
-        return self.adj[self.index(a)].bit_count()
-
     def bfs(self, s: int) -> tuple[tuple[int, ...], int]:
         """Breadth-first search from vertex s: the balls, element d the
         bitmask of the vertices within distance d of s and the last s's

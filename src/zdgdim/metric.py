@@ -20,7 +20,7 @@ from .blowup import BlowupSpec, coordinates_label, tuple_coordinates
 from .errors import (Disconnected, HypothesisUnmet, NotApplicable,
                      NotAZeroDivisor, TooLarge)
 from .graphs import SimpleGraph, remove_isolated, zero_divisor_graph
-from .poset import FinitePoset, _bits, _transpose
+from .poset import FinitePoset, _bits
 
 DEFAULT_BRUTE_CAP = 16
 
@@ -124,13 +124,22 @@ def sdim_bruteforce(G: SimpleGraph, cap: int = DEFAULT_BRUTE_CAP) -> int:
 
 # -- the strong resolving graph -----------------------------------------------
 
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The columns of a 0/1 matrix whose rows are masks below 1 << width:
+    bit i of column j is bit j of rows[i].  The rows, last first, are
+    joined as binary strings, so column j is the stride-width slice that
+    starts at its character in the last row, read as a binary number."""
+    text = "".join(format(r, f"0{width}b") for r in reversed(rows))
+    return [int(text[k::width] or "0", 2) for k in range(width - 1, -1, -1)]
+
+
 def _mmd_rows(G: SimpleGraph,
               gens: Sequence[Sequence[int]] = ()) -> list[int]:
     """Row u: the vertices mutually maximally distant from u.
 
     u and v are such a pair iff each lies in the other's far set (see
     `SimpleGraph.bfs`), so the rows are far AND its transpose
-    (`poset._transpose`).  While the far sets are carried, each is kept as
+    (`_transpose`).  While the far sets are carried, each is kept as
     a string of n characters, '1' at each member's index.
 
     gens are automorphisms of G, each a list mapping every vertex to its

@@ -1,8 +1,10 @@
 """Finite bounded posets and lattices with annihilator machinery.
 
 Elements are indexed 0..n-1 in construction order and addressed by label.
-The order relation is stored as one down-set bitmask per element, so down-set
-intersections, annihilators and meet/join lookups are single integer
+A poset keeps the relation it is built from, below[i] listing elements
+below i, and stores the order, the relation's reflexive-transitive closure,
+as one down-set and one up-set bitmask per element.  Down-set
+intersections, annihilators and meet/join lookups are then single integer
 operations: the meet of x and y exists iff down(x) & down(y) is itself a
 principal down-set, and then it equals that principal element.
 """
@@ -10,7 +12,7 @@ principal down-set, and then it equals that principal element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import CycleDetected, NotALattice, NotBounded, UnknownElement
@@ -22,15 +24,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _transpose(rows: Sequence[int], width: int) -> list[int]:
-    """The columns of a 0/1 matrix whose rows are masks below 1 << width:
-    bit i of column j is bit j of rows[i].  The rows, last first, are
-    joined as binary strings, so column j is the stride-width slice that
-    starts at its character in the last row, read as a binary number."""
-    text = "".join(format(r, f"0{width}b") for r in reversed(rows))
-    return [int(text[k::width] or "0", 2) for k in range(width - 1, -1, -1)]
 
 
 @dataclass(frozen=True)
@@ -55,21 +48,39 @@ class ClassPartition:
 class FinitePoset:
     """Immutable finite poset, optionally bounded.
 
-    down[i] is the bitmask of {j : j <= i}; up[i] the bitmask of {j : i <= j}.
-    All label-returning operations sort by element index.  The constructor
-    takes its labels, down masks and bounds as given; from_cover_relations
-    is the checked entry for outside data.
+    below[i] lists elements below i, a relation whose reflexive-transitive
+    closure is the order; down[i] is the bitmask of {j : j <= i}, up[i] of
+    {j : i <= j}.  All label-returning operations sort by element index.
+    The constructor takes its input as given, raising only CycleDetected;
+    from_cover_relations is the checked entry for outside data.
     """
 
-    __slots__ = ("labels", "down", "up", "bottom", "top",
+    __slots__ = ("labels", "below", "down", "up", "bottom", "top",
                  "_index", "_down_index", "_up_index", "_ann", "_zd", "_pc")
 
-    def __init__(self, labels: Sequence[str], down: Sequence[int],
+    def __init__(self, labels: Sequence[str],
+                 below: Sequence[Sequence[int]],
                  bottom: Optional[int] = None, top: Optional[int] = None):
         self.labels = tuple(str(x) for x in labels)
         n = len(self.labels)
-        self.down = tuple(down)
-        self.up = tuple(_transpose(self.down, n))
+        self.below = tuple(map(tuple, below))
+        above: list[list[int]] = [[] for _ in range(n)]
+        for j, row in enumerate(self.below):
+            for i in row:
+                above[i].append(j)
+        # Kahn's algorithm from the maximal elements: each element comes
+        # after every element above it
+        pending = list(map(len, above))
+        order = [i for i in range(n) if not pending[i]]
+        for j in order:
+            for i in self.below[j]:
+                pending[i] -= 1
+                if not pending[i]:
+                    order.append(i)
+        if len(order) != n:
+            raise CycleDetected("cover relation contains a cycle")
+        self.down = tuple(_down_sets(self.below, reversed(order)))
+        self.up = tuple(_down_sets(above, order))
         self.bottom = bottom
         self.top = top
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -110,43 +121,55 @@ class FinitePoset:
     def _labels_of(self, mask: int) -> list[str]:
         return [self.labels[i] for i in _bits(mask)]
 
+    def _lower_covers(self) -> list[tuple[int, ...]]:
+        """The elements that each element covers, ascending: the pairs
+        (a, b) of the relation with nothing between a and b, once each."""
+        up, down = self.up, self.down
+        return [tuple(sorted({a for a in row
+                              if up[a] & down[b] == (1 << a) | (1 << b)}))
+                for b, row in enumerate(self.below)]
+
     def covers(self) -> list[tuple[str, str]]:
         """Cover pairs (a, b) with b covering a, in index order."""
         return [(self.labels[a], self.labels[b])
-                for b in range(len(self.labels)) for a in _bits(self.down[b])
-                if a != b and self.up[a] & self.down[b] == (1 << a) | (1 << b)]
+                for b, lower in enumerate(self._lower_covers())
+                for a in lower]
 
-    # -- meets and joins --------------------------------------------------
-
-    def meet(self, a: str, b: str) -> Optional[str]:
-        """The meet of a and b; None when it does not exist."""
-        k = self._down_index.get(
-            self.down[self.index(a)] & self.down[self.index(b)])
-        return None if k is None else self.labels[k]
+    # -- joins and the lattice test ---------------------------------------
 
     def join(self, a: str, b: str) -> Optional[str]:
         k = self._up_index.get(self.up[self.index(a)] & self.up[self.index(b)])
         return None if k is None else self.labels[k]
 
     def is_lattice(self) -> bool:
-        """Some element lies above every element, and every two elements
-        have a meet.
+        """Some element lies above every element, and every two lower
+        covers of one element have a meet.
 
-        In a finite poset with a greatest element, pairwise meets give the
-        meet of any nonempty set, and the join of x and y is the meet of
-        their common upper bounds, a set that holds the greatest element
-        (Davey & Priestley, ch. 2).  A comparable pair has its lesser
-        element as meet; it passes the test anyway, and one `map` over
-        every later element is cheaper than picking the incomparable ones
-        out first.
+        Then all meets exist.  Otherwise take a pair x, y with no meet and
+        a common upper bound z (the top is one) with the smallest down-set.
+        x and y are incomparable and below z, so z covers some x1 >= x and
+        y1 >= y; x1 = y1 would be a smaller bound, so the test gives
+        w = x1 ^ y1.  Below x1, smaller than z, u = x ^ w exists, and below
+        y1 so does v = u ^ y.  Every common lower bound of x and y lies
+        below w, u and v, so v = x ^ y.  With all meets and a top, the join
+        of x and y is the meet of their upper bounds (Davey & Priestley,
+        ch. 2).
+
+        Two lower covers of z are incomparable, with z a minimal upper
+        bound: an upper bound below z would equal both.  A pair under two
+        such z has no join, so in a lattice the pairs, summed over z,
+        number at most C(n, 2).  A larger sum refuses K_{400,400} between
+        bounds, the top last, before its 32 million pairs ask for a meet.
         """
-        index = self._down_index
-        if (1 << len(self.labels)) - 1 not in index:
+        n = len(self.labels)
+        if (1 << n) - 1 not in self._down_index:
             return False
-        has = index.__contains__
-        down = self.down
-        return all(all(map(has, map(d.__and__, down[i + 1:])))
-                   for i, d in enumerate(down))
+        lower = self._lower_covers()
+        if sum(len(c) * (len(c) - 1) // 2 for c in lower) > n * (n - 1) // 2:
+            return False
+        has, down = self._down_index.__contains__, self.down
+        return all(has(down[a] & down[b])
+                   for c in lower for a, b in combinations(c, 2))
 
     # -- annihilators and friends ----------------------------------------
 
@@ -183,12 +206,13 @@ class FinitePoset:
         return self._labels_of(self._ann_masks()[self.index(a)])
 
     def _zero_divisor_flags(self) -> tuple[bool, ...]:
-        """Z*(P) by element index: not bottom, annihilator beyond {0}."""
+        """Z*(P) by element index: the nonzero x with some atom t not
+        below x, which gives {x, t}^lower = {0}.  If every atom is below x,
+        every nonzero y lies above an atom it then shares with x, so
+        ann(x) = {0}."""
         if self._zd is None:
-            zero = 1 << self._require_bottom()
-            flags = [m != zero for m in self._ann_masks()]
-            flags[self.bottom] = False
-            self._zd = tuple(flags)
+            atoms = self._atoms_mask()
+            self._zd = tuple(0 < d & atoms != atoms for d in self.down)
         return self._zd
 
     def zero_divisors(self) -> list[str]:
@@ -245,10 +269,6 @@ class FinitePoset:
             raise NotALattice("0-distributivity is tested on lattices")
         return self.is_pseudocomplemented()
 
-    def dual(self) -> "FinitePoset":
-        return FinitePoset(self.labels, self.up, bottom=self.top,
-                           top=self.bottom)
-
     # -- the annihilator quotient ------------------------------------------
 
     def quotient_classes(self) -> ClassPartition:
@@ -287,9 +307,9 @@ class FinitePoset:
 
 def _down_sets(below: Sequence[Sequence[int]],
                order: Iterable[int]) -> list[int]:
-    """Down-set masks of the reflexive-transitive closure of a cover
-    relation, where below[j] lists the indices that j covers and order
-    visits each index after everything below it."""
+    """Down-set masks of the reflexive-transitive closure of a relation,
+    where below[j] lists indices below j and order visits each index after
+    everything below it."""
     down = [0] * len(below)
     for j in order:
         m = 1 << j
@@ -302,11 +322,12 @@ def _down_sets(below: Sequence[Sequence[int]],
 def from_cover_relations(labels: Sequence[str],
                          covers: Iterable[tuple[str, str]],
                          bottom: str, top: str) -> FinitePoset:
-    """Build a bounded poset from Hasse-diagram cover pairs (lower, upper).
+    """Build a bounded poset from cover pairs (lower, upper).
 
-    The order is the reflexive-transitive closure of the covers.  Raises
-    CycleDetected for cyclic covers and NotBounded when the declared bottom
-    or top is not least or greatest.
+    The order is the reflexive-transitive closure of the pairs, which may
+    repeat or hold transitive pairs.  Raises CycleDetected for cyclic pairs
+    and NotBounded when the declared bottom or top is not least or
+    greatest.
     """
     labels = [str(x) for x in labels]
     index = {lab: i for i, lab in enumerate(labels)}
@@ -316,8 +337,7 @@ def from_cover_relations(labels: Sequence[str],
         if name not in index:
             raise UnknownElement(f"no element {name!r}")
     n = len(labels)
-    below = [[] for _ in range(n)]   # below[i] = elements covered by i
-    outdeg = [0] * n
+    below = [[] for _ in range(n)]   # below[i] = elements below i
     for lo, hi in covers:
         i, j = index.get(lo), index.get(hi)
         if i is None or j is None:
@@ -325,30 +345,12 @@ def from_cover_relations(labels: Sequence[str],
         if i == j:
             raise CycleDetected(f"cover ({lo!r}, {hi!r}) is a self-loop")
         below[j].append(i)
-        outdeg[i] += 1
-
-    # Kahn's algorithm from the maximal elements: each element comes after
-    # every element that covers it
-    pending = outdeg[:]
-    order = [i for i in range(n) if pending[i] == 0]
-    head = 0
-    while head < len(order):
-        j = order[head]
-        head += 1
-        for i in below[j]:
-            pending[i] -= 1
-            if pending[i] == 0:
-                order.append(i)
-    if len(order) != n:
-        raise CycleDetected("cover relation contains a cycle")
-
-    down = _down_sets(below, reversed(order))
-    b, t = index[bottom], index[top]
-    if not all(d >> b & 1 for d in down):
+    P = FinitePoset(labels, below, bottom=index[bottom], top=index[top])
+    if P.up[P.bottom] != (1 << n) - 1:
         raise NotBounded(f"{bottom!r} is not a least element")
-    if down[t] != (1 << n) - 1:
+    if P.down[P.top] != (1 << n) - 1:
         raise NotBounded(f"{top!r} is not a greatest element")
-    return FinitePoset(labels, down, bottom=b, top=t)
+    return P
 
 
 def m_lattice(n: int) -> FinitePoset:

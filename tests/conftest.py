@@ -4,7 +4,7 @@ from operator import itemgetter
 
 import pytest
 
-from zdgdim import (LabelCollision, SimpleGraph, build_blowup,
+from zdgdim import (FinitePoset, LabelCollision, SimpleGraph, build_blowup,
                     distance_balls, from_cover_relations, independence_number,
                     tuple_label, zero_divisor_graph)
 from zdgdim.poset import _bits
@@ -63,6 +63,37 @@ def corpus_graphs():
 def suite_result():
     """Run a verify suite on the acceptance corpus, once per session."""
     return functools.cache(lambda name: SUITES[name](CORPUS_SEED, CORPUS_SIZE))
+
+
+# -- poset and graph queries that only the tests make --------------------------
+
+def meet(P, a: str, b: str):
+    """The meet of a and b in P, None when it does not exist: the element
+    whose down-set is down(a) & down(b)."""
+    k = P._down_index.get(P.down[P.index(a)] & P.down[P.index(b)])
+    return None if k is None else P.labels[k]
+
+
+def dual(P):
+    """P with its order reversed and its bounds swapped: the relation
+    lists above each element the elements whose relation lists it."""
+    above = [[] for _ in P.labels]
+    for j, row in enumerate(P.below):
+        for i in row:
+            above[i].append(j)
+    return FinitePoset(P.labels, above, bottom=P.top, top=P.bottom)
+
+
+def has_edge(g, a: str, b: str) -> bool:
+    return g.adj[g.index(a)] >> g.index(b) & 1 == 1
+
+
+def neighbors(g, a: str) -> list[str]:
+    return [g.labels[j] for j in _bits(g.adj[g.index(a)])]
+
+
+def degree(g, a: str) -> int:
+    return g.adj[g.index(a)].bit_count()
 
 
 # -- definitions the tests check the package against --------------------------

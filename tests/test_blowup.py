@@ -9,6 +9,8 @@ from zdgdim import (BlowupSpec, InvalidSpec, NotApplicable,
                     random_blowup_spec, tuple_label, zero_divisor_graph)
 from zdgdim.blowup import coordinates_label, tuple_coordinates
 
+from conftest import dual, meet
+
 
 def test_spec_validation():
     BlowupSpec(3, {1: 2, 6: 3})
@@ -47,7 +49,7 @@ def test_boolean_lattice_basics():
     L = boolean_lattice(3)
     assert len(L) == 8
     assert L.atoms() == ["(1,0,0)", "(0,1,0)", "(0,0,1)"]
-    assert L.meet("(1,1,0)", "(0,1,1)") == "(0,1,0)"
+    assert meet(L, "(1,1,0)", "(0,1,1)") == "(0,1,0)"
     assert L.join("(1,0,0)", "(0,0,1)") == "(1,0,1)"
     assert len(L.zero_divisors()) == 6
     assert boolean_lattice(1).labels == ("(0)", "(1)")
@@ -79,10 +81,10 @@ def test_figure3_blowup_structure(fig3_spec, fig3_lattice):
     assert len(LB.zero_divisors()) == 12
     assert LB.is_lattice()
     assert LB.is_pseudocomplemented()
-    assert LB.dual().is_pseudocomplemented()
+    assert dual(LB).is_pseudocomplemented()
     # meet of the chain bottoms of {1,2} and {1,3} is the top of chain 1
-    assert LB.meet("(1,1,0)", "(1,0,1)") == "(3,0,0)"
-    assert LB.meet("(1,1,0)", "(0,0,1)") == "(0,0,0)"
+    assert meet(LB, "(1,1,0)", "(1,0,1)") == "(3,0,0)"
+    assert meet(LB, "(1,1,0)", "(0,0,1)") == "(0,0,0)"
     assert LB.join("(1,0,0)", "(0,1,0)") == "(1,1,0)"
     # pseudocomplement of an atom is the top of the complementary chain
     assert LB.pseudocomplement("(1,0,0)") == "(0,1,1)"
@@ -107,10 +109,10 @@ def test_blowup_meets_depend_only_on_masks(fig3_lattice):
             y0 = LB.labels[part.classes[cy][0]]
             mx, my = img[cx], img[cy]
             if mx & ~my and my & ~mx:
-                assert LB.meet(x, y) == LB.meet(x0, y0)
+                assert meet(LB, x, y) == meet(LB, x0, y0)
                 assert LB.join(x, y) == LB.join(x0, y0)
             cls = part.class_of
-            assert cls[LB.index(LB.meet(x, y))] == cls[LB.index(LB.meet(x0, y0))]
+            assert cls[LB.index(meet(LB, x, y))] == cls[LB.index(meet(LB, x0, y0))]
             assert cls[LB.index(LB.join(x, y))] == cls[LB.index(LB.join(x0, y0))]
 
 
@@ -119,7 +121,7 @@ def test_blowup_complement_identities(fig3_lattice):
     top, bottom = LB.labels[LB.top], LB.labels[LB.bottom]
     for x in LB.labels:
         star = LB.pseudocomplement(x)
-        assert LB.meet(x, star) == bottom
+        assert meet(LB, x, star) == bottom
         assert LB.join(x, star) == top
 
 

@@ -19,8 +19,9 @@ from zdgdim.adapters import (DEFAULT_ELEMENT_BUDGET, LocalProductSpec,
                              comaximal_gamma2prime)
 from zdgdim.verify import corpus
 
-from conftest import (cover_number, metric_dimension_bruteforce,
-                      mutually_maximally_distant, plain_gsr, rule_graph)
+from conftest import (cover_number, has_edge, metric_dimension_bruteforce,
+                      mutually_maximally_distant, neighbors, plain_gsr,
+                      rule_graph)
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -125,8 +126,8 @@ def test_mutually_maximally_distant_cube(cube_graph):
     # (1,0,1) is maximally distant from (0,1,0) but not conversely
     a, b = "(1,0,1)", "(0,1,0)"
     d = distance(g, a, b)
-    assert all(distance(g, w, b) <= d for w in g.neighbors(a))
-    assert not all(distance(g, a, w) <= d for w in g.neighbors(b))
+    assert all(distance(g, w, b) <= d for w in neighbors(g, a))
+    assert not all(distance(g, a, w) <= d for w in neighbors(g, b))
     assert not mutually_maximally_distant(g, "(1,0,1)", "(0,1,0)")
     assert mutually_maximally_distant(g, "(1,1,0)", "(0,1,1)")
     assert not mutually_maximally_distant(g, "(1,1,0)", "(1,1,0)")
@@ -215,7 +216,7 @@ def test_independent_set_solver_against_networkx(corpus_graphs):
             assert independence_number(g) == beta, name
             mis = max_independent_set(g)
             assert len(mis) == beta
-            assert all(not g.has_edge(a, b) for i, a in enumerate(mis)
+            assert all(not has_edge(g, a, b) for i, a in enumerate(mis)
                        for b in mis[i + 1:])
             cover = minimum_vertex_cover(g)
             assert len(cover) == alpha

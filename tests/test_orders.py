@@ -1,13 +1,14 @@
 """Every lattice builder against the rule that defines its order.
 
-The builders take their down-sets from the closure of a cover relation.
-Here each order is stated directly, as a rule on pairs of elements, and
-its down-sets are compared with the builder's; the closure itself is
-checked against the order axioms and a plain transitive closure.  The
-annihilators and the annihilator quotient, which the package reads off the
-atoms, the up-sets, which it takes from one string transpose of the
-down-sets, and the lattice test, which looks for a top and for meets only,
-are checked against their definitions, pair by pair or bit by bit.
+The builders pass a relation whose closure is the order.  Here each order
+is stated directly, as a rule on pairs of elements, and its down-sets are
+compared with the builder's; the closure itself is checked against the
+order axioms and a plain transitive closure.  The annihilators, Z* and the
+annihilator quotient, which the package reads off the atoms, the up-sets,
+which it takes from the closure of the reversed relation, the covers,
+which it reads off the relation, and the lattice test, which looks for a
+top and for meets of lower covers only, are checked against their
+definitions, pair by pair or bit by bit.
 """
 
 import random
@@ -19,10 +20,11 @@ import pytest
 from zdgdim import (BlowupSpec, FinitePoset, boolean_lattice, build_blowup,
                     m_lattice, product_of_chains)
 from zdgdim.adapters import ideal_lattice_dual_zn
-from zdgdim.poset import _bits
+from zdgdim.poset import (_bits, from_cover_relations, poset_from_json,
+                          poset_to_json)
 from zdgdim.verify import corpus
 
-from conftest import bounded_poset, random_bounded_relation
+from conftest import bounded_poset, dual, random_bounded_relation
 
 
 def rule_down(elems, leq):
@@ -131,7 +133,7 @@ def test_annihilators_match_the_pair_loop_on_lattices():
     lattices += [product_of_chains(list(sizes)) for k in range(1, 5)
                  for sizes in product([1, 2, 3], repeat=k)]
     lattices += [ideal_lattice_dual_zn(N) for N in (2, 12, 60, 210, 720)]
-    lattices += [L.dual() for L in lattices[::4]]
+    lattices += [dual(L) for L in lattices[::4]]
     for P in lattices:
         assert P._ann_masks() == pair_loop_ann(P), P.labels
 
@@ -166,7 +168,7 @@ def zero_distributivity_lattices(rng):
     # 0-distributive; duals of blow-ups may be either
     lattices += [m_lattice(n) for n in range(1, 7)]
     lattices += [ideal_lattice_dual_zn(N) for N in (2, 12, 60, 210, 720)]
-    lattices += [L.dual() for L in lattices[::4]]
+    lattices += [dual(L) for L in lattices[::4]]
     for _ in range(400):
         P = bounded_poset(*random_bounded_relation(rng))
         if P.is_lattice():
@@ -200,7 +202,7 @@ def quotient_posets():
     random bounded posets that are not lattices."""
     posets = zero_distributivity_lattices(random.Random(5))
     posets += [m_lattice(n) for n in range(1, 7)]
-    posets += [m_lattice(n).dual() for n in range(1, 7)]
+    posets += [dual(m_lattice(n)) for n in range(1, 7)]
     rng = random.Random(6)
     for _ in range(300):
         P = bounded_poset(*random_bounded_relation(rng))
@@ -218,7 +220,7 @@ def test_pseudocomplements_match_the_maximal_element_scan(quotient_posets):
         missing += -1 in want
         others += not P.is_lattice()
     assert others > 50 and missing > 100
-    assert all(-1 in maximal_element_pseudocomplements(m_lattice(n).dual())
+    assert all(-1 in maximal_element_pseudocomplements(dual(m_lattice(n)))
                for n in range(3, 7))
 
 
@@ -299,26 +301,23 @@ def bit_loop_up(P):
 
 def random_poset(rng):
     """A random poset on 1 to 12 elements, in shuffled index order: the
-    transitive closure of a random relation that goes up a random linear
-    order, with a least element added half the time and a greatest one
-    half the time.  No bounds are declared."""
+    closure of a random relation that goes up a random linear order, with
+    a least element added half the time and a greatest one half the time.
+    No bounds are declared."""
     n = rng.randint(1, 10)
     density = rng.choice([0.1, 0.25, 0.5])
-    down = [1 << b for b in range(n)]
-    for b in range(n):
-        for a in range(b):
-            if rng.random() < density:
-                down[b] |= down[a]
+    below = [[a for a in range(b) if rng.random() < density]
+             for b in range(n)]
     if rng.random() < 0.5:
-        down = [1] + [d << 1 | 1 for d in down]
+        below = [[]] + [[0] + [a + 1 for a in row] for row in below]
     if rng.random() < 0.5:
-        down.append((1 << len(down) + 1) - 1)
-    place = list(range(len(down)))
+        below.append(list(range(len(below))))
+    place = list(range(len(below)))
     rng.shuffle(place)
-    moved = [0] * len(down)
-    for b, d in enumerate(down):
-        moved[place[b]] = sum(1 << place[a] for a in _bits(d))
-    return FinitePoset([f"e{i}" for i in range(len(down))], moved)
+    moved = [[]] * len(below)
+    for b, row in enumerate(below):
+        moved[place[b]] = [place[a] for a in row]
+    return FinitePoset([f"e{i}" for i in range(len(below))], moved)
 
 
 def test_up_sets_match_the_bit_loop_transpose(quotient_posets):
@@ -328,6 +327,67 @@ def test_up_sets_match_the_bit_loop_transpose(quotient_posets):
     posets.append(FinitePoset([], []))
     for P in posets:
         assert P.up == bit_loop_up(P), (P.labels, P.down)
+
+
+def down_scan_covers(P):
+    """The cover pairs (a, b), b covering a, by a scan of every down-set:
+    a is below b with nothing between, up(a) & down(b) = {a, b}."""
+    up = bit_loop_up(P)
+    return [(P.labels[a], P.labels[b])
+            for b in range(len(P)) for a in _bits(P.down[b])
+            if a != b and up[a] & P.down[b] == (1 << a) | (1 << b)]
+
+
+def test_covers_match_the_down_set_scan(quotient_posets):
+    # the random bounded posets' relations hold transitive and repeated
+    # pairs; random_poset's, duals' and the builders' need not
+    rng = random.Random(9)
+    posets = quotient_posets + [random_poset(rng) for _ in range(300)]
+    posets += [dual(P) for P in posets[::3]]
+    for P in posets:
+        assert P.covers() == down_scan_covers(P), (P.labels, P.down)
+
+
+def test_transitive_and_repeated_pairs_give_the_poset_of_the_hasse_pairs():
+    rng = random.Random(12)
+    extra = repeated = 0
+    for _ in range(300):
+        labels, pairs = random_bounded_relation(rng)
+        P = bounded_poset(labels, pairs)
+        hasse = down_scan_covers(P)
+        index = {lab: i for i, lab in enumerate(P.labels)}
+        Q = poset_from_json({"labels": labels, "covers": [
+            [index[str(a)], index[str(b)]] for a, b in pairs],
+            "bottom": index["bot"], "top": index["top"]})
+        H = from_cover_relations(P.labels, hasse, "bot", "top")
+        for R in (P, Q):
+            assert (R.labels, R.down, R.up, R.bottom, R.top) == \
+                (H.labels, H.down, H.up, H.bottom, H.top), labels
+        # the JSON form prints the Hasse pairs only
+        assert poset_to_json(Q)["covers"] == sorted(
+            [index[a], index[b]] for a, b in hasse)
+        extra += len(set(pairs)) > len(hasse)
+        repeated += len(pairs) > len(set(pairs))
+    assert extra > 250 and repeated > 150
+
+
+def pair_loop_zero_divisors(P):
+    """Z*(P) by definition: the elements other than the bottom whose
+    pair-loop annihilator holds more than the bottom."""
+    zero = 1 << P.bottom
+    return [lab for i, (lab, m) in enumerate(zip(P.labels, pair_loop_ann(P)))
+            if i != P.bottom and m != zero]
+
+
+def test_zero_divisors_match_the_definition(quotient_posets):
+    rng = random.Random(78)
+    posets = quotient_posets + [bounded_poset(*random_bounded_relation(rng))
+                                for _ in range(300)]
+    others = 0
+    for P in posets:
+        assert P.zero_divisors() == pair_loop_zero_divisors(P), P.labels
+        others += not P.is_lattice()
+    assert others > 100
 
 
 def meets_exist(P):
@@ -357,10 +417,17 @@ def test_the_lattice_test_matches_the_meet_and_join_pair_loop():
     posets += [bounded_poset(*random_bounded_relation(rng))
                for _ in range(300)]
     posets += [random_poset(rng) for _ in range(600)]
-    posets += [P.dual() for P in posets[::4]]
+    posets += [dual(P) for P in posets[::4]]
     # 0 below two maximal elements a and b: every meet exists, no top
-    posets.append(FinitePoset(["0", "a", "b"], [0b001, 0b011, 0b101],
-                              bottom=0))
+    posets.append(FinitePoset(["0", "a", "b"], [[], [0], [0]], bottom=0))
+    # K_{400,400} between a bottom and a top listed last: no two upper
+    # elements have a meet, and the pair bound refuses it
+    upper = [f"b{j}" for j in range(400)]
+    posets.append(from_cover_relations(
+        ["0", *(f"a{i}" for i in range(400)), *upper, "1"],
+        [("0", f"a{i}") for i in range(400)]
+        + [(f"a{i}", b) for i in range(400) for b in upper]
+        + [(b, "1") for b in upper], "0", "1"))
     kinds = Counter()
     for P in posets:
         want = meet_join_lattice(P)

@@ -4,6 +4,9 @@ from zdgdim import (CycleDetected, NotBounded, UnknownElement,
                     from_cover_relations, m_lattice, product_of_chains)
 from zdgdim.poset import poset_from_json, poset_to_json
 
+from conftest import dual, meet
+
+
 CUBE_LABELS = ["000", "100", "010", "001", "110", "101", "011", "111"]
 CUBE_COVERS = [
     ("000", "100"), ("000", "010"), ("000", "001"),
@@ -30,7 +33,7 @@ def test_two_chain():
     P = from_cover_relations(["0", "1"], [("0", "1")], "0", "1")
     assert len(P) == 2
     assert P.leq("0", "1")
-    assert P.meet("0", "1") == "0" and P.join("0", "1") == "1"
+    assert meet(P, "0", "1") == "0" and P.join("0", "1") == "1"
 
 
 def test_cycle_detected():
@@ -50,14 +53,14 @@ def test_not_bounded():
 def test_unknown_element():
     P = cube()
     with pytest.raises(UnknownElement):
-        P.meet("100", "nope")
+        meet(P, "100", "nope")
     with pytest.raises(UnknownElement):
         from_cover_relations(["a", "b"], [("a", "c")], "a", "b")
 
 
 def test_meet_join_and_cones():
     P = cube()
-    assert P.meet("110", "011") == "010"
+    assert meet(P, "110", "011") == "010"
     assert P.join("100", "010") == "110"
     assert P.is_lattice()
 
@@ -70,7 +73,7 @@ def test_meet_absent_in_antichain_poset():
          ("b", "d"), ("c", "1"), ("d", "1")],
         "0", "1")
     assert P.join("a", "b") is None
-    assert P.meet("c", "d") is None
+    assert meet(P, "c", "d") is None
     assert not P.is_lattice()
 
 
@@ -106,12 +109,12 @@ def test_zero_distributivity():
 
 def test_dual_involution_and_m_n():
     for P in (cube(), m_lattice(4), product_of_chains([3, 2])):
-        D = P.dual()
-        assert D.dual() == P
+        D = dual(P)
+        assert dual(D) == P
         assert D.bottom == P.top and D.top == P.bottom
     M = m_lattice(3)
     assert M.atoms() == ["a1", "a2", "a3"]
-    assert M.dual().atoms() == ["a1", "a2", "a3"]
+    assert dual(M).atoms() == ["a1", "a2", "a3"]
 
 
 def test_quotient_classes_cube_all_singletons():
@@ -149,7 +152,7 @@ def test_quotient_classes_figure3(fig3_lattice):
 
 def test_annihilator_requires_bottom():
     P = cube()
-    Q = type(P)(P.labels, P.down)          # same order, no declared bounds
+    Q = type(P)(P.labels, P.below)         # same order, no declared bounds
     with pytest.raises(NotBounded):
         Q.annihilator("110")
 
@@ -168,7 +171,7 @@ def test_zero_distributivity_needs_a_lattice():
 def test_canonical_blowup_requires_bounds():
     from zdgdim import NotBounded, canonical_blowup_of
     P = cube()
-    Q = type(P)(P.labels, P.down)
+    Q = type(P)(P.labels, P.below)
     with pytest.raises(NotBounded):
         canonical_blowup_of(Q)
 

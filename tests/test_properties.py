@@ -10,7 +10,8 @@ from zdgdim import (boolean_lattice, build_blowup, canonical_blowup_of,
                     independence_number, product_of_chains, sdim_bruteforce,
                     sdim_via_gsr, strong_resolving_graph, zero_divisor_graph)
 
-from conftest import metric_dimension_bruteforce, mutually_maximally_distant
+from conftest import (dual, has_edge, meet, metric_dimension_bruteforce,
+                      mutually_maximally_distant)
 
 
 # case counts on the acceptance corpus; a suite that silently checks nothing
@@ -31,7 +32,7 @@ def test_blowups_are_pseudocomplemented_lattices(corpus_graphs):
     for name, spec, LB, G in corpus_graphs:
         assert LB.is_lattice(), name
         assert LB.is_pseudocomplemented(), name
-        assert LB.dual().is_pseudocomplemented(), name
+        assert dual(LB).is_pseudocomplemented(), name
         assert LB.is_zero_distributive(), name
 
 
@@ -54,13 +55,13 @@ def test_mmd_pairs_meet_above_zero_and_incomparable(corpus_graphs):
             for y in G.labels[i + 1:]:
                 mmd = mutually_maximally_distant(G, x, y)
                 if x in members and y in members:
-                    assert mmd == gsr.has_edge(x, y), (name, x, y)
+                    assert mmd == has_edge(gsr, x, y), (name, x, y)
                 else:
                     assert not mmd, (name, x, y)
                 if part.class_of[LB.index(x)] == part.class_of[LB.index(y)]:
                     continue
                 if mmd:
-                    assert LB.meet(x, y) != bottom, name
+                    assert meet(LB, x, y) != bottom, name
                     assert not LB.leq(x, y) and not LB.leq(y, x), name
 
 
