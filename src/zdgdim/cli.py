@@ -54,11 +54,13 @@ MAX_DIGITS = 4300
 
 def _parse_int(text: str, flag: str) -> int:
     """int(text), refusing a number too long to convert in the name of the
-    flag that carried it."""
-    digits = sum(ch.isdigit() for ch in text)
-    if digits > MAX_DIGITS:
-        raise ValueError(f"{flag} has a number of {digits} digits, over the "
-                         f"limit of {MAX_DIGITS}")
+    flag that carried it.  A text no longer than the limit holds no more
+    digits than that, so only a longer one has its digits counted."""
+    if len(text) > MAX_DIGITS:
+        digits = sum(ch.isdigit() for ch in text)
+        if digits > MAX_DIGITS:
+            raise ValueError(f"{flag} has a number of {digits} digits, over "
+                             f"the limit of {MAX_DIGITS}")
     try:
         return int(text)
     except ValueError:

@@ -106,18 +106,38 @@ def _pair_cover_masks(G: SimpleGraph) -> list[int]:
     return masks
 
 
+def _minimal_masks(masks: Sequence[int]) -> list[int]:
+    """The distinct inclusion-minimal members of masks, fewest vertices
+    first (ties by value).  A mask is kept unless a kept one, which has
+    no more vertices, lies inside it."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
 def sdim_bruteforce(G: SimpleGraph, cap: int = DEFAULT_BRUTE_CAP) -> int:
     """Smallest strong resolving set size, by subset enumeration in
-    ascending size."""
+    ascending size.
+
+    Each subset is tested against the inclusion-minimal pair masks only
+    (`_minimal_masks` of `_pair_cover_masks`): a set meets every mask iff
+    it meets every minimal one, since each mask holds a minimal one."""
     if G.n > cap:
         raise TooLarge(f"brute force capped at {cap} vertices, graph has {G.n}")
-    masks = _pair_cover_masks(G)
+    masks = _minimal_masks(_pair_cover_masks(G))
+    bits = [1 << i for i in range(G.n)]
     for size in range(G.n + 1):
-        for sub in combinations(range(G.n), size):
-            w = 0
-            for i in sub:
-                w |= 1 << i
-            if all(m & w for m in masks):
+        for sub in combinations(bits, size):
+            w = sum(sub)
+            for m in masks:
+                if not m & w:
+                    break
+            else:
                 return size
     raise AssertionError("the full vertex set always resolves")
 
@@ -277,17 +297,27 @@ def independence_number(G: SimpleGraph) -> int:
 
 
 def max_independent_set(G: SimpleGraph) -> list[str]:
-    """The lexicographically least maximum independent set (label order)."""
+    """The lexicographically least maximum independent set (label order).
+
+    Each vertex in turn is taken when a maximum set of the candidates left
+    holds it.  A v whose candidate neighbours form a clique (a simplicial
+    v, or an isolated one) is taken without a solve: a maximum set without
+    v holds at most one vertex of that clique, which can be swapped for v.
+    """
     adj = G.adj
     full = (1 << G.n) - 1
     target = _alpha(adj, full)
     chosen: list[int] = []
     cand = full
     for v in range(G.n):
+        if len(chosen) == target:
+            break
         if not cand >> v & 1:
             continue
-        rest = cand & ~(adj[v] | 1 << v)
-        if len(chosen) + 1 + _alpha(adj, rest) == target:
+        near = adj[v] & cand
+        rest = cand & ~(near | 1 << v)
+        simplicial = all(near & ~adj[u] == 1 << u for u in _bits(near))
+        if simplicial or len(chosen) + 1 + _alpha(adj, rest) == target:
             chosen.append(v)
             cand = rest
         else:

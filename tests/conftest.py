@@ -7,6 +7,7 @@ import pytest
 from zdgdim import (FinitePoset, LabelCollision, SimpleGraph, build_blowup,
                     distance_balls, from_cover_relations, independence_number,
                     tuple_label, zero_divisor_graph)
+from zdgdim.metric import _alpha, _pair_cover_masks
 from zdgdim.poset import _bits
 from zdgdim.verify import FIG3, SUITES, corpus
 
@@ -156,6 +157,41 @@ def metric_dimension_bruteforce(g: SimpleGraph) -> int:
             if len({tuple(row[s] for s in S) for row in dist}) == g.n:
                 return size
     raise AssertionError("the full vertex set always resolves")
+
+
+def all_masks_bruteforce(g: SimpleGraph) -> int:
+    """sdim by subset enumeration in ascending size, each subset tested
+    against the strong resolving mask of every vertex pair."""
+    masks = _pair_cover_masks(g)
+    for size in range(g.n + 1):
+        for sub in combinations(range(g.n), size):
+            w = 0
+            for i in sub:
+                w |= 1 << i
+            if all(m & w for m in masks):
+                return size
+    raise AssertionError("the full vertex set always resolves")
+
+
+def solve_per_vertex_mis(g: SimpleGraph) -> list[str]:
+    """The lexicographically least maximum independent set, one exact
+    solve per vertex: v is taken when taking it leaves room for a maximum
+    set among the candidates that stay."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    target = _alpha(adj, full)
+    chosen: list[int] = []
+    cand = full
+    for v in range(g.n):
+        if not cand >> v & 1:
+            continue
+        rest = cand & ~(adj[v] | 1 << v)
+        if len(chosen) + 1 + _alpha(adj, rest) == target:
+            chosen.append(v)
+            cand = rest
+        else:
+            cand &= ~(1 << v)
+    return [g.labels[v] for v in chosen]
 
 
 def rule_graph(vertices, adjacent) -> SimpleGraph:

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from zdgdim import SimpleGraph, adapters
-from zdgdim.cli import main
+from zdgdim.cli import _parse_int, main
 from zdgdim.verify import FIG3, SUITES
 
 FIG3_JSON = json.dumps(FIG3.to_json_dict())
@@ -502,6 +502,18 @@ def test_overlong_numbers_are_refused_as_input(capsys, flag, value):
     assert err == (f"error: {flag} has a number of 5001 digits, over the "
                    "limit of 4300\n")
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("pad", ["", "-", " +", "\t-"])
+def test_the_digit_limit_counts_digits_not_signs_or_spaces(pad):
+    # 4300 digits convert however a sign and whitespace pad them past 4300
+    # characters; 4301 digits are refused with the count of digits alone
+    text = f"{pad}{'7' * 4300} "
+    assert _parse_int(text, "--chains") == int(text)
+    with pytest.raises(ValueError) as err:
+        _parse_int(f"{pad}{'7' * 4301} ", "--chains")
+    assert str(err.value) == ("--chains has a number of 4301 digits, over "
+                              "the limit of 4300")
 
 
 @pytest.mark.parametrize("argv, env, message", [

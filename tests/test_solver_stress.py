@@ -9,20 +9,21 @@ import pytest
 
 from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
                     build_blowup, connected_components, diameter,
-                    distance_balls, independence_number, is_strong_resolving,
-                    m_lattice, max_independent_set, minimum_vertex_cover,
-                    product_of_chains, random_blowup_spec, sdim_bruteforce,
+                    distance_balls, gstar_star, independence_number,
+                    is_strong_resolving, m_lattice, max_independent_set,
+                    minimum_vertex_cover, product_of_chains,
+                    random_blowup_spec, sdim_bruteforce,
                     sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     zero_divisor_graph)
 from zdgdim import metric
 from zdgdim.metric import (_alpha, _check_invariant, _coordinate_swaps,
-                           _mmd_rows, _pair_cover_masks)
+                           _minimal_masks, _mmd_rows, _pair_cover_masks)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
 
-from conftest import (cover_number, has_edge, metric_dimension_bruteforce,
-                      mutually_maximally_distant, pair_loop_mmd_rows,
-                      plain_gsr)
+from conftest import (all_masks_bruteforce, cover_number, has_edge,
+                      metric_dimension_bruteforce, mutually_maximally_distant,
+                      pair_loop_mmd_rows, plain_gsr, solve_per_vertex_mis)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -123,6 +124,115 @@ def test_metric_dimension_at_most_strong_on_random_graphs():
             continue
         done += 1
         assert metric_dimension_bruteforce(g) <= sdim_bruteforce(g)
+
+
+def is_connected(g: SimpleGraph) -> bool:
+    try:
+        distance_balls(g)
+    except Disconnected:
+        return False
+    return True
+
+
+def shuffled_graph(rng: random.Random, n: int, edges) -> SimpleGraph:
+    """The graph on vertices 0..n-1 with these edges, each vertex given a
+    label at a random place in the label order."""
+    place = rng.sample(range(n), n)
+    labels = [f"v{i:02d}" for i in range(n)]
+    return SimpleGraph.from_edges(
+        labels, [(labels[place[a]], labels[place[b]]) for a, b in edges])
+
+
+def simplicial_rich_and_free_graphs(rng: random.Random) -> list[SimpleGraph]:
+    """Graphs rich in simplicial vertices, whose neighbours form a clique:
+    disjoint cliques, trees and split graphs (a clique, and an independent
+    set each of whose vertices has neighbours in it), in random vertex
+    orders; then graphs with none: the cycles C5..C9 and the Petersen
+    graph."""
+    graphs = []
+    for _ in range(40):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        graphs.append(shuffled_graph(rng, sum(sizes), [
+            (s + a, s + b) for s, k in zip(starts, sizes)
+            for a, b in combinations(range(k), 2)]))
+        n = rng.randint(1, 14)
+        graphs.append(shuffled_graph(
+            rng, n, [(v, rng.randrange(v)) for v in range(1, n)]))
+        k, m = rng.randint(1, 6), rng.randint(1, 7)
+        graphs.append(shuffled_graph(rng, k + m, [
+            *combinations(range(k), 2),
+            *((k + i, c) for i in range(m)
+              for c in rng.sample(range(k), rng.randint(1, k)))]))
+    graphs += [shuffled_graph(rng, n, [(i, (i + 1) % n) for i in range(n)])
+               for n in range(5, 10)]
+    graphs.append(shuffled_graph(rng, 10, [
+        *((i, (i + 1) % 5) for i in range(5)),
+        *((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+        *((i, 5 + i) for i in range(5))]))
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def verify_graphs():
+    """(name, G, G_SR, G**) for every member of corpus(0, 300), the corpus
+    of the benchmark's verify workload."""
+    out = []
+    for name, _, LB in corpus(0, 300):
+        G = zero_divisor_graph(LB)
+        out.append((name, G, strong_resolving_graph(G), gstar_star(LB)))
+    return out
+
+
+def test_lex_least_witness_matches_the_per_vertex_oracle(verify_graphs):
+    # the simplicial shortcut and the early stop must pick the witness that
+    # one exact solve per vertex picks
+    for name, *graphs in verify_graphs:
+        for g in graphs:
+            assert max_independent_set(g) == solve_per_vertex_mis(g), name
+    rng = random.Random(23)
+    graphs = simplicial_rich_and_free_graphs(rng)
+    graphs += [random_graph(rng, trial % 16, rng.uniform(0.05, 0.95))
+               for trial in range(300)]
+    for trial, g in enumerate(graphs):
+        assert max_independent_set(g) == solve_per_vertex_mis(g), (
+            trial, g.edge_list())
+
+
+def test_pruned_brute_force_matches_the_all_masks_oracle(verify_graphs):
+    small = [G for _, G, _, _ in verify_graphs if G.n <= 14]
+    assert len(small) > 100
+    rng = random.Random(31)
+    graphs = simplicial_rich_and_free_graphs(rng)
+    graphs += [random_graph(rng, trial % 13, rng.uniform(0.2, 0.9))
+               for trial in range(200)]
+    connected = [g for g in graphs if is_connected(g)]
+    assert len(connected) > 150
+    for trial, g in enumerate(small + connected):
+        assert sdim_bruteforce(g) == all_masks_bruteforce(g), (
+            trial, g.edge_list())
+
+
+def test_minimal_masks_are_the_edges_of_gsr(verify_graphs):
+    # a set meets every pair mask iff it covers G_SR (Oellermann and
+    # Peters-Fransen), and two clutters with the same transversals are
+    # equal (Edmonds and Fulkerson): the inclusion-minimal masks, read off
+    # distances, are the 2-sets {u, v} of G_SR's edges
+    graphs = [G for _, G, _, _ in verify_graphs]
+    rng = random.Random(37)
+    graphs += simplicial_rich_and_free_graphs(rng)
+    graphs += [random_graph(rng, trial % 15, rng.uniform(0.1, 0.9))
+               for trial in range(300)]
+    checked = 0
+    for trial, g in enumerate(graphs):
+        if not is_connected(g):
+            continue
+        checked += 1
+        want = sorted(1 << g.index(a) | 1 << g.index(b)
+                      for a, b in strong_resolving_graph(g).edge_list())
+        assert _minimal_masks(_pair_cover_masks(g)) == want, (
+            trial, g.edge_list())
+    assert checked > 600
 
 
 def test_degenerate_inputs():
