@@ -1,13 +1,14 @@
 """Application graphs built directly from algebraic definitions.
 
 Each construction enumerates concrete algebraic objects (field tuples, ring
-residues, ideals of Z_N, vectors) and exposes a companion prediction that
-realizes the same graph through a chain blow-up, so tests can cross-check
-labeled equality by explicit bijection.  Each graph is built from its
-coordinate patterns, two vertices adjacent when theirs are disjoint: the
-nonzero coordinates of a field tuple, the non-unit coordinates of a
-residue, the primes dividing d, the zero coordinates of a vector.  Only
-these patterns matter, so no finite-field arithmetic is implemented.
+residues, ideals of Z_N, vectors) as triples: a vertex's label, its label in
+the predicted blow-up construction, and its coordinate pattern (the nonzero
+coordinates of a field tuple, the non-unit coordinates of a residue, the
+primes dividing d, the zero coordinates of a vector).  Two vertices are
+adjacent when their patterns are disjoint, so no finite-field arithmetic is
+implemented.  The one prediction check builds the same graph on the
+predicted labels and compares it by labeled equality with the construction
+built from the lattice's order: no graph is re-indexed.
 
 `reduced_ring`, `comaximal`, `comaximal_ideal` and `component_union` give
 each application's graph, closed form and prediction check as one
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .blowup import (BlowupSpec, blowup_label, build_blowup, mask_to_binstr,
                      product_of_chains, tuple_label)
-from .errors import HypothesisUnmet, NotPrimePower, TooLarge
+from .errors import HypothesisUnmet, LabelCollision, NotPrimePower, TooLarge
 from .graphs import SimpleGraph, complete_graph_on, graph_join, zero_divisor_graph
 from .poset import FinitePoset
 
@@ -88,6 +89,10 @@ def _pattern(flags) -> int:
     return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
+def _graph(vertices) -> SimpleGraph:
+    return SimpleGraph.from_patterns((lab, pat) for lab, _, pat in vertices)
+
+
 def prime_power_base(q: int):
     """(p, e) with q = p^e, or raise NotPrimePower."""
     if q >= 2:
@@ -144,6 +149,14 @@ class LocalProductSpec:
 
 # -- zero-divisor graph of a reduced ring -------------------------------------
 
+def _reduced_ring_vertices(spec: ReducedRingSpec):
+    """Named alike in the product of chains; the pattern is the support."""
+    for v in product(*[range(q) for q in spec.field_orders]):
+        if any(v) and not all(v):
+            label = tuple_label(v)
+            yield label, label, _pattern(a != 0 for a in v)
+
+
 def reduced_ring_zdg(spec: ReducedRingSpec) -> SimpleGraph:
     """Gamma(prod F_i): nonzero tuples with a zero coordinate, adjacent when
     the coordinatewise product vanishes, i.e. the supports are disjoint.
@@ -151,10 +164,7 @@ def reduced_ring_zdg(spec: ReducedRingSpec) -> SimpleGraph:
     Labels are the coordinate tuples, which makes this graph literally equal
     to the zero-divisor graph of the product of chains with sizes |F_i|.
     """
-    qs = spec.field_orders
-    return SimpleGraph.from_patterns(
-        (tuple_label(v), _pattern(a != 0 for a in v))
-        for v in product(*[range(q) for q in qs]) if any(v) and not all(v))
+    return _graph(_reduced_ring_vertices(spec))
 
 
 def reduced_ring_sdim_formula(spec: ReducedRingSpec) -> int:
@@ -174,46 +184,36 @@ def reduced_ring_sdim_formula(spec: ReducedRingSpec) -> int:
 
 # -- comaximal graph of a product of local rings --------------------------------
 
+def _comaximal_vertices(spec: LocalProductSpec):
+    """Residues with non-unit coordinate set M, 0 < M < all, the t-th in
+    (sorted) enumeration order named level t of the blow-up chain of M."""
+    ps = [p for p, _ in spec.prime_powers]
+    k = len(ps)
+    level: dict[int, int] = {}
+    for x in product(*[range(m) for m in spec.moduli()]):
+        mask = _pattern(xi % p == 0 for xi, p in zip(x, ps))
+        if 0 < mask < (1 << k) - 1:
+            level[mask] = level.get(mask, 0) + 1
+            yield tuple_label(x), blowup_label(mask, level[mask], k), mask
+
+
 def comaximal_gamma2prime(spec: LocalProductSpec) -> SimpleGraph:
     """Non-units outside the Jacobson radical of prod Z_{p_i^{e_i}}; x ~ y
     iff x and y generate the whole ring, i.e. every coordinate has a unit
     on at least one side."""
-    mods = spec.moduli()
-    ps = [p for p, _ in spec.prime_powers]
-    pats = ((tuple_label(x), _pattern(xi % p == 0 for xi, p in zip(x, ps)))
-            for x in product(*[range(m) for m in mods]))
-    return SimpleGraph.from_patterns(
-        (lab, pat) for lab, pat in pats if 0 < pat < (1 << len(mods)) - 1)
+    return _graph(_comaximal_vertices(spec))
 
 
-def comaximal_blowup_prediction(
-        spec: LocalProductSpec) -> tuple[BlowupSpec, dict[str, str]]:
-    """Blow-up spec matching Gamma_2'(R) plus the vertex bijection.
-
-    Vertices with non-unit coordinate set M form the chain class of mask M;
-    its size is prod_{i in M} p_i^{e_i - 1} * prod_{i not in M} phi(p_i^{e_i}).
-    """
-    mods = spec.moduli()
-    ps = [p for p, _ in spec.prime_powers]
-    k = len(mods)
-    sizes: dict[int, int] = {}
-    for mask in range(1, (1 << k) - 1):
-        s = 1
-        for i, (p, e) in enumerate(spec.prime_powers):
-            s *= p ** (e - 1) if mask >> i & 1 else _euler_phi_prime_power(p, e)
-        sizes[mask] = s
-    mapping: dict[str, str] = {}
-    level = {mask: 0 for mask in sizes}
-    for x in sorted(product(*[range(m) for m in mods])):
-        mask = 0
-        for i, (xi, p) in enumerate(zip(x, ps)):
-            if xi % p == 0:
-                mask |= 1 << i
-        if not 0 < mask < (1 << k) - 1:
-            continue
-        level[mask] += 1
-        mapping[tuple_label(x)] = blowup_label(mask, level[mask], k)
-    return BlowupSpec(k, sizes).normalized(), mapping
+def _comaximal_construction(spec: LocalProductSpec) -> SimpleGraph:
+    """G(L^B) for the blow-up whose chain of mask M holds the residues with
+    non-unit coordinate set M, so its size is prod_{i in M} p_i^{e_i - 1} *
+    prod_{i not in M} phi(p_i^{e_i})."""
+    k = len(spec.prime_powers)
+    return zero_divisor_graph(build_blowup(BlowupSpec(k, {
+        mask: prod(p ** (e - 1) if mask >> i & 1
+                   else _euler_phi_prime_power(p, e)
+                   for i, (p, e) in enumerate(spec.prime_powers))
+        for mask in range(1, (1 << k) - 1)})))
 
 
 def comaximal_sdim_formula(spec: LocalProductSpec) -> int:
@@ -251,16 +251,22 @@ def ideal_lattice_dual_zn(N: int) -> FinitePoset:
                        bottom=0, top=len(divs) - 1)
 
 
-def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:
-    """CG(Z_N): proper nonzero ideals dZ_N outside the Jacobson radical,
-    adjacent when the ideals sum to the whole ring, i.e. gcd(d, e) = 1."""
+def _comaximal_ideal_vertices(N: int):
+    """Named alike in the dual ideal lattice, with the primes dividing d."""
     if N < 2:
         raise ValueError("comaximal ideal graph needs N >= 2")
     check_element_budget(f"Z_{N}", N)
     primes = [p for p, _ in _prime_powers(N)]
-    pats = ((d, _pattern(d % p == 0 for p in primes)) for d in _divisors(N))
-    return SimpleGraph.from_patterns(
-        (d, pat) for d, pat in pats if 0 < pat < (1 << len(primes)) - 1)
+    for d in _divisors(N):
+        pat = _pattern(d % p == 0 for p in primes)
+        if 0 < pat < (1 << len(primes)) - 1:
+            yield str(d), str(d), pat
+
+
+def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:
+    """CG(Z_N): proper nonzero ideals dZ_N outside the Jacobson radical,
+    adjacent when the ideals sum to the whole ring, i.e. gcd(d, e) = 1."""
+    return _graph(_comaximal_ideal_vertices(N))
 
 
 def comaximal_ideal_sdim_formula(N: int) -> int:
@@ -284,13 +290,10 @@ def _vector_label(mask: int, t: int, n: int) -> str:
     return f"{mask_to_binstr(mask, n)}:{t}"
 
 
-def component_union_graph(n: int, q: int) -> SimpleGraph:
-    """UG(V) for an n-dimensional space over a field of order q: nonzero
-    vectors, adjacent when their supports cover the whole basis.
-
-    A vector is encoded as (support mask, index in 1..(q-1)^popcount); which
-    nonzero field values occur never affects adjacency.
-    """
+def _component_union_vertices(n: int, q: int):
+    """Vectors as (support mask, index t in 1..(q-1)^popcount), as their
+    values never affect adjacency: with zero mask M as the pattern, level t
+    of the blow-up chain of M, or of full support, a vertex of K_t."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if q < 2:
@@ -298,40 +301,29 @@ def component_union_graph(n: int, q: int) -> SimpleGraph:
     check_power_budget(f"GF({q})^{n}", [(q, n)])
     prime_power_base(q)
     full = (1 << n) - 1
-    return SimpleGraph.from_patterns(
-        (_vector_label(mask, t, n), full & ~mask)
-        for mask in range(1, full + 1)
-        for t in range(1, (q - 1) ** mask.bit_count() + 1))
-
-
-def component_union_prediction(
-        n: int, q: int) -> tuple[BlowupSpec, list[str], dict[str, str]]:
-    """Blow-up spec, the K_t labels, and the bijection onto the blow-up graph.
-
-    A vector with support S corresponds to the chain class of the complement
-    mask, so the chain at mask M has size (q-1)^(n-|M|); the (q-1)^n vectors
-    of full support form the joined complete part and keep their own labels.
-    """
-    prime_power_base(q)
-    full = (1 << n) - 1
-    sizes = {mask: (q - 1) ** (n - mask.bit_count())
-             for mask in range(1, full)}
-    mapping = {}
-    for mask in range(1, full):
+    for mask in range(1, full + 1):
         for t in range(1, (q - 1) ** mask.bit_count() + 1):
-            mapping[_vector_label(mask, t, n)] = \
-                blowup_label(full & ~mask, t, n)
-    kt_labels = [_vector_label(full, t, n)
-                 for t in range(1, (q - 1) ** n + 1)]
-    return BlowupSpec(n, sizes).normalized(), kt_labels, mapping
+            label = _vector_label(mask, t, n)
+            yield (label, label if mask == full
+                   else blowup_label(full & ~mask, t, n), full & ~mask)
 
 
-def component_union_predicted_graph(n: int, q: int) -> SimpleGraph:
-    """join(G(L^B), K_t) with vertices renamed back to vector labels."""
-    spec, kt_labels, mapping = component_union_prediction(n, q)
-    core = zero_divisor_graph(build_blowup(spec))
-    inverse = {v: k for k, v in mapping.items()}
-    return graph_join(core.relabeled(inverse), complete_graph_on(kt_labels))
+def component_union_graph(n: int, q: int) -> SimpleGraph:
+    """UG(V) for an n-dimensional space over a field of order q: nonzero
+    vectors, adjacent when their supports cover the whole basis."""
+    return _graph(_component_union_vertices(n, q))
+
+
+def _component_union_construction(n: int, q: int) -> SimpleGraph:
+    """join(G(L^B), K_t): the chain of mask M holds the (q-1)^(n-|M|)
+    vectors with zero mask M, and K_t those of full support, whose labels
+    sort after the blow-up's, so the join keeps both sides' orders."""
+    full = (1 << n) - 1
+    spec = BlowupSpec(n, {mask: (q - 1) ** (n - mask.bit_count())
+                          for mask in range(1, full)})
+    kt = [_vector_label(full, t, n) for t in range(1, (q - 1) ** n + 1)]
+    return graph_join(zero_divisor_graph(build_blowup(spec)),
+                      complete_graph_on(kt))
 
 
 def component_union_sdim_formula(n: int, q: int) -> int:
@@ -353,8 +345,8 @@ def component_union_sdim_formula(n: int, q: int) -> int:
 
 class Application(NamedTuple):
     """An application graph, its closed form (a thunk, which may raise
-    HypothesisUnmet) and its labeled-equality check against the blow-up
-    construction named by `prediction`.  A NamedTuple, not a dataclass:
+    HypothesisUnmet) and its check that, renamed vertex by vertex, it is
+    the construction named by `prediction` (`_application`).  A NamedTuple:
     a dataclass would add about 1 ms to the import of the package."""
 
     graph: SimpleGraph
@@ -363,41 +355,48 @@ class Application(NamedTuple):
     matches_prediction: Callable[[], bool]
 
 
+def _application(vertices, formula: Callable[[], int], prediction: str,
+                 construction: Callable[[], SimpleGraph]) -> Application:
+    """The application on one list of its vertex triples.  Its check builds
+    the graph on the (predicted label, pattern) pairs, which fails when two
+    vertices share a predicted label, and compares it with the construction."""
+    vertices = list(vertices)
+
+    def matches() -> bool:
+        try:
+            renamed = SimpleGraph.from_patterns(
+                (pred, pat) for _, pred, pat in vertices)
+        except LabelCollision:
+            return False
+        return renamed.labeled_equal(construction())
+    return Application(_graph(vertices), formula, prediction, matches)
+
+
 def reduced_ring(field_orders: Sequence[int]) -> Application:
     spec = ReducedRingSpec(field_orders)
-    g = reduced_ring_zdg(spec)
-    return Application(
-        g, lambda: reduced_ring_sdim_formula(spec),
+    return _application(
+        _reduced_ring_vertices(spec), lambda: reduced_ring_sdim_formula(spec),
         "product-of-chains zero-divisor graph",
-        lambda: g.labeled_equal(zero_divisor_graph(
-            product_of_chains(spec.field_orders))))
+        lambda: zero_divisor_graph(product_of_chains(spec.field_orders)))
 
 
 def comaximal(prime_powers: Sequence[tuple[int, int]]) -> Application:
     spec = LocalProductSpec(prime_powers)
-    g = comaximal_gamma2prime(spec)
-
-    def matches() -> bool:
-        # the ring graph takes the blow-up labels: the other way round,
-        # from_rows re-indexes a scrambled order, which is slower
-        bspec, mapping = comaximal_blowup_prediction(spec)
-        return g.relabeled(mapping).labeled_equal(
-            zero_divisor_graph(build_blowup(bspec)))
-    return Application(g, lambda: comaximal_sdim_formula(spec),
-                       "blow-up zero-divisor graph", matches)
+    return _application(
+        _comaximal_vertices(spec), lambda: comaximal_sdim_formula(spec),
+        "blow-up zero-divisor graph", lambda: _comaximal_construction(spec))
 
 
 def comaximal_ideal(N: int) -> Application:
-    g = comaximal_ideal_graph_zn(N)
-    return Application(
-        g, lambda: comaximal_ideal_sdim_formula(N),
+    return _application(
+        _comaximal_ideal_vertices(N), lambda: comaximal_ideal_sdim_formula(N),
         "dual ideal-lattice zero-divisor graph",
-        lambda: g.labeled_equal(zero_divisor_graph(ideal_lattice_dual_zn(N))))
+        lambda: zero_divisor_graph(ideal_lattice_dual_zn(N)))
 
 
 def component_union(n: int, q: int) -> Application:
-    g = component_union_graph(n, q)
-    return Application(
-        g, lambda: component_union_sdim_formula(n, q),
+    return _application(
+        _component_union_vertices(n, q),
+        lambda: component_union_sdim_formula(n, q),
         "join of blow-up graph with K_t",
-        lambda: g.labeled_equal(component_union_predicted_graph(n, q)))
+        lambda: _component_union_construction(n, q))

@@ -54,8 +54,8 @@ class SimpleGraph:
                  for s, e in zip(starts, starts[1:] + [len(order)])]
         # move each row run by run or bit by bit, whichever is fewer steps.
         # Runs win where few are kept: G_SR of 2^9 takes 1.2 ms against 66
-        # bit by bit.  Bits win where the order is scrambled, which on the
-        # commands' paths only `relabeled` does (the prediction checks).
+        # bit by bit.  Bits win where many runs cut sparse rows, as in some
+        # re-indexings by `subgraph`, `remove_isolated` and G_SR's assembly.
         adj = []
         if len(moves) * len(order) <= sum(rows[i].bit_count() for i in order):
             for i in order:

@@ -117,7 +117,6 @@ def _suite_gallai(seed, count) -> VerifySuiteResult:
             # the cover number is |V| - beta: a second solve would repeat
             # the one behind beta
             alpha = g.n - beta
-            out.expect_equal(f"{name}/{tag}: alpha+beta=|V|", g.n, alpha + beta)
             cover = set(minimum_vertex_cover(g))
             covered = all(a in cover or b in cover for a, b in g.edge_list())
             out.check(f"{name}/{tag}: cover is a cover", covered)

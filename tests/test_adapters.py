@@ -4,21 +4,22 @@ from math import gcd, prod
 
 import pytest
 
-from zdgdim import (HypothesisUnmet, NotPrimePower, TooLarge, build_blowup,
+from zdgdim import (BlowupSpec, HypothesisUnmet, NotPrimePower, TooLarge,
+                    build_blowup, complete_graph_on, graph_join,
                     product_of_chains, sdim_bruteforce, sdim_via_gsr,
                     zero_divisor_graph)
-from zdgdim.adapters import (LocalProductSpec, ReducedRingSpec,
-                             comaximal_blowup_prediction,
+from zdgdim.adapters import (LocalProductSpec, ReducedRingSpec, comaximal,
                              comaximal_gamma2prime,
                              comaximal_ideal_graph_zn,
                              comaximal_ideal_sdim_formula,
-                             comaximal_sdim_formula, component_union_graph,
-                             component_union_predicted_graph,
-                             component_union_prediction,
+                             comaximal_sdim_formula, component_union,
+                             component_union_graph,
                              component_union_sdim_formula,
                              ideal_lattice_dual_zn, prime_power_base,
                              reduced_ring_sdim_formula, reduced_ring_zdg,
-                             _vector_label)
+                             _comaximal_construction, _comaximal_vertices,
+                             _component_union_construction,
+                             _component_union_vertices, _vector_label)
 from zdgdim.blowup import tuple_label
 
 from conftest import degree, has_edge, meet, rule_graph
@@ -137,10 +138,13 @@ def test_comaximal_z2_cubed_matches_the_cube():
 def test_comaximal_matches_blowup_prediction(pairs):
     spec = LocalProductSpec(pairs)
     g = comaximal_gamma2prime(spec)
-    bspec, mapping = comaximal_blowup_prediction(spec)
+    mapping = {lab: pred for lab, pred, _ in _comaximal_vertices(spec)}
     assert set(mapping) == set(g.labels)
-    predicted = zero_divisor_graph(build_blowup(bspec))
+    predicted = _comaximal_construction(spec)
+    # the built ring graph, re-indexed under the predicted labels, is the
+    # blow-up's graph; the command path renames the patterns instead
     assert g.relabeled(mapping).labeled_equal(predicted)
+    assert comaximal(pairs).matches_prediction()
 
 
 # -- comaximal ideal graph ------------------------------------------------------
@@ -208,15 +212,26 @@ def test_component_union_graph_basics():
 
 def test_component_union_join_equality():
     g = component_union_graph(4, 2)
-    assert g.labeled_equal(component_union_predicted_graph(4, 2))
+    inverse = {pred: lab for lab, pred, _ in _component_union_vertices(4, 2)}
+    # for q = 2 every chain has (q-1)^(n-|M|) = 1 element: the blow-up is 2^4
+    core = zero_divisor_graph(build_blowup(BlowupSpec(4)))
+    assert g.labeled_equal(graph_join(core.relabeled(inverse),
+                                      complete_graph_on(["1111:1"])))
+    assert component_union(4, 2).matches_prediction()
 
 
 def test_component_union_prediction_shape():
-    spec, kt, mapping = component_union_prediction(3, 3)
-    assert kt == ["111:1", "111:2", "111:3", "111:4",
-                  "111:5", "111:6", "111:7", "111:8"]
+    predicted = {lab: pred for lab, pred, _ in _component_union_vertices(3, 3)}
+    # the vectors of full support keep their labels: the joined K_t
+    assert [lab for lab, pred in predicted.items() if lab == pred] == [
+        "111:1", "111:2", "111:3", "111:4", "111:5", "111:6", "111:7", "111:8"]
+    # chains of (q-1)^(n-|M|) elements, 4 on one atom and 2 on two
+    spec = BlowupSpec(3, {1: 4, 2: 4, 4: 4, 3: 2, 5: 2, 6: 2})
     assert spec.total_vertices() == 18
-    assert mapping["011:2"] == "(0,0,2)"   # support {1,2} -> mask {3}
+    assert _component_union_construction(3, 3).labeled_equal(graph_join(
+        zero_divisor_graph(build_blowup(spec)),
+        complete_graph_on(list(predicted)[-8:])))
+    assert predicted["011:2"] == "(0,0,2)"   # support {1,2} -> mask {3}
 
 
 def test_component_union_sdim_published_form_disagrees():

@@ -200,7 +200,7 @@ def test_adapter_vspace_reports_disagreement(capsys):
      "blow-up zero-divisor graph"),
     (("--zn", "210"), "zero_divisor_graph",
      "dual ideal-lattice zero-divisor graph"),
-    (("--vspace", "n=3,q=2"), "component_union_predicted_graph",
+    (("--vspace", "n=3,q=2"), "zero_divisor_graph",
      "join of blow-up graph with K_t"),
 ], ids=["fields", "local", "zn", "vspace"])
 def test_adapter_reports_a_prediction_mismatch(capsys, monkeypatch, argv,
@@ -216,6 +216,23 @@ def test_adapter_reports_a_prediction_mismatch(capsys, monkeypatch, argv,
     code, out, _ = run(capsys, "adapter", *argv, "--check")
     assert code == 2
     assert out.splitlines()[-1] == f"matches {prediction}: False"
+
+
+@pytest.mark.parametrize("shift", [100, 1], ids=["past-the-top", "collision"])
+def test_adapter_reports_a_wrong_predicted_label(capsys, monkeypatch, shift):
+    # the renamed side is wrong: the first residue of the chain of mask 001
+    # is renamed to a level past the top of that chain (16 elements), which
+    # no blow-up element has, or onto level 2, which another residue has.
+    # Either way the check reports False instead of raising
+    label = adapters.blowup_label
+
+    def misnamed(mask, level, n):
+        return label(mask, level + shift if (mask, level) == (1, 1)
+                     else level, n)
+    monkeypatch.setattr(adapters, "blowup_label", misnamed)
+    code, out, err = run(capsys, "adapter", "--local", "2^2,3,5", "--check")
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-1] == "matches blow-up zero-divisor graph: False"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -296,7 +313,7 @@ def test_verify_case_counts_and_failures_are_pinned(capsys):
     assert code == 1
     payload = json.loads(out)
     assert [(r["suite"], r["cases"]) for r in payload] == [
-        ("diameter", 36), ("gallai", 252), ("distance-lemma", 28),
+        ("diameter", 36), ("gallai", 168), ("distance-lemma", 28),
         ("quotient", 140), ("gsr-equality", 85), ("decomposition", 248),
         ("formula-agreement", 44), ("adapters", 43), ("examples", 31)]
     assert sorted((r["suite"], f["case"]) for r in payload
@@ -390,6 +407,43 @@ boolean 2^3: 6 vertices, 6 edges
 sdim via gsr: 2
 closed form: 2 (agrees)
 """),
+    # empty vertex lists and one-atom blow-ups: the degenerate cases of the
+    # prediction checks
+    (("adapter", "--local", "2", "--check"), 0, """\
+comaximal graph of 2: 0 vertices, 0 edges
+sdim via gsr: 0
+matches blow-up zero-divisor graph: True
+"""),
+    (("adapter", "--local", "2,3", "--check"), 0, """\
+comaximal graph of 2,3: 3 vertices, 2 edges
+sdim via gsr: 1
+matches blow-up zero-divisor graph: True
+"""),
+    (("adapter", "--local", "2^2,2^2", "--check"), 0, """\
+comaximal graph of 2^2,2^2: 8 vertices, 16 edges
+sdim via gsr: 6
+matches blow-up zero-divisor graph: True
+"""),
+    (("adapter", "--vspace", "n=1,q=2", "--check"), 0, """\
+component union graph n=1 q=2: 1 vertices, 0 edges
+sdim via gsr: 0
+matches join of blow-up graph with K_t: True
+"""),
+    (("adapter", "--vspace", "n=1,q=5", "--check"), 0, """\
+component union graph n=1 q=5: 4 vertices, 6 edges
+sdim via gsr: 3
+matches join of blow-up graph with K_t: True
+"""),
+    (("adapter", "--fields", "2", "--check"), 0, """\
+reduced ring fields 2: 0 vertices, 0 edges
+sdim via gsr: 0
+matches product-of-chains zero-divisor graph: True
+"""),
+    (("adapter", "--zn", "4", "--check"), 0, """\
+comaximal ideal graph of Z_4: 0 vertices, 0 edges
+sdim via gsr: 0
+matches dual ideal-lattice zero-divisor graph: True
+"""),
 ]
 
 
@@ -466,14 +520,15 @@ def test_local_exponent_below_one_is_refused_before_primality(capsys, value):
 
 
 def test_zn_builds_the_comaximal_ideal_graph_once(capsys, monkeypatch):
-    # the closed form counts the vertices from the factorisation of N
+    # the closed form counts the vertices from the factorisation of N; the
+    # graph and the prediction check share one enumeration of the ideals
     calls = []
-    build = adapters.comaximal_ideal_graph_zn
+    enumerate_ideals = adapters._comaximal_ideal_vertices
 
     def counted(N):
         calls.append(N)
-        return build(N)
-    monkeypatch.setattr(adapters, "comaximal_ideal_graph_zn", counted)
+        return enumerate_ideals(N)
+    monkeypatch.setattr(adapters, "_comaximal_ideal_vertices", counted)
     code, out, _ = run(capsys, "sdim", "--zn", "60")
     assert code == 0 and "formula  | 5 " in out
     assert calls == [60]
