@@ -1,24 +1,22 @@
 """Application graphs built directly from algebraic definitions.
 
-Each construction enumerates concrete algebraic objects (field tuples, ring
-residues, ideals of Z_N, vectors) as triples: a vertex's label, its label in
-the predicted blow-up construction, and its coordinate pattern (the nonzero
-coordinates of a field tuple, the non-unit coordinates of a residue, the
-primes dividing d, the zero coordinates of a vector).  Two vertices are
+Each application enumerates concrete algebraic objects (field tuples, ring
+residues, ideals of Z_N, vectors) as (label, coordinate pattern) pairs: the
+nonzero coordinates of a field tuple, the non-unit coordinates of a residue,
+the primes dividing d, the zero coordinates of a vector.  Two vertices are
 adjacent when their patterns are disjoint, so no finite-field arithmetic is
-implemented.  The one prediction check builds the same graph on the
-predicted labels and compares it by labeled equality with the construction
-built from the lattice's order: no graph is re-indexed.
+implemented.
 
 `reduced_ring`, `comaximal`, `comaximal_ideal` and `component_union` give
 each application's graph, closed form and prediction check as one
-`Application`.  Every input is refused past its element budget before it
-is enumerated, and before any primality test.
+`Application`.  Each checks its input once, at its top, and refuses it past
+its element budget before any primality test or enumeration.  Only the
+check of `_application` names blow-up levels, and it compares by labeled
+equality with the construction from the lattice: no graph is re-indexed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Callable, NamedTuple, Sequence
@@ -89,10 +87,6 @@ def _pattern(flags) -> int:
     return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
-def _graph(vertices) -> SimpleGraph:
-    return SimpleGraph.from_patterns((lab, pat) for lab, _, pat in vertices)
-
-
 def prime_power_base(q: int):
     """(p, e) with q = p^e, or raise NotPrimePower."""
     if q >= 2:
@@ -106,123 +100,60 @@ def _euler_phi_prime_power(p: int, e: int) -> int:
     return p ** e - p ** (e - 1)
 
 
-@dataclass(frozen=True)
-class ReducedRingSpec:
-    """A finite reduced ring as a product of finite fields of these orders."""
-
-    field_orders: tuple[int, ...]
-
-    def __init__(self, field_orders: Sequence[int]):
-        qs = tuple(field_orders)
-        object.__setattr__(self, "field_orders", qs)
-        # the budget first: the primality test is slow on a large prime
-        check_element_budget(" x ".join(f"GF({q})" for q in qs), prod(qs))
-        for q in qs:
-            prime_power_base(q)
-
-
-@dataclass(frozen=True)
-class LocalProductSpec:
-    """R = prod Z_{p_i^{e_i}} given as (prime, exponent) pairs."""
-
-    prime_powers: tuple[tuple[int, int], ...]
-
-    def __init__(self, prime_powers: Sequence[tuple[int, int]]):
-        pairs = tuple((int(p), int(e)) for p, e in prime_powers)
-        object.__setattr__(self, "prime_powers", pairs)
-        # every exponent and the budget first: the primality test is slow on
-        # a large prime.  A modulus over 64 bits is named Z_(p^e)
-        for _, e in pairs:
-            if e < 1:
-                raise NotPrimePower(f"exponent {e} must be >= 1")
-        check_power_budget(" x ".join(
-            f"Z_{p ** e}" if e * (abs(p).bit_length() - 1) < 64
-            and (p ** e).bit_length() <= 64 else f"Z_({p}^{e})"
-            for p, e in pairs), pairs)
-        for p, _ in pairs:
-            if prime_power_base(p)[1] != 1:
-                raise NotPrimePower(f"{p} is not prime")
-
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(p ** e for p, e in self.prime_powers)
-
-
 # -- zero-divisor graph of a reduced ring -------------------------------------
 
-def _reduced_ring_vertices(spec: ReducedRingSpec):
-    """Named alike in the product of chains; the pattern is the support."""
-    for v in product(*[range(q) for q in spec.field_orders]):
+def _reduced_ring_vertices(field_orders: Sequence[int]):
+    """Nonzero tuples with a zero coordinate; the pattern is the support."""
+    for v in product(*[range(q) for q in field_orders]):
         if any(v) and not all(v):
-            label = tuple_label(v)
-            yield label, label, _pattern(a != 0 for a in v)
+            yield tuple_label(v), _pattern(a != 0 for a in v)
 
 
-def reduced_ring_zdg(spec: ReducedRingSpec) -> SimpleGraph:
-    """Gamma(prod F_i): nonzero tuples with a zero coordinate, adjacent when
-    the coordinatewise product vanishes, i.e. the supports are disjoint.
-
-    Labels are the coordinate tuples, which makes this graph literally equal
-    to the zero-divisor graph of the product of chains with sizes |F_i|.
-    """
-    return _graph(_reduced_ring_vertices(spec))
-
-
-def reduced_ring_sdim_formula(spec: ReducedRingSpec) -> int:
+def reduced_ring_sdim_formula(field_orders: Sequence[int]) -> int:
     """|Z(R)*| - 2n - 2m + 2 with n fields above order 2 and m copies of
     order 2; equivalently |Z*| - 2k + 2 for k fields in total (k >= 3)."""
-    qs = spec.field_orders
-    if len(qs) < 3:
+    if len(field_orders) < 3:
         raise HypothesisUnmet("n<3: formula inapplicable")
     count = 1
     units = 1
-    for q in qs:
+    for q in field_orders:
         count *= q
         units *= q - 1
     zstar = count - units - 1
-    return zstar - 2 * len(qs) + 2
+    return zstar - 2 * len(field_orders) + 2
 
 
 # -- comaximal graph of a product of local rings --------------------------------
 
-def _comaximal_vertices(spec: LocalProductSpec):
-    """Residues with non-unit coordinate set M, 0 < M < all, the t-th in
-    (sorted) enumeration order named level t of the blow-up chain of M."""
-    ps = [p for p, _ in spec.prime_powers]
-    k = len(ps)
-    level: dict[int, int] = {}
-    for x in product(*[range(m) for m in spec.moduli()]):
+def _comaximal_vertices(pairs: Sequence[tuple[int, int]]):
+    """Residues with non-unit coordinate set M, 0 < M < all, as pattern."""
+    ps = [p for p, _ in pairs]
+    full = (1 << len(ps)) - 1
+    for x in product(*[range(p ** e) for p, e in pairs]):
         mask = _pattern(xi % p == 0 for xi, p in zip(x, ps))
-        if 0 < mask < (1 << k) - 1:
-            level[mask] = level.get(mask, 0) + 1
-            yield tuple_label(x), blowup_label(mask, level[mask], k), mask
+        if 0 < mask < full:
+            yield tuple_label(x), mask
 
 
-def comaximal_gamma2prime(spec: LocalProductSpec) -> SimpleGraph:
-    """Non-units outside the Jacobson radical of prod Z_{p_i^{e_i}}; x ~ y
-    iff x and y generate the whole ring, i.e. every coordinate has a unit
-    on at least one side."""
-    return _graph(_comaximal_vertices(spec))
-
-
-def _comaximal_construction(spec: LocalProductSpec) -> SimpleGraph:
+def _comaximal_construction(pairs: Sequence[tuple[int, int]]) -> SimpleGraph:
     """G(L^B) for the blow-up whose chain of mask M holds the residues with
     non-unit coordinate set M, so its size is prod_{i in M} p_i^{e_i - 1} *
     prod_{i not in M} phi(p_i^{e_i})."""
-    k = len(spec.prime_powers)
+    k = len(pairs)
     return zero_divisor_graph(build_blowup(BlowupSpec(k, {
         mask: prod(p ** (e - 1) if mask >> i & 1
                    else _euler_phi_prime_power(p, e)
-                   for i, (p, e) in enumerate(spec.prime_powers))
+                   for i, (p, e) in enumerate(pairs))
         for mask in range(1, (1 << k) - 1)})))
 
 
-def comaximal_sdim_formula(spec: LocalProductSpec) -> int:
+def comaximal_sdim_formula(prime_powers: Sequence[tuple[int, int]]) -> int:
     """|V(Gamma_2'(R))| - 2n + 2 for n = |Max(R)| >= 3."""
-    n = len(spec.prime_powers)
+    n = len(prime_powers)
     if n < 3:
         raise HypothesisUnmet("n<3: formula inapplicable")
     count = units = jacobson = 1
-    for p, e in spec.prime_powers:
+    for p, e in prime_powers:
         count *= p ** e
         units *= _euler_phi_prime_power(p, e)
         jacobson *= p ** (e - 1)
@@ -252,29 +183,18 @@ def ideal_lattice_dual_zn(N: int) -> FinitePoset:
 
 
 def _comaximal_ideal_vertices(N: int):
-    """Named alike in the dual ideal lattice, with the primes dividing d."""
-    if N < 2:
-        raise ValueError("comaximal ideal graph needs N >= 2")
-    check_element_budget(f"Z_{N}", N)
+    """Labels as in the dual ideal lattice, with the primes dividing d."""
     primes = [p for p, _ in _prime_powers(N)]
     for d in _divisors(N):
         pat = _pattern(d % p == 0 for p in primes)
         if 0 < pat < (1 << len(primes)) - 1:
-            yield str(d), str(d), pat
-
-
-def comaximal_ideal_graph_zn(N: int) -> SimpleGraph:
-    """CG(Z_N): proper nonzero ideals dZ_N outside the Jacobson radical,
-    adjacent when the ideals sum to the whole ring, i.e. gcd(d, e) = 1."""
-    return _graph(_comaximal_ideal_vertices(N))
+            yield str(d), pat
 
 
 def comaximal_ideal_sdim_formula(N: int) -> int:
     """sdim of CG(Z_N): with n distinct primes, |V| - 2n + 2 for n >= 3 and
     1 for a squarefree N with two primes.  |V| = prod (e_i + 1) - 1 -
     prod e_i for N = prod p_i^e_i (divisors but 1 not divisible by rad N)."""
-    if N < 2:
-        raise ValueError("comaximal ideal graph needs N >= 2")
     exps = [e for _, e in _prime_powers(N)]
     n = len(exps)
     if n >= 3:
@@ -292,26 +212,12 @@ def _vector_label(mask: int, t: int, n: int) -> str:
 
 def _component_union_vertices(n: int, q: int):
     """Vectors as (support mask, index t in 1..(q-1)^popcount), as their
-    values never affect adjacency: with zero mask M as the pattern, level t
-    of the blow-up chain of M, or of full support, a vertex of K_t."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
-    check_power_budget(f"GF({q})^{n}", [(q, n)])
-    prime_power_base(q)
+    values never affect adjacency, with the zero mask as the pattern: the
+    vectors of full support have the empty pattern."""
     full = (1 << n) - 1
     for mask in range(1, full + 1):
         for t in range(1, (q - 1) ** mask.bit_count() + 1):
-            label = _vector_label(mask, t, n)
-            yield (label, label if mask == full
-                   else blowup_label(full & ~mask, t, n), full & ~mask)
-
-
-def component_union_graph(n: int, q: int) -> SimpleGraph:
-    """UG(V) for an n-dimensional space over a field of order q: nonzero
-    vectors, adjacent when their supports cover the whole basis."""
-    return _graph(_component_union_vertices(n, q))
+            yield _vector_label(mask, t, n), full & ~mask
 
 
 def _component_union_construction(n: int, q: int) -> SimpleGraph:
@@ -345,8 +251,8 @@ def component_union_sdim_formula(n: int, q: int) -> int:
 
 class Application(NamedTuple):
     """An application graph, its closed form (a thunk, which may raise
-    HypothesisUnmet) and its check that, renamed vertex by vertex, it is
-    the construction named by `prediction` (`_application`).  A NamedTuple:
+    HypothesisUnmet) and its check that, under the labels `_application`
+    predicts, it is the construction named by `prediction`.  A NamedTuple:
     a dataclass would add about 1 ms to the import of the package."""
 
     graph: SimpleGraph
@@ -355,48 +261,102 @@ class Application(NamedTuple):
     matches_prediction: Callable[[], bool]
 
 
-def _application(vertices, formula: Callable[[], int], prediction: str,
+def _application(pairs, coordinates: int | None, formula: Callable[[], int],
+                 prediction: str,
                  construction: Callable[[], SimpleGraph]) -> Application:
-    """The application on one list of its vertex triples.  Its check builds
-    the graph on the (predicted label, pattern) pairs, which fails when two
-    vertices share a predicted label, and compares it with the construction."""
-    vertices = list(vertices)
+    """The application on one list of its (label, pattern) pairs.  Its check
+    compares the construction with the graph on the predicted labels: with
+    coordinates None the labels themselves, else by one rule.  The t-th
+    vertex, in enumeration order, with a nonempty pattern M is named level
+    t of the chain of M in a blow-up of 2^coordinates; a vertex with the
+    empty pattern (of full support, in K_t) keeps its label.  Two vertices
+    given one label make the check False."""
+    pairs = list(pairs)
+    graph = SimpleGraph.from_patterns(pairs)
 
     def matches() -> bool:
+        if coordinates is None:
+            return graph.labeled_equal(construction())
+        named, level = [], {}
+        for label, pat in pairs:
+            if pat:
+                level[pat] = level.get(pat, 0) + 1
+                label = blowup_label(pat, level[pat], coordinates)
+            named.append((label, pat))
         try:
-            renamed = SimpleGraph.from_patterns(
-                (pred, pat) for _, pred, pat in vertices)
+            renamed = SimpleGraph.from_patterns(named)
         except LabelCollision:
             return False
         return renamed.labeled_equal(construction())
-    return Application(_graph(vertices), formula, prediction, matches)
+    return Application(graph, formula, prediction, matches)
 
 
 def reduced_ring(field_orders: Sequence[int]) -> Application:
-    spec = ReducedRingSpec(field_orders)
+    """Gamma(prod F_i) of the reduced ring, a product of finite fields of
+    these orders: nonzero tuples with a zero coordinate, adjacent when the
+    coordinatewise product vanishes, i.e. the supports are disjoint.  The
+    labels are the coordinate tuples, which makes this graph literally equal
+    to the zero-divisor graph of the product of chains with sizes |F_i|."""
+    qs = tuple(field_orders)
+    # the budget first: the primality test is slow on a large prime
+    check_element_budget(" x ".join(f"GF({q})" for q in qs), prod(qs))
+    for q in qs:
+        prime_power_base(q)
     return _application(
-        _reduced_ring_vertices(spec), lambda: reduced_ring_sdim_formula(spec),
+        _reduced_ring_vertices(qs), None,
+        lambda: reduced_ring_sdim_formula(qs),
         "product-of-chains zero-divisor graph",
-        lambda: zero_divisor_graph(product_of_chains(spec.field_orders)))
+        lambda: zero_divisor_graph(product_of_chains(qs)))
 
 
 def comaximal(prime_powers: Sequence[tuple[int, int]]) -> Application:
-    spec = LocalProductSpec(prime_powers)
+    """Gamma_2'(R) for R = prod Z_{p_i^{e_i}} given as (prime, exponent)
+    pairs: the non-units outside the Jacobson radical, x ~ y iff x and y
+    generate the whole ring, i.e. every coordinate has a unit on at least
+    one side."""
+    pairs = tuple(prime_powers)
+    # every exponent and the budget first: the primality test is slow on a
+    # large prime.  A modulus over 64 bits is named Z_(p^e)
+    for _, e in pairs:
+        if e < 1:
+            raise NotPrimePower(f"exponent {e} must be >= 1")
+    check_power_budget(" x ".join(
+        f"Z_{p ** e}" if e * (abs(p).bit_length() - 1) < 64
+        and (p ** e).bit_length() <= 64 else f"Z_({p}^{e})"
+        for p, e in pairs), pairs)
+    for p, _ in pairs:
+        if p < 2 or next(_prime_powers(p))[0] != p:
+            raise NotPrimePower(f"{p} is not prime")
     return _application(
-        _comaximal_vertices(spec), lambda: comaximal_sdim_formula(spec),
-        "blow-up zero-divisor graph", lambda: _comaximal_construction(spec))
+        _comaximal_vertices(pairs), len(pairs),
+        lambda: comaximal_sdim_formula(pairs),
+        "blow-up zero-divisor graph", lambda: _comaximal_construction(pairs))
 
 
 def comaximal_ideal(N: int) -> Application:
+    """CG(Z_N): proper nonzero ideals dZ_N outside the Jacobson radical,
+    adjacent when the ideals sum to the whole ring, i.e. gcd(d, e) = 1."""
+    if N < 2:
+        raise ValueError("comaximal ideal graph needs N >= 2")
+    check_element_budget(f"Z_{N}", N)
     return _application(
-        _comaximal_ideal_vertices(N), lambda: comaximal_ideal_sdim_formula(N),
+        _comaximal_ideal_vertices(N), None,
+        lambda: comaximal_ideal_sdim_formula(N),
         "dual ideal-lattice zero-divisor graph",
         lambda: zero_divisor_graph(ideal_lattice_dual_zn(N)))
 
 
 def component_union(n: int, q: int) -> Application:
+    """UG(V) for an n-dimensional space over a field of order q: nonzero
+    vectors, adjacent when their supports cover the whole basis."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if q < 2:
+        raise NotPrimePower(f"{q} is not a prime power")
+    check_power_budget(f"GF({q})^{n}", [(q, n)])
+    prime_power_base(q)
     return _application(
-        _component_union_vertices(n, q),
+        _component_union_vertices(n, q), n,
         lambda: component_union_sdim_formula(n, q),
         "join of blow-up graph with K_t",
         lambda: _component_union_construction(n, q))

@@ -18,9 +18,7 @@ from zdgdim import (SimpleGraph, boolean_lattice, build_blowup,
                     independence_number, m_lattice, product_of_chains,
                     sdim_bruteforce, strong_resolving_graph,
                     zero_divisor_graph)
-from zdgdim.adapters import (ReducedRingSpec, comaximal_ideal_graph_zn,
-                             component_union_graph, reduced_ring,
-                             reduced_ring_zdg)
+from zdgdim.adapters import comaximal_ideal, component_union, reduced_ring
 
 from conftest import (CORPUS_SIZE, boolean_ring_annihilator_graph,
                       incomparability_graph, make_fig2_lattice,
@@ -224,9 +222,9 @@ def test_criterion_13_structural_identities(suite_result):
             problems.append(f"n={n}: AG(R_L) != Incomp(L)")
     small = [zero_divisor_graph(boolean_lattice(3)),
              zero_divisor_graph(m_lattice(5)),
-             comaximal_ideal_graph_zn(60),
-             reduced_ring_zdg(ReducedRingSpec((3, 2, 2))),
-             component_union_graph(3, 2)]
+             comaximal_ideal(60).graph,
+             reduced_ring((3, 2, 2)).graph,
+             component_union(3, 2).graph]
     for g in (g for g in small if g.n <= 12):
         if metric_dimension_bruteforce(g) > sdim_bruteforce(g):
             problems.append("dim > sdim on a small graph")

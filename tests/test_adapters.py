@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import product
 from math import gcd, prod
 
@@ -8,19 +9,15 @@ from zdgdim import (BlowupSpec, HypothesisUnmet, NotPrimePower, TooLarge,
                     build_blowup, complete_graph_on, graph_join,
                     product_of_chains, sdim_bruteforce, sdim_via_gsr,
                     zero_divisor_graph)
-from zdgdim.adapters import (LocalProductSpec, ReducedRingSpec, comaximal,
-                             comaximal_gamma2prime,
-                             comaximal_ideal_graph_zn,
-                             comaximal_ideal_sdim_formula,
-                             comaximal_sdim_formula, component_union,
-                             component_union_graph,
+from zdgdim.adapters import (comaximal, comaximal_ideal,
+                             comaximal_ideal_sdim_formula, component_union,
                              component_union_sdim_formula,
                              ideal_lattice_dual_zn, prime_power_base,
-                             reduced_ring_sdim_formula, reduced_ring_zdg,
-                             _comaximal_construction, _comaximal_vertices,
+                             reduced_ring, _comaximal_construction,
+                             _comaximal_vertices,
                              _component_union_construction,
                              _component_union_vertices, _vector_label)
-from zdgdim.blowup import tuple_label
+from zdgdim.blowup import blowup_label, tuple_label
 
 from conftest import degree, has_edge, meet, rule_graph
 
@@ -28,6 +25,18 @@ from conftest import degree, has_edge, meet, rule_graph
 def _primes_up_to(n):
     return [p for p in range(2, n + 1)
             if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def _blowup_names(pairs, n):
+    """The theorem's naming, written out apart from the prediction check:
+    the t-th label with nonempty pattern M is level t of the chain of M,
+    and a label with the empty pattern is its own name."""
+    level = Counter()
+    names = {}
+    for label, pat in pairs:
+        level[pat] += 1
+        names[label] = blowup_label(pat, level[pat], n) if pat else label
+    return names
 
 
 def test_prime_power_base():
@@ -52,21 +61,44 @@ def test_prime_power_base():
         prime_power_base(2 * (10 ** 18 + 3))
 
 
-def test_spec_validation():
-    with pytest.raises(NotPrimePower):
-        ReducedRingSpec([3, 6])
-    with pytest.raises(NotPrimePower):
-        LocalProductSpec([(4, 1)])
-    with pytest.raises(NotPrimePower):
-        LocalProductSpec([(2, 0)])
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: reduced_ring([3, 6]), NotPrimePower, "6 is not a prime power"),
+    (lambda: comaximal([(4, 1)]), NotPrimePower, "4 is not prime"),
+    (lambda: comaximal([(2, 0)]), NotPrimePower, "exponent 0 must be >= 1"),
+    (lambda: comaximal_ideal(1), ValueError,
+     "comaximal ideal graph needs N >= 2"),
+    (lambda: component_union(0, 2), ValueError, "dimension must be >= 1"),
+    (lambda: component_union(3, 6), NotPrimePower, "6 is not a prime power"),
+    # each constructor's checks run in order: the exponents before the
+    # primality test, n before q, q >= 2 before the budget (GF(-3)^12
+    # would count 531441 elements) and the budget before the prime powers
+    (lambda: comaximal([(4, 0)]), NotPrimePower, "exponent 0 must be >= 1"),
+    (lambda: component_union(0, 1), ValueError, "dimension must be >= 1"),
+    (lambda: component_union(12, -3), NotPrimePower,
+     "-3 is not a prime power"),
+    (lambda: component_union(11, 6), TooLarge,
+     "GF(6)^11 has 362797056 elements, over the element budget of 100000"),
+    (lambda: reduced_ring([6] * 7), TooLarge,
+     " x ".join(["GF(6)"] * 7) + " has 279936 elements, over the element "
+     "budget of 100000"),
+    (lambda: comaximal_ideal(0), ValueError,
+     "comaximal ideal graph needs N >= 2"),
+], ids=["fields", "local-prime", "local-exponent", "zn", "vspace-n",
+        "vspace-q", "local-exponent-first", "vspace-n-first",
+        "vspace-q-first", "vspace-budget-first", "fields-budget-first",
+        "zn-below-2"])
+def test_constructor_validation(make, error, message):
+    with pytest.raises(error) as raised:
+        make()
+    assert (raised.type, str(raised.value)) == (error, message)
 
 
 @pytest.mark.parametrize("make", [
-    lambda q: ReducedRingSpec([q]), lambda q: LocalProductSpec([(q, 1)]),
+    lambda q: reduced_ring([q]), lambda q: comaximal([(q, 1)]),
 ], ids=["fields", "local"])
-def test_specs_check_the_budget_before_the_primality_test(make):
+def test_constructors_check_the_budget_before_the_primality_test(make):
     # trial division takes about 0.2 s to accept the prime 10^12 + 39 and
-    # minutes on 10^18 + 3; the spec refuses both first
+    # minutes on 10^18 + 3; the constructor refuses both first
     for prime in (10 ** 12 + 39, 10 ** 18 + 3):
         start = time.perf_counter()
         with pytest.raises(TooLarge, match=f"{prime} .*over the element "
@@ -77,11 +109,11 @@ def test_specs_check_the_budget_before_the_primality_test(make):
 
 def test_budget():
     with pytest.raises(TooLarge):
-        reduced_ring_zdg(ReducedRingSpec([2] * 20))
+        reduced_ring([2] * 20)
     with pytest.raises(TooLarge):
-        component_union_graph(20, 3)
+        component_union(20, 3)
     with pytest.raises(TooLarge):
-        comaximal_ideal_graph_zn(10 ** 12)
+        comaximal_ideal(10 ** 12)
     with pytest.raises(TooLarge):
         ideal_lattice_dual_zn(10 ** 12)
 
@@ -89,30 +121,28 @@ def test_budget():
 def test_closed_forms_refuse_inputs_outside_their_hypotheses():
     # each corollary needs n >= 3 maximal ideals, fields or coordinates;
     # CG(Z_N) also has a form for a squarefree N with two primes
-    for call in (lambda: reduced_ring_sdim_formula(ReducedRingSpec([3, 2])),
-                 lambda: comaximal_sdim_formula(LocalProductSpec([(2, 1),
-                                                                  (3, 1)])),
-                 lambda: component_union_sdim_formula(2, 3)):
+    for app in (reduced_ring([3, 2]), comaximal([(2, 1), (3, 1)]),
+                component_union(2, 3)):
         with pytest.raises(HypothesisUnmet, match="n<3"):
-            call()
+            app.formula()
     for N in (12, 7):
         with pytest.raises(HypothesisUnmet, match=f"N = {N}$"):
-            comaximal_ideal_sdim_formula(N)
+            comaximal_ideal(N).formula()
 
 
 # -- reduced rings -----------------------------------------------------------
 
 def test_reduced_ring_zdg_basics():
-    g = reduced_ring_zdg(ReducedRingSpec([2, 2]))
+    g = reduced_ring([2, 2]).graph
     assert g.n == 2 and g.edge_count() == 1
-    g = reduced_ring_zdg(ReducedRingSpec([3, 2, 2]))
+    g = reduced_ring([3, 2, 2]).graph
     assert has_edge(g, "(1,0,0)", "(0,1,1)")
     assert not has_edge(g, "(1,0,0)", "(2,1,0)")
 
 
 def test_reduced_ring_equals_chain_product():
     for orders in ((3, 3, 3), (3, 2, 2), (4, 3), (2, 2, 2)):
-        g = reduced_ring_zdg(ReducedRingSpec(orders))
+        g = reduced_ring(orders).graph
         chain = zero_divisor_graph(product_of_chains(list(orders)))
         assert g.labeled_equal(chain)
 
@@ -120,8 +150,7 @@ def test_reduced_ring_equals_chain_product():
 # -- comaximal graph ----------------------------------------------------------
 
 def test_comaximal_z2_cubed_matches_the_cube():
-    spec = LocalProductSpec([(2, 1), (2, 1), (2, 1)])
-    g = comaximal_gamma2prime(spec)
+    g = comaximal([(2, 1), (2, 1), (2, 1)]).graph
     assert g.n == 6
     assert sdim_via_gsr(g) == 2
     assert sdim_bruteforce(g) == 2
@@ -136,15 +165,14 @@ def test_comaximal_z2_cubed_matches_the_cube():
     ((3, 1), (2, 2)),
 ])
 def test_comaximal_matches_blowup_prediction(pairs):
-    spec = LocalProductSpec(pairs)
-    g = comaximal_gamma2prime(spec)
-    mapping = {lab: pred for lab, pred, _ in _comaximal_vertices(spec)}
-    assert set(mapping) == set(g.labels)
-    predicted = _comaximal_construction(spec)
+    app = comaximal(pairs)
+    mapping = _blowup_names(_comaximal_vertices(pairs), len(pairs))
+    assert set(mapping) == set(app.graph.labels)
     # the built ring graph, re-indexed under the predicted labels, is the
-    # blow-up's graph; the command path renames the patterns instead
-    assert g.relabeled(mapping).labeled_equal(predicted)
-    assert comaximal(pairs).matches_prediction()
+    # blow-up's graph; the prediction check renames the patterns instead
+    assert app.graph.relabeled(mapping).labeled_equal(
+        _comaximal_construction(pairs))
+    assert app.matches_prediction()
 
 
 # -- comaximal ideal graph ------------------------------------------------------
@@ -159,7 +187,7 @@ def test_ideal_lattice_dual():
 
 
 def test_cg_vertices_and_equality():
-    g = comaximal_ideal_graph_zn(60)
+    g = comaximal_ideal(60).graph
     assert sorted(g.labels, key=int) == \
         ["2", "3", "4", "5", "6", "10", "12", "15", "20"]
     assert has_edge(g, "4", "15") and not has_edge(g, "4", "6")
@@ -179,7 +207,7 @@ def test_cg_closed_form_matches_the_built_graph():
                 exps.append(e)
             if p > N:
                 break
-        g = comaximal_ideal_graph_zn(N)
+        g = comaximal_ideal(N).graph
         assert g.n == prod(e + 1 for e in exps) - 1 - prod(exps), N
         n = len(exps)
         if n >= 3 or exps == [1, 1]:
@@ -189,20 +217,20 @@ def test_cg_closed_form_matches_the_built_graph():
             with pytest.raises(HypothesisUnmet):
                 comaximal_ideal_sdim_formula(N)
     for N in (1, 0, -6):
-        with pytest.raises(ValueError):
-            comaximal_ideal_sdim_formula(N)
+        with pytest.raises(ValueError, match="N >= 2"):
+            comaximal_ideal(N)
 
 
 def test_cg_dual_equality_non_squarefree_corpus():
     for N in (12, 36, 90, 210):
-        assert comaximal_ideal_graph_zn(N).labeled_equal(
+        assert comaximal_ideal(N).graph.labeled_equal(
             zero_divisor_graph(ideal_lattice_dual_zn(N)))
 
 
 # -- component union graph -------------------------------------------------------
 
 def test_component_union_graph_basics():
-    g = component_union_graph(3, 2)
+    g = component_union(3, 2).graph
     assert g.n == 7
     # full-support vectors are adjacent to every other vertex
     assert degree(g, "111:1") == 6
@@ -211,17 +239,18 @@ def test_component_union_graph_basics():
 
 
 def test_component_union_join_equality():
-    g = component_union_graph(4, 2)
-    inverse = {pred: lab for lab, pred, _ in _component_union_vertices(4, 2)}
+    app = component_union(4, 2)
+    inverse = {pred: lab for lab, pred in _blowup_names(
+        _component_union_vertices(4, 2), 4).items()}
     # for q = 2 every chain has (q-1)^(n-|M|) = 1 element: the blow-up is 2^4
     core = zero_divisor_graph(build_blowup(BlowupSpec(4)))
-    assert g.labeled_equal(graph_join(core.relabeled(inverse),
-                                      complete_graph_on(["1111:1"])))
-    assert component_union(4, 2).matches_prediction()
+    assert app.graph.labeled_equal(graph_join(core.relabeled(inverse),
+                                              complete_graph_on(["1111:1"])))
+    assert app.matches_prediction()
 
 
 def test_component_union_prediction_shape():
-    predicted = {lab: pred for lab, pred, _ in _component_union_vertices(3, 3)}
+    predicted = _blowup_names(_component_union_vertices(3, 3), 3)
     # the vectors of full support keep their labels: the joined K_t
     assert [lab for lab, pred in predicted.items() if lab == pred] == [
         "111:1", "111:2", "111:3", "111:4", "111:5", "111:6", "111:7", "111:8"]
@@ -232,6 +261,7 @@ def test_component_union_prediction_shape():
         zero_divisor_graph(build_blowup(spec)),
         complete_graph_on(list(predicted)[-8:])))
     assert predicted["011:2"] == "(0,0,2)"   # support {1,2} -> mask {3}
+    assert component_union(3, 3).matches_prediction()
 
 
 def test_component_union_sdim_published_form_disagrees():
@@ -239,7 +269,7 @@ def test_component_union_sdim_published_form_disagrees():
     # computation; the computed value is frozen here from brute force and
     # the vertex-cover reduction, which agree with each other.  The
     # `adapters` verify suite holds UG(3,2) and UG(3,3)
-    g42 = component_union_graph(4, 2)
+    g42 = component_union(4, 2).graph
     assert component_union_sdim_formula(4, 2) == 13
     assert sdim_via_gsr(g42) == 10
     assert sdim_bruteforce(g42, cap=16) == 10
@@ -260,7 +290,7 @@ def test_component_union_sdim_grid():
     assert len(grid) == 33
     for n, q in grid:
         want = 2 if (n, q) == (2, 2) else q ** n - n - 2
-        assert sdim_via_gsr(component_union_graph(n, q)) == want, (n, q)
+        assert sdim_via_gsr(component_union(n, q).graph) == want, (n, q)
 
 
 # -- each application graph against its adjacency rule, pair by pair ----------
@@ -271,21 +301,21 @@ def test_reduced_ring_matches_its_pair_rule():
             ((tuple_label(v), v) for v in product(*map(range, qs))
              if any(v) and not all(v)),
             lambda x, y: all(a == 0 or b == 0 for a, b in zip(x, y)))
-        assert reduced_ring_zdg(ReducedRingSpec(qs)).labeled_equal(want), qs
+        assert reduced_ring(qs).graph.labeled_equal(want), qs
 
 
 def test_comaximal_matches_its_pair_rule():
     for pairs in (((2, 1), (2, 1), (2, 1)), ((2, 2), (3, 1), (5, 1)),
                   ((3, 2), (2, 3)), ((2, 3), (3, 1), (5, 1)),
                   ((2, 2), (3, 2), (2, 1))):
-        spec = LocalProductSpec(pairs)
         ps = [p for p, _ in pairs]
+        moduli = [p ** e for p, e in pairs]
         want = rule_graph(
-            ((tuple_label(x), x) for x in product(*map(range, spec.moduli()))
+            ((tuple_label(x), x) for x in product(*map(range, moduli))
              if 0 < sum(xi % p == 0 for xi, p in zip(x, ps)) < len(ps)),
             lambda x, y: all(a % p != 0 or b % p != 0
                              for a, b, p in zip(x, y, ps)))
-        assert comaximal_gamma2prime(spec).labeled_equal(want), pairs
+        assert comaximal(pairs).graph.labeled_equal(want), pairs
 
 
 def test_comaximal_ideal_graph_matches_its_pair_rule():
@@ -295,7 +325,7 @@ def test_comaximal_ideal_graph_matches_its_pair_rule():
         want = rule_graph(((d, d) for d in range(2, N)
                            if N % d == 0 and d % rad != 0),
                           lambda d, e: gcd(d, e) == 1)
-        assert comaximal_ideal_graph_zn(N).labeled_equal(want), N
+        assert comaximal_ideal(N).graph.labeled_equal(want), N
 
 
 def test_component_union_graph_matches_its_pair_rule():
@@ -305,4 +335,4 @@ def test_component_union_graph_matches_its_pair_rule():
             ((_vector_label(mask, t, n), mask) for mask in range(1, full + 1)
              for t in range(1, (q - 1) ** mask.bit_count() + 1)),
             lambda mu, mv: mu | mv == full)
-        assert component_union_graph(n, q).labeled_equal(want), (n, q)
+        assert component_union(n, q).graph.labeled_equal(want), (n, q)

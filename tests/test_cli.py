@@ -235,6 +235,53 @@ def test_adapter_reports_a_wrong_predicted_label(capsys, monkeypatch, shift):
     assert out.splitlines()[-1] == "matches blow-up zero-divisor graph: False"
 
 
+class LevelNamed(Exception):
+    """Raised by a patched `adapters.blowup_label`."""
+
+
+def test_only_the_prediction_check_names_blowup_levels(capsys, monkeypatch):
+    # building an application graph names no blow-up level; only the
+    # prediction check of `adapter` does
+    def refuse(*args):
+        raise LevelNamed(args)
+    monkeypatch.setattr(adapters, "blowup_label", refuse)
+    code, out, err = run(capsys, "sdim", "--local", "2^2,3,5", "--method",
+                         "gsr")
+    assert (code, err) == (0, "") and "gsr      | 38 " in out
+    code, out, err = run(capsys, "zdg", "--vspace", "n=3,q=3")
+    assert (code, err) == (0, "") and "26 vertices" in out
+    assert adapters.comaximal([(2, 1), (3, 1), (5, 1)]).graph.n == 21
+    with pytest.raises(LevelNamed):
+        run(capsys, "adapter", "--local", "2^2,3,5", "--check")
+
+
+@pytest.mark.parametrize("flag, value", [("--fields", "3,3,2"),
+                                         ("--zn", "210")])
+def test_self_named_applications_build_no_renamed_copy(capsys, monkeypatch,
+                                                       flag, value):
+    # their vertices carry the construction's own labels, so the check
+    # compares the graph itself with the construction: one pattern graph
+    # for each side
+    calls = []
+    build = SimpleGraph.from_patterns.__func__
+
+    def counted(cls, vertices, crossing=False):
+        calls.append(crossing)
+        return build(cls, vertices, crossing)
+    monkeypatch.setattr(SimpleGraph, "from_patterns", classmethod(counted))
+    code, out, _ = run(capsys, "adapter", flag, value, "--check")
+    assert code == 0 and out.endswith(": True\n")
+    assert calls == [False, False]
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-2", "4", "6"])
+def test_local_refuses_every_non_prime_base_as_not_prime(capsys, p):
+    # a base that is no prime power gets the message of one that is a
+    # prime power but no prime
+    code, out, err = run(capsys, "sdim", "--local", p)
+    assert (code, out, err) == (1, "", f"error: {p} is not prime\n")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--chains", "1"), ("--chains", "1,1"),
     ("--poset", '{"labels":["0"],"covers":[],"bottom":0,"top":0}'),

@@ -15,8 +15,7 @@ from zdgdim import (BlowupSpec, Disconnected, HypothesisUnmet, NotApplicable,
                     random_blowup_spec,
                     sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     zero_divisor_graph)
-from zdgdim.adapters import (DEFAULT_ELEMENT_BUDGET, LocalProductSpec,
-                             comaximal_gamma2prime)
+from zdgdim.adapters import DEFAULT_ELEMENT_BUDGET, comaximal
 from zdgdim.verify import corpus
 
 from conftest import (cover_number, has_edge, metric_dimension_bruteforce,
@@ -311,8 +310,7 @@ def test_twin_reduction_matches_the_plain_route_on_the_corpus():
         capped, cut = _capped(spec)
         assert sdim_via_gsr(zero_divisor_graph(build_blowup(capped))) + cut \
             == plain, name
-    g = comaximal_gamma2prime(LocalProductSpec([(2, 2), (3, 1), (5, 1),
-                                                (7, 1)]))
+    g = comaximal([(2, 2), (3, 1), (5, 1), (7, 1)]).graph
     assert (g.n, twin_reduce(g)[0].n) == (322, 28)
     assert sdim_via_gsr(g) == cover_number(plain_gsr(g))
 

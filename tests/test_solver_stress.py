@@ -236,14 +236,13 @@ def test_minimal_masks_are_the_edges_of_gsr(verify_graphs):
 
 
 def test_degenerate_inputs():
-    from zdgdim.adapters import (comaximal_ideal_graph_zn,
-                                 component_union_graph)
+    from zdgdim.adapters import comaximal_ideal, component_union
     # prime N: no proper nonzero ideals outside the radical
-    g = comaximal_ideal_graph_zn(7)
+    g = comaximal_ideal(7).graph
     assert g.n == 0
     assert sdim_via_gsr(g) == 0
     # one-dimensional space over GF(2): a single vector
-    g = component_union_graph(1, 2)
+    g = component_union(1, 2).graph
     assert g.n == 1
     assert sdim_via_gsr(g) == 0
     assert sdim_bruteforce(g) == 0
