@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from operator import itemgetter
 from typing import Sequence
 
 from .blowup import BlowupSpec, coordinates_label, tuple_coordinates
@@ -23,6 +22,9 @@ from .graphs import SimpleGraph, remove_isolated, zero_divisor_graph
 from .poset import FinitePoset, _bits
 
 DEFAULT_BRUTE_CAP = 16
+
+# an involution of the vertex indices as delta swaps (see `_delta_steps`)
+Steps = tuple[tuple[int, int], ...]
 
 
 # -- distances ---------------------------------------------------------------
@@ -153,43 +155,33 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return [int(text[k::width] or "0", 2) for k in range(width - 1, -1, -1)]
 
 
-def _mmd_rows(G: SimpleGraph,
-              gens: Sequence[Sequence[int]] = ()) -> list[int]:
+def _mmd_rows(G: SimpleGraph, gens: Sequence[Steps] = ()) -> list[int]:
     """Row u: the vertices mutually maximally distant from u.
 
     u and v are such a pair iff each lies in the other's far set (see
     `SimpleGraph.bfs`), so the rows are far AND its transpose
-    (`_transpose`).  While the far sets are carried, each is kept as
-    a string of n characters, '1' at each member's index.
+    (`_transpose`).
 
-    gens are automorphisms of G, each a list mapping every vertex to its
-    image.  An automorphism g keeps distances, so far(g(u)) = g(far(u)):
-    far is searched for the least vertex of each orbit and carried to the
-    rest of the orbit along the generators, each step one rewrite of a
-    string by `itemgetter`.  With no gens every orbit is one vertex, and
-    every vertex is searched.
+    gens are automorphisms of G, each an involution given as delta steps
+    (see `_swap`).  An automorphism g keeps distances, so far(g(u)) =
+    g(far(u)): far is searched for the least vertex of each orbit and
+    carried to the rest of the orbit along the generators, the image of u
+    being the one bit of g(1 << u).  With no gens every orbit is one
+    vertex, and every vertex is searched.
     """
-    n = G.n
-    moves = []
-    for g in gens:
-        inverse = [0] * n
-        for v, w in enumerate(g):
-            inverse[w] = v
-        moves.append(itemgetter(*inverse))
-    far: list[str | None] = [None] * n
-    for r in range(n):
+    far: list[int | None] = [None] * G.n
+    for r in range(G.n):
         if far[r] is not None:
             continue
-        far[r] = format(_search(G, r)[1], f"0{n}b")[::-1]
+        far[r] = _search(G, r)[1]
         orbit = [r]
         for u in orbit:
-            for g, move in zip(gens, moves):
-                w = g[u]
+            for g in gens:
+                w = _swap(g, 1 << u).bit_length() - 1
                 if far[w] is None:
-                    far[w] = "".join(move(far[u]))
+                    far[w] = _swap(g, far[u])
                     orbit.append(w)
-    rows = [int(row[::-1], 2) for row in far]
-    return list(map(int.__and__, rows, _transpose(rows, n)))
+    return list(map(int.__and__, far, _transpose(far, G.n)))
 
 
 def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
@@ -229,8 +221,7 @@ def gstar(LB: FinitePoset) -> SimpleGraph:
 
 # -- exact independent set / vertex cover -------------------------------------
 
-def _alpha(adj: Sequence[int], cand: int,
-           gens: Sequence[Sequence[int]] = ()) -> int:
+def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     """Exact max independent set size on the vertices of cand.
 
     Each search node covers cand by cliques greedily: the candidates, in
@@ -241,29 +232,25 @@ def _alpha(adj: Sequence[int], cand: int,
     are searched from last to first, and with only cliques 0..k left an
     independent set gains at most k + 1 vertices, one per clique.
 
-    gens are automorphisms of the graph, each a list mapping every vertex
-    to its image, under which cand is invariant.  They make the search
-    orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, 2011): at
-    each node the group they generate fixes every vertex included so far
-    and maps the node's candidates onto themselves, so an independent set
-    through any vertex of v's orbit is the image of one through v.  After
-    the include branch of v, the exclude branch drops v's whole orbit,
-    and the include branch keeps only the generators that fix v.  With
-    no gens every orbit is a single vertex and the search is the plain one.
+    gens are automorphisms of the graph, each an involution given as delta
+    steps (see `_swap`), under which cand is invariant.  They make the
+    search orbital branching (Ostrowski, Linderoth, Rossi & Smriglio,
+    2011): at each node the group they generate fixes every vertex included
+    so far and maps the node's candidates onto themselves, so an
+    independent set through any vertex of v's orbit is the image of one
+    through v.  After the include branch of v, the exclude branch drops v's
+    whole orbit, the closure of {v} under the generators, and the include
+    branch keeps only the generators that fix v.  With no gens every orbit
+    is a single vertex and the search is the plain one.
     """
     best = 0
 
     def orbit(v: int, gens) -> int:
-        seen = 1 << v
-        if not gens:
-            return seen
-        todo = [v]
-        for u in todo:
+        seen, grown = 0, 1 << v
+        while grown != seen:
+            seen = grown
             for g in gens:
-                w = g[u]
-                if not seen >> w & 1:
-                    seen |= 1 << w
-                    todo.append(w)
+                grown |= _swap(g, seen)
         return seen
 
     def expand(cand: int, size: int, gens):
@@ -284,7 +271,7 @@ def _alpha(adj: Sequence[int], cand: int,
                     return
                 # include v, then go on without v's orbit
                 expand(cand & ~(adj[v] | 1 << v), size + 1,
-                       [g for g in gens if g[v] == v])
+                       [g for g in gens if _swap(g, 1 << v) == 1 << v])
                 cand &= ~orbit(v, gens)
         best = max(best, size)
 
@@ -365,15 +352,6 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     return SimpleGraph.from_rows(labels, G.adj), dropped
 
 
-def _tuple_parts(labels: Sequence[str]) -> list[list[str]] | None:
-    """The `tuple_coordinates` of every label, when all labels are tuple
-    labels of one length; else None."""
-    parts = [tuple_coordinates(lab) for lab in labels]
-    if None in parts or len({len(p) for p in parts}) > 1:
-        return None
-    return parts
-
-
 def _swap_perm(index: dict[str, int], parts: Sequence[list[str]],
                i: int, j: int) -> list[int] | None:
     """The vertex map that swaps coordinates i and j in every label, or
@@ -390,65 +368,79 @@ def _swap_perm(index: dict[str, int], parts: Sequence[list[str]],
     return perm
 
 
-def _is_automorphism(nbrs: Sequence[list[int]], adj: Sequence[int],
-                     perm: Sequence[int]) -> bool:
-    """Every row, mapped through the permutation perm, is the row of its
-    image; nbrs[v] lists the bits of adj[v].  O(|E|)."""
-    bit = [1 << w for w in perm]
-    return all(sum(map(bit.__getitem__, nbrs[v])) == adj[w]
-               for v, w in enumerate(perm))
+def _delta_steps(perm: Sequence[int]) -> Steps:
+    """The involution perm of the vertex indices as delta swaps: one
+    (δ, mask) step per distance δ, whose mask holds the lower vertex v of
+    every pair (v, v + δ) that perm exchanges.  Raises for a perm that is
+    not an involution, whose pairs would overlap."""
+    masks: dict[int, int] = {}
+    for v, w in enumerate(perm):
+        if perm[w] != v:
+            raise AssertionError(f"the vertex map sends {v} to {w} but "
+                                 f"{w} to {perm[w]}: not an involution")
+        if v < w:
+            masks[w - v] = masks.get(w - v, 0) | 1 << v
+    return tuple(sorted(masks.items()))
 
 
-def _coordinate_swaps(
-        G: SimpleGraph) -> tuple[list[list[int]], list[list[int]]]:
+def _swap(steps: Steps, x: int) -> int:
+    """The bitmask x with every bit moved to its image under the swap given
+    as steps: each step exchanges the bits v and v + δ for every v in its
+    mask (the delta swap of Knuth, TAOCP 4A §7.1.3)."""
+    for d, mask in steps:
+        t = (x >> d ^ x) & mask
+        x ^= t | t << d
+    return x
+
+
+def _coordinate_swaps(G: SimpleGraph) -> tuple[list[Steps], list[Steps]]:
     """The swaps of two coordinates in every tuple label that are
-    automorphisms of G, as permutations of G's indices: a spanning set of
-    them, each checked against G's rows, and all of them in the order of
-    their coordinate pairs.  Both lists are empty unless the labels are
-    tuples of one length.
+    automorphisms of G, as delta steps on G's indices (see `_swap`): a
+    spanning set of them, each checked against G's rows, and all of them in
+    the order of their coordinate pairs.  Both lists are empty unless the
+    labels are tuples of one length.
 
     The swaps that are automorphisms are the transpositions inside the
     classes of an equivalence on the coordinates: with (m i) and (m j),
     (i j) = (m i)(m j)(m i) is one too.  Pairs (i, j) are taken in order,
     so the least coordinate m of a class meets each other member j first,
     and (m j) is the swap checked on the rows.  A later pair in m's class
-    is that product, composed by index.  So 8 of the 36 swaps on 2^9 are
-    checked, and none is rebuilt from labels.
+    is that product: the steps of (m i), (m j) and (m i) in turn.  So 8 of
+    the 36 swaps on 2^9 are checked, and none is rebuilt from labels.
     """
-    parts = _tuple_parts(G.labels)
-    if not parts:
+    parts = [tuple_coordinates(lab) for lab in G.labels]
+    if not parts or None in parts or len({len(p) for p in parts}) > 1:
         return [], []
+    adj = G.adj
     # least[c]: the least coordinate known to share c's class
     least = list(range(len(parts[0])))
-    nbrs = None
     checked = []
-    swaps: dict[tuple[int, int], list[int]] = {}
+    swaps: dict[tuple[int, int], Steps] = {}
     for i, j in combinations(range(len(least)), 2):
         m = least[i]
         if m < i:
             if least[j] == m:
-                a, b = swaps[m, i], swaps[m, j]
-                swaps[i, j] = list(map(a.__getitem__, map(b.__getitem__, a)))
+                a = swaps[m, i]
+                swaps[i, j] = a + swaps[m, j] + a
         elif least[j] == j:
             perm = _swap_perm(G._index, parts, i, j)
             if perm is None:
                 continue
-            if nbrs is None:
-                nbrs = [list(_bits(row)) for row in G.adj]
-            if _is_automorphism(nbrs, G.adj, perm):
+            steps = _delta_steps(perm)
+            # for an involution, the check of v is also the one of perm[v]
+            if all(_swap(steps, adj[v]) == adj[w]
+                   for v, w in enumerate(perm) if v <= w):
                 least[j] = i
-                checked.append(perm)
-                swaps[i, j] = perm
+                checked.append(steps)
+                swaps[i, j] = steps
     return checked, list(swaps.values())
 
 
-def _check_invariant(perms: Sequence[Sequence[int]], cand: int) -> None:
-    """Raise unless each permutation maps the vertex set cand into, and so
-    onto, itself."""
-    for p in perms:
-        if any(not cand >> p[v] & 1 for v in _bits(cand)):
-            raise AssertionError("a coordinate swap does not map the vertex "
-                                 "set onto itself")
+def _check_invariant(swaps: Sequence[Steps], cand: int) -> None:
+    """Raise unless each swap maps the vertex set cand onto itself."""
+    if any(_swap(steps, cand) != cand for steps in swaps):
+        raise AssertionError("a coordinate swap does not map the vertex set "
+                             "onto itself")
 
 
 def sdim_via_gsr(G: SimpleGraph) -> int:
@@ -464,15 +456,16 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
 
     The coordinate swaps that `_coordinate_swaps` verifies on the reduced
     graph's rows are its automorphisms; no theorem about the input is
-    trusted.  The checked spanning set carries the far sets of G_SR's rows
-    along each orbit (see `_mmd_rows`).  An automorphism keeps distances
-    and mutually maximally distant pairs, so it maps G_SR onto itself.
-    The independent set is solved on those rows directly, in the reduced
-    graph's indices: the candidates are the vertices with a nonzero row,
-    which the checked swaps must map onto themselves, and every swap is a
-    generator for the solver's orbital branching (see `_alpha`).  Labels
-    that are not tuples of one length, or with no swap that is an
-    automorphism, leave the plain computation.
+    trusted.  Each swap is one tuple of delta steps, and every use below
+    moves bitmasks by it with `_swap`.  The checked spanning set carries
+    the far sets of G_SR's rows along each orbit (see `_mmd_rows`).  An
+    automorphism keeps distances and mutually maximally distant pairs, so
+    it maps G_SR onto itself.  The independent set is solved on those rows
+    directly, in the reduced graph's indices: the candidates are the
+    vertices with a nonzero row, which the checked swaps must map onto
+    themselves, and every swap is a generator for the solver's orbital
+    branching (see `_alpha`).  Labels that are not tuples of one length, or
+    with no swap that is an automorphism, leave the plain computation.
     """
     reduced, dropped = twin_reduce(G)
     checked, swaps = _coordinate_swaps(reduced)

@@ -7,7 +7,7 @@ import pytest
 from zdgdim import (FinitePoset, LabelCollision, SimpleGraph, build_blowup,
                     distance_balls, from_cover_relations, independence_number,
                     tuple_label, zero_divisor_graph)
-from zdgdim.metric import _alpha, _pair_cover_masks
+from zdgdim.metric import _alpha, _pair_cover_masks, _swap
 from zdgdim.poset import _bits
 from zdgdim.verify import FIG3, SUITES, corpus
 
@@ -117,6 +117,12 @@ def mutually_maximally_distant(g: SimpleGraph, u: str, v: str) -> bool:
     d = dist(i, j)
     return (all(dist(w, j) <= d for w in _bits(g.adj[i]))
             and all(dist(w, i) <= d for w in _bits(g.adj[j])))
+
+
+def perm_of_steps(steps, n: int) -> list[int]:
+    """The vertex map of a swap given as `(δ, mask)` steps, on n vertices:
+    the image of v is the one bit of `_swap(steps, 1 << v)`."""
+    return [_swap(steps, 1 << v).bit_length() - 1 for v in range(n)]
 
 
 def pair_loop_mmd_rows(g: SimpleGraph) -> list[int]:

@@ -1,7 +1,10 @@
 """Randomized stress tests for the exact independent-set solver and the
 brute-force searchers, cross-checked against networkx."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations, product
 
 import networkx as nx
@@ -17,13 +20,15 @@ from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
                     zero_divisor_graph)
 from zdgdim import metric
 from zdgdim.metric import (_alpha, _check_invariant, _coordinate_swaps,
-                           _minimal_masks, _mmd_rows, _pair_cover_masks)
+                           _delta_steps, _minimal_masks, _mmd_rows,
+                           _pair_cover_masks, _swap)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
 
 from conftest import (all_masks_bruteforce, cover_number, has_edge,
                       metric_dimension_bruteforce, mutually_maximally_distant,
-                      pair_loop_mmd_rows, plain_gsr, solve_per_vertex_mis)
+                      pair_loop_mmd_rows, plain_gsr, solve_per_vertex_mis,
+                      perm_of_steps)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -322,12 +327,13 @@ def check_orbital_alpha(g: SimpleGraph, gens, rng: random.Random) -> None:
     full = (1 << g.n) - 1
     beta = nx_alpha(g)
     assert _alpha(g.adj, full, gens) == _alpha(g.adj, full) == beta
+    perms = [perm_of_steps(steps, g.n) for steps in gens]
     cand = 0
     for v in range(g.n):
         if not cand >> v & 1 and rng.random() < 0.5:
             orbit, todo = 1 << v, [v]
             for u in todo:
-                for p in gens:
+                for p in perms:
                     if not orbit >> p[u] & 1:
                         orbit |= 1 << p[u]
                         todo.append(p[u])
@@ -345,7 +351,7 @@ def gsr_with_generators(G: SimpleGraph):
     gens = _coordinate_swaps(reduced)[1]
     edges = {frozenset(e) for e in combinations(range(gsr.n), 2)
              if gsr.adj[min(e)] >> max(e) & 1}
-    for p in gens:
+    for p in (perm_of_steps(steps, gsr.n) for steps in gens):
         assert sorted(p) == list(range(gsr.n))
         assert {frozenset(p[v] for v in e) for e in edges} == edges
     return gsr, gens
@@ -396,8 +402,9 @@ def test_coordinate_swaps_are_exactly_the_automorphisms_on_tuple_graphs():
         gens = _coordinate_swaps(g)[1]
         want = swap_automorphisms(g)
         assert len(gens) == len(want), trial
-        assert all(g.labels[p[v]] == swapped(g.labels[v], i, j)
-                   for p, (i, j) in zip(gens, want) for v in range(g.n))
+        assert all(g.labels[w] == swapped(g.labels[v], i, j)
+                   for steps, (i, j) in zip(gens, want)
+                   for v, w in enumerate(perm_of_steps(steps, g.n)))
         bogus += len(want) < k * (k - 1) // 2
         check_orbital_alpha(g, gens, rng)
         try:
@@ -424,7 +431,7 @@ def test_tuple_labels_with_any_coordinates_get_checked_generators():
     g = SimpleGraph.from_edges(labels, [("(a,b)", "(a,a)"),
                                         ("(b,a)", "(a,a)")])
     gens = _coordinate_swaps(g)[1]
-    assert [[g.labels[w] for w in p] for p in gens] == [
+    assert [[g.labels[w] for w in perm_of_steps(p, g.n)] for p in gens] == [
         ["(a,a)", "(b,a)", "(a,b)"]]
     check_orbital_alpha(g, gens, random.Random(0))
 
@@ -456,7 +463,7 @@ def test_sdim_via_gsr_refuses_a_swap_that_leaves_the_gsr_vertices(
     # swap does not map onto itself; without the check the solve still
     # returns sdim = 1
     g = SimpleGraph.from_edges("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    bogus = [1, 0, 2, 3]
+    bogus = ((1, 0b1),)
     monkeypatch.setattr(metric, "_coordinate_swaps",
                         lambda g: ([bogus], [bogus]))
     with pytest.raises(AssertionError, match="does not map the vertex set"):
@@ -622,5 +629,45 @@ def test_the_checked_swaps_span_every_swap():
     assert (len(checked), len(swaps)) == (8, 36)
     assert all(any(p is q for q in swaps) for p in checked)
     for p, (i, j) in zip(swaps, combinations(range(9), 2)):
-        assert [g.labels[w] for w in p] == [swapped(lab, i, j)
-                                            for lab in g.labels]
+        assert [g.labels[w] for w in perm_of_steps(p, g.n)] == [
+            swapped(lab, i, j) for lab in g.labels]
+
+
+# -- delta swaps --------------------------------------------------------------
+
+def test_delta_swaps_move_every_bit_as_the_involution_does():
+    # the pairs (v, w) of random involutions on up to 200 vertices; the
+    # last pair of a mask is as likely as any other to be exchanged
+    rng = random.Random(2626)
+    for trial in range(300):
+        n = rng.randint(0, 200)
+        order = list(range(n))
+        rng.shuffle(order)
+        perm = list(range(n))
+        for k in range(0, rng.randint(0, n // 2) * 2, 2):
+            v, w = order[k], order[k + 1]
+            perm[v], perm[w] = w, v
+        steps = _delta_steps(perm)
+        assert perm_of_steps(steps, n) == perm, trial
+        for _ in range(5):
+            x = rng.getrandbits(n) if n else 0
+            assert _swap(steps, x) == sum(1 << perm[v] for v in _bits(x)), (
+                trial, x)
+
+
+def test_delta_steps_refuse_a_non_involution_also_under_python_O():
+    # the automorphism check tests only v <= perm[v], which is sound for an
+    # involution alone; the refusal must not be an assert that -O strips
+    with pytest.raises(AssertionError, match="not an involution"):
+        _delta_steps([1, 2, 0])
+    src = os.path.dirname(os.path.dirname(metric.__file__))
+    code = ("import sys\n"
+            "from zdgdim.metric import _delta_steps\n"
+            "try:\n"
+            "    _delta_steps([1, 2, 0])\n"
+            "except AssertionError as e:\n"
+            "    print(sys.flags.optimize, e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.startswith("1 ") and "not an involution" in out
