@@ -38,7 +38,12 @@ def tuple_coordinates(label: str) -> list[str] | None:
 
 
 def blowup_label(mask: int, level: int, n: int) -> str:
-    return tuple_label([level if mask >> i & 1 else 0 for i in range(n)])
+    """The tuple label of the given level on the chain of mask, for a mask
+    below 2^n: coordinate i is the level when atom i is in mask, else 0.
+    Level 1 writes mask's bits, lowest first; a higher level writes itself
+    over every 1 (which is how `build_blowup` labels a chain)."""
+    label = "(" + ",".join(format(mask, f"0{n}b")[::-1]) + ")"
+    return label if level == 1 else label.replace("1", str(level))
 
 
 def mask_to_binstr(mask: int, n: int) -> str:
@@ -160,9 +165,11 @@ def build_blowup(spec: BlowupSpec) -> FinitePoset:
     for mask in range(1 << n):
         covered = [chain_top[mask ^ (1 << i)]
                    for i in range(n) if mask >> i & 1]
+        label = blowup_label(mask, 1, n)
         for level in range(1, spec.size_of(mask) + 1):
             below.append(covered if level == 1 else (len(below) - 1,))
-            labels.append(blowup_label(mask, level, n))
+            labels.append(label if level == 1
+                          else label.replace("1", str(level)))
         chain_top[mask] = len(below) - 1
     return FinitePoset(labels, below, bottom=0, top=len(below) - 1)
 

@@ -25,8 +25,10 @@ class SimpleGraph:
     """Immutable simple undirected graph with canonical vertex order."""
 
     # _balls holds every vertex's balls, which metric.distance_balls
-    # computes on first use and every later caller shares
-    __slots__ = ("labels", "adj", "_index", "_balls")
+    # computes on first use and every later caller shares; _independence
+    # holds the independence number, which metric.independence_number
+    # solves on first use and metric.max_independent_set reads
+    __slots__ = ("labels", "adj", "_index", "_balls", "_independence")
 
     def __init__(self, labels: Sequence[str], adj: Sequence[int]):
         self.labels = tuple(labels)
@@ -37,6 +39,7 @@ class SimpleGraph:
         self.adj = tuple(adj)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._balls = None
+        self._independence = None
 
     @classmethod
     def from_rows(cls, labels: Sequence[str | None],

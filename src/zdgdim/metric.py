@@ -15,7 +15,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Sequence
 
-from .blowup import BlowupSpec, coordinates_label, tuple_coordinates
+from .blowup import BlowupSpec, tuple_coordinates
 from .errors import (Disconnected, HypothesisUnmet, NotApplicable,
                      NotAZeroDivisor, TooLarge)
 from .graphs import SimpleGraph, remove_isolated, zero_divisor_graph
@@ -159,38 +159,77 @@ def _mmd_rows(G: SimpleGraph, gens: Sequence[Steps] = ()) -> list[int]:
     """Row u: the vertices mutually maximally distant from u.
 
     u and v are such a pair iff each lies in the other's far set (see
-    `SimpleGraph.bfs`), so the rows are far AND its transpose
-    (`_transpose`).
+    `SimpleGraph.bfs`), so row u is far(u) AND the column {v : u in
+    far(v)}.
 
     gens are automorphisms of G, each an involution given as delta steps
     (see `_swap`).  An automorphism g keeps distances, so far(g(u)) =
-    g(far(u)): far is searched for the least vertex of each orbit and
-    carried to the rest of the orbit along the generators, the image of u
-    being the one bit of g(1 << u).  With no gens every orbit is one
-    vertex, and every vertex is searched.
+    g(far(u)): far is searched for the least vertex r of each orbit and
+    carried to the rest of it.  The orbit is closed one frontier bitmask
+    at a time: a generator's image of the frontier, less the orbit so
+    far, is new, and each new w is carried from its preimage u = g(w) in
+    the frontier.  So every vertex is reached once, by one carry (w, g,
+    u).  With no gens every orbit is one vertex, and every vertex is
+    searched.
+
+    g also keeps mutually maximally distant pairs, so row(g(u)) =
+    g(row(u)).  With reps orbits on n vertices and 16 * reps <= n, row r
+    of each representative is far(r) AND the column {u : r in far(u)},
+    read by one scan of the far sets, and each other row is carried by
+    the carry of its far set.  Otherwise, and so always with no
+    gens, the rows come from `_transpose`, which is quadratic in
+    characters but runs in C, where a column scan takes a Python step per
+    vertex and a carry one big-int step per delta.  The 16 is measured:
+    on blow-ups and chain products of 300 to 3,100 vertices the two break
+    even at n / reps between 10 and 30, higher where the swaps have more
+    deltas.  Above, the rows per representative win by up to 35x (2^13:
+    29 ms against 1.0 s for the transpose, and n^2 characters less
+    memory); below, the transpose wins by up to 8x (a chain product of
+    505 vertices in 378 orbits).
     """
-    far: list[int | None] = [None] * G.n
+    far = [0] * G.n
+    reps: list[int] = []
+    carries: list[tuple[int, Steps, int]] = []
+    seen = 0
     for r in range(G.n):
-        if far[r] is not None:
+        if seen >> r & 1:
             continue
         far[r] = _search(G, r)[1]
-        orbit = [r]
-        for u in orbit:
+        reps.append(r)
+        orbit = frontier = 1 << r
+        while frontier:
+            new = 0
             for g in gens:
-                w = _swap(g, 1 << u).bit_length() - 1
-                if far[w] is None:
+                reached = _swap(g, frontier) & ~(orbit | new)
+                for w in _bits(reached):
+                    u = _swap(g, 1 << w).bit_length() - 1
                     far[w] = _swap(g, far[u])
-                    orbit.append(w)
-    return list(map(int.__and__, far, _transpose(far, G.n)))
+                    carries.append((w, g, u))
+                new |= reached
+            orbit |= new
+            frontier = new
+        seen |= orbit
+    if 16 * len(reps) > G.n:
+        return list(map(int.__and__, far, _transpose(far, G.n)))
+    rows = [0] * G.n
+    for r in reps:
+        bit = 1 << r
+        column = "".join(["1" if f & bit else "0" for f in reversed(far)])
+        rows[r] = far[r] & int(column, 2)
+    for w, g, u in carries:
+        rows[w] = _swap(g, rows[u])
+    return rows
 
 
 def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
     """G_SR: the vertices of mutually maximally distant pairs, and those
     pairs as edges.
 
-    The rows are far AND its transpose, with the far sets carried along
-    the coordinate swaps that `_coordinate_swaps` checks on G's rows (see
-    `_mmd_rows`); `sdim_via_gsr` reads the same rows."""
+    The rows are those of `_mmd_rows`: far sets searched once per orbit of
+    the coordinate swaps that `_coordinate_swaps` checks on G's rows and
+    carried to the rest of the orbit, and on few orbits the rows computed
+    per orbit representative and carried likewise; `sdim_via_gsr` reads
+    the same rows."""
     rows = _mmd_rows(G, _coordinate_swaps(G)[0])
     return SimpleGraph.from_rows(
         [lab if row else None for lab, row in zip(G.labels, rows)], rows)
@@ -280,7 +319,11 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
 
 
 def independence_number(G: SimpleGraph) -> int:
-    return _alpha(G.adj, (1 << G.n) - 1)
+    """The size of a maximum independent set, solved once per graph and
+    kept on it."""
+    if G._independence is None:
+        G._independence = _alpha(G.adj, (1 << G.n) - 1)
+    return G._independence
 
 
 def max_independent_set(G: SimpleGraph) -> list[str]:
@@ -293,7 +336,7 @@ def max_independent_set(G: SimpleGraph) -> list[str]:
     """
     adj = G.adj
     full = (1 << G.n) - 1
-    target = _alpha(adj, full)
+    target = independence_number(G)
     chosen: list[int] = []
     cand = full
     for v in range(G.n):
@@ -352,16 +395,18 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     return SimpleGraph.from_rows(labels, G.adj), dropped
 
 
-def _swap_perm(index: dict[str, int], parts: Sequence[list[str]],
-               i: int, j: int) -> list[int] | None:
-    """The vertex map that swaps coordinates i and j in every label, or
-    None when some swapped label is not a vertex.  The swap is one-to-one
-    on labels, so a map into the vertices is a permutation of them."""
+def _swap_perm(index: dict[tuple[str, ...], int],
+               parts: Sequence[tuple[str, ...]], i: int,
+               j: int) -> list[int] | None:
+    """The vertex map that swaps coordinates i < j of every vertex, or None
+    when some swapped tuple is not a vertex.  parts[v] is v's coordinate
+    tuple and index inverts parts, so no label is formatted; a vertex whose
+    coordinates i and j are equal maps to itself.  The swap is one-to-one
+    on tuples, so a map into the vertices is a permutation of them."""
     perm = []
-    for p in parts:
-        q = p.copy()
-        q[i], q[j] = q[j], q[i]
-        w = index.get(coordinates_label(q))
+    for v, p in enumerate(parts):
+        w = v if p[i] == p[j] else index.get(
+            p[:i] + p[j:j + 1] + p[i + 1:j] + p[i:i + 1] + p[j + 1:])
         if w is None:
             return None
         perm.append(w)
@@ -393,6 +438,19 @@ def _swap(steps: Steps, x: int) -> int:
     return x
 
 
+def _is_automorphism(adj: Sequence[int], perm: Sequence[int],
+                     steps: Steps) -> bool:
+    """Whether the involution perm, given also as its delta steps, maps
+    the graph of the rows adj onto itself: g(adj[v]) = adj[g(v)] for the
+    exchanged pairs v < g(v) alone.  That suffices for an involution g:
+    applying g gives g(adj[w]) = adj[v] for w = g(v), so every moved vertex
+    passes, and a fixed point f then passes too, since g keeps an edge
+    from f to a moved v (v's check) and an edge between two fixed
+    points."""
+    return all(_swap(steps, adj[v]) == adj[w]
+               for v, w in enumerate(perm) if v < w)
+
+
 def _coordinate_swaps(G: SimpleGraph) -> tuple[list[Steps], list[Steps]]:
     """The swaps of two coordinates in every tuple label that are
     automorphisms of G, as delta steps on G's indices (see `_swap`): a
@@ -407,11 +465,16 @@ def _coordinate_swaps(G: SimpleGraph) -> tuple[list[Steps], list[Steps]]:
     and (m j) is the swap checked on the rows.  A later pair in m's class
     is that product: the steps of (m i), (m j) and (m i) in turn.  So 8 of
     the 36 swaps on 2^9 are checked, and none is rebuilt from labels.
+
+    A swap's vertex map comes from the coordinate tuples (`_swap_perm`)
+    and is checked on the rows over its exchanged pairs alone
+    (`_is_automorphism`).
     """
-    parts = [tuple_coordinates(lab) for lab in G.labels]
-    if not parts or None in parts or len({len(p) for p in parts}) > 1:
+    coords = [tuple_coordinates(lab) for lab in G.labels]
+    if not coords or None in coords or len({len(c) for c in coords}) > 1:
         return [], []
-    adj = G.adj
+    parts = list(map(tuple, coords))
+    index = {p: v for v, p in enumerate(parts)}
     # least[c]: the least coordinate known to share c's class
     least = list(range(len(parts[0])))
     checked = []
@@ -423,13 +486,11 @@ def _coordinate_swaps(G: SimpleGraph) -> tuple[list[Steps], list[Steps]]:
                 a = swaps[m, i]
                 swaps[i, j] = a + swaps[m, j] + a
         elif least[j] == j:
-            perm = _swap_perm(G._index, parts, i, j)
+            perm = _swap_perm(index, parts, i, j)
             if perm is None:
                 continue
             steps = _delta_steps(perm)
-            # for an involution, the check of v is also the one of perm[v]
-            if all(_swap(steps, adj[v]) == adj[w]
-                   for v, w in enumerate(perm) if v <= w):
+            if _is_automorphism(G.adj, perm, steps):
                 least[j] = i
                 checked.append(steps)
                 swaps[i, j] = steps
@@ -457,15 +518,17 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
     The coordinate swaps that `_coordinate_swaps` verifies on the reduced
     graph's rows are its automorphisms; no theorem about the input is
     trusted.  Each swap is one tuple of delta steps, and every use below
-    moves bitmasks by it with `_swap`.  The checked spanning set carries
-    the far sets of G_SR's rows along each orbit (see `_mmd_rows`).  An
-    automorphism keeps distances and mutually maximally distant pairs, so
-    it maps G_SR onto itself.  The independent set is solved on those rows
-    directly, in the reduced graph's indices: the candidates are the
-    vertices with a nonzero row, which the checked swaps must map onto
-    themselves, and every swap is a generator for the solver's orbital
-    branching (see `_alpha`).  Labels that are not tuples of one length, or
-    with no swap that is an automorphism, leave the plain computation.
+    moves bitmasks by it with `_swap`.  An automorphism keeps distances
+    and mutually maximally distant pairs, so it maps G_SR onto itself.
+    The checked spanning set closes the orbits: far is searched once per
+    orbit and carried to the rest of it, and on a graph of few orbits the
+    rows too are computed once per orbit and carried (see `_mmd_rows`).
+    The independent set is solved on those rows directly, in the reduced
+    graph's indices: the candidates are the vertices with a nonzero row,
+    which the checked swaps must map onto themselves, and every swap is a
+    generator for the solver's orbital branching (see `_alpha`).  Labels
+    that are not tuples of one length, or with no swap that is an
+    automorphism, leave the plain computation.
     """
     reduced, dropped = twin_reduce(G)
     checked, swaps = _coordinate_swaps(reduced)

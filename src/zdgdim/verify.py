@@ -114,8 +114,9 @@ def _suite_gallai(seed, count) -> VerifySuiteResult:
         for tag, g in (("G", G), ("G_SR", strong_resolving_graph(G)),
                        ("G**", gstar_star(LB))):
             beta = independence_number(g)
-            # the cover number is |V| - beta: a second solve would repeat
-            # the one behind beta
+            # the cover number is |V| - beta; minimum_vertex_cover reads
+            # beta off g as its target, so g's independence number is
+            # solved once
             alpha = g.n - beta
             cover = set(minimum_vertex_cover(g))
             covered = all(a in cover or b in cover for a, b in g.edge_list())

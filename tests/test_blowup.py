@@ -7,7 +7,7 @@ from zdgdim import (BlowupSpec, InvalidSpec, NotApplicable,
                     NotZeroDistributive, boolean_lattice, build_blowup,
                     canonical_blowup_of, m_lattice, product_of_chains,
                     random_blowup_spec, tuple_label, zero_divisor_graph)
-from zdgdim.blowup import coordinates_label, tuple_coordinates
+from zdgdim.blowup import blowup_label, coordinates_label, tuple_coordinates
 
 from conftest import dual, meet
 
@@ -62,6 +62,27 @@ def test_tuple_coordinates_reads_back_what_tuple_label_writes():
         assert coordinates_label(coords) == tuple_label(values)
     for label in ["", "v00", "[0,1]", "(0,1", "0,1)"]:
         assert tuple_coordinates(label) is None, label
+
+
+def test_blowup_labels_match_the_coordinate_list_formula():
+    # the label written from mask's bits, with the level over every 1,
+    # against the list of coordinates (level where the atom is in mask);
+    # levels of two and three digits and masks with many 1s catch a
+    # rewrite of the first 1 only
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            for level in [*range(1, 13), 100]:
+                want = tuple_label([level if mask >> i & 1 else 0
+                                    for i in range(n)])
+                assert blowup_label(mask, level, n) == want, (mask, level)
+
+
+def test_build_blowup_labels_each_level_as_blowup_label_does():
+    spec = BlowupSpec(3, {0b101: 12, 0b011: 3})
+    labels = build_blowup(spec).labels
+    assert labels == tuple(blowup_label(m, t, 3) for m in range(8)
+                           for t in range(1, spec.size_of(m) + 1))
+    assert "(10,0,10)" in labels and "(3,3,0)" in labels
 
 
 def test_identity_blowup_is_the_boolean_lattice():

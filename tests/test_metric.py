@@ -15,6 +15,7 @@ from zdgdim import (BlowupSpec, Disconnected, HypothesisUnmet, NotApplicable,
                     random_blowup_spec,
                     sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     zero_divisor_graph)
+from zdgdim import metric, verify
 from zdgdim.adapters import DEFAULT_ELEMENT_BUDGET, comaximal
 from zdgdim.verify import corpus
 
@@ -234,6 +235,31 @@ def test_max_independent_set_is_lexicographically_least():
         [("x", "y"), ("p", "q"), ("p", "r"), ("q", "r")])
     assert minimum_vertex_cover(u) == ["q", "r", "y"]
     assert independence_number(u) == 2
+
+
+def test_gallai_solves_the_independence_number_of_each_graph_once(
+        monkeypatch):
+    # max_independent_set reads the number that independence_number keeps
+    # on the graph; a max_independent_set that solved it again would make
+    # one more _alpha call per graph, and report the same cases
+    calls = 0
+    solve = metric._alpha
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+    monkeypatch.setattr(metric, "_alpha", counted)
+    kept = verify._suite_gallai(0, 20)
+    kept_calls, calls = calls, 0
+    monkeypatch.setattr(metric, "independence_number",
+                        lambda g: metric._alpha(g.adj, (1 << g.n) - 1))
+    solved_twice = verify._suite_gallai(0, 20)
+    graphs = kept.cases // 2
+    assert graphs == 3 * 23
+    assert calls - kept_calls == graphs
+    assert kept.case_names == solved_twice.case_names
+    assert kept.failures == solved_twice.failures == []
 
 
 def test_sdim_formula_and_beta_formula(fig3_spec):

@@ -19,9 +19,10 @@ from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
                     sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     zero_divisor_graph)
 from zdgdim import metric
+from zdgdim.blowup import tuple_coordinates
 from zdgdim.metric import (_alpha, _check_invariant, _coordinate_swaps,
-                           _delta_steps, _minimal_masks, _mmd_rows,
-                           _pair_cover_masks, _swap)
+                           _delta_steps, _is_automorphism, _minimal_masks,
+                           _mmd_rows, _pair_cover_masks, _swap, _swap_perm)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
 
@@ -621,6 +622,30 @@ def test_a_disconnected_graph_raises_on_both_paths():
         sdim_via_gsr(g)
 
 
+def test_mmd_rows_on_both_sides_of_the_counting_rule(monkeypatch):
+    # rows per orbit representative on 2^9 (510 vertices, 8 orbits) and on
+    # a blow-up of 2^8 whose swaps fix atom 0 and have up to 17 deltas (367
+    # vertices, 21 orbits); the transpose on a chain product whose
+    # twin-reduced graph has 121 vertices in 90 orbits
+    transposed = []
+    transpose = metric._transpose
+    monkeypatch.setattr(metric, "_transpose", lambda rows, width: (
+        transposed.append(width) or transpose(rows, width)))
+    pc = {m: 2 for m in range(1, 255)
+          if m & 1 and m.bit_count() % 2 or m.bit_count() in (2, 5)}
+    rng = random.Random(9)
+    for G, by_transpose in (
+            (zero_divisor_graph(boolean_lattice(9)), False),
+            (zero_divisor_graph(build_blowup(BlowupSpec(8, pc))), False),
+            (twin_reduce(zero_divisor_graph(
+                product_of_chains([2, 2, 3, 3, 4, 4])))[0], True)):
+        gens = _coordinate_swaps(G)[0]
+        transposed.clear()
+        _mmd_rows(G, gens)
+        assert bool(transposed) == by_transpose, G.n
+        assert check_mmd_rows(G, rng) == len(gens) > 0
+
+
 def test_the_checked_swaps_span_every_swap():
     # 8 of the 36 swaps of 2^9 are checked, those of coordinate 0; every
     # other is the product (0 i)(0 j)(0 i) and moves the same labels
@@ -633,7 +658,45 @@ def test_the_checked_swaps_span_every_swap():
             swapped(lab, i, j) for lab in g.labels]
 
 
+def test_tuple_keyed_vertex_maps_match_swapped_label_strings():
+    # levels of 10 and more write coordinates of several digits, such as
+    # (10,0,10); the map of a swap sends each vertex to the one whose label
+    # string is the swapped label, and is None when some swapped label is
+    # no vertex
+    specs = [BlowupSpec(3, {0b101: 12, 0b011: 12, 0b110: 12}),
+             BlowupSpec(3, {0b101: 12, 0b010: 11, 0b011: 10}),
+             BlowupSpec(4, {0b0101: 10, 0b1010: 10, 0b0011: 13,
+                            0b1100: 13, 0b0001: 11}),
+             BlowupSpec(4, {m: 10 + m.bit_count() for m in range(1, 15)})]
+    maps = nones = 0
+    for spec in specs:
+        g = zero_divisor_graph(build_blowup(spec))
+        assert any(lab.count("1") > 1 and "10" in lab for lab in g.labels)
+        parts = [tuple(tuple_coordinates(lab)) for lab in g.labels]
+        index = {p: v for v, p in enumerate(parts)}
+        where = {lab: v for v, lab in enumerate(g.labels)}
+        for i, j in combinations(range(spec.n), 2):
+            want = [where.get(swapped(lab, i, j)) for lab in g.labels]
+            got = _swap_perm(index, parts, i, j)
+            assert got == (None if None in want else want), (spec, i, j)
+            maps += got is not None
+            nones += got is None
+    assert maps >= 9 and nones >= 9
+
+
 # -- delta swaps --------------------------------------------------------------
+
+def random_involution(rng: random.Random, n: int) -> list[int]:
+    """An involution of range(n) that exchanges a random number of random
+    pairs."""
+    order = list(range(n))
+    rng.shuffle(order)
+    perm = list(range(n))
+    for k in range(0, rng.randint(0, n // 2) * 2, 2):
+        v, w = order[k], order[k + 1]
+        perm[v], perm[w] = w, v
+    return perm
+
 
 def test_delta_swaps_move_every_bit_as_the_involution_does():
     # the pairs (v, w) of random involutions on up to 200 vertices; the
@@ -641,12 +704,7 @@ def test_delta_swaps_move_every_bit_as_the_involution_does():
     rng = random.Random(2626)
     for trial in range(300):
         n = rng.randint(0, 200)
-        order = list(range(n))
-        rng.shuffle(order)
-        perm = list(range(n))
-        for k in range(0, rng.randint(0, n // 2) * 2, 2):
-            v, w = order[k], order[k + 1]
-            perm[v], perm[w] = w, v
+        perm = random_involution(rng, n)
         steps = _delta_steps(perm)
         assert perm_of_steps(steps, n) == perm, trial
         for _ in range(5):
@@ -655,8 +713,41 @@ def test_delta_swaps_move_every_bit_as_the_involution_does():
                 trial, x)
 
 
+def test_the_check_over_exchanged_pairs_agrees_with_every_vertex():
+    # random graphs under random involutions g: half of the graphs are
+    # closed under g, and half of those then lose or gain one edge at a
+    # moved vertex, which only that vertex's pair may see when the edge's
+    # other end is a fixed point
+    rng = random.Random(2727)
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        n = rng.randint(0, 16)
+        perm = random_involution(rng, n)
+        p = rng.choice([0.2, 0.5])
+        edges = {frozenset(e) for e in combinations(range(n), 2)
+                 if rng.random() < p}
+        moved = [v for v in range(n) if perm[v] != v]
+        if trial % 2:
+            edges |= {frozenset(perm[v] for v in e) for e in edges}
+            if moved and trial % 4 == 1:
+                v = rng.choice(moved)
+                u = rng.choice([u for u in range(n) if u != v])
+                edges ^= {frozenset((u, v))}
+        adj = [0] * n
+        for u, v in map(tuple, edges):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        steps = _delta_steps(perm)
+        every = all(_swap(steps, adj[v]) == adj[perm[v]] for v in range(n))
+        assert every == ({frozenset(perm[v] for v in e) for e in edges}
+                         == edges), trial
+        assert _is_automorphism(adj, perm, steps) == every, trial
+        seen[every] += bool(moved)
+    assert min(seen.values()) > 100
+
+
 def test_delta_steps_refuse_a_non_involution_also_under_python_O():
-    # the automorphism check tests only v <= perm[v], which is sound for an
+    # the automorphism check tests only v < perm[v], which is sound for an
     # involution alone; the refusal must not be an assert that -O strips
     with pytest.raises(AssertionError, match="not an involution"):
         _delta_steps([1, 2, 0])
