@@ -149,29 +149,59 @@ def product_of_chains(sizes: Sequence[int]) -> FinitePoset:
                        bottom=0, top=len(elems) - 1)
 
 
+def blowup_elements(spec: BlowupSpec) -> list[tuple[str, int]]:
+    """Every element of the blow-up as a (label, mask) pair, in element
+    order: masks ascending, levels ascending inside each chain, so the
+    bottom (mask 0) comes first and the top (the full mask) last.
+
+    The mask of an element is the set of atoms below it: level t of the
+    chain of M lies above level 1 of each atom in M and above no other
+    atom.  This is the one place that labels a chain: `blowup_label` of
+    its mask at level 1, and that label with every 1 written as t at
+    level t.
+    """
+    n = spec.n
+    pairs = []
+    for mask in range(1 << n):
+        label = blowup_label(mask, 1, n)
+        pairs.append((label, mask))
+        for level in range(2, spec.size_of(mask) + 1):
+            pairs.append((label.replace("1", str(level)), mask))
+    return pairs
+
+
+def zero_divisor_pairs(spec: BlowupSpec) -> list[tuple[str, int]]:
+    """Z*(L^B) as (label, mask) pairs, every element but the bottom and the
+    top.  Two zero divisors meet only in 0 iff no atom lies below both, so
+    G(L^B) is `SimpleGraph.from_patterns` on these pairs and G** the same
+    with crossing=True, with no lattice built."""
+    return blowup_elements(spec)[1:-1]
+
+
 def build_blowup(spec: BlowupSpec) -> FinitePoset:
     """The blow-up lattice of 2^n with the spec's chain sizes.
 
     Every mask carries a chain, of one element for the bottom (mask 0) and
-    the top (the full mask); elements are in mask order, levels ascending
-    inside each chain, so the all-sizes-one blow-up is boolean_lattice(n)
-    exactly.  Level t > 1 covers level t - 1, and level 1 of mask m covers
-    the top of the chain of every mask one atom below m.
+    the top (the full mask); elements are in `blowup_elements` order, so
+    the all-sizes-one blow-up is boolean_lattice(n) exactly.  Level t > 1
+    covers level t - 1, and level 1 of mask m covers the top of the chain
+    of every mask one atom below m.
     """
     n = spec.n
-    labels: list[str] = []
+    pairs = blowup_elements(spec)
     below: list[Sequence[int]] = []
     chain_top = [0] * (1 << n)       # index of the top of each mask's chain
-    for mask in range(1 << n):
-        covered = [chain_top[mask ^ (1 << i)]
-                   for i in range(n) if mask >> i & 1]
-        label = blowup_label(mask, 1, n)
-        for level in range(1, spec.size_of(mask) + 1):
-            below.append(covered if level == 1 else (len(below) - 1,))
-            labels.append(label if level == 1
-                          else label.replace("1", str(level)))
-        chain_top[mask] = len(below) - 1
-    return FinitePoset(labels, below, bottom=0, top=len(below) - 1)
+    prev = -1
+    for k, (_, mask) in enumerate(pairs):
+        if mask == prev:
+            below.append((k - 1,))
+        else:
+            below.append([chain_top[mask ^ (1 << i)]
+                          for i in range(n) if mask >> i & 1])
+            prev = mask
+        chain_top[mask] = k
+    return FinitePoset([label for label, _ in pairs], below,
+                       bottom=0, top=len(below) - 1)
 
 
 def canonical_blowup_of(P: FinitePoset) -> tuple[BlowupSpec, dict[str, str]]:

@@ -4,7 +4,9 @@ Subcommands: build, zdg, gsr, gstarstar, sdim, adapter, verify.  Inputs are
 mutually exclusive flags naming a lattice (--boolean, --blowup, --poset,
 --chains, --mn) or an algebraic adapter (--fields, --local, --zn, --vspace).
 An adapter flag is parsed here and handed to one `adapters` constructor,
-which owns its graph, closed form, prediction check and budget.  An input
+which owns its graph, closed form, prediction check and budget.  A
+blow-up flag (--boolean, --blowup) gets its graphs from the spec's
+(label, mask) pairs; only `build` builds its lattice.  An input
 with more elements than `adapters.DEFAULT_ELEMENT_BUDGET` is refused
 before it is built.  The verification suites live in `zdgdim.verify`.
 The environment variable SDIM_BRUTE_CAP overrides the brute-force vertex
@@ -26,9 +28,9 @@ from typing import Callable
 from . import adapters
 from .adapters import check_element_budget, check_power_budget
 from .blowup import (BlowupSpec, build_blowup, canonical_blowup_of,
-                     product_of_chains)
+                     product_of_chains, zero_divisor_pairs)
 from .errors import HypothesisUnmet, NotApplicable, UnknownSuite, ZdgError
-from .graphs import SimpleGraph, dot_text, zero_divisor_graph
+from .graphs import SimpleGraph, write_dot, zero_divisor_graph
 from .metric import (gstar_star, sdim_bruteforce, sdim_formula, sdim_via_gsr,
                      strong_resolving_graph)
 from .poset import FinitePoset, m_lattice, poset_from_json, poset_to_json
@@ -43,7 +45,11 @@ class ResolvedInput:
     # the closed form, which may raise HypothesisUnmet; a thunk, so that
     # only the commands that print it pay for it
     formula: Callable[[], int]
-    poset: FinitePoset | None = None
+    # the lattice and its G**, thunks too, None for an application: a
+    # blow-up spec gives both graphs without its lattice, which only
+    # `build` reads
+    poset: Callable[[], FinitePoset] | None = None
+    gstar_star: Callable[[], SimpleGraph] | None = None
     application: adapters.Application | None = None
 
 
@@ -129,8 +135,7 @@ def resolve_input(args) -> ResolvedInput:
     if args.boolean is not None:
         name = f"boolean 2^{args.boolean}"
         check_power_budget(name, [(2, args.boolean)])
-        spec = BlowupSpec(args.boolean, {})
-        return _lattice_input(name, build_blowup(spec), spec)
+        return _spec_input(name, BlowupSpec(args.boolean, {}))
     if args.blowup is not None:
         spec = BlowupSpec.from_json_dict(
             _load_json_arg(args.blowup, "--blowup"))
@@ -140,7 +145,7 @@ def resolve_input(args) -> ResolvedInput:
             # near 10^9
             check_power_budget(name, [(2, spec.n)])
         check_element_budget(name, spec.total_vertices() + 2)
-        return _lattice_input(name, build_blowup(spec), spec)
+        return _spec_input(name, spec)
     if args.poset is not None:
         data = _load_json_arg(args.poset, "--poset")
         if isinstance(data, dict) and isinstance(data.get("labels"), list):
@@ -155,12 +160,11 @@ def resolve_input(args) -> ResolvedInput:
         return _lattice_input(name, P)
     if args.mn is not None:
         check_element_budget(f"M_{args.mn}", args.mn + 2)
-        P = m_lattice(args.mn)
 
         def no_closed_form() -> int:
             raise HypothesisUnmet("no closed form for M_n")
-        return ResolvedInput(name=f"M_{args.mn}", graph=zero_divisor_graph(P),
-                             formula=no_closed_form, poset=P)
+        return _lattice_input(f"M_{args.mn}", m_lattice(args.mn),
+                              no_closed_form)
     if args.fields is not None:
         name = f"reduced ring fields {args.fields}"
         app = adapters.reduced_ring(_parse_int_list(args.fields, "--fields"))
@@ -186,11 +190,24 @@ def _closed_form(formula: Callable[[], int]) -> tuple[int | None, str]:
         return None, str(exc)
 
 
+def _spec_input(name: str, spec: BlowupSpec) -> ResolvedInput:
+    """A blow-up, its graphs read off the spec's (label, mask) pairs."""
+    return ResolvedInput(
+        name=name,
+        graph=SimpleGraph.from_patterns(zero_divisor_pairs(spec)),
+        formula=partial(sdim_formula, spec),
+        poset=partial(build_blowup, spec),
+        gstar_star=lambda: SimpleGraph.from_patterns(
+            zero_divisor_pairs(spec), crossing=True))
+
+
 def _lattice_input(name: str, P: FinitePoset,
-                   spec: BlowupSpec | None = None) -> ResolvedInput:
-    def formula() -> int:
+                   formula: Callable[[], int] | None = None) -> ResolvedInput:
+    """A built lattice; its formula, unless given, is that of the blow-up
+    that P is."""
+    def blowup_formula() -> int:
         try:
-            blowup = spec if spec is not None else canonical_blowup_of(P)[0]
+            blowup = canonical_blowup_of(P)[0]
         except NotApplicable as exc:
             raise HypothesisUnmet(f"{exc}: formula inapplicable") from None
         except ZdgError:
@@ -198,7 +215,8 @@ def _lattice_input(name: str, P: FinitePoset,
                                   "formula inapplicable") from None
         return sdim_formula(blowup)
     return ResolvedInput(name=name, graph=zero_divisor_graph(P),
-                         formula=formula, poset=P)
+                         formula=formula or blowup_formula,
+                         poset=lambda: P, gstar_star=partial(gstar_star, P))
 
 
 # -- output helpers -----------------------------------------------------------
@@ -207,10 +225,12 @@ def _emit(obj, path: str | None):
     if not path:
         return
     if path.endswith((".dot", ".gv")):
-        text = dot_text("hasse", obj.labels, obj.covers()) \
-            if isinstance(obj, FinitePoset) else obj.to_dot()
         with open(path, "w") as fh:
-            fh.write(text)
+            if isinstance(obj, FinitePoset):
+                write_dot(fh, "hasse", obj.labels,
+                          ((a, (b,)) for a, b in sorted(obj.covers())))
+            else:
+                write_dot(fh, "G", obj.labels, obj.edges_by_vertex())
     else:
         data = poset_to_json(obj) if isinstance(obj, FinitePoset) \
             else obj.to_json_dict()
@@ -242,7 +262,7 @@ def _class_size_note(P: FinitePoset) -> str:
 def cmd_build(args) -> int:
     res = resolve_input(args)
     if res.poset is not None:
-        P = res.poset
+        P = res.poset()
         parts = [f"{len(P)} elements", f"{len(P.atoms())} atoms"]
         parts.append(f"|Z*|={len(P.zero_divisors())}")
         print(f"{res.name}: " + ", ".join(parts) + _class_size_note(P))
@@ -273,9 +293,9 @@ def cmd_gsr(args) -> int:
 
 def cmd_gstarstar(args) -> int:
     def transform(r: ResolvedInput) -> SimpleGraph:
-        if r.poset is None:
+        if r.gstar_star is None:
             raise ZdgError("G** needs a lattice input")
-        return gstar_star(r.poset)
+        return r.gstar_star()
     return _graph_command(args, transform, "G**")
 
 

@@ -4,18 +4,21 @@ Vertices are kept in sorted label order, which the constructor checks, so
 DOT and JSON exports are byte-stable; adjacency is one bitmask row per
 vertex.  `SimpleGraph.from_patterns` builds every graph whose vertices
 are adjacent when their coordinate patterns are disjoint (G(P), the
-application graphs, K_t) and, by a second rule, G**; `from_rows` every
-graph derived from rows.  No command reads an edge list, but `from_edges`
-stays: the tests build their graphs with it, and the benchmark's tracer
-(`bench/tracer.py`) wraps it by name.  Graph equality is labeled equality,
-never isomorphism: under the sorted order, equal rows.
+application graphs, K_t, and the graph of a `--boolean` or `--blowup`
+input, read off its spec's `blowup.zero_divisor_pairs` with no lattice
+built) and, by a second rule, G** (of a lattice, or of those same
+pairs); `from_rows` every graph derived from rows.  No command reads an
+edge list, but `from_edges` stays: the tests build their graphs with it,
+and the benchmark's tracer (`bench/tracer.py`) wraps it by name.  Graph
+equality is labeled equality, never isomorphism: under the sorted order,
+equal rows.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import LabelCollision, UnknownElement
 from .poset import FinitePoset, _bits
@@ -174,13 +177,22 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
+    def _later_neighbours(self) -> Iterator[tuple[int, Iterator[int]]]:
+        """Each vertex index i with its neighbours j > i, ascending."""
+        for i, row in enumerate(self.adj):
+            yield i, _bits(row >> i + 1 << i + 1)
+
+    def edges_by_vertex(self) -> Iterator[tuple[str, list[str]]]:
+        """Each vertex a with its neighbours b > a, in index order, which
+        is label order: the edges (a, b) sorted, with no sort."""
+        labels = self.labels
+        for i, js in self._later_neighbours():
+            yield labels[i], [labels[j] for j in js]
+
     def edge_list(self) -> list[tuple[str, str]]:
-        out = []
-        for i in range(self.n):
-            for j in _bits(self.adj[i]):
-                if j > i:
-                    out.append((self.labels[i], self.labels[j]))
-        return out
+        labels = self.labels
+        return [(labels[i], labels[j]) for i, js in self._later_neighbours()
+                for j in js]
 
     def labeled_equal(self, other: "SimpleGraph") -> bool:
         # both graphs hold their vertices in sorted label order
@@ -202,24 +214,24 @@ class SimpleGraph:
 
     # -- export -----------------------------------------------------------
 
-    def to_dot(self, name: str = "G") -> str:
-        return dot_text(name, self.labels, self.edge_list())
-
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels),
-                "edges": [[i, j] for i in range(self.n)
-                          for j in _bits(self.adj[i]) if j > i]}
+                "edges": [[i, j] for i, js in self._later_neighbours()
+                          for j in js]}
 
 
-def dot_text(name: str, labels: Iterable[str],
-             edges: Iterable[tuple[str, str]]) -> str:
-    """Undirected DOT graph: the vertices in the given order, then the
-    edges sorted."""
-    lines = [f"graph {name} {{"]
-    lines += [f'  "{lab}";' for lab in labels]
-    lines += [f'  "{a}" -- "{b}";' for a, b in sorted(edges)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def write_dot(fh: TextIO, name: str, labels: Iterable[str],
+              edges: Iterable[tuple[str, Sequence[str]]]) -> None:
+    """Write an undirected DOT graph to fh: the vertices, then for each
+    (a, bs) the edges from a to every b in bs, all in the order given.
+    One vertex's edge lines are written at a time, so that no export holds
+    its text whole: G_SR of 2^13 has 31 million edges."""
+    fh.write(f"graph {name} {{\n")
+    fh.writelines(f'  "{lab}";\n' for lab in labels)
+    for a, bs in edges:
+        head = f'  "{a}" -- "'
+        fh.write("".join([f'{head}{b}";\n' for b in bs]))
+    fh.write("}\n")
 
 
 # -- graphs from posets ------------------------------------------------------

@@ -18,12 +18,37 @@ from typing import Iterable, Optional, Sequence
 from .errors import CycleDetected, NotALattice, NotBounded, UnknownElement
 
 
+# `_bits` scans a string for masks wider than 1024 bits.  Measured over
+# random masks of 256 to 4096 bits, the scan is 1.2-1.4 times as fast as
+# the loop on masks of 1024 to 2048 bits with a tenth to a half of their
+# bits set, 2.6-2.9 times at 4096 bits, and 0.5-1 times below 768 bits;
+# on a mask with one bit set it loses 2-6 microseconds at any width.  End
+# to end on a 2-vCPU VM, with the loop alone against with the scan, the
+# DOT export of G_SR of 2^13 (8190 rows, 31 million edges) took 23 s
+# against 8 s, and `sdim --boolean 14 --method gsr` 2.35 s against 2.18 s.
+# A bound, not a width, so that a narrow mask pays one comparison.
+_SCAN_FROM = 1 << 1024
+
+
 def _bits(mask: int):
-    """Yield the set bit positions of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the set bit positions of mask, ascending.
+
+    Below `_SCAN_FROM` each position costs one `mask & -mask` and one
+    `mask ^= low`, which grow with the width of mask; from there on, one
+    `str.find` in the reversed binary text, which grows with the distance
+    to the next set bit.
+    """
+    if mask < _SCAN_FROM:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+    else:
+        text = bin(mask)[:1:-1]
+        i = text.find("1")
+        while i >= 0:
+            yield i
+            i = text.find("1", i + 1)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ from itertools import product
 import pytest
 
 from zdgdim import (BlowupSpec, InvalidSpec, NotApplicable,
-                    NotZeroDistributive, boolean_lattice, build_blowup,
-                    canonical_blowup_of, m_lattice, product_of_chains,
-                    random_blowup_spec, tuple_label, zero_divisor_graph)
-from zdgdim.blowup import blowup_label, coordinates_label, tuple_coordinates
+                    NotZeroDistributive, boolean_lattice, build_blowup, cli,
+                    canonical_blowup_of, gstar_star, m_lattice,
+                    product_of_chains, random_blowup_spec, tuple_label,
+                    zero_divisor_graph)
+from zdgdim.blowup import (blowup_elements, blowup_label, coordinates_label,
+                           tuple_coordinates, zero_divisor_pairs)
+from zdgdim.verify import corpus
 
 from conftest import dual, meet
 
@@ -211,3 +214,58 @@ def test_random_spec_generator_is_deterministic():
         spec = random_blowup_spec(rng)
         assert spec.n in (3, 4)
         assert all(1 <= s <= 3 for s in spec.chain_sizes.values())
+
+
+def _random_specs(rng, count):
+    """count seeded specs per n = 1..6, each mask's chain of 1 to 12."""
+    return [BlowupSpec(n, {m: rng.randint(1, 12)
+                           for m in range(1, (1 << n) - 1)
+                           if rng.random() < 0.4})
+            for n in range(1, 7) for _ in range(count)]
+
+
+def _listed_elements(spec):
+    """(label, mask) of every element by the coordinate-list formula."""
+    n = spec.n
+    return [(tuple_label([t if m >> i & 1 else 0 for i in range(n)]), m)
+            for m in range(1 << n) for t in range(1, spec.size_of(m) + 1)]
+
+
+def test_blowup_elements_carry_the_atoms_below_them(fig3_spec):
+    # each label's nonzero coordinates are its mask's atoms, and its level
+    # counts up from 1 along the mask's chain
+    specs = [fig3_spec, BlowupSpec(3, {5: 12, 3: 100})]
+    specs += _random_specs(random.Random(28), 5)
+    for spec in specs:
+        pairs = _listed_elements(spec)
+        assert blowup_elements(spec) == pairs
+        assert zero_divisor_pairs(spec) == [(lab, m) for lab, m in pairs
+                                           if 0 < m < (1 << spec.n) - 1]
+
+
+def test_build_blowup_orders_masks_by_inclusion_then_levels(fig3_spec):
+    # x <= y iff mask(x) is a proper subset of mask(y), or the masks are
+    # equal and level(x) <= level(y); a level is read off its label
+    for spec in [fig3_spec] + _random_specs(random.Random(6), 2):
+        LB = build_blowup(spec)
+        mask = [m for _, m in _listed_elements(spec)]
+        level = [max(map(int, tuple_coordinates(lab))) for lab in LB.labels]
+        assert LB.labels == tuple(lab for lab, _ in _listed_elements(spec))
+        assert LB.down == tuple(
+            sum(1 << x for x in range(len(LB))
+                if mask[x] & ~mask[y] == 0
+                and (mask[x] != mask[y] or level[x] <= level[y]))
+            for y in range(len(LB)))
+
+
+def test_spec_route_graphs_match_the_lattice_route():
+    # the CLI's graph and G** of a blow-up input, read off its spec's
+    # pairs, against the graphs of the built lattice
+    specs = [spec for _, spec, _ in corpus(0, 300)]
+    specs += _random_specs(random.Random(7), 4)
+    specs += [BlowupSpec(n, {}) for n in range(1, 11)]
+    for spec in specs:
+        res = cli._spec_input("spec", spec)
+        LB = build_blowup(spec)
+        assert res.graph.labeled_equal(zero_divisor_graph(LB)), spec
+        assert res.gstar_star().labeled_equal(gstar_star(LB)), spec

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from zdgdim import SimpleGraph, adapters
+from zdgdim import FinitePoset, SimpleGraph, adapters, cli
 from zdgdim.cli import _parse_int, main
 from zdgdim.verify import FIG3, SUITES
 
@@ -253,6 +253,37 @@ def test_only_the_prediction_check_names_blowup_levels(capsys, monkeypatch):
     assert adapters.comaximal([(2, 1), (3, 1), (5, 1)]).graph.n == 21
     with pytest.raises(LevelNamed):
         run(capsys, "adapter", "--local", "2^2,3,5", "--check")
+
+
+class LatticeBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flag, value", [("--boolean", "5"),
+                                         ("--blowup", FIG3_JSON)])
+def test_only_build_builds_a_blowup_lattice(capsys, monkeypatch, flag,
+                                            value):
+    # a blow-up input's graph and G** come from its spec's (label, mask)
+    # pairs; no other command builds a lattice
+    def refuse(*args):
+        raise LatticeBuilt(args)
+    monkeypatch.setattr(cli, "build_blowup", refuse)
+    monkeypatch.setattr(FinitePoset, "__init__", refuse)
+    for command in ("sdim", "zdg", "gsr", "gstarstar", "adapter"):
+        code, out, err = run(capsys, command, flag, value)
+        assert (code, err) == (0, "") and out, command
+    code, out, err = run(capsys, "sdim", flag, value, "--check")
+    assert (code, err) == (0, "")
+    with pytest.raises(LatticeBuilt):
+        run(capsys, "build", flag, value)
+    monkeypatch.undo()
+    code, out, err = run(capsys, "build", flag, value)
+    assert (code, err) == (0, "")
+    assert out == ("boolean 2^5: 32 elements, 5 atoms, |Z*|=30, classes "
+                   "sizes " + ",".join(["1"] * 30) + "\n"
+                   if flag == "--boolean" else
+                   "blow-up of 2^3: 14 elements, 3 atoms, |Z*|=12, classes "
+                   "sizes 3,1,2,2,3,1\n")
 
 
 @pytest.mark.parametrize("flag, value", [("--fields", "3,3,2"),

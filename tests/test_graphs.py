@@ -1,14 +1,17 @@
+import io
 import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from zdgdim import (LabelCollision, SimpleGraph, boolean_lattice,
-                    complete_graph_on, connected_components, graph_join,
-                    independence_number, m_lattice, product_of_chains,
-                    remove_isolated, twin_reduce, zero_divisor_graph)
+from zdgdim import (BlowupSpec, LabelCollision, SimpleGraph,
+                    boolean_lattice, build_blowup, cli, complete_graph_on,
+                    connected_components, graph_join, independence_number,
+                    m_lattice, product_of_chains, remove_isolated,
+                    strong_resolving_graph, twin_reduce, zero_divisor_graph)
 from zdgdim.adapters import reduced_ring
+from zdgdim.graphs import write_dot
 from zdgdim.verify import corpus
 
 from conftest import (ann_rows_zdg, boolean_ring_annihilator_graph,
@@ -157,11 +160,58 @@ def test_relabeled():
 
 def test_dot_and_json_exports():
     g = SimpleGraph.from_edges(["b", "a"], [("a", "b")])
-    dot = g.to_dot()
+    dot = _dot(g)
     assert dot.splitlines()[0] == "graph G {"
     assert '"a" -- "b";' in dot
     data = g.to_json_dict()
     assert data == {"labels": ["a", "b"], "edges": [[0, 1]]}
+
+
+def dot_text(name, labels, edges):
+    """The DOT export as it was before it was streamed, kept as the oracle:
+    one string of the vertices in the given order, then the edges sorted."""
+    lines = [f"graph {name} {{"]
+    lines += [f'  "{lab}";' for lab in labels]
+    lines += [f'  "{a}" -- "{b}";' for a, b in sorted(edges)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _dot(g):
+    buf = io.StringIO()
+    write_dot(buf, "G", g.labels, g.edges_by_vertex())
+    return buf.getvalue()
+
+
+def _row_edges(g):
+    """The edges of g read bit by bit off the binary text of each row."""
+    return [(g.labels[i], g.labels[j]) for i, row in enumerate(g.adj)
+            for j, ch in enumerate(bin(row)[:1:-1]) if ch == "1" and j > i]
+
+
+def test_streamed_dot_export_is_the_whole_sorted_text(tmp_path):
+    # multi-digit levels sort as strings ("(10,0,10)" < "(2,0,2)"); the
+    # 1,112-vertex blow-up has rows past the width where `_bits` scans
+    rng = random.Random(28)
+    graphs = [SimpleGraph.from_patterns([]), complete_graph_on(["x"]),
+              zero_divisor_graph(build_blowup(BlowupSpec(3, {5: 12, 3: 3}))),
+              zero_divisor_graph(build_blowup(BlowupSpec(4, {1: 600,
+                                                            6: 500}))),
+              strong_resolving_graph(zero_divisor_graph(boolean_lattice(5)))]
+    graphs += [_random_graph(rng, list(range(40))) for _ in range(50)]
+    path = tmp_path / "g.dot"
+    for g in graphs:
+        assert g.edge_list() == _row_edges(g)
+        want = dot_text("G", g.labels, _row_edges(g))
+        assert _dot(g) == want
+        assert g.to_json_dict()["edges"] == [
+            [g.index(a), g.index(b)] for a, b in _row_edges(g)]
+        cli._emit(g, str(path))
+        assert path.read_text() == want
+    for P in (boolean_lattice(3), build_blowup(BlowupSpec(3, {5: 12})),
+              product_of_chains([3, 2, 2]), m_lattice(4)):
+        cli._emit(P, str(path))
+        assert path.read_text() == dot_text("hasse", P.labels, P.covers())
 
 
 def _reference(labels, edges):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from zdgdim import poset
 from zdgdim import (CycleDetected, NotBounded, UnknownElement,
                     from_cover_relations, m_lattice, product_of_chains)
 from zdgdim.poset import poset_from_json, poset_to_json
@@ -182,3 +185,52 @@ def test_poset_json_round_trip():
     assert Q == P
     with pytest.raises(ValueError):
         poset_from_json({"labels": ["a"]})
+
+
+def _set_positions(mask):
+    return [i for i, ch in enumerate(bin(mask)[:1:-1]) if ch == "1"]
+
+
+@pytest.mark.parametrize("scan_from", [0, None, 1 << 30000],
+                         ids=["scan", "bound", "loop"])
+def test_bits_loop_and_scan_yield_the_same_positions(monkeypatch,
+                                                     scan_from):
+    # None keeps the measured bound; 0 and 2^30000 force the string scan
+    # and the low-bit loop on every mask
+    if scan_from is not None:
+        monkeypatch.setattr(poset, "_SCAN_FROM", scan_from)
+    rng = random.Random(28)
+    t = poset._SCAN_FROM.bit_length() if scan_from is None else 1025
+    widths = [0, 1, 2, 63, 64, 65, t - 1, t, t + 1, 20000]
+    widths += [rng.randint(0, 20000) for _ in range(40)]
+    for w in widths:
+        # a bit is set with probability 2^-k: all, half, 1/128; or only
+        # the top bit
+        for k in (0, 1, 7, None):
+            mask = 0
+            if k is not None:
+                mask = (1 << w) - 1
+                for _ in range(k):
+                    mask &= rng.getrandbits(w)
+            if w:
+                mask |= 1 << (w - 1)     # the width is exactly w
+            assert mask.bit_length() == w
+            assert list(poset._bits(mask)) == _set_positions(mask), (w, k)
+
+
+def test_bits_switches_to_the_scan_at_the_bound(monkeypatch):
+    # the loop below the bound, the scan from it on: a bin that refuses
+    # shows which path a mask takes
+    t = poset._SCAN_FROM.bit_length()
+    below = poset._SCAN_FROM - 1
+    at = poset._SCAN_FROM | (1 << t // 2) | 1
+    assert (below.bit_length(), at.bit_length()) == (t - 1, t)
+
+    def refuse(mask):
+        raise AssertionError("scanned")
+    monkeypatch.setattr(poset, "bin", refuse, raising=False)
+    assert list(poset._bits(below)) == list(range(t - 1))
+    with pytest.raises(AssertionError, match="scanned"):
+        list(poset._bits(at))
+    monkeypatch.undo()
+    assert list(poset._bits(at)) == [0, t // 2, t - 1]
