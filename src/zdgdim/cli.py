@@ -6,11 +6,22 @@ mutually exclusive flags naming a lattice (--boolean, --blowup, --poset,
 An adapter flag is parsed here and handed to one `adapters` constructor,
 which owns its graph, closed form, prediction check and budget.  A
 blow-up flag (--boolean, --blowup) gets its graphs from the spec's
-(label, mask) pairs; only `build` builds its lattice.  An input
-with more elements than `adapters.DEFAULT_ELEMENT_BUDGET` is refused
-before it is built.  The verification suites live in `zdgdim.verify`.
-The environment variable SDIM_BRUTE_CAP overrides the brute-force vertex
-cap.  Identical inputs and seeds produce byte-identical output.
+(label, mask) pairs; only `build` builds its lattice.  A lattice input's
+zero-divisor graph is built only when a command reads it: `build` reads
+the lattice, and `sdim --method formula` only |V|, which the spec or the
+lattice gives.  An input with more elements than
+`adapters.DEFAULT_ELEMENT_BUDGET` is refused before it is built.  The
+verification suites live in `zdgdim.verify`.  The environment variable
+SDIM_BRUTE_CAP overrides the brute-force vertex cap.  Identical inputs and
+seeds produce byte-identical output; graph exports are written one
+vertex's edges at a time.
+
+`main` builds its argparse parser on its first call and keeps it for the
+life of the process, so that callers running many commands in one process
+(the tests, the benchmark, a library user) pay for it once; importing the
+module builds none.  `main` calls the subcommand's `cmd_<name>` function,
+looked up by name at call time, so a `cmd_*` replaced after the first call
+is the one that runs.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 from . import adapters
@@ -30,7 +41,7 @@ from .adapters import check_element_budget, check_power_budget
 from .blowup import (BlowupSpec, build_blowup, canonical_blowup_of,
                      product_of_chains, zero_divisor_pairs)
 from .errors import HypothesisUnmet, NotApplicable, UnknownSuite, ZdgError
-from .graphs import SimpleGraph, write_dot, zero_divisor_graph
+from .graphs import SimpleGraph, write_dot, write_json, zero_divisor_graph
 from .metric import (gstar_star, sdim_bruteforce, sdim_formula, sdim_via_gsr,
                      strong_resolving_graph)
 from .poset import FinitePoset, m_lattice, poset_from_json, poset_to_json
@@ -41,7 +52,11 @@ from .verify import SUITES, brute_cap
 @dataclass
 class ResolvedInput:
     name: str
-    graph: SimpleGraph
+    # |V| of the graph, known without building it
+    vertex_count: int
+    # builds the graph on the first read of `graph`; `build` and
+    # `sdim --method formula` make none
+    make_graph: Callable[[], SimpleGraph]
     # the closed form, which may raise HypothesisUnmet; a thunk, so that
     # only the commands that print it pay for it
     formula: Callable[[], int]
@@ -51,6 +66,10 @@ class ResolvedInput:
     poset: Callable[[], FinitePoset] | None = None
     gstar_star: Callable[[], SimpleGraph] | None = None
     application: adapters.Application | None = None
+
+    @cached_property
+    def graph(self) -> SimpleGraph:
+        return self.make_graph()
 
 
 # Python converts no decimal string of more than 4300 digits to an int
@@ -178,7 +197,8 @@ def resolve_input(args) -> ResolvedInput:
         n, q = _parse_vspace(args.vspace)
         name = f"component union graph n={n} q={q}"
         app = adapters.component_union(n, q)
-    return ResolvedInput(name=name, graph=app.graph, formula=app.formula,
+    return ResolvedInput(name=name, vertex_count=app.graph.n,
+                         make_graph=lambda: app.graph, formula=app.formula,
                          application=app)
 
 
@@ -193,8 +213,9 @@ def _closed_form(formula: Callable[[], int]) -> tuple[int | None, str]:
 def _spec_input(name: str, spec: BlowupSpec) -> ResolvedInput:
     """A blow-up, its graphs read off the spec's (label, mask) pairs."""
     return ResolvedInput(
-        name=name,
-        graph=SimpleGraph.from_patterns(zero_divisor_pairs(spec)),
+        name=name, vertex_count=spec.total_vertices(),
+        make_graph=lambda: SimpleGraph.from_patterns(
+            zero_divisor_pairs(spec)),
         formula=partial(sdim_formula, spec),
         poset=partial(build_blowup, spec),
         gstar_star=lambda: SimpleGraph.from_patterns(
@@ -214,7 +235,8 @@ def _lattice_input(name: str, P: FinitePoset,
             raise HypothesisUnmet("not a bounded 0-distributive lattice: "
                                   "formula inapplicable") from None
         return sdim_formula(blowup)
-    return ResolvedInput(name=name, graph=zero_divisor_graph(P),
+    return ResolvedInput(name=name, vertex_count=len(P.zero_divisors()),
+                         make_graph=partial(zero_divisor_graph, P),
                          formula=formula or blowup_formula,
                          poset=lambda: P, gstar_star=partial(gstar_star, P))
 
@@ -231,12 +253,13 @@ def _emit(obj, path: str | None):
                           ((a, (b,)) for a, b in sorted(obj.covers())))
             else:
                 write_dot(fh, "G", obj.labels, obj.edges_by_vertex())
-    else:
-        data = poset_to_json(obj) if isinstance(obj, FinitePoset) \
-            else obj.to_json_dict()
+    elif isinstance(obj, FinitePoset):
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
+            json.dump(poset_to_json(obj), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    else:
+        with open(path, "w") as fh:
+            write_json(fh, obj)
 
 
 def _class_size_note(P: FinitePoset) -> str:
@@ -319,12 +342,14 @@ def cmd_sdim(args) -> int:
             rows.append(("gsr", str(value), f"cover size {value}"))
             values.append(value)
         else:
-            if res.graph.n > cap:
+            if res.vertex_count > cap:
                 if args.method == "brute":
-                    print(f"error: |V|={res.graph.n} exceeds brute cap {cap} "
-                          "(set SDIM_BRUTE_CAP to raise)", file=sys.stderr)
+                    print(f"error: |V|={res.vertex_count} exceeds brute cap "
+                          f"{cap} (set SDIM_BRUTE_CAP to raise)",
+                          file=sys.stderr)
                     return 1
-                rows.append(("brute", f"skipped (|V|={res.graph.n} > cap {cap})",
+                rows.append(("brute",
+                             f"skipped (|V|={res.vertex_count} > cap {cap})",
                              "-"))
             else:
                 value = sdim_bruteforce(res.graph, cap=cap)
@@ -336,7 +361,7 @@ def cmd_sdim(args) -> int:
                             for m, v, w in rows]}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"sdim of {res.name} (|V|={res.graph.n})")
+        print(f"sdim of {res.name} (|V|={res.vertex_count})")
         width = max(5, max(len(r[1]) for r in rows))
         print(f"{'method':<8} | {'value':<{width}} | witness")
         for m, v, w in rows:
@@ -411,20 +436,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "strong metric dimension.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in (
-            ("build", cmd_build, "construct an input and print a summary"),
-            ("zdg", cmd_zdg, "zero-divisor graph of the input"),
-            ("gsr", cmd_gsr, "strong resolving graph of the input's graph"),
-            ("gstarstar", cmd_gstarstar, "class-based graph G** of a lattice"),
-            ("adapter", cmd_adapter, "build an adapter graph and cross-check "
-                                     "it against its blow-up prediction")):
+    for name, doc in (
+            ("build", "construct an input and print a summary"),
+            ("zdg", "zero-divisor graph of the input"),
+            ("gsr", "strong resolving graph of the input's graph"),
+            ("gstarstar", "class-based graph G** of a lattice"),
+            ("adapter", "build an adapter graph and cross-check it against "
+                        "its blow-up prediction")):
         p = sub.add_parser(name, help=doc)
         add_input_flags(p)
         p.add_argument("--out", help="write DOT (.dot/.gv) or JSON (.json)")
         if name == "adapter":
             p.add_argument("--check", action="store_true",
                            help="exit nonzero when a cross-check fails")
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("sdim", help="strong metric dimension, three ways")
     add_input_flags(p)
@@ -433,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="exit nonzero when computed methods disagree")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_sdim)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", help=f"one of: {', '.join(SUITES)} "
@@ -442,15 +465,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=25,
                    help="random blow-up specs per suite")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that `main` keeps for the life of the process: building
+    one costs more than many commands do."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up by name at call time, so that a caller may replace a
+        # cmd_* function after the parser is built
+        return globals()[f"cmd_{args.command}"](args)
     except (ZdgError, ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -234,6 +234,30 @@ def write_dot(fh: TextIO, name: str, labels: Iterable[str],
     fh.write("}\n")
 
 
+def write_json(fh: TextIO, g: SimpleGraph) -> None:
+    """Write json.dump(g.to_json_dict(), fh, indent=2, sort_keys=True) and
+    a newline, one vertex's edges at a time, as write_dot does: the edge
+    list of G_SR of 2^11 would take over 200 MB whole."""
+    # imported here, so that `import zdgdim` does not load json
+    import json
+    fh.write('{\n  "edges": [')
+    sep = "\n"
+    for i, js in g._later_neighbours():
+        head = f"    [\n      {i},\n      "
+        items = [f"{head}{j}\n    ]" for j in js]
+        if items:
+            fh.write(sep + ",\n".join(items))
+            sep = ",\n"
+    fh.write("]" if sep == "\n" else "\n  ]")
+    fh.write(',\n  "labels": [')
+    if g.labels:
+        fh.write("\n" + ",\n".join(f"    {json.dumps(lab)}"
+                                    for lab in g.labels) + "\n  ]")
+    else:
+        fh.write("]")
+    fh.write("\n}\n")
+
+
 # -- graphs from posets ------------------------------------------------------
 
 def zero_divisor_graph(P: FinitePoset) -> SimpleGraph:

@@ -534,6 +534,122 @@ def test_stdout_and_exit_codes_are_pinned(capsys, monkeypatch):
         assert (code, out, err) == (want_code, want_out, ""), argv
 
 
+@pytest.fixture
+def fresh_parser():
+    """`main` with no parser kept yet, and none kept after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_keeps_one_parser(capsys, monkeypatch, fresh_parser):
+    parser, built = cli.build_parser, []
+
+    def counted():
+        built.append(None)
+        return parser()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (("sdim", "--boolean", "3"), ("build", "--mn", "2"),
+                 ("zdg", "--chains", "3,2"), ("sdim", "--boolean", "4")):
+        assert run(capsys, *argv)[0] == 0
+    assert len(built) == 1
+    # the public builder still gives a fresh parser
+    assert parser() is not parser()
+
+
+def test_a_command_replaced_after_the_first_call_runs(capsys, monkeypatch,
+                                                      fresh_parser):
+    # the benchmark's tracer wraps cli.cmd_* once the parser is built
+    assert run(capsys, "sdim", "--boolean", "3")[0] == 0
+    seen = []
+
+    def replaced(args):
+        seen.append(args.boolean)
+        return 7
+    monkeypatch.setattr(cli, "cmd_sdim", replaced)
+    assert run(capsys, "sdim", "--boolean", "3") == (7, "", "")
+    assert seen == [3]
+
+
+@pytest.mark.parametrize("bad", [
+    ("sdim", "--boolean", "3", "--bogus"), ("sdim", "--boolean", "x"),
+    ("sdim", "--boolean", "3", "--mn", "4"), ("sdim",),
+    ("sdim", "--boolean", "3", "--method", "none"), ("frob",), ()])
+def test_a_bad_flag_leaves_the_next_call_unchanged(capsys, fresh_parser, bad):
+    good = ("sdim", "--boolean", "3", "--method", "all", "--check")
+    first = run(capsys, *good)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        captured = capsys.readouterr()
+        errors.append((exc.value.code, captured.out, captured.err))
+        assert run(capsys, *good) == first
+    assert errors[0] == errors[1]
+    code, out, err = errors[0]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: zdgdim") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("build", "--help"), ("zdg", "--help"), ("gsr", "--help"),
+    ("gstarstar", "--help"), ("adapter", "--help"), ("sdim", "--help"),
+    ("verify", "--help")])
+def test_help_text_is_that_of_a_fresh_parser(capsys, monkeypatch,
+                                             fresh_parser, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(list(argv))
+    want = (exc.value.code, capsys.readouterr().out)
+    assert want[0] == 0 and want[1].startswith("usage: zdgdim")
+    run(capsys, "sdim", "--boolean", "3")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert (exc.value.code, capsys.readouterr().out) == want
+    if argv == ("--help",):
+        assert "{build,zdg,gsr,gstarstar,adapter,sdim,verify}" in want[1]
+
+
+class GraphBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--boolean", "5"), ("--blowup", FIG3_JSON), ("--chains", "3,2,2"),
+    ("--mn", "4"),
+    ("--poset", '{"labels":["0","a","b","1"],"covers":[[0,1],[0,2],[1,3],'
+                '[2,3]],"bottom":0,"top":3}')],
+    ids=["boolean", "blowup", "chains", "mn", "poset"])
+def test_build_and_the_formula_build_no_graph(capsys, monkeypatch, flag,
+                                              value):
+    # they read |V| and the lattice only; the output is that of a run
+    # that built the graph
+    commands = [("sdim", flag, value, "--method", "formula"),
+                ("sdim", flag, value, "--method", "formula", "--json"),
+                ("build", flag, value)]
+    want = [run(capsys, *argv) for argv in commands]
+
+    def refuse(self, labels, adj):
+        raise GraphBuilt(len(labels))
+    monkeypatch.setattr(SimpleGraph, "__init__", refuse)
+    assert [run(capsys, *argv) for argv in commands] == want
+    with pytest.raises(GraphBuilt):
+        run(capsys, "sdim", flag, value, "--method", "gsr")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--boolean", "1"), ("--boolean", "6"), ("--blowup", FIG3_JSON),
+    ("--chains", "1"), ("--chains", "3,2,2"), ("--mn", "4"),
+    ("--poset", '{"labels":["0"],"covers":[],"bottom":0,"top":0}'),
+    ("--fields", "3,2,2"), ("--local", "2^2,3"), ("--zn", "60"),
+    ("--vspace", "n=3,q=2")])
+def test_vertex_count_is_that_of_the_graph(flag, value):
+    res = cli.resolve_input(cli.build_parser().parse_args(["zdg", flag,
+                                                          value]))
+    assert res.vertex_count == res.graph.n
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--boolean", "17", "boolean 2^17 has 131072 elements"),
     ("--boolean", "20000", "boolean 2^20000 has at least 2^20000 elements"),

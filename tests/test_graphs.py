@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -11,7 +12,7 @@ from zdgdim import (BlowupSpec, LabelCollision, SimpleGraph,
                     m_lattice, product_of_chains, remove_isolated,
                     strong_resolving_graph, twin_reduce, zero_divisor_graph)
 from zdgdim.adapters import reduced_ring
-from zdgdim.graphs import write_dot
+from zdgdim.graphs import write_dot, write_json
 from zdgdim.verify import corpus
 
 from conftest import (ann_rows_zdg, boolean_ring_annihilator_graph,
@@ -212,6 +213,36 @@ def test_streamed_dot_export_is_the_whole_sorted_text(tmp_path):
               product_of_chains([3, 2, 2]), m_lattice(4)):
         cli._emit(P, str(path))
         assert path.read_text() == dot_text("hasse", P.labels, P.covers())
+
+
+def json_text(g):
+    """The JSON export as it was before it was streamed, kept as the
+    oracle: json.dump of the whole dict, then a newline."""
+    return json.dumps(g.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_streamed_json_export_is_json_dump(tmp_path):
+    # an empty graph, an empty edge list, labels that JSON escapes (quote,
+    # backslash, control and non-ASCII characters) and the 1,112-vertex
+    # blow-up
+    rng = random.Random(29)
+    escaped = ['a"b', "c\\d", "\x01", "\u00e9", "t\n"]
+    graphs = [SimpleGraph.from_patterns([]), complete_graph_on(["x"]),
+              SimpleGraph.from_edges(escaped, [('a"b', "\u00e9"),
+                                               ("\x01", "t\n")]),
+              complete_graph_on(["a", "b"]),
+              zero_divisor_graph(build_blowup(BlowupSpec(4, {1: 600,
+                                                            6: 500}))),
+              strong_resolving_graph(zero_divisor_graph(boolean_lattice(5)))]
+    graphs += [_random_graph(rng, list(range(40))) for _ in range(50)]
+    path = tmp_path / "g.json"
+    for g in graphs:
+        want = json_text(g)
+        buf = io.StringIO()
+        write_json(buf, g)
+        assert buf.getvalue() == want
+        cli._emit(g, str(path))
+        assert path.read_text() == want
 
 
 def _reference(labels, edges):
