@@ -54,23 +54,58 @@ def diameter(G: SimpleGraph) -> int:
     return max((len(ball) - 1 for ball in distance_balls(G)), default=0)
 
 
+def _distance_masks(LB: FinitePoset,
+                    bit: Sequence[int]) -> list[tuple[int, int] | None]:
+    """The pseudocomplement distance lemma for every element of LB, as
+    bitmasks whose bit for element y is bit[y].
+
+    Entry x of a zero divisor with an x* and an x** is (near, far): near
+    holds the zero divisors y <= x*, at distance 1 from x in G(L^B), and
+    far those with y* <= x**, less near and x itself, at distance 3.
+    Every other zero divisor is at distance 2.  Every other entry is None.
+    near depends on x* alone and far on x** alone, so each is built once
+    per distinct value; the bits summed are distinct, so sums are unions.
+    """
+    pc = LB._pseudocomplement_indices()
+    zd = LB._zero_divisor_flags()
+    down = LB.down
+    # the zero divisors by their pseudocomplement
+    by_pc: dict[int, int] = {}
+    for y, p in enumerate(pc):
+        if zd[y] and p >= 0:
+            by_pc[p] = by_pc.get(p, 0) | bit[y]
+    near_of: dict[int, int] = {}
+    far_of: dict[int, int] = {}
+    masks: list[tuple[int, int] | None] = []
+    for x, xs in enumerate(pc):
+        xss = pc[xs] if xs >= 0 else -1
+        if not zd[x] or xss < 0:
+            masks.append(None)
+            continue
+        near = near_of.get(xs)
+        if near is None:
+            near = near_of[xs] = sum(bit[y] for y in _bits(down[xs]) if zd[y])
+        far = far_of.get(xss)
+        if far is None:
+            far = far_of[xss] = sum(by_pc.get(p, 0) for p in _bits(down[xss]))
+        masks.append((near, far & ~(near | bit[x])))
+    return masks
+
+
 def distance_by_pseudocomplement(LB: FinitePoset, x: str, y: str) -> int:
     """Distance in G(L^B) read off the pseudocomplement trichotomy:
-    1 iff y <= x*, else 3 iff y* <= x**, else 2."""
+    1 iff y <= x*, else 3 iff y* <= x**, else 2.  A bit test on x's masks
+    of `_distance_masks`."""
     if not (LB.is_zero_divisor(x) and LB.is_zero_divisor(y)):
         raise NotAZeroDivisor(f"{x!r} and {y!r} must be nonzero zero divisors")
     if x == y:
         return 0
-    xs = LB.pseudocomplement(x)
-    ys = LB.pseudocomplement(y)
-    if xs is None or ys is None:
+    i, j = LB.index(x), LB.index(y)
+    lemma = _distance_masks(LB, [1 << k for k in range(len(LB))])[i]
+    if lemma is None or LB._pseudocomplement_indices()[j] < 0:
         raise NotApplicable("lattice is not pseudocomplemented")
-    if LB.leq(y, xs):
-        return 1
-    xss = LB.pseudocomplement(xs)
-    if LB.leq(ys, xss):
-        return 3
-    return 2
+    near, far = lemma
+    return 1 if near >> j & 1 else 3 if far >> j & 1 else 2
 
 
 # -- strong resolving sets by definition --------------------------------------
@@ -281,6 +316,11 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     whole orbit, the closure of {v} under the generators, and the include
     branch keeps only the generators that fix v.  With no gens every orbit
     is a single vertex and the search is the plain one.
+
+    The open nodes, one per included vertex, are kept on a list, not on
+    the Python stack, so an α far above the recursion limit is solved.
+    Each is [cand, size, gens, cliques, k, rest]: rest holds the members
+    of clique k not yet branched on.
     """
     best = 0
 
@@ -292,8 +332,7 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
                 grown |= _swap(g, seen)
         return seen
 
-    def expand(cand: int, size: int, gens):
-        nonlocal best
+    def node(cand: int, size: int, gens) -> list:
         cliques: list[int] = []
         for v in sorted(_bits(cand), key=lambda u: (adj[u] & cand).bit_count()):
             for k, members in enumerate(cliques):
@@ -302,19 +341,32 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
                     break
             else:
                 cliques.append(1 << v)
-        for k in range(len(cliques) - 1, -1, -1):
-            for v in _bits(cliques[k]):
-                if not cand >> v & 1:
-                    continue    # dropped with an earlier vertex's orbit
-                if size + k + 1 <= best:
-                    return
-                # include v, then go on without v's orbit
-                expand(cand & ~(adj[v] | 1 << v), size + 1,
-                       [g for g in gens if _swap(g, 1 << v) == 1 << v])
-                cand &= ~orbit(v, gens)
-        best = max(best, size)
+        k = len(cliques) - 1
+        return [cand, size, gens, cliques, k, cliques[k] if cliques else 0]
 
-    expand(cand, 0, gens)
+    stack = [node(cand, 0, gens)]
+    while stack:
+        top = stack[-1]
+        cand, size, gens, cliques, k, rest = top
+        # the next vertex of the branching order not dropped with an
+        # earlier vertex's orbit
+        rest &= cand
+        while not rest and k > 0:
+            k -= 1
+            rest = cliques[k] & cand
+        if not rest:
+            best = max(best, size)
+            stack.pop()
+            continue
+        if size + k + 1 <= best:
+            stack.pop()
+            continue
+        low = rest & -rest
+        v = low.bit_length() - 1
+        # include v; the node goes on without v's orbit once that is done
+        top[0], top[4], top[5] = cand & ~orbit(v, gens), k, rest ^ low
+        stack.append(node(cand & ~(adj[v] | low), size + 1,
+                          [g for g in gens if _swap(g, low) == low]))
     return best
 
 
@@ -326,32 +378,55 @@ def independence_number(G: SimpleGraph) -> int:
     return G._independence
 
 
+def _cover_reaches(adj: Sequence[int], cand: int, need: int) -> bool:
+    """Whether a clique cover of cand has at least need cliques, so that
+    an independent set in cand may have need vertices.  The cover is built
+    one clique at a time (the bitboard cover of San Segundo, Rodríguez-
+    Losada & Jiménez, 2011): its lowest candidate, then the lowest that is
+    a neighbour of every member so far, with q &= adj[u].  The count stops
+    at need."""
+    count = 0
+    while cand and count < need:
+        q = cand
+        while q:
+            low = q & -q
+            cand ^= low
+            q &= adj[low.bit_length() - 1]
+        count += 1
+    return count >= need
+
+
 def max_independent_set(G: SimpleGraph) -> list[str]:
     """The lexicographically least maximum independent set (label order).
 
-    Each vertex in turn is taken when a maximum set of the candidates left
-    holds it.  A v whose candidate neighbours form a clique (a simplicial
-    v, or an isolated one) is taken without a solve: a maximum set without
-    v holds at most one vertex of that clique, which can be swapped for v.
+    One depth-first search for a set of α = `independence_number(G)`
+    vertices.  Each node includes its lowest candidate first and excludes
+    it when that fails, so the first set of α vertices reached is the
+    lex-least.  A node is pruned when a clique cover of its candidates
+    (`_cover_reaches`) has fewer cliques than the vertices still needed:
+    an independent set takes at most one vertex per clique.  The excluded
+    vertex is dropped in a loop and only included ones open a node, kept
+    on a list, so the depth is at most α and the Python stack is not used.
     """
     adj = G.adj
-    full = (1 << G.n) - 1
     target = independence_number(G)
     chosen: list[int] = []
-    cand = full
-    for v in range(G.n):
-        if len(chosen) == target:
-            break
-        if not cand >> v & 1:
-            continue
-        near = adj[v] & cand
-        rest = cand & ~(near | 1 << v)
-        simplicial = all(near & ~adj[u] == 1 << u for u in _bits(near))
-        if simplicial or len(chosen) + 1 + _alpha(adj, rest) == target:
+    # cands[k]: the candidates left beside the first k chosen vertices
+    cands = [(1 << G.n) - 1]
+    while cands and len(chosen) < target:
+        cand = cands[-1]
+        if _cover_reaches(adj, cand, target - len(chosen)):
+            low = cand & -cand
+            v = low.bit_length() - 1
             chosen.append(v)
-            cand = rest
+            # the node goes on without v if no set of target vertices
+            # through v is found
+            cands[-1] = cand ^ low
+            cands.append(cand & ~(adj[v] | low))
         else:
-            cand &= ~(1 << v)
+            cands.pop()
+            if chosen:
+                chosen.pop()
     picked = 0
     for v in chosen:
         if adj[v] & picked:

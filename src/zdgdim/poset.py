@@ -81,7 +81,8 @@ class FinitePoset:
     """
 
     __slots__ = ("labels", "below", "down", "up", "bottom", "top",
-                 "_index", "_down_index", "_up_index", "_ann", "_zd", "_pc")
+                 "_index", "_down_index", "_up_index", "_ann", "_zd", "_pc",
+                 "_classes")
 
     def __init__(self, labels: Sequence[str],
                  below: Sequence[Sequence[int]],
@@ -116,6 +117,7 @@ class FinitePoset:
         self._ann = None
         self._zd = None
         self._pc = None
+        self._classes = None
 
     # -- basics ---------------------------------------------------------
 
@@ -306,8 +308,11 @@ class FinitePoset:
         So the classes are the sets of atoms below, ordered by inclusion,
         and with k atoms the quotient is Boolean, 2^k, iff all 2^k sets
         occur.  boolean_image then gives each class's atom set with the
-        i-th atom (in element order) at bit i.
+        i-th atom (in element order) at bit i.  The partition is computed
+        once and kept on the poset, like the annihilators.
         """
+        if self._classes is not None:
+            return self._classes
         atoms = self._atoms_mask()
         by_atoms: dict[int, list[int]] = {}
         for i, d in enumerate(self.down):
@@ -324,8 +329,10 @@ class FinitePoset:
         if len(classes) == 1 << len(place):
             image = tuple(sum(1 << t for t, a in enumerate(place)
                               if key >> a & 1) for key in by_atoms)
-        return ClassPartition(classes=classes, class_of=tuple(class_of),
-                              boolean_image=image)
+        self._classes = ClassPartition(classes=classes,
+                                       class_of=tuple(class_of),
+                                       boolean_image=image)
+        return self._classes
 
 
 # -- constructors ----------------------------------------------------------

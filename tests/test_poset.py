@@ -127,6 +127,14 @@ def test_quotient_classes_cube_all_singletons():
     assert sorted(part.boolean_image) == list(range(8))
 
 
+def test_quotient_classes_are_kept_on_the_poset(fig3_lattice):
+    # the quotient suite and canonical_blowup_of, and the decomposition
+    # suite and gstar_star, each ask for the same lattice's partition
+    part = fig3_lattice.quotient_classes()
+    assert fig3_lattice.quotient_classes() is part
+    assert cube().quotient_classes() is not part
+
+
 def test_quotient_classes_m3_not_boolean():
     part = m_lattice(3).quotient_classes()
     assert len(part.classes) == 5

@@ -191,11 +191,16 @@ def verify_graphs():
 
 
 def test_lex_least_witness_matches_the_per_vertex_oracle(verify_graphs):
-    # the simplicial shortcut and the early stop must pick the witness that
-    # one exact solve per vertex picks
+    # the one search, lowest candidate first and pruned by a clique cover,
+    # must pick the witness that one exact solve per vertex picks
     for name, *graphs in verify_graphs:
         for g in graphs:
             assert max_independent_set(g) == solve_per_vertex_mis(g), name
+    G7 = zero_divisor_graph(boolean_lattice(7))
+    blown = zero_divisor_graph(build_blowup(
+        BlowupSpec(6, {m: 2 for m in range(1, 63)})))
+    for g in (G7, strong_resolving_graph(G7), blown):
+        assert max_independent_set(g) == solve_per_vertex_mis(g), g
     rng = random.Random(23)
     graphs = simplicial_rich_and_free_graphs(rng)
     graphs += [random_graph(rng, trial % 16, rng.uniform(0.05, 0.95))
@@ -203,6 +208,33 @@ def test_lex_least_witness_matches_the_per_vertex_oracle(verify_graphs):
     for trial, g in enumerate(graphs):
         assert max_independent_set(g) == solve_per_vertex_mis(g), (
             trial, g.edge_list())
+
+
+def frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_exact_searches_run_deeper_than_the_recursion_limit():
+    # both searches keep one entry per included vertex on a list, so an
+    # independent set far larger than the recursion limit is found
+    limit = frame_depth() + 40
+    n = limit + 60
+    g = SimpleGraph([f"v{i:03d}" for i in range(n)], [0] * n)
+    matching = SimpleGraph.from_edges(
+        [f"v{i:03d}" for i in range(2 * n)],
+        [(f"v{i:03d}", f"v{i + 1:03d}") for i in range(0, 2 * n, 2)])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        assert independence_number(g) == n
+        assert max_independent_set(g) == list(g.labels)
+        assert _alpha(matching.adj, (1 << 2 * n) - 1) == n
+        assert max_independent_set(matching) == list(matching.labels[::2])
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_pruned_brute_force_matches_the_all_masks_oracle(verify_graphs):
