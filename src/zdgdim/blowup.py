@@ -11,7 +11,6 @@ the mask and 0 otherwise, e.g. (2,0,2) for level 2 on the chain of {1,3}.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -57,29 +56,44 @@ def binstr_to_mask(s: str, n: int) -> int:
     return int(s, 2)
 
 
-@dataclass(frozen=True)
 class BlowupSpec:
-    """Chain sizes for the blow-up of 2^n; absent masks default to size 1."""
+    """Chain sizes for the blow-up of 2^n; absent masks default to size 1.
 
-    n: int
-    chain_sizes: Mapping[int, int] = field(default_factory=dict)
+    Immutable, with its own copy of chain_sizes, and equal to another spec
+    with the same n and chain_sizes; unhashable, as that copy is a dict."""
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise InvalidSpec(f"n must be a positive integer, got {self.n!r}")
-        for mask, size in self.chain_sizes.items():
+    def __init__(self, n: int, chain_sizes: Mapping[int, int] | None = None):
+        if type(n) is not int or n < 1:
+            raise InvalidSpec(f"n must be a positive integer, got {n!r}")
+        chain_sizes = {} if chain_sizes is None else chain_sizes
+        for mask, size in chain_sizes.items():
             # 0 < mask < 2^n - 1, without building 2^n for a huge n
             if (not isinstance(mask, int) or mask <= 0
-                    or mask.bit_length() > self.n or mask.bit_count() == self.n):
+                    or mask.bit_length() > n or mask.bit_count() == n):
                 raise InvalidSpec(
                     f"mask {mask!r} is not a nonempty proper subset of "
-                    f"{self.n} atoms")
+                    f"{n} atoms")
             if type(size) is not int:
                 raise InvalidSpec(f"chain size for mask {mask} must be an "
                                   f"integer (got {size!r})")
             if size < 1:
                 raise InvalidSpec(f"chain size for mask {mask} must be >= 1")
-        object.__setattr__(self, "chain_sizes", dict(self.chain_sizes))
+        # past __setattr__, which refuses every assignment
+        self.__dict__.update(n=n, chain_sizes=dict(chain_sizes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.chain_sizes) == (other.n, other.chain_sizes)
+
+    def __repr__(self) -> str:
+        return f"BlowupSpec(n={self.n!r}, chain_sizes={self.chain_sizes!r})"
 
     def size_of(self, mask: int) -> int:
         return self.chain_sizes.get(mask, 1)

@@ -19,20 +19,19 @@ vertex's edges at a time.
 `main` builds its argparse parser on its first call and keeps it for the
 life of the process, so that callers running many commands in one process
 (the tests, the benchmark, a library user) pay for it once; importing the
-module builds none.  `main` calls the subcommand's `cmd_<name>` function,
-looked up by name at call time, so a `cmd_*` replaced after the first call
-is the one that runs.
+module builds none, and loads no `json`: the commands that read or write
+JSON import it when they run.  `main` calls the subcommand's `cmd_<name>`
+function, looked up by name at call time, so a `cmd_*` replaced after the
+first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Callable
 
@@ -49,23 +48,46 @@ from .verify import SUITES, brute_cap
 
 # -- input resolution ---------------------------------------------------------
 
-@dataclass
 class ResolvedInput:
-    name: str
-    # |V| of the graph, known without building it
-    vertex_count: int
-    # builds the graph on the first read of `graph`; `build` and
-    # `sdim --method formula` make none
-    make_graph: Callable[[], SimpleGraph]
-    # the closed form, which may raise HypothesisUnmet; a thunk, so that
-    # only the commands that print it pay for it
-    formula: Callable[[], int]
-    # the lattice and its G**, thunks too, None for an application: a
-    # blow-up spec gives both graphs without its lattice, which only
-    # `build` reads
-    poset: Callable[[], FinitePoset] | None = None
-    gstar_star: Callable[[], SimpleGraph] | None = None
-    application: adapters.Application | None = None
+    """An input as the commands read it; equal to another with the same
+    seven fields."""
+
+    _NAMES = ("name", "vertex_count", "make_graph", "formula", "poset",
+              "gstar_star", "application")
+
+    def __init__(self, name: str, vertex_count: int,
+                 make_graph: Callable[[], SimpleGraph],
+                 formula: Callable[[], int],
+                 poset: Callable[[], FinitePoset] | None = None,
+                 gstar_star: Callable[[], SimpleGraph] | None = None,
+                 application: adapters.Application | None = None):
+        self.name = name
+        # |V| of the graph, known without building it
+        self.vertex_count = vertex_count
+        # builds the graph on the first read of `graph`; `build` and
+        # `sdim --method formula` make none
+        self.make_graph = make_graph
+        # the closed form, which may raise HypothesisUnmet; a thunk, so
+        # that only the commands that print it pay for it
+        self.formula = formula
+        # the lattice and its G**, thunks too, None for an application: a
+        # blow-up spec gives both graphs without its lattice, which only
+        # `build` reads
+        self.poset = poset
+        self.gstar_star = gstar_star
+        self.application = application
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in self._NAMES)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "ResolvedInput(" + ", ".join(
+            f"{k}={v!r}" for k, v in zip(self._NAMES, self._fields())) + ")"
 
     @cached_property
     def graph(self) -> SimpleGraph:
@@ -94,6 +116,7 @@ def _parse_int(text: str, flag: str) -> int:
 
 def _load_json_arg(text: str, flag: str):
     """Accept inline JSON or a path to a JSON file."""
+    import json
     parse_int = partial(_parse_int, flag=flag)
     if os.path.exists(text):
         with open(text) as fh:
@@ -254,6 +277,7 @@ def _emit(obj, path: str | None):
             else:
                 write_dot(fh, "G", obj.labels, obj.edges_by_vertex())
     elif isinstance(obj, FinitePoset):
+        import json
         with open(path, "w") as fh:
             json.dump(poset_to_json(obj), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -356,6 +380,7 @@ def cmd_sdim(args) -> int:
                 rows.append(("brute", str(value), f"set size {value}"))
                 values.append(value)
     if args.json:
+        import json
         payload = {"input": res.name,
                    "rows": [{"method": m, "value": v, "witness": w}
                             for m, v, w in rows]}
@@ -412,6 +437,7 @@ def cmd_verify(args) -> int:
     for r in results:
         print(f"suite {r.name}: {r.seconds:.2f}s", file=sys.stderr)
     if args.json:
+        import json
         print(json.dumps(
             [{"suite": r.name, "cases": r.cases, "failures": r.failures}
              for r in results],
@@ -481,7 +507,8 @@ def main(argv=None) -> int:
         # looked up by name at call time, so that a caller may replace a
         # cmd_* function after the parser is built
         return globals()[f"cmd_{args.command}"](args)
-    except (ZdgError, ValueError, json.JSONDecodeError, OSError) as exc:
+    # json.JSONDecodeError is a ValueError
+    except (ZdgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -159,20 +159,50 @@ class SimpleGraph:
         with no neighbour farther from s than v: v is maximally distant
         from s.  A vertex of sphere d has a farther neighbour iff it is a
         neighbour of sphere d + 1, so the far set is every sphere less the
-        neighbours of the next one, which the search gathers anyway to
-        find the sphere after that.
+        neighbours of the next one.
+
+        Each level takes one of two steps (the direction-optimising search
+        of Beamer, Asanović & Patterson, 2012), whichever visits fewer
+        vertices.  The top-down step ORs the rows of the sphere: the next
+        sphere is that union less the ball, and the previous sphere's
+        vertices outside it are far.  The bottom-up step tests the unseen
+        vertices for a neighbour in the sphere, which gives the next
+        sphere, and the previous sphere's vertices for one, which keeps
+        those with none in far.  The counts are read with `bit_count` as
+        the search goes; sphere 1 is s's row, read with no step.
         """
-        ball = [1 << s]
-        sphere, last, far = ball[0], 0, 0
-        while sphere:
-            reach = 0
-            for v in _bits(sphere):
-                reach |= self.adj[v]
-            far |= last & ~reach
-            last, sphere = sphere, reach & ~ball[-1]
-            if sphere:
-                ball.append(ball[-1] | sphere)
-        return tuple(ball), (far | last) & ~ball[0]
+        adj = self.adj
+        bit = 1 << s
+        sphere = adj[s]
+        if not sphere:
+            return (bit,), 0
+        ball = [bit, bit | sphere]
+        last, far = bit, 0
+        unseen = (1 << len(adj)) - 1 ^ ball[1]
+        size = sphere.bit_count()
+        left = len(adj) - 1 - size
+        while True:
+            if left + last.bit_count() < size:
+                nxt = 0
+                for u in _bits(unseen):
+                    if adj[u] & sphere:
+                        nxt |= 1 << u
+                for u in _bits(last):
+                    if not adj[u] & sphere:
+                        far |= 1 << u
+            else:
+                reach = 0
+                for v in _bits(sphere):
+                    reach |= adj[v]
+                far |= last & ~reach
+                nxt = reach & unseen
+            if not nxt:
+                return tuple(ball), far | sphere
+            unseen ^= nxt
+            size = nxt.bit_count()
+            left -= size
+            last, sphere = sphere, nxt
+            ball.append(ball[-1] | nxt)
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2

@@ -295,16 +295,69 @@ def gstar(LB: FinitePoset) -> SimpleGraph:
 
 # -- exact independent set / vertex cover -------------------------------------
 
+def _clique_cover(adj: Sequence[int], cand: int) -> list[int]:
+    """A clique cover of cand, as bitmasks: the first-fit cover of the
+    candidates in ascending order of their degree inside cand, ties by
+    index, where each joins the first clique whose members are all its
+    neighbours or starts a new one.
+
+    First-fit in a fixed order builds the cliques that filling one clique
+    at a time in that order builds: clique k takes, in order, every
+    candidate left by cliques 0..k-1 that is a neighbour of each member
+    taken so far.  So the candidates are grouped into one bitmask per
+    degree, and each clique is grown by scanning those classes in
+    ascending degree, taking the lowest candidate of class & q and setting
+    q &= adj[v] (the bitboard colouring of San Segundo, Rodríguez-Losada &
+    Jiménez, 2011).  The cover costs O(|cand| + cliques × degrees) big-int
+    steps, where first-fit costs O(|cand| × cliques).
+    """
+    by_degree: dict[int, int] = {}
+    for v in _bits(cand):
+        d = (adj[v] & cand).bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = [by_degree[d] for d in sorted(by_degree)]
+    cliques = []
+    while cand:
+        q = cand
+        members = 0
+        for c in classes:
+            c &= q
+            while c:
+                low = c & -c
+                members |= low
+                q &= adj[low.bit_length() - 1]
+                c &= q
+            if not q:
+                break
+        cand ^= members
+        cliques.append(members)
+    return cliques
+
+
+def _orbit(v: int, gens: Sequence[Steps]) -> int:
+    """The orbit of vertex v under the group the swaps gens generate: the
+    closure of {v}, grown in place.  Each generator maps the set as the
+    earlier ones left it, so one round reaches what several rounds of
+    images of one set would; the rounds stop when one adds nothing."""
+    seen, grown = 0, 1 << v
+    while grown != seen:
+        seen = grown
+        for g in gens:
+            grown |= _swap(g, grown)
+    return seen
+
+
 def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     """Exact max independent set size on the vertices of cand.
 
-    Each search node covers cand by cliques greedily: the candidates, in
-    ascending order of their degree inside cand (ties by index), each join
-    the first clique whose members are all their neighbours, or start a
-    new one.  The cover gives both the bound and the branching order, as
-    in colour-ordered branch and bound (Tomita & Seki's MCQ): the cliques
-    are searched from last to first, and with only cliques 0..k left an
-    independent set gains at most k + 1 vertices, one per clique.
+    Each search node covers cand by cliques greedily (`_clique_cover`):
+    one clique at a time, each grown from the candidates left in ascending
+    order of their degree inside cand (ties by index), scanned one degree
+    class bitmask at a time.  The cover gives both the bound and the
+    branching order, as in colour-ordered branch and bound (Tomita & Seki's
+    MCQ): the cliques are searched from last to first, and with only
+    cliques 0..k left an independent set gains at most k + 1 vertices, one
+    per clique.
 
     gens are automorphisms of the graph, each an involution given as delta
     steps (see `_swap`), under which cand is invariant.  They make the
@@ -313,9 +366,9 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     so far and maps the node's candidates onto themselves, so an
     independent set through any vertex of v's orbit is the image of one
     through v.  After the include branch of v, the exclude branch drops v's
-    whole orbit, the closure of {v} under the generators, and the include
-    branch keeps only the generators that fix v.  With no gens every orbit
-    is a single vertex and the search is the plain one.
+    whole orbit (`_orbit`), the closure of {v} under the generators, and
+    the include branch keeps only the generators that fix v.  With no gens
+    every orbit is a single vertex and the search is the plain one.
 
     The open nodes, one per included vertex, are kept on a list, not on
     the Python stack, so an α far above the recursion limit is solved.
@@ -324,23 +377,8 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     """
     best = 0
 
-    def orbit(v: int, gens) -> int:
-        seen, grown = 0, 1 << v
-        while grown != seen:
-            seen = grown
-            for g in gens:
-                grown |= _swap(g, seen)
-        return seen
-
     def node(cand: int, size: int, gens) -> list:
-        cliques: list[int] = []
-        for v in sorted(_bits(cand), key=lambda u: (adj[u] & cand).bit_count()):
-            for k, members in enumerate(cliques):
-                if members & ~adj[v] == 0:
-                    cliques[k] = members | 1 << v
-                    break
-            else:
-                cliques.append(1 << v)
+        cliques = _clique_cover(adj, cand)
         k = len(cliques) - 1
         return [cand, size, gens, cliques, k, cliques[k] if cliques else 0]
 
@@ -364,7 +402,7 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
         low = rest & -rest
         v = low.bit_length() - 1
         # include v; the node goes on without v's orbit once that is done
-        top[0], top[4], top[5] = cand & ~orbit(v, gens), k, rest ^ low
+        top[0], top[4], top[5] = cand & ~_orbit(v, gens), k, rest ^ low
         stack.append(node(cand & ~(adj[v] | low), size + 1,
                           [g for g in gens if _swap(g, low) == low]))
     return best

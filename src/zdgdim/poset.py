@@ -11,7 +11,6 @@ principal down-set, and then it equals that principal element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Iterable, Optional, Sequence
 
@@ -51,7 +50,6 @@ def _bits(mask: int):
             i = text.find("1", i + 1)
 
 
-@dataclass(frozen=True)
 class ClassPartition:
     """Partition of a bounded poset by equal annihilators.
 
@@ -59,12 +57,38 @@ class ClassPartition:
     member); class_of maps element index -> class id.  boolean_image is
     present only when the quotient order is Boolean: it maps each class to
     the subset mask of the atoms lying below its members, with the i-th
-    atom (in element order) at bit i.
+    atom (in element order) at bit i.  Immutable, and equal to another
+    partition with the same three fields.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    boolean_image: Optional[tuple[int, ...]]
+    def __init__(self, classes: tuple[tuple[int, ...], ...],
+                 class_of: tuple[int, ...],
+                 boolean_image: Optional[tuple[int, ...]]):
+        # past __setattr__, which refuses every assignment
+        self.__dict__.update(classes=classes, class_of=class_of,
+                             boolean_image=boolean_image)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.classes, self.class_of, self.boolean_image
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"ClassPartition(classes={self.classes!r}, "
+                f"class_of={self.class_of!r}, "
+                f"boolean_image={self.boolean_image!r})")
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator
 
@@ -49,12 +48,29 @@ def brute_cap() -> int:
     return cap
 
 
-@dataclass
 class VerifySuiteResult:
-    name: str
-    case_names: list[str] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
-    seconds: float = 0.0
+    """One suite's name, case names, failures and run time; equal to
+    another result with the same four fields."""
+
+    def __init__(self, name: str, case_names: list[str] | None = None,
+                 failures: list[dict] | None = None, seconds: float = 0.0):
+        self.name = name
+        self.case_names = [] if case_names is None else case_names
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds
+
+    def _fields(self) -> tuple:
+        return self.name, self.case_names, self.failures, self.seconds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"VerifySuiteResult(name={self.name!r}, "
+                f"case_names={self.case_names!r}, "
+                f"failures={self.failures!r}, seconds={self.seconds!r})")
 
     @property
     def cases(self) -> int:

@@ -200,6 +200,39 @@ def solve_per_vertex_mis(g: SimpleGraph) -> list[str]:
     return [g.labels[v] for v in chosen]
 
 
+def first_fit_cover(adj, cand: int) -> list[int]:
+    """The greedy clique cover of cand by first fit: the candidates, in
+    ascending order of their degree inside cand (ties by index), each join
+    the first clique whose members are all their neighbours, or start a
+    new one."""
+    cliques: list[int] = []
+    for v in sorted(_bits(cand), key=lambda u: (adj[u] & cand).bit_count()):
+        for k, members in enumerate(cliques):
+            if members & ~adj[v] == 0:
+                cliques[k] = members | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return cliques
+
+
+def top_down_bfs(g: SimpleGraph, s: int) -> tuple[tuple[int, ...], int]:
+    """`SimpleGraph.bfs(s)` by top-down steps alone: each level ORs the
+    rows of its sphere, the next sphere is that union less the ball, and
+    the previous sphere's vertices outside the union are far."""
+    ball = [1 << s]
+    sphere, last, far = ball[0], 0, 0
+    while sphere:
+        reach = 0
+        for v in _bits(sphere):
+            reach |= g.adj[v]
+        far |= last & ~reach
+        last, sphere = sphere, reach & ~ball[-1]
+        if sphere:
+            ball.append(ball[-1] | sphere)
+    return tuple(ball), (far | last) & ~ball[0]
+
+
 def rule_graph(vertices, adjacent) -> SimpleGraph:
     """The graph on (label, value) pairs, labels taken through str(), with
     a ~ b iff adjacent(value_a, value_b): the symmetric rule is called once

@@ -20,16 +20,18 @@ from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
                     zero_divisor_graph)
 from zdgdim import metric
 from zdgdim.blowup import tuple_coordinates
-from zdgdim.metric import (_alpha, _check_invariant, _coordinate_swaps,
-                           _delta_steps, _is_automorphism, _minimal_masks,
-                           _mmd_rows, _pair_cover_masks, _swap, _swap_perm)
+from zdgdim.metric import (_alpha, _check_invariant, _clique_cover,
+                           _coordinate_swaps, _delta_steps, _is_automorphism,
+                           _minimal_masks, _mmd_rows, _orbit,
+                           _pair_cover_masks, _swap, _swap_perm)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
 
-from conftest import (all_masks_bruteforce, cover_number, has_edge,
-                      metric_dimension_bruteforce, mutually_maximally_distant,
-                      pair_loop_mmd_rows, plain_gsr, solve_per_vertex_mis,
-                      perm_of_steps)
+from conftest import (all_masks_bruteforce, cover_number, first_fit_cover,
+                      has_edge, metric_dimension_bruteforce,
+                      mutually_maximally_distant, pair_loop_mmd_rows,
+                      plain_gsr, solve_per_vertex_mis, perm_of_steps,
+                      top_down_bfs)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -794,3 +796,128 @@ def test_delta_steps_refuse_a_non_involution_also_under_python_O():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.startswith("1 ") and "not an involution" in out
+
+
+# -- the bitboard paths against the loops they replaced --------------------------
+
+def random_subsets(rng: random.Random, n: int, count: int) -> list[int]:
+    """All n vertices, then count random subsets of them."""
+    return [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(count)]
+
+
+def test_clique_cover_is_the_first_fit_cover_on_random_graphs():
+    rng = random.Random(41)
+    for trial in range(1000):
+        g = random_graph(rng, rng.randint(0, 40), rng.random())
+        for cand in random_subsets(rng, g.n, 2):
+            assert _clique_cover(g.adj, cand) == first_fit_cover(
+                g.adj, cand), (trial, g.edge_list(), cand)
+
+
+def test_clique_cover_is_the_first_fit_cover_on_the_corpus(verify_graphs):
+    rng = random.Random(42)
+    for name, *graphs in verify_graphs:
+        for g in graphs:
+            for cand in random_subsets(rng, g.n, 3):
+                assert _clique_cover(g.adj, cand) == first_fit_cover(
+                    g.adj, cand), (name, cand)
+
+
+def test_every_search_node_on_gsr_of_2_7_gets_the_first_fit_cover(
+        monkeypatch):
+    # G_SR of 2^7 as sdim_via_gsr solves it, with its orbits and without
+    G = zero_divisor_graph(boolean_lattice(7))
+    checked, swaps = _coordinate_swaps(G)
+    rows = _mmd_rows(G, checked)
+    cand = 0
+    for row in rows:
+        cand |= row
+    cover = metric._clique_cover
+    nodes = []
+
+    def compared(adj, cand):
+        cliques = cover(adj, cand)
+        assert cliques == first_fit_cover(adj, cand), cand
+        nodes.append(cand)
+        return cliques
+    monkeypatch.setattr(metric, "_clique_cover", compared)
+    # sdim of 2^7 is 2^7 - 2 - 2 * 7 + 2
+    assert cand.bit_count() - _alpha(rows, cand, swaps) == 114
+    orbital = len(nodes)
+    assert cand.bit_count() - _alpha(rows, cand) == 114
+    assert 0 < orbital < len(nodes) - orbital
+
+
+def closure_by_perms(v: int, perms) -> int:
+    """The orbit of v, one vertex at a time: every image of a reached
+    vertex under a generator is reached."""
+    orbit, todo = 1 << v, [v]
+    for u in todo:
+        for p in perms:
+            if not orbit >> p[u] & 1:
+                orbit |= 1 << p[u]
+                todo.append(p[u])
+    return orbit
+
+
+def test_orbits_are_the_closures_under_the_generators():
+    # under (1 2) and then (0 1), one round grown in place takes 0 to
+    # {0, 1}; (1 2) must be applied again to reach 2
+    steps = [_delta_steps([0, 2, 1]), _delta_steps([1, 0, 2])]
+    assert _orbit(0, steps) == 0b111
+    assert _orbit(0, steps[:1]) == 0b001
+    assert _orbit(1, []) == 0b10
+    rng = random.Random(43)
+    pairs = [m for m in range(32) if m.bit_count() == 2]
+    lattices = [boolean_lattice(6), product_of_chains([2, 3, 2, 3]),
+                build_blowup(BlowupSpec(5, {m: 2 for m in pairs if m & 1}))]
+    lattices += [build_blowup(random_blowup_spec(rng)) for _ in range(30)]
+    for LB in lattices:
+        G = zero_divisor_graph(LB)
+        for gens in _coordinate_swaps(G):
+            shuffled = rng.sample(gens, len(gens))
+            perms = [perm_of_steps(steps, G.n) for steps in shuffled]
+            for v in range(G.n):
+                assert _orbit(v, shuffled) == closure_by_perms(v, perms)
+
+
+def bfs_graphs(rng: random.Random) -> list[SimpleGraph]:
+    """K_1, paths, complete and edgeless graphs, random graphs of every
+    density, and disconnected ones: two random graphs side by side, with
+    isolated vertices among them."""
+    graphs = [SimpleGraph(["a"], [0])]
+    for n in range(2, 12):
+        labels = [f"v{i:02d}" for i in range(n)]
+        graphs.append(SimpleGraph.from_edges(
+            labels, list(zip(labels, labels[1:]))))
+        graphs.append(SimpleGraph.from_edges(
+            labels, list(combinations(labels, 2))))
+        graphs.append(SimpleGraph(labels, [0] * n))
+    for trial in range(400):
+        g = random_graph(rng, rng.randint(1, 30), rng.random())
+        if trial % 2:
+            h = random_graph(rng, rng.randint(1, 12), rng.random())
+            g = SimpleGraph.from_rows(
+                [f"a{lab}" for lab in g.labels]
+                + [f"b{lab}" for lab in h.labels],
+                list(g.adj) + [row << g.n for row in h.adj])
+        graphs.append(g)
+    return graphs
+
+
+def test_bfs_matches_the_top_down_search_on_small_graphs(verify_graphs):
+    graphs = bfs_graphs(random.Random(44))
+    graphs += [g for _, *gs in verify_graphs for g in gs]
+    for g in graphs:
+        for s in range(g.n):
+            assert g.bfs(s) == top_down_bfs(g, s), (g.edge_list(), s)
+
+
+def test_bfs_matches_the_top_down_search_on_boolean_lattices():
+    rng = random.Random(45)
+    for n in range(7, 11):
+        g = zero_divisor_graph(boolean_lattice(n))
+        gsr = strong_resolving_graph(g)
+        for h in (g, gsr):
+            for s in rng.sample(range(h.n), 12):
+                assert h.bfs(s) == top_down_bfs(h, s), (n, s)
