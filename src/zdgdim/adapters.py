@@ -17,12 +17,13 @@ equality with the construction from the lattice: no graph is re-indexed.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from math import prod
+from operator import and_
 from typing import Callable, NamedTuple, Sequence
 
 from .blowup import (BlowupSpec, blowup_label, build_blowup, mask_to_binstr,
-                     product_of_chains, tuple_label)
+                     product_of_chains)
 from .errors import HypothesisUnmet, LabelCollision, NotPrimePower, TooLarge
 from .graphs import SimpleGraph, complete_graph_on, graph_join, zero_divisor_graph
 from .poset import FinitePoset
@@ -100,13 +101,34 @@ def _euler_phi_prime_power(p: int, e: int) -> int:
     return p ** e - p ** (e - 1)
 
 
+# -- tuple vertices ---------------------------------------------------------
+
+def _tuple_vertices(coordinates: Sequence[Sequence[bool]]):
+    """The (label, pattern) pairs of the tuples of a product, in
+    `itertools.product` order.  coordinates[i][a] says whether value a of
+    coordinate i, for a in range(its length), puts bit i in the pattern;
+    the label is the tuple label, and a tuple is kept when its pattern is
+    neither empty nor full.
+
+    Each coordinate's value strings and pattern bits are built once; the
+    labels are `",".join` of a product of strings, the patterns the sums
+    of a product of bits, and `compress` keeps the vertices, so every
+    per-tuple step runs in C."""
+    strings = [[str(a) for a in range(len(flags))] for flags in coordinates]
+    bits = [[flag << i for flag in flags]
+            for i, flags in enumerate(coordinates)]
+    full = (1 << len(coordinates)) - 1
+    pats = list(map(sum, product(*bits)))
+    keep = list(map(and_, map(bool, pats), map(full.__ne__, pats)))
+    labels = map("({})".format, map(",".join, product(*strings)))
+    return list(zip(compress(labels, keep), compress(pats, keep)))
+
+
 # -- zero-divisor graph of a reduced ring -------------------------------------
 
 def _reduced_ring_vertices(field_orders: Sequence[int]):
     """Nonzero tuples with a zero coordinate; the pattern is the support."""
-    for v in product(*[range(q) for q in field_orders]):
-        if any(v) and not all(v):
-            yield tuple_label(v), _pattern(a != 0 for a in v)
+    return _tuple_vertices([[a != 0 for a in range(q)] for q in field_orders])
 
 
 def reduced_ring_sdim_formula(field_orders: Sequence[int]) -> int:
@@ -127,12 +149,8 @@ def reduced_ring_sdim_formula(field_orders: Sequence[int]) -> int:
 
 def _comaximal_vertices(pairs: Sequence[tuple[int, int]]):
     """Residues with non-unit coordinate set M, 0 < M < all, as pattern."""
-    ps = [p for p, _ in pairs]
-    full = (1 << len(ps)) - 1
-    for x in product(*[range(p ** e) for p, e in pairs]):
-        mask = _pattern(xi % p == 0 for xi, p in zip(x, ps))
-        if 0 < mask < full:
-            yield tuple_label(x), mask
+    return _tuple_vertices([[a % p == 0 for a in range(p ** e)]
+                            for p, e in pairs])
 
 
 def _comaximal_construction(pairs: Sequence[tuple[int, int]]) -> SimpleGraph:
@@ -270,18 +288,23 @@ def _application(pairs, coordinates: int | None, formula: Callable[[], int],
     vertex, in enumeration order, with a nonempty pattern M is named level
     t of the chain of M in a blow-up of 2^coordinates; a vertex with the
     empty pattern (of full support, in K_t) keeps its label.  Two vertices
-    given one label make the check False."""
+    given one label make the check False.  `blowup_label` writes level 1
+    of each chain once; level t >= 2 is that base label with t written over
+    every 1, the string `blowup_label` writes for it."""
     pairs = list(pairs)
     graph = SimpleGraph.from_patterns(pairs)
 
     def matches() -> bool:
         if coordinates is None:
             return graph.labeled_equal(construction())
-        named, level = [], {}
+        named, level, base = [], {}, {}
         for label, pat in pairs:
             if pat:
-                level[pat] = level.get(pat, 0) + 1
-                label = blowup_label(pat, level[pat], coordinates)
+                t = level[pat] = level.get(pat, 0) + 1
+                if t == 1:
+                    label = base[pat] = blowup_label(pat, 1, coordinates)
+                else:
+                    label = base[pat].replace("1", str(t))
             named.append((label, pat))
         try:
             renamed = SimpleGraph.from_patterns(named)

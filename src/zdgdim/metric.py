@@ -11,8 +11,8 @@ which the join-shaped application graphs require.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import eq, lshift, or_
 from typing import Sequence
 
 from .blowup import BlowupSpec, tuple_coordinates
@@ -334,16 +334,53 @@ def _clique_cover(adj: Sequence[int], cand: int) -> list[int]:
     return cliques
 
 
-def _orbit(v: int, gens: Sequence[Steps]) -> int:
-    """The orbit of vertex v under the group the swaps gens generate: the
-    closure of {v}, grown in place.  Each generator maps the set as the
-    earlier ones left it, so one round reaches what several rounds of
-    images of one set would; the rounds stop when one adds nothing."""
+def _generators(gens: Sequence[Steps], n: int) -> list[tuple[Steps, int]]:
+    """Each swap of gens, on the vertices 0..n-1, paired with the exact
+    set of vertices it moves.
+
+    g(v) != v iff some index bit b differs between v and g(v), iff v lies
+    in g(X_b) ^ X_b for the index-bit class X_b = {v < n : bit b of v}: one
+    swap of a mask per index bit.  X_b is the block 2^b..2^(b+1) - 1 of
+    every period 2^(b+1).  The union of a swap's steps is no such mask: a
+    composed swap a + b + a can move a vertex and move it back."""
+    classes = []
+    half = 1
+    while half < n:
+        period = half << 1
+        reps = -(-n // period)
+        repunit = ((1 << period * reps) - 1) // ((1 << period) - 1)
+        block = ((1 << half) - 1) << half
+        classes.append((block * repunit) & ((1 << n) - 1))
+        half = period
+    pairs = []
+    for steps in gens:
+        moved = 0
+        for x in classes:
+            moved |= _swap(steps, x) ^ x
+        pairs.append((steps, moved))
+    return pairs
+
+
+def _stabiliser(gens: Sequence[tuple[Steps, int]],
+                low: int) -> list[tuple[Steps, int]]:
+    """The (steps, moved) generators of gens that fix the vertex bit low:
+    those whose moved mask misses it."""
+    return [g for g in gens if not g[1] & low]
+
+
+def _orbit(v: int, gens: Sequence[tuple[Steps, int]]) -> int:
+    """The orbit of vertex v under the group the swaps of the (steps,
+    moved) pairs gens generate: the closure of {v}, grown in place.  Each
+    generator maps the set as the earlier ones left it, so one round
+    reaches what several rounds of images of one set would; the rounds
+    stop when one adds nothing.  A generator that moves nothing of the set
+    so far maps it onto itself and is skipped."""
     seen, grown = 0, 1 << v
     while grown != seen:
         seen = grown
-        for g in gens:
-            grown |= _swap(g, grown)
+        for steps, moved in gens:
+            if moved & grown:
+                grown |= _swap(steps, grown)
     return seen
 
 
@@ -367,8 +404,12 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     independent set through any vertex of v's orbit is the image of one
     through v.  After the include branch of v, the exclude branch drops v's
     whole orbit (`_orbit`), the closure of {v} under the generators, and
-    the include branch keeps only the generators that fix v.  With no gens
-    every orbit is a single vertex and the search is the plain one.
+    the include branch keeps only the generators that fix v
+    (`_stabiliser`).  Each generator is paired once, here, with the exact
+    set of vertices it moves (`_generators`): that test is one bit test,
+    not a swap of a whole mask, and `_orbit` skips the generators that
+    move nothing of the set it has grown.  With no gens every orbit is a
+    single vertex and the search is the plain one.
 
     The open nodes, one per included vertex, are kept on a list, not on
     the Python stack, so an α far above the recursion limit is solved.
@@ -376,6 +417,8 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     of clique k not yet branched on.
     """
     best = 0
+    if gens:
+        gens = _generators(gens, len(adj))
 
     def node(cand: int, size: int, gens) -> list:
         cliques = _clique_cover(adj, cand)
@@ -404,7 +447,7 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
         # include v; the node goes on without v's orbit once that is done
         top[0], top[4], top[5] = cand & ~_orbit(v, gens), k, rest ^ low
         stack.append(node(cand & ~(adj[v] | low), size + 1,
-                          [g for g in gens if _swap(g, low) == low]))
+                          _stabiliser(gens, low)))
     return best
 
 
@@ -490,22 +533,30 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     and the number of vertices dropped.
 
     Twins share their open neighbourhood (false twins) or their closed
-    one (true twins).  An open key adj[v] never equals another vertex's
-    closed key adj[u] | 1 << u, so one counter holds both kinds of class.
-    A twin-free G comes back as itself, with its balls.
+    one (true twins).  The indices are sorted twice, by open row adj[v]
+    and by closed row adj[v] | 1 << v.  Each sort is stable, so it keeps
+    every class in index order, and a vertex past the first two of its
+    class is one whose key equals the key two sorted places earlier.  An
+    open key never equals another vertex's closed key (u in adj[v] would
+    put v in adj[v]), so no vertex is dropped by both sorts, and the
+    dropped vertices are those beyond the first two of either kind of
+    class.  Every loop over the vertices runs in C (`sorted`, `map`,
+    `compress`).  A twin-free G comes back as itself, with its balls.
     """
-    members: Counter[int] = Counter()
-    labels: list[str | None] = list(G.labels)
-    for v, row in enumerate(G.adj):
-        closed = row | 1 << v
-        members[row] += 1
-        members[closed] += 1
-        if members[row] > 2 or members[closed] > 2:
-            labels[v] = None
-    dropped = labels.count(None)
-    if not dropped:
+    adj = G.adj
+    n = len(adj)
+    closed = list(map(or_, adj, map(lshift, repeat(1), range(n))))
+    drop: list[int] = []
+    for keys in (adj, closed):
+        order = sorted(range(n), key=keys.__getitem__)
+        ks = list(map(keys.__getitem__, order))
+        drop += compress(order[2:], map(eq, ks, ks[2:]))
+    if not drop:
         return G, 0
-    return SimpleGraph.from_rows(labels, G.adj), dropped
+    labels: list[str | None] = list(G.labels)
+    for v in drop:
+        labels[v] = None
+    return SimpleGraph.from_rows(labels, adj), len(drop)
 
 
 def _swap_perm(index: dict[tuple[str, ...], int],

@@ -105,8 +105,8 @@ class FinitePoset:
     """
 
     __slots__ = ("labels", "below", "down", "up", "bottom", "top",
-                 "_index", "_down_index", "_up_index", "_ann", "_zd", "_pc",
-                 "_classes")
+                 "_index", "_down_index", "_up_index", "_atoms", "_ann", "_zd",
+                 "_pc", "_classes")
 
     def __init__(self, labels: Sequence[str],
                  below: Sequence[Sequence[int]],
@@ -138,6 +138,7 @@ class FinitePoset:
         # so these dicts give O(1) meets and joins.
         self._down_index = {self.down[i]: i for i in range(n)}
         self._up_index = {self.up[i]: i for i in range(n)}
+        self._atoms = None
         self._ann = None
         self._zd = None
         self._pc = None
@@ -278,12 +279,16 @@ class FinitePoset:
         return self._labels_of(self._atoms_mask())
 
     def _atoms_mask(self) -> int:
-        bot = self._require_bottom()
-        m = 0
-        for i in range(len(self.labels)):
-            if i != bot and self.down[i] == (1 << bot) | (1 << i):
-                m |= 1 << i
-        return m
+        """The atoms, the elements whose down-set is {bottom, x}, as a
+        bitmask; computed once and kept."""
+        if self._atoms is None:
+            bot = self._require_bottom()
+            m = 0
+            for i in range(len(self.labels)):
+                if i != bot and self.down[i] == (1 << bot) | (1 << i):
+                    m |= 1 << i
+            self._atoms = m
+        return self._atoms
 
     def _pseudocomplement_indices(self) -> tuple[int, ...]:
         """The pseudocomplement of each element by index, -1 where none.

@@ -1,5 +1,6 @@
 import functools
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from operator import itemgetter
 
 import pytest
@@ -231,6 +232,50 @@ def top_down_bfs(g: SimpleGraph, s: int) -> tuple[tuple[int, ...], int]:
         if sphere:
             ball.append(ball[-1] | sphere)
     return tuple(ball), (far | last) & ~ball[0]
+
+
+def counter_twin_reduce(g: SimpleGraph) -> tuple[SimpleGraph, int]:
+    """`twin_reduce` by one counter of open and closed rows, in index
+    order: a vertex is dropped when it is the third or a later vertex seen
+    with its open row or with its closed row."""
+    members: Counter[int] = Counter()
+    labels: list[str | None] = list(g.labels)
+    for v, row in enumerate(g.adj):
+        closed = row | 1 << v
+        members[row] += 1
+        members[closed] += 1
+        if members[row] > 2 or members[closed] > 2:
+            labels[v] = None
+    dropped = labels.count(None)
+    if not dropped:
+        return g, 0
+    return SimpleGraph.from_rows(labels, g.adj), dropped
+
+
+def pattern_of(flags) -> int:
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
+
+
+def reduced_ring_vertices_per_tuple(field_orders):
+    """The reduced ring's (label, support) pairs, one tuple at a time:
+    nonzero tuples with a zero coordinate, in `itertools.product` order."""
+    return [(tuple_label(v), pattern_of(a != 0 for a in v))
+            for v in product(*[range(q) for q in field_orders])
+            if any(v) and not all(v)]
+
+
+def comaximal_vertices_per_tuple(pairs):
+    """The comaximal graph's (label, non-unit coordinates) pairs, one
+    residue at a time, in `itertools.product` order: those whose non-unit
+    coordinates are neither none nor all."""
+    ps = [p for p, _ in pairs]
+    full = (1 << len(ps)) - 1
+    out = []
+    for x in product(*[range(p ** e) for p, e in pairs]):
+        mask = pattern_of(xi % p == 0 for xi, p in zip(x, ps))
+        if 0 < mask < full:
+            out.append((tuple_label(x), mask))
+    return out
 
 
 def rule_graph(vertices, adjacent) -> SimpleGraph:

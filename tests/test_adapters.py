@@ -16,10 +16,12 @@ from zdgdim.adapters import (comaximal, comaximal_ideal,
                              reduced_ring, _comaximal_construction,
                              _comaximal_vertices,
                              _component_union_construction,
-                             _component_union_vertices, _vector_label)
+                             _component_union_vertices,
+                             _reduced_ring_vertices, _vector_label)
 from zdgdim.blowup import blowup_label, tuple_label
 
-from conftest import degree, has_edge, meet, rule_graph
+from conftest import (comaximal_vertices_per_tuple, degree, has_edge, meet,
+                      reduced_ring_vertices_per_tuple, rule_graph)
 
 
 def _primes_up_to(n):
@@ -291,6 +293,34 @@ def test_component_union_sdim_grid():
     for n, q in grid:
         want = 2 if (n, q) == (2, 2) else q ** n - n - 2
         assert sdim_via_gsr(component_union(n, q).graph) == want, (n, q)
+
+
+# -- tuple vertices by product maps, against the per-tuple enumerators --------
+
+def test_comaximal_vertices_are_the_per_tuple_enumeration_in_order():
+    for pairs in (((2, 2), (3, 1), (5, 1), (7, 1)), ((2, 1), (2, 1), (2, 1)),
+                  ((3, 2), (5, 2)), ((2, 3), (3, 2)), ((2, 2), (2, 1), (3, 1)),
+                  ((3, 1), (2, 2)), ((5, 1),), ()):
+        assert _comaximal_vertices(pairs) == comaximal_vertices_per_tuple(
+            pairs), pairs
+
+
+def test_reduced_ring_vertices_are_the_per_tuple_enumeration_in_order():
+    for qs in ((5, 4, 3, 2), (3, 3, 3), (2, 2, 2), (4, 8), (9, 4, 2),
+               (2, 11), (7,), ()):
+        assert _reduced_ring_vertices(qs) == reduced_ring_vertices_per_tuple(
+            qs), qs
+
+
+def test_predicted_labels_past_level_nine_are_those_of_blowup_label():
+    # the chain of mask 001 in Z_16 x Z_3 x Z_5 holds the 8 * 2 * 4 even
+    # residues with unit second and third coordinates; the check writes
+    # each level from its chain's base label, and matches only if every
+    # name is the construction's
+    pairs = ((2, 4), (3, 1), (5, 1))
+    names = _blowup_names(_comaximal_vertices(pairs), len(pairs))
+    assert "(64,0,0)" in names.values() and "(65,0,0)" not in names.values()
+    assert comaximal(pairs).matches_prediction()
 
 
 # -- each application graph against its adjacency rule, pair by pair ----------

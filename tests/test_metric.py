@@ -19,9 +19,9 @@ from zdgdim import metric, verify
 from zdgdim.adapters import DEFAULT_ELEMENT_BUDGET, comaximal
 from zdgdim.verify import corpus
 
-from conftest import (cover_number, has_edge, metric_dimension_bruteforce,
-                      mutually_maximally_distant, neighbors, plain_gsr,
-                      rule_graph)
+from conftest import (counter_twin_reduce, cover_number, has_edge,
+                      metric_dimension_bruteforce, mutually_maximally_distant,
+                      neighbors, plain_gsr, rule_graph)
 
 
 def to_nx(g: SimpleGraph) -> nx.Graph:
@@ -292,7 +292,8 @@ def test_full_report_small_n():
 
 def test_twin_reduce_keeps_the_two_smallest_members_of_each_class():
     # false twins a, c, e, g (leaves on z) and true twins b, d, f, h (a
-    # clique on z), interleaved in label order
+    # clique on z), interleaved in label order; the counter loop is the
+    # oracle
     leaves, clique = "aceg", "bdfh"
     g = SimpleGraph.from_edges(
         leaves + clique + "z",
@@ -303,6 +304,9 @@ def test_twin_reduce_keeps_the_two_smallest_members_of_each_class():
     assert reduced.labeled_equal(g.subgraph(reduced.labels))
     # sum over classes of (size - 2)
     assert dropped == 2 + 2
+    want, want_dropped = counter_twin_reduce(g)
+    assert (reduced.labels, reduced.adj, dropped) == (
+        want.labels, want.adj, want_dropped)
     assert sdim_via_gsr(g) == cover_number(plain_gsr(g))
 
 

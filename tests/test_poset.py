@@ -5,7 +5,7 @@ import pytest
 from zdgdim import poset
 from zdgdim import (CycleDetected, NotBounded, UnknownElement,
                     from_cover_relations, m_lattice, product_of_chains)
-from zdgdim.poset import poset_from_json, poset_to_json
+from zdgdim.poset import FinitePoset, poset_from_json, poset_to_json
 
 from conftest import dual, meet
 
@@ -133,6 +133,19 @@ def test_quotient_classes_are_kept_on_the_poset(fig3_lattice):
     part = fig3_lattice.quotient_classes()
     assert fig3_lattice.quotient_classes() is part
     assert cube().quotient_classes() is not part
+
+
+def test_the_atoms_mask_is_kept_on_the_poset():
+    # the mask is computed once: a poset whose down-sets are then emptied
+    # still answers with its atoms, and one with no bottom still refuses
+    P = cube()
+    assert P.atoms() == ["100", "010", "001"]
+    P.down = ()
+    assert P.atoms() == ["100", "010", "001"]
+    Q = FinitePoset(["a", "b"], [[], [0]])
+    for _ in range(2):
+        with pytest.raises(NotBounded):
+            Q.atoms()
 
 
 def test_quotient_classes_m3_not_boolean():

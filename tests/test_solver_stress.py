@@ -21,14 +21,14 @@ from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
 from zdgdim import metric
 from zdgdim.blowup import tuple_coordinates
 from zdgdim.metric import (_alpha, _check_invariant, _clique_cover,
-                           _coordinate_swaps, _delta_steps, _is_automorphism,
-                           _minimal_masks, _mmd_rows, _orbit,
-                           _pair_cover_masks, _swap, _swap_perm)
+                           _coordinate_swaps, _delta_steps, _generators,
+                           _is_automorphism, _minimal_masks, _mmd_rows,
+                           _orbit, _pair_cover_masks, _swap, _swap_perm)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
 
-from conftest import (all_masks_bruteforce, cover_number, first_fit_cover,
-                      has_edge, metric_dimension_bruteforce,
+from conftest import (all_masks_bruteforce, counter_twin_reduce, cover_number,
+                      first_fit_cover, has_edge, metric_dimension_bruteforce,
                       mutually_maximally_distant, pair_loop_mmd_rows,
                       plain_gsr, solve_per_vertex_mis, perm_of_steps,
                       top_down_bfs)
@@ -863,7 +863,8 @@ def closure_by_perms(v: int, perms) -> int:
 def test_orbits_are_the_closures_under_the_generators():
     # under (1 2) and then (0 1), one round grown in place takes 0 to
     # {0, 1}; (1 2) must be applied again to reach 2
-    steps = [_delta_steps([0, 2, 1]), _delta_steps([1, 0, 2])]
+    steps = _generators([_delta_steps([0, 2, 1]), _delta_steps([1, 0, 2])],
+                        3)
     assert _orbit(0, steps) == 0b111
     assert _orbit(0, steps[:1]) == 0b001
     assert _orbit(1, []) == 0b10
@@ -877,8 +878,9 @@ def test_orbits_are_the_closures_under_the_generators():
         for gens in _coordinate_swaps(G):
             shuffled = rng.sample(gens, len(gens))
             perms = [perm_of_steps(steps, G.n) for steps in shuffled]
+            pairs = _generators(shuffled, G.n)
             for v in range(G.n):
-                assert _orbit(v, shuffled) == closure_by_perms(v, perms)
+                assert _orbit(v, pairs) == closure_by_perms(v, perms)
 
 
 def bfs_graphs(rng: random.Random) -> list[SimpleGraph]:
@@ -921,3 +923,136 @@ def test_bfs_matches_the_top_down_search_on_boolean_lattices():
         for h in (g, gsr):
             for s in rng.sample(range(h.n), 12):
                 assert h.bfs(s) == top_down_bfs(h, s), (n, s)
+
+
+# -- twin classes by two stable sorts, against the counter loop ------------------
+
+def check_twin_reduce(g: SimpleGraph, context) -> int:
+    """`twin_reduce(g)` against `counter_twin_reduce(g)`: the same kept
+    vertices in the same order, the same rows and the same dropped count,
+    and g itself when nothing is dropped.  Returns the dropped count."""
+    reduced, dropped = twin_reduce(g)
+    want, want_dropped = counter_twin_reduce(g)
+    assert dropped == want_dropped, context
+    assert reduced.labels == want.labels, context
+    assert tuple(reduced.adj) == tuple(want.adj), context
+    if not dropped:
+        assert reduced is g, context
+    return dropped
+
+
+def random_pattern_graph(rng: random.Random, crossing: bool) -> SimpleGraph:
+    """`from_patterns` on up to 40 vertices with few distinct patterns, so
+    that classes of equal patterns, twins of either kind, are common."""
+    k = rng.randint(1, 4)
+    pats = [rng.randrange(1 << k) for _ in range(rng.randint(1, 5))]
+    return SimpleGraph.from_patterns(
+        ((f"v{i:02d}", rng.choice(pats)) for i in range(rng.randint(0, 40))),
+        crossing=crossing)
+
+
+def test_twin_reduce_is_the_counter_loop_on_random_graphs():
+    rng = random.Random(46)
+    dropped = 0
+    for trial in range(1500):
+        g = random_pattern_graph(rng, trial % 2 == 1)
+        dropped += check_twin_reduce(g, (trial, g.edge_list())) > 0
+        g = random_graph_with_twins(rng, rng.randint(0, 30), rng.random())
+        dropped += check_twin_reduce(g, (trial, g.edge_list())) > 0
+    assert dropped > 1000
+
+
+def test_twin_reduce_is_the_counter_loop_on_the_corpus(verify_graphs):
+    dropped = 0
+    for name, *graphs in verify_graphs:
+        for g in graphs:
+            dropped += check_twin_reduce(g, name) > 0
+    assert dropped > 100
+
+
+def test_twin_reduce_is_the_counter_loop_on_blowups_and_boolean_lattices():
+    # the five blow-ups of the benchmark's chain-blowups workload, the
+    # 400/400 blow-up, and G(2^n), which is twin-free
+    specs = [BlowupSpec(3, {0b001: 100, 0b110: 100}),
+             BlowupSpec(3, {0b001: 90, 0b011: 100, 0b110: 100}),
+             BlowupSpec(4, {0b0001: 40, 0b0011: 40, 0b1110: 40}),
+             BlowupSpec(4, {0b0011: 70, 0b0101: 70, 0b1100: 70,
+                            0b1010: 70}),
+             BlowupSpec(4, {0b0001: 50, 0b0110: 60, 0b1110: 80,
+                            0b1001: 70}),
+             BlowupSpec(3, {0b001: 400, 0b110: 400})]
+    for spec in specs:
+        g = zero_divisor_graph(build_blowup(spec))
+        assert check_twin_reduce(g, spec) == sum(
+            max(size - 2, 0) for size in spec.chain_sizes.values())
+    for n in range(1, 11):
+        g = zero_divisor_graph(boolean_lattice(n))
+        assert check_twin_reduce(g, n) == 0
+
+
+def test_twin_reduce_on_graphs_of_zero_and_one_vertex():
+    for g in (SimpleGraph([], []), SimpleGraph(["a"], [0])):
+        assert check_twin_reduce(g, g.n) == 0
+
+
+# -- the include branch's stabiliser by moved-vertex masks ----------------------
+
+def random_involution(rng: random.Random, n: int) -> list[int]:
+    """A vertex map of n vertices that exchanges some random pairs."""
+    perm, free = list(range(n)), rng.sample(range(n), n)
+    while len(free) > 1 and rng.random() < 0.7:
+        a, b = free.pop(), free.pop()
+        perm[a], perm[b] = b, a
+    return perm
+
+
+def check_moved_sets(gens, n: int) -> None:
+    for steps, moved in _generators(gens, n):
+        perm = perm_of_steps(steps, n)
+        assert moved == sum(1 << v for v, w in enumerate(perm) if v != w), (
+            steps, n)
+
+
+def test_generators_carry_the_exact_moved_sets():
+    # every swap of tuple graphs, the composed ones too, against its
+    # vertex map; then involutions and their conjugates a + b + a, whose
+    # steps can move a vertex and move it back, on 1 to 17 vertices, so
+    # on counts that are and are not powers of two
+    pairs = [m for m in range(32) if m.bit_count() == 2]
+    lattices = [boolean_lattice(6), boolean_lattice(7),
+                product_of_chains([2, 3, 2, 3]),
+                build_blowup(BlowupSpec(5, {m: 2 for m in pairs if m & 1})),
+                build_blowup(BlowupSpec(4, {m: 2 for m in range(1, 15)}))]
+    composed = 0
+    for LB in lattices:
+        G = zero_divisor_graph(LB)
+        checked, swaps = _coordinate_swaps(G)
+        composed += len(swaps) - len(checked)
+        check_moved_sets(swaps, G.n)
+    assert composed > 0
+    rng = random.Random(47)
+    for n in range(1, 18):
+        for _ in range(20):
+            a, b = (_delta_steps(random_involution(rng, n)) for _ in "ab")
+            check_moved_sets([a, b, a + b + a], n)
+    assert _generators([], 5) == []
+
+
+@pytest.mark.parametrize("spec", [BlowupSpec(7), BlowupSpec(
+    6, {m: 2 for m in range(1, 63)})], ids=["2^7", "size-2-blowup-2^6"])
+def test_every_search_node_keeps_the_generators_that_fix_its_vertex(
+        monkeypatch, spec):
+    # at every include branch of sdim_via_gsr's α search, the moved-mask
+    # filter keeps the generators that a swap of the vertex keeps
+    keep = metric._stabiliser
+    nodes = []
+
+    def compared(gens, low):
+        kept = keep(gens, low)
+        assert kept == [g for g in gens if _swap(g[0], low) == low], low
+        nodes.append(len(gens) - len(kept))
+        return kept
+    monkeypatch.setattr(metric, "_stabiliser", compared)
+    # sdim = |Z*| - 2n + 2 for both
+    assert sdim_via_gsr(zero_divisor_graph(build_blowup(spec))) == 114
+    assert len(nodes) > 10 and 0 < max(nodes)
