@@ -11,11 +11,14 @@ the mask and 0 otherwise, e.g. (2,0,2) for level 2 on the chain of {1,3}.
 from __future__ import annotations
 
 import random
+from functools import partial
+from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (InvalidSpec, NotApplicable, NotBounded,
                      NotZeroDistributive)
+from .graphs import SimpleGraph
 from .poset import FinitePoset
 
 
@@ -170,17 +173,26 @@ def blowup_elements(spec: BlowupSpec) -> list[tuple[str, int]]:
 
     The mask of an element is the set of atoms below it: level t of the
     chain of M lies above level 1 of each atom in M and above no other
-    atom.  This is the one place that labels a chain: `blowup_label` of
-    its mask at level 1, and that label with every 1 written as t at
-    level t.
+    atom.  This is the one place that labels a chain.  The 2^n level-1
+    labels, the strings `blowup_label` writes, are made in mask order by
+    C loops: `product("01", repeat=n)` runs through the masks' binary
+    digits highest bit first, and each is written reversed, lowest bit
+    first.  Level t >= 2 of a chain is its level-1 label with every 1
+    written as t, spliced in after it; the runs of masks between two
+    chains are zipped in whole.
     """
     n = spec.n
-    pairs = []
-    for mask in range(1 << n):
-        label = blowup_label(mask, 1, n)
-        pairs.append((label, mask))
-        for level in range(2, spec.size_of(mask) + 1):
-            pairs.append((label.replace("1", str(level)), mask))
+    base = list(map("({})".format,
+                    map(",".join, map(reversed, product("01", repeat=n)))))
+    pairs: list[tuple[str, int]] = []
+    start = 0
+    for mask in sorted(m for m, s in spec.chain_sizes.items() if s > 1):
+        pairs += zip(base[start:mask + 1], range(start, mask + 1))
+        label = base[mask]
+        pairs += ((label.replace("1", str(level)), mask)
+                  for level in range(2, spec.chain_sizes[mask] + 1))
+        start = mask + 1
+    pairs += zip(base[start:], range(start, 1 << n))
     return pairs
 
 
@@ -188,8 +200,25 @@ def zero_divisor_pairs(spec: BlowupSpec) -> list[tuple[str, int]]:
     """Z*(L^B) as (label, mask) pairs, every element but the bottom and the
     top.  Two zero divisors meet only in 0 iff no atom lies below both, so
     G(L^B) is `SimpleGraph.from_patterns` on these pairs and G** the same
-    with crossing=True, with no lattice built."""
+    with crossing=True, with no lattice built (`blowup_graphs`)."""
     return blowup_elements(spec)[1:-1]
+
+
+def blowup_graphs(spec: BlowupSpec) -> tuple[Callable[[], SimpleGraph],
+                                             Callable[[], SimpleGraph]]:
+    """G(L^B) and G** of the spec's blow-up, each built when its thunk is
+    called, from one list of `zero_divisor_pairs` made on the first call.
+    No lattice is built: this is the graph route of every blow-up input
+    of the CLI and of `verify`'s graph suites."""
+    # a list, not functools.cache, whose wrapper added 10-20 us to each
+    # `sdim` of a small blow-up
+    made: list[list[tuple[str, int]]] = []
+
+    def graph(crossing: bool = False) -> SimpleGraph:
+        if not made:
+            made.append(zero_divisor_pairs(spec))
+        return SimpleGraph.from_patterns(made[0], crossing=crossing)
+    return graph, partial(graph, crossing=True)
 
 
 def build_blowup(spec: BlowupSpec) -> FinitePoset:
@@ -226,7 +255,9 @@ def canonical_blowup_of(P: FinitePoset) -> tuple[BlowupSpec, dict[str, str]]:
     divisor of P to the matching blow-up label.  Dense classes contribute no
     graph vertices and are dropped.  Levels inside a class follow a fixed
     linear extension (by down-set size, then element index), which cannot
-    change the zero-divisor graph.
+    change the zero-divisor graph.  `blowup_label` writes each class's
+    level-1 label once; level t >= 2 is that label with every 1 written as
+    t, the string `blowup_label` writes for it.
     """
     if P.bottom is None or P.top is None:
         raise NotBounded("canonical blow-up needs a bounded lattice")
@@ -248,8 +279,9 @@ def canonical_blowup_of(P: FinitePoset) -> tuple[BlowupSpec, dict[str, str]]:
             continue
         sizes[mask] = len(members)
         ordered = sorted(members, key=lambda i: (P.down[i].bit_count(), i))
-        for level, i in enumerate(ordered, start=1):
-            relabel[P.labels[i]] = blowup_label(mask, level, k)
+        base = relabel[P.labels[ordered[0]]] = blowup_label(mask, 1, k)
+        for level, i in enumerate(ordered[1:], start=2):
+            relabel[P.labels[i]] = base.replace("1", str(level))
     return BlowupSpec(k, sizes).normalized(), relabel
 
 

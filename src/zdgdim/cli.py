@@ -37,8 +37,8 @@ from typing import Callable
 
 from . import adapters
 from .adapters import check_element_budget, check_power_budget
-from .blowup import (BlowupSpec, build_blowup, canonical_blowup_of,
-                     product_of_chains, zero_divisor_pairs)
+from .blowup import (BlowupSpec, blowup_graphs, build_blowup,
+                     canonical_blowup_of, product_of_chains)
 from .errors import HypothesisUnmet, NotApplicable, UnknownSuite, ZdgError
 from .graphs import SimpleGraph, write_dot, write_json, zero_divisor_graph
 from .metric import (gstar_star, sdim_bruteforce, sdim_formula, sdim_via_gsr,
@@ -235,14 +235,11 @@ def _closed_form(formula: Callable[[], int]) -> tuple[int | None, str]:
 
 def _spec_input(name: str, spec: BlowupSpec) -> ResolvedInput:
     """A blow-up, its graphs read off the spec's (label, mask) pairs."""
+    graph, gss = blowup_graphs(spec)
     return ResolvedInput(
-        name=name, vertex_count=spec.total_vertices(),
-        make_graph=lambda: SimpleGraph.from_patterns(
-            zero_divisor_pairs(spec)),
+        name=name, vertex_count=spec.total_vertices(), make_graph=graph,
         formula=partial(sdim_formula, spec),
-        poset=partial(build_blowup, spec),
-        gstar_star=lambda: SimpleGraph.from_patterns(
-            zero_divisor_pairs(spec), crossing=True))
+        poset=partial(build_blowup, spec), gstar_star=gss)
 
 
 def _lattice_input(name: str, P: FinitePoset,

@@ -5,7 +5,8 @@ DOT and JSON exports are byte-stable; adjacency is one bitmask row per
 vertex.  `SimpleGraph.from_patterns` builds every graph whose vertices
 are adjacent when their coordinate patterns are disjoint (G(P), the
 application graphs, K_t, and the graph of a `--boolean` or `--blowup`
-input, read off its spec's `blowup.zero_divisor_pairs` with no lattice
+input or of a `verify` graph suite's blow-up, read off its spec's
+`blowup.zero_divisor_pairs` by `blowup.blowup_graphs` with no lattice
 built) and, by a second rule, G** (of a lattice, or of those same
 pairs); `from_rows` every graph derived from rows.  No command reads an
 edge list, but `from_edges` stays: the tests build their graphs with it,
@@ -291,13 +292,16 @@ def write_json(fh: TextIO, g: SimpleGraph) -> None:
 # -- graphs from posets ------------------------------------------------------
 
 def zero_divisor_graph(P: FinitePoset) -> SimpleGraph:
-    """G(P): vertices Z*(P), edges between elements meeting only in 0."""
+    """G(P): vertices Z*(P), edges between elements meeting only in 0.
+    Built once per poset and kept on it."""
     # x and y meet only in 0 iff no atom lies below both (the lemma of
     # `_ann_masks`), so each element's pattern is its set of atoms below
-    atoms = P._atoms_mask()
-    return SimpleGraph.from_patterns(
-        (lab, d & atoms) for lab, d in compress(
-            zip(P.labels, P.down), P._zero_divisor_flags()))
+    if P._zdg is None:
+        atoms = P._atoms_mask()
+        P._zdg = SimpleGraph.from_patterns(
+            (lab, d & atoms) for lab, d in compress(
+                zip(P.labels, P.down), P._zero_divisor_flags()))
+    return P._zdg
 
 
 # -- combinators -------------------------------------------------------------

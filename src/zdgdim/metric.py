@@ -25,6 +25,8 @@ DEFAULT_BRUTE_CAP = 16
 
 # an involution of the vertex indices as delta swaps (see `_delta_steps`)
 Steps = tuple[tuple[int, int], ...]
+# a swap's steps and the exact set of vertices it moves
+Generator = tuple[Steps, int]
 
 
 # -- distances ---------------------------------------------------------------
@@ -274,14 +276,17 @@ def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
 
 def gstar_star(LB: FinitePoset) -> SimpleGraph:
     """G**: vertices Z*(L^B); x ~ y iff the classes coincide, or the classes
-    meet above [0] while being incomparable in the Boolean quotient."""
-    part = LB.quotient_classes()
-    if part.boolean_image is None:
-        raise NotApplicable("annihilator quotient is not Boolean")
-    # the classes are the atom sets, so equal images mean equal classes
-    return SimpleGraph.from_patterns(
-        ((lab, part.boolean_image[part.class_of[LB.index(lab)]])
-         for lab in LB.zero_divisors()), crossing=True)
+    meet above [0] while being incomparable in the Boolean quotient.  Built
+    once per lattice and kept on it."""
+    if LB._gss is None:
+        part = LB.quotient_classes()
+        if part.boolean_image is None:
+            raise NotApplicable("annihilator quotient is not Boolean")
+        # the classes are the atom sets, so equal images mean equal classes
+        LB._gss = SimpleGraph.from_patterns(
+            ((lab, part.boolean_image[part.class_of[LB.index(lab)]])
+             for lab in LB.zero_divisors()), crossing=True)
+    return LB._gss
 
 
 def gstar(LB: FinitePoset) -> SimpleGraph:
@@ -334,41 +339,13 @@ def _clique_cover(adj: Sequence[int], cand: int) -> list[int]:
     return cliques
 
 
-def _generators(gens: Sequence[Steps], n: int) -> list[tuple[Steps, int]]:
-    """Each swap of gens, on the vertices 0..n-1, paired with the exact
-    set of vertices it moves.
-
-    g(v) != v iff some index bit b differs between v and g(v), iff v lies
-    in g(X_b) ^ X_b for the index-bit class X_b = {v < n : bit b of v}: one
-    swap of a mask per index bit.  X_b is the block 2^b..2^(b+1) - 1 of
-    every period 2^(b+1).  The union of a swap's steps is no such mask: a
-    composed swap a + b + a can move a vertex and move it back."""
-    classes = []
-    half = 1
-    while half < n:
-        period = half << 1
-        reps = -(-n // period)
-        repunit = ((1 << period * reps) - 1) // ((1 << period) - 1)
-        block = ((1 << half) - 1) << half
-        classes.append((block * repunit) & ((1 << n) - 1))
-        half = period
-    pairs = []
-    for steps in gens:
-        moved = 0
-        for x in classes:
-            moved |= _swap(steps, x) ^ x
-        pairs.append((steps, moved))
-    return pairs
-
-
-def _stabiliser(gens: Sequence[tuple[Steps, int]],
-                low: int) -> list[tuple[Steps, int]]:
+def _stabiliser(gens: Sequence[Generator], low: int) -> list[Generator]:
     """The (steps, moved) generators of gens that fix the vertex bit low:
     those whose moved mask misses it."""
     return [g for g in gens if not g[1] & low]
 
 
-def _orbit(v: int, gens: Sequence[tuple[Steps, int]]) -> int:
+def _orbit(v: int, gens: Sequence[Generator]) -> int:
     """The orbit of vertex v under the group the swaps of the (steps,
     moved) pairs gens generate: the closure of {v}, grown in place.  Each
     generator maps the set as the earlier ones left it, so one round
@@ -384,7 +361,8 @@ def _orbit(v: int, gens: Sequence[tuple[Steps, int]]) -> int:
     return seen
 
 
-def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
+def _alpha(adj: Sequence[int], cand: int,
+           gens: Sequence[Generator] = ()) -> int:
     """Exact max independent set size on the vertices of cand.
 
     Each search node covers cand by cliques greedily (`_clique_cover`):
@@ -396,20 +374,20 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     cliques 0..k left an independent set gains at most k + 1 vertices, one
     per clique.
 
-    gens are automorphisms of the graph, each an involution given as delta
-    steps (see `_swap`), under which cand is invariant.  They make the
-    search orbital branching (Ostrowski, Linderoth, Rossi & Smriglio,
-    2011): at each node the group they generate fixes every vertex included
-    so far and maps the node's candidates onto themselves, so an
-    independent set through any vertex of v's orbit is the image of one
-    through v.  After the include branch of v, the exclude branch drops v's
-    whole orbit (`_orbit`), the closure of {v} under the generators, and
-    the include branch keeps only the generators that fix v
-    (`_stabiliser`).  Each generator is paired once, here, with the exact
-    set of vertices it moves (`_generators`): that test is one bit test,
-    not a swap of a whole mask, and `_orbit` skips the generators that
-    move nothing of the set it has grown.  With no gens every orbit is a
-    single vertex and the search is the plain one.
+    gens are automorphisms of the graph under which cand is invariant,
+    each an involution given as delta steps (see `_swap`) paired with the
+    exact set of vertices it moves, as `_coordinate_swaps` hands them
+    over.  They make the search orbital branching (Ostrowski, Linderoth,
+    Rossi & Smriglio, 2011): at each node the group they generate fixes
+    every vertex included so far and maps the node's candidates onto
+    themselves, so an independent set through any vertex of v's orbit is
+    the image of one through v.  After the include branch of v, the
+    exclude branch drops v's whole orbit (`_orbit`), the closure of {v}
+    under the generators, and the include branch keeps only the generators
+    that fix v (`_stabiliser`).  With each generator's moved set that test
+    is one bit test, not a swap of a whole mask, and `_orbit` skips the
+    generators that move nothing of the set it has grown.  With no gens every orbit
+    is a single vertex and the search is the plain one.
 
     The open nodes, one per included vertex, are kept on a list, not on
     the Python stack, so an α far above the recursion limit is solved.
@@ -417,8 +395,6 @@ def _alpha(adj: Sequence[int], cand: int, gens: Sequence[Steps] = ()) -> int:
     of clique k not yet branched on.
     """
     best = 0
-    if gens:
-        gens = _generators(gens, len(adj))
 
     def node(cand: int, size: int, gens) -> list:
         cliques = _clique_cover(adj, cand)
@@ -615,12 +591,14 @@ def _is_automorphism(adj: Sequence[int], perm: Sequence[int],
                for v, w in enumerate(perm) if v < w)
 
 
-def _coordinate_swaps(G: SimpleGraph) -> tuple[list[Steps], list[Steps]]:
+def _coordinate_swaps(
+        G: SimpleGraph) -> tuple[list[Steps], list[Generator]]:
     """The swaps of two coordinates in every tuple label that are
     automorphisms of G, as delta steps on G's indices (see `_swap`): a
     spanning set of them, each checked against G's rows, and all of them in
-    the order of their coordinate pairs.  Both lists are empty unless the
-    labels are tuples of one length.
+    the order of their coordinate pairs, each with the exact set of
+    vertices it moves, as `_alpha` takes them.  Both lists are empty
+    unless the labels are tuples of one length.
 
     The swaps that are automorphisms are the transpositions inside the
     classes of an equivalence on the coordinates: with (m i) and (m j),
@@ -632,7 +610,11 @@ def _coordinate_swaps(G: SimpleGraph) -> tuple[list[Steps], list[Steps]]:
 
     A swap's vertex map comes from the coordinate tuples (`_swap_perm`)
     and is checked on the rows over its exchanged pairs alone
-    (`_is_automorphism`).
+    (`_is_automorphism`).  A checked swap's steps exchange disjoint pairs,
+    so the vertices it moves are the union of its steps' pairs, each step
+    mask | mask << δ.  The union of a composed swap's steps is no such set:
+    a + b + a can move a vertex and move it back.  It moves v iff b moves
+    a(v), so its moved set is a(moved(b)), one `_swap`.
     """
     coords = [tuple_coordinates(lab) for lab in G.labels]
     if not coords or None in coords or len({len(c) for c in coords}) > 1:
@@ -642,13 +624,14 @@ def _coordinate_swaps(G: SimpleGraph) -> tuple[list[Steps], list[Steps]]:
     # least[c]: the least coordinate known to share c's class
     least = list(range(len(parts[0])))
     checked = []
-    swaps: dict[tuple[int, int], Steps] = {}
+    swaps: dict[tuple[int, int], Generator] = {}
     for i, j in combinations(range(len(least)), 2):
         m = least[i]
         if m < i:
             if least[j] == m:
-                a = swaps[m, i]
-                swaps[i, j] = a + swaps[m, j] + a
+                a = swaps[m, i][0]
+                b, moved = swaps[m, j]
+                swaps[i, j] = a + b + a, _swap(a, moved)
         elif least[j] == j:
             perm = _swap_perm(index, parts, i, j)
             if perm is None:
@@ -657,7 +640,10 @@ def _coordinate_swaps(G: SimpleGraph) -> tuple[list[Steps], list[Steps]]:
             if _is_automorphism(G.adj, perm, steps):
                 least[j] = i
                 checked.append(steps)
-                swaps[i, j] = steps
+                moved = 0
+                for d, mask in steps:
+                    moved |= mask | mask << d
+                swaps[i, j] = steps, moved
     return checked, list(swaps.values())
 
 

@@ -104,9 +104,12 @@ class FinitePoset:
     from_cover_relations is the checked entry for outside data.
     """
 
+    # _zdg and _gss hold the poset's zero-divisor graph and its G**, which
+    # graphs.zero_divisor_graph and metric.gstar_star build on first use
+    # and every later caller shares, as quotient_classes keeps _classes
     __slots__ = ("labels", "below", "down", "up", "bottom", "top",
                  "_index", "_down_index", "_up_index", "_atoms", "_ann", "_zd",
-                 "_pc", "_classes")
+                 "_pc", "_classes", "_zdg", "_gss")
 
     def __init__(self, labels: Sequence[str],
                  below: Sequence[Sequence[int]],
@@ -143,6 +146,8 @@ class FinitePoset:
         self._zd = None
         self._pc = None
         self._classes = None
+        self._zdg = None
+        self._gss = None
 
     # -- basics ---------------------------------------------------------
 

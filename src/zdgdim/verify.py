@@ -1,8 +1,14 @@
 """Verification suites: the corpus checks behind `zdgdim verify`.
 
 Each suite takes a seed and a count and returns a VerifySuiteResult.  The
-seven corpus suites run on `corpus(seed, count)`: the figure-3 blow-up, 2^3,
-2^4 and `count` seeded random blow-up specs.  `adapters` and `examples` hold
+seven corpus suites run on `corpus_specs(seed, count)`: the figure-3
+blow-up, 2^3, 2^4 and `count` seeded random blow-up specs.  Each builds
+only what its checks read.  `diameter`, `gallai` and `formula-agreement`
+read only G (and `gallai` G**), which `blowup_graphs` reads off the spec
+with no lattice built, the route of the CLI's blow-up inputs.
+`distance-lemma`, `quotient`, `gsr-equality` and `decomposition` test the
+lattice, so they run on `corpus(seed, count)`, which builds each one, and
+take G from `zero_divisor_graph` of it.  `adapters` and `examples` hold
 the paper's worked examples, each value once.  The tests run the same
 functions, so every check is written once.  The environment variable
 SDIM_BRUTE_CAP overrides the brute-force vertex cap.
@@ -16,8 +22,8 @@ from itertools import chain
 from typing import Iterator
 
 from . import adapters
-from .blowup import (BlowupSpec, boolean_lattice, build_blowup,
-                     canonical_blowup_of, product_of_chains,
+from .blowup import (BlowupSpec, blowup_graphs, boolean_lattice,
+                     build_blowup, canonical_blowup_of, product_of_chains,
                      random_blowup_spec)
 from .errors import NotApplicable, ZdgError
 from .graphs import (SimpleGraph, complete_graph_on, connected_components,
@@ -27,7 +33,7 @@ from .metric import (DEFAULT_BRUTE_CAP, _distance_masks, beta_gsr_formula,
                      gstar_star, independence_number, is_strong_resolving,
                      minimum_vertex_cover, sdim_bruteforce, sdim_formula,
                      sdim_via_gsr, strong_resolving_graph)
-from .poset import FinitePoset, m_lattice
+from .poset import FinitePoset, _bits, m_lattice
 
 # the 14-element blow-up of the paper's figure 3: |Z*| = 12, sdim 8
 FIG3 = BlowupSpec(3, {0b001: 3, 0b010: 1, 0b100: 2,
@@ -90,16 +96,23 @@ class VerifySuiteResult:
         self.check(case, expected == got, expected, got)
 
 
-def corpus(seed: int,
-           count: int) -> Iterator[tuple[str, BlowupSpec, FinitePoset]]:
-    """(name, spec, lattice) for figure 3, 2^3, 2^4 and `count` random specs
-    drawn from random.Random(seed).  Lattices are built one at a time as the
-    caller reaches them, so a suite holds one lattice at once."""
+def corpus_specs(seed: int,
+                 count: int) -> Iterator[tuple[str, BlowupSpec]]:
+    """(name, spec) for figure 3, 2^3, 2^4 and `count` random specs drawn
+    from random.Random(seed), each drawn as the caller reaches it."""
     rng = random.Random(seed)
     named = [("figure-3", FIG3), ("boolean-3", BlowupSpec(3, {})),
              ("boolean-4", BlowupSpec(4, {}))]
     randoms = ((f"random-{i}", random_blowup_spec(rng)) for i in range(count))
-    for name, spec in chain(named, randoms):
+    return chain(named, randoms)
+
+
+def corpus(seed: int,
+           count: int) -> Iterator[tuple[str, BlowupSpec, FinitePoset]]:
+    """(name, spec, lattice) for each (name, spec) of `corpus_specs`.
+    Lattices are built one at a time as the caller reaches them, so a suite
+    holds one lattice at once."""
+    for name, spec in corpus_specs(seed, count):
         yield name, spec, build_blowup(spec)
 
 
@@ -107,13 +120,15 @@ def _suite_diameter(seed, count) -> VerifySuiteResult:
     out = VerifySuiteResult("diameter")
     # a blow-up of 2^n with n >= 3 meets the bound: two distinct coatom-mask
     # vertices are at distance 3
-    posets = chain(
-        ((name, LB, "= 3") for name, _, LB in corpus(seed, count)),
-        ((f"M_{n}", m_lattice(n), "<= 3") for n in (3, 4, 5, 6)),
-        ((f"chains-{sizes}", product_of_chains(sizes), "<= 3")
+    graphs = chain(
+        ((name, blowup_graphs(spec)[0](), "= 3")
+         for name, spec in corpus_specs(seed, count)),
+        ((f"M_{n}", zero_divisor_graph(m_lattice(n)), "<= 3")
+         for n in (3, 4, 5, 6)),
+        ((f"chains-{sizes}", zero_divisor_graph(product_of_chains(sizes)),
+          "<= 3")
          for sizes in ((2, 2, 2), (3, 2, 2), (3, 3, 3), (2, 3, 2, 2))))
-    for name, P, bound in posets:
-        G = zero_divisor_graph(P)
+    for name, G, bound in graphs:
         try:
             d = diameter(G)
             ok = d == 3 if bound == "= 3" else d <= 3
@@ -125,14 +140,15 @@ def _suite_diameter(seed, count) -> VerifySuiteResult:
 
 def _suite_gallai(seed, count) -> VerifySuiteResult:
     """Gallai's identity behind sdim = β(G_SR): on G, G_SR and G** of each
-    corpus lattice, the complement of the lex-least maximum independent
+    corpus blow-up, the complement of the lex-least maximum independent
     set is a vertex cover of |V| - α vertices.  The cover is checked on
     rows: every vertex outside it has its whole row inside it."""
     out = VerifySuiteResult("gallai")
-    for name, _, LB in corpus(seed, count):
-        G = zero_divisor_graph(LB)
+    for name, spec in corpus_specs(seed, count):
+        graph, gss = blowup_graphs(spec)
+        G = graph()
         for tag, g in (("G", G), ("G_SR", strong_resolving_graph(G)),
-                       ("G**", gstar_star(LB))):
+                       ("G**", gss())):
             alpha = independence_number(g)
             # the cover number is |V| - alpha; minimum_vertex_cover reads
             # alpha off g as its target, so g's independence number is
@@ -221,6 +237,10 @@ def _suite_quotient(seed, count) -> VerifySuiteResult:
 
 
 def _suite_gsr_equality(seed, count) -> VerifySuiteResult:
+    """G* (and G** when no atom's chain has one element) against G_SR of
+    each corpus lattice, and G_SR's size and independence number against
+    their formulas.  The lattice keeps its G and G**, so `gstar` and
+    `gstar_star` share the G built here and build G** once."""
     out = VerifySuiteResult("gsr-equality")
     for name, spec, LB in corpus(seed, count):
         G = zero_divisor_graph(LB)
@@ -237,7 +257,16 @@ def _suite_gsr_equality(seed, count) -> VerifySuiteResult:
     return out
 
 
+def _is_clique(g: SimpleGraph, mask: int) -> bool:
+    """Whether the vertices of mask are pairwise adjacent in g: every
+    member's closed row, its row and itself, holds mask."""
+    return all(not mask & ~(g.adj[v] | 1 << v) for v in _bits(mask))
+
+
 def _suite_decomposition(seed, count) -> VerifySuiteResult:
+    """G** of each corpus lattice: every atom class is a component and a
+    clique, tested by bit tests on the class's rows, and the rest is one
+    component; the isolated vertices are the singleton atom classes."""
     out = VerifySuiteResult("decomposition")
     for name, _, LB in corpus(seed, count):
         gss = gstar_star(LB)
@@ -251,9 +280,9 @@ def _suite_decomposition(seed, count) -> VerifySuiteResult:
         for cls in atom_classes:
             out.check(f"{name}: atom class {min(cls)} is a component",
                       cls in comps)
-            sub = gss.subgraph(cls)
+            mask = sum(1 << gss.index(lab) for lab in cls)
             out.check(f"{name}: atom class {min(cls)} is complete",
-                      sub.is_complete())
+                      _is_clique(gss, mask))
         rest = [c for c in comps if c not in atom_classes]
         out.expect_equal(f"{name}: one H component", 1, len(rest))
         singles = {min(cls) for cls in atom_classes if len(cls) == 1}
@@ -265,8 +294,8 @@ def _suite_decomposition(seed, count) -> VerifySuiteResult:
 def _suite_formula_agreement(seed, count) -> VerifySuiteResult:
     out = VerifySuiteResult("formula-agreement")
     cap = brute_cap()
-    for name, spec, LB in corpus(seed, count):
-        G = zero_divisor_graph(LB)
+    for name, spec in corpus_specs(seed, count):
+        G = blowup_graphs(spec)[0]()
         want = sdim_formula(spec)
         out.expect_equal(f"{name}: formula = gsr", want, sdim_via_gsr(G))
         if G.n <= min(14, cap):

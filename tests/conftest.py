@@ -126,6 +126,32 @@ def perm_of_steps(steps, n: int) -> list[int]:
     return [_swap(steps, 1 << v).bit_length() - 1 for v in range(n)]
 
 
+def index_bit_generators(gens, n: int) -> list[tuple]:
+    """Each swap of gens, on the vertices 0..n-1, paired with the exact
+    set of vertices it moves, by index bits: g(v) != v iff some index bit b
+    differs between v and g(v), iff v lies in g(X_b) ^ X_b for the
+    index-bit class X_b = {v < n : bit b of v}, one swap of a mask per
+    index bit.  X_b is the block 2^b..2^(b+1) - 1 of every period
+    2^(b+1).  The oracle of the moved sets `_coordinate_swaps` hands
+    over."""
+    classes = []
+    half = 1
+    while half < n:
+        period = half << 1
+        reps = -(-n // period)
+        repunit = ((1 << period * reps) - 1) // ((1 << period) - 1)
+        block = ((1 << half) - 1) << half
+        classes.append((block * repunit) & ((1 << n) - 1))
+        half = period
+    pairs = []
+    for steps in gens:
+        moved = 0
+        for x in classes:
+            moved |= _swap(steps, x) ^ x
+        pairs.append((steps, moved))
+    return pairs
+
+
 def pair_loop_mmd_rows(g: SimpleGraph) -> list[int]:
     """The G_SR rows by a scan of every vertex pair: u < v, found in u's
     sphere of radius d, are kept when every neighbour of u lies in v's ball

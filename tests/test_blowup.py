@@ -10,7 +10,7 @@ from zdgdim import (BlowupSpec, InvalidSpec, NotApplicable,
                     zero_divisor_graph)
 from zdgdim.blowup import (blowup_elements, blowup_label, coordinates_label,
                            tuple_coordinates, zero_divisor_pairs)
-from zdgdim.verify import corpus
+from zdgdim.verify import corpus, corpus_specs
 
 from conftest import dual, meet
 
@@ -233,14 +233,48 @@ def _listed_elements(spec):
 
 def test_blowup_elements_carry_the_atoms_below_them(fig3_spec):
     # each label's nonzero coordinates are its mask's atoms, and its level
-    # counts up from 1 along the mask's chain
+    # counts up from 1 along the mask's chain: on random specs, every 2^n
+    # up to n = 12, chains of 10 and more, whose levels are written with
+    # two digits, sizes of 1 given explicitly, and the verify corpus
     specs = [fig3_spec, BlowupSpec(3, {5: 12, 3: 100})]
     specs += _random_specs(random.Random(28), 5)
+    specs += [BlowupSpec(n, {}) for n in range(1, 13)]
+    specs += [BlowupSpec(4, {1: 1, 2: 11, 5: 1, 14: 10}),
+              BlowupSpec(5, {m: 10 + m % 7 for m in range(1, 31, 3)})]
+    specs += [spec for _, spec in corpus_specs(0, 300)]
     for spec in specs:
         pairs = _listed_elements(spec)
         assert blowup_elements(spec) == pairs
         assert zero_divisor_pairs(spec) == [(lab, m) for lab, m in pairs
                                            if 0 < m < (1 << spec.n) - 1]
+
+
+def per_element_relabel(P) -> dict[str, str]:
+    """The relabeling of `canonical_blowup_of`, one `blowup_label` call
+    per element."""
+    part = P.quotient_classes()
+    k = len(P.atoms())
+    relabel = {}
+    for cid, members in enumerate(part.classes):
+        mask = part.boolean_image[cid]
+        if 0 < mask < (1 << k) - 1:
+            ordered = sorted(members, key=lambda i: (P.down[i].bit_count(), i))
+            for level, i in enumerate(ordered, start=1):
+                relabel[P.labels[i]] = blowup_label(mask, level, k)
+    return relabel
+
+
+def test_canonical_relabel_matches_the_per_element_labels():
+    # the corpus lattices, and chain products and a blow-up whose classes
+    # reach levels of 10 and more
+    lattices = [LB for _, _, LB in corpus(0, 300)]
+    lattices += [product_of_chains(sizes) for sizes in
+                 ([11, 3, 12], [10, 10], [2, 13, 2, 2])]
+    lattices.append(build_blowup(BlowupSpec(3, {1: 12, 5: 15, 6: 10})))
+    for P in lattices:
+        relabel = canonical_blowup_of(P)[1]
+        assert relabel == per_element_relabel(P)
+    assert "(12,0,0)" in relabel.values()
 
 
 def test_build_blowup_orders_masks_by_inclusion_then_levels(fig3_spec):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from zdgdim import FinitePoset, SimpleGraph, adapters, cli
+from zdgdim import FinitePoset, SimpleGraph, adapters, cli, verify
 from zdgdim.cli import _parse_int, main
 from zdgdim.verify import FIG3, SUITES
 
@@ -284,6 +284,24 @@ def test_only_build_builds_a_blowup_lattice(capsys, monkeypatch, flag,
                    if flag == "--boolean" else
                    "blow-up of 2^3: 14 elements, 3 atoms, |Z*|=12, classes "
                    "sizes 3,1,2,2,3,1\n")
+
+
+@pytest.mark.parametrize("suite", ["diameter", "gallai",
+                                   "formula-agreement"])
+def test_the_graph_suites_of_verify_build_no_blowup_lattice(
+        capsys, monkeypatch, suite):
+    # they read G (and gallai G**) off each spec's (label, mask) pairs;
+    # stdout and the exit code are those of a run that may build lattices
+    argv = ("verify", "--json", "--suite", suite, "--seed", "0", "--count",
+            "300")
+    want = run(capsys, *argv)[:2]
+
+    def refuse(*args):
+        raise LatticeBuilt(args)
+    monkeypatch.setattr(verify, "build_blowup", refuse)
+    assert run(capsys, *argv)[:2] == want
+    with pytest.raises(LatticeBuilt):
+        run(capsys, "verify", "--suite", "quotient", "--count", "0")
 
 
 @pytest.mark.parametrize("flag, value", [("--fields", "3,3,2"),

@@ -21,14 +21,14 @@ from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
 from zdgdim import metric
 from zdgdim.blowup import tuple_coordinates
 from zdgdim.metric import (_alpha, _check_invariant, _clique_cover,
-                           _coordinate_swaps, _delta_steps, _generators,
-                           _is_automorphism, _minimal_masks, _mmd_rows,
+                           _coordinate_swaps, _delta_steps, _is_automorphism, _minimal_masks, _mmd_rows,
                            _orbit, _pair_cover_masks, _swap, _swap_perm)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
 
 from conftest import (all_masks_bruteforce, counter_twin_reduce, cover_number,
-                      first_fit_cover, has_edge, metric_dimension_bruteforce,
+                      first_fit_cover, has_edge, index_bit_generators,
+                      metric_dimension_bruteforce,
                       mutually_maximally_distant, pair_loop_mmd_rows,
                       plain_gsr, solve_per_vertex_mis, perm_of_steps,
                       top_down_bfs)
@@ -362,7 +362,7 @@ def check_orbital_alpha(g: SimpleGraph, gens, rng: random.Random) -> None:
     full = (1 << g.n) - 1
     beta = nx_alpha(g)
     assert _alpha(g.adj, full, gens) == _alpha(g.adj, full) == beta
-    perms = [perm_of_steps(steps, g.n) for steps in gens]
+    perms = [perm_of_steps(steps, g.n) for steps, _ in gens]
     cand = 0
     for v in range(g.n):
         if not cand >> v & 1 and rng.random() < 0.5:
@@ -386,7 +386,7 @@ def gsr_with_generators(G: SimpleGraph):
     gens = _coordinate_swaps(reduced)[1]
     edges = {frozenset(e) for e in combinations(range(gsr.n), 2)
              if gsr.adj[min(e)] >> max(e) & 1}
-    for p in (perm_of_steps(steps, gsr.n) for steps in gens):
+    for p in (perm_of_steps(steps, gsr.n) for steps, _ in gens):
         assert sorted(p) == list(range(gsr.n))
         assert {frozenset(p[v] for v in e) for e in edges} == edges
     return gsr, gens
@@ -438,7 +438,7 @@ def test_coordinate_swaps_are_exactly_the_automorphisms_on_tuple_graphs():
         want = swap_automorphisms(g)
         assert len(gens) == len(want), trial
         assert all(g.labels[w] == swapped(g.labels[v], i, j)
-                   for steps, (i, j) in zip(gens, want)
+                   for (steps, _), (i, j) in zip(gens, want)
                    for v, w in enumerate(perm_of_steps(steps, g.n)))
         bogus += len(want) < k * (k - 1) // 2
         check_orbital_alpha(g, gens, rng)
@@ -466,7 +466,8 @@ def test_tuple_labels_with_any_coordinates_get_checked_generators():
     g = SimpleGraph.from_edges(labels, [("(a,b)", "(a,a)"),
                                         ("(b,a)", "(a,a)")])
     gens = _coordinate_swaps(g)[1]
-    assert [[g.labels[w] for w in perm_of_steps(p, g.n)] for p in gens] == [
+    assert [[g.labels[w] for w in perm_of_steps(p, g.n)]
+            for p, _ in gens] == [
         ["(a,a)", "(b,a)", "(a,b)"]]
     check_orbital_alpha(g, gens, random.Random(0))
 
@@ -500,7 +501,7 @@ def test_sdim_via_gsr_refuses_a_swap_that_leaves_the_gsr_vertices(
     g = SimpleGraph.from_edges("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     bogus = ((1, 0b1),)
     monkeypatch.setattr(metric, "_coordinate_swaps",
-                        lambda g: ([bogus], [bogus]))
+                        lambda g: ([bogus], [(bogus, 0b11)]))
     with pytest.raises(AssertionError, match="does not map the vertex set"):
         sdim_via_gsr(g)
 
@@ -686,8 +687,8 @@ def test_the_checked_swaps_span_every_swap():
     g = zero_divisor_graph(boolean_lattice(9))
     checked, swaps = _coordinate_swaps(g)
     assert (len(checked), len(swaps)) == (8, 36)
-    assert all(any(p is q for q in swaps) for p in checked)
-    for p, (i, j) in zip(swaps, combinations(range(9), 2)):
+    assert all(any(p is q for q, _ in swaps) for p in checked)
+    for (p, _), (i, j) in zip(swaps, combinations(range(9), 2)):
         assert [g.labels[w] for w in perm_of_steps(p, g.n)] == [
             swapped(lab, i, j) for lab in g.labels]
 
@@ -863,8 +864,8 @@ def closure_by_perms(v: int, perms) -> int:
 def test_orbits_are_the_closures_under_the_generators():
     # under (1 2) and then (0 1), one round grown in place takes 0 to
     # {0, 1}; (1 2) must be applied again to reach 2
-    steps = _generators([_delta_steps([0, 2, 1]), _delta_steps([1, 0, 2])],
-                        3)
+    steps = index_bit_generators([_delta_steps([0, 2, 1]),
+                                  _delta_steps([1, 0, 2])], 3)
     assert _orbit(0, steps) == 0b111
     assert _orbit(0, steps[:1]) == 0b001
     assert _orbit(1, []) == 0b10
@@ -875,12 +876,12 @@ def test_orbits_are_the_closures_under_the_generators():
     lattices += [build_blowup(random_blowup_spec(rng)) for _ in range(30)]
     for LB in lattices:
         G = zero_divisor_graph(LB)
-        for gens in _coordinate_swaps(G):
+        checked, swaps = _coordinate_swaps(G)
+        for gens in (index_bit_generators(checked, G.n), swaps):
             shuffled = rng.sample(gens, len(gens))
-            perms = [perm_of_steps(steps, G.n) for steps in shuffled]
-            pairs = _generators(shuffled, G.n)
+            perms = [perm_of_steps(steps, G.n) for steps, _ in shuffled]
             for v in range(G.n):
-                assert _orbit(v, pairs) == closure_by_perms(v, perms)
+                assert _orbit(v, shuffled) == closure_by_perms(v, perms)
 
 
 def bfs_graphs(rng: random.Random) -> list[SimpleGraph]:
@@ -1007,35 +1008,60 @@ def random_involution(rng: random.Random, n: int) -> list[int]:
 
 
 def check_moved_sets(gens, n: int) -> None:
-    for steps, moved in _generators(gens, n):
+    """Each (steps, moved) pair of gens against the swap's vertex map."""
+    for steps, moved in gens:
         perm = perm_of_steps(steps, n)
         assert moved == sum(1 << v for v, w in enumerate(perm) if v != w), (
             steps, n)
 
 
+def step_union(steps) -> int:
+    """The vertices of every pair the steps exchange."""
+    union = 0
+    for d, mask in steps:
+        union |= mask | mask << d
+    return union
+
+
 def test_generators_carry_the_exact_moved_sets():
     # every swap of tuple graphs, the composed ones too, against its
-    # vertex map; then involutions and their conjugates a + b + a, whose
-    # steps can move a vertex and move it back, on 1 to 17 vertices, so
-    # on counts that are and are not powers of two
+    # vertex map and the index-bit oracle: 2^5 to 2^9, the size-2
+    # blow-ups of 2^4 to 2^8 and chain products; a composed swap's union
+    # of steps is not its moved set.  Then involutions and their
+    # conjugates a + b + a, whose steps can move a vertex and move it
+    # back, on 1 to 17 vertices, so on counts that are and are not powers
+    # of two: the oracle, the union of a's steps for a, and a's image of
+    # b's moved set for a + b + a, against the vertex maps
     pairs = [m for m in range(32) if m.bit_count() == 2]
-    lattices = [boolean_lattice(6), boolean_lattice(7),
-                product_of_chains([2, 3, 2, 3]),
-                build_blowup(BlowupSpec(5, {m: 2 for m in pairs if m & 1})),
-                build_blowup(BlowupSpec(4, {m: 2 for m in range(1, 15)}))]
-    composed = 0
+    lattices = [boolean_lattice(n) for n in range(5, 10)]
+    lattices += [build_blowup(BlowupSpec(n, dict.fromkeys(
+        range(1, (1 << n) - 1), 2))) for n in range(4, 9)]
+    lattices += [product_of_chains(sizes) for sizes in
+                 ([2, 3, 2, 3], [3, 3, 3], [2, 2, 2, 3], [3, 3, 3, 2],
+                  [2, 2, 2, 2, 2])]
+    lattices.append(build_blowup(BlowupSpec(5, {m: 2 for m in pairs
+                                                if m & 1})))
+    composed = union_misses = 0
     for LB in lattices:
         G = zero_divisor_graph(LB)
         checked, swaps = _coordinate_swaps(G)
         composed += len(swaps) - len(checked)
         check_moved_sets(swaps, G.n)
-    assert composed > 0
+        assert swaps == index_bit_generators([s for s, _ in swaps], G.n)
+        union_misses += sum(step_union(s) != moved for s, moved in swaps)
+    assert composed >= union_misses > 0
     rng = random.Random(47)
+    union_misses = 0
     for n in range(1, 18):
         for _ in range(20):
             a, b = (_delta_steps(random_involution(rng, n)) for _ in "ab")
-            check_moved_sets([a, b, a + b + a], n)
-    assert _generators([], 5) == []
+            aba = a + b + a
+            check_moved_sets(index_bit_generators([a, b, aba], n), n)
+            check_moved_sets([(a, step_union(a)), (b, step_union(b)),
+                              (aba, _swap(a, step_union(b)))], n)
+            union_misses += step_union(aba) != _swap(a, step_union(b))
+    assert union_misses > 100
+    assert index_bit_generators([], 5) == []
 
 
 @pytest.mark.parametrize("spec", [BlowupSpec(7), BlowupSpec(

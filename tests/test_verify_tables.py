@@ -1,6 +1,7 @@
-"""The index-mask checks of the `distance-lemma` and `quotient` suites
-against networkx and against the label-level loops they replaced, which
-stay here as oracles."""
+"""The index-mask checks of the `distance-lemma`, `quotient` and
+`decomposition` suites against networkx and against the label-level loops
+they replaced, and the graph suites read off the specs against their
+lattice-route copies; the replaced code stays here as the oracles."""
 
 import random
 
@@ -8,13 +9,18 @@ import networkx as nx
 import pytest
 
 from zdgdim import (Disconnected, NotApplicable, NotAZeroDivisor,
-                    SimpleGraph, boolean_lattice, distance_balls,
-                    distance_by_pseudocomplement, m_lattice,
-                    product_of_chains, zero_divisor_graph)
+                    SimpleGraph, ZdgError, boolean_lattice,
+                    connected_components, diameter, distance_balls,
+                    distance_by_pseudocomplement, gstar, gstar_star,
+                    independence_number, m_lattice, minimum_vertex_cover,
+                    product_of_chains, sdim_bruteforce, sdim_formula,
+                    sdim_via_gsr, strong_resolving_graph,
+                    zero_divisor_graph)
 from zdgdim.metric import _distance_masks
 from zdgdim.poset import _bits
-from zdgdim.verify import (_distance_lemma_mismatches,
-                           _join_identity_failures, corpus)
+from zdgdim.verify import (SUITES, VerifySuiteResult,
+                           _distance_lemma_mismatches, _is_clique,
+                           _join_identity_failures, brute_cap, corpus)
 
 from conftest import make_fig2_lattice
 
@@ -146,3 +152,102 @@ def test_join_identity_on_index_tables_matches_the_label_set_loop(
     # the other n - 2 atoms annihilate both: n(n - 1) ordered pairs fail
     assert [_join_identity_failures(m_lattice(n)) for n in (2, 3, 4)] == \
         [0, 6, 12]
+
+
+# -- the graph suites off the specs, against their lattice-route copies ----------
+
+def lattice_route_diameter(seed, count) -> VerifySuiteResult:
+    out = VerifySuiteResult("diameter")
+    posets = [(name, LB, "= 3") for name, _, LB in corpus(seed, count)]
+    posets += [(f"M_{n}", m_lattice(n), "<= 3") for n in (3, 4, 5, 6)]
+    posets += [(f"chains-{sizes}", product_of_chains(sizes), "<= 3")
+               for sizes in CHAIN_PRODUCTS]
+    for name, P, bound in posets:
+        G = zero_divisor_graph(P)
+        try:
+            d = diameter(G)
+            ok = d == 3 if bound == "= 3" else d <= 3
+            out.check(f"{name}: diameter {bound}", ok, bound, d)
+        except ZdgError as exc:
+            out.check(f"{name}: connected", False, "connected", exc)
+    return out
+
+
+def lattice_route_gallai(seed, count) -> VerifySuiteResult:
+    out = VerifySuiteResult("gallai")
+    for name, _, LB in corpus(seed, count):
+        G = zero_divisor_graph(LB)
+        for tag, g in (("G", G), ("G_SR", strong_resolving_graph(G)),
+                       ("G**", gstar_star(LB))):
+            beta = g.n - independence_number(g)
+            cover = minimum_vertex_cover(g)
+            mask = sum(1 << g.index(lab) for lab in cover)
+            covered = all(not row & ~mask for v, row in enumerate(g.adj)
+                          if not mask >> v & 1)
+            out.check(f"{name}/{tag}: cover is a cover", covered)
+            out.expect_equal(f"{name}/{tag}: cover size", beta, len(cover))
+    return out
+
+
+def lattice_route_formula_agreement(seed, count) -> VerifySuiteResult:
+    out = VerifySuiteResult("formula-agreement")
+    cap = brute_cap()
+    for name, spec, LB in corpus(seed, count):
+        G = zero_divisor_graph(LB)
+        want = sdim_formula(spec)
+        out.expect_equal(f"{name}: formula = gsr", want, sdim_via_gsr(G))
+        if G.n <= min(14, cap):
+            out.expect_equal(f"{name}: formula = brute", want,
+                             sdim_bruteforce(G, cap=cap))
+    return out
+
+
+@pytest.mark.parametrize("seed, count", [(0, 300), (7, 25)])
+@pytest.mark.parametrize("suite, copy", [
+    ("diameter", lattice_route_diameter), ("gallai", lattice_route_gallai),
+    ("formula-agreement", lattice_route_formula_agreement)],
+    ids=["diameter", "gallai", "formula-agreement"])
+def test_graph_suites_match_their_lattice_route_copies(suite, copy, seed,
+                                                       count):
+    assert SUITES[suite](seed, count) == copy(seed, count)
+
+
+def test_atom_class_clique_test_on_rows_matches_subgraph_completeness(
+        verify_lattices):
+    # on every G** of the corpus: each annihilator class, each component
+    # and random vertex sets, by closed rows and by an induced subgraph
+    rng = random.Random(5)
+    outcomes = set()
+    for name, LB, _ in verify_lattices:
+        gss = gstar_star(LB)
+        part = LB.quotient_classes()
+        sets = [{LB.labels[i] for i in members} & set(gss.labels)
+                for members in part.classes]
+        sets += connected_components(gss)
+        sets += [rng.sample(gss.labels, rng.randint(0, 4)) for _ in range(5)]
+        for cls in sets:
+            mask = sum(1 << gss.index(lab) for lab in cls)
+            want = gss.subgraph(cls).is_complete()
+            assert _is_clique(gss, mask) == want, (name, cls)
+            outcomes.add((len(cls) > 1, want))
+    assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def test_gsr_equality_builds_g_and_gstarstar_once_per_lattice(monkeypatch):
+    # each corpus lattice keeps its G and G**: the suite, gstar and
+    # gstar_star share one of each, and its result is unchanged
+    want = SUITES["gsr-equality"](0, 40)
+    made = []
+    from_patterns = SimpleGraph.from_patterns.__func__
+
+    def counted(cls, vertices, crossing=False):
+        made.append(crossing)
+        return from_patterns(cls, vertices, crossing)
+    monkeypatch.setattr(SimpleGraph, "from_patterns", classmethod(counted))
+    assert SUITES["gsr-equality"](0, 40) == want
+    assert made == [False, True] * 43
+    for _, spec, LB in corpus(1, 5):
+        G, gss = zero_divisor_graph(LB), gstar_star(LB)
+        assert zero_divisor_graph(LB) is G and gstar_star(LB) is gss
+        assert gstar(LB).labels == tuple(lab for lab, row in
+                                         zip(gss.labels, gss.adj) if row)
