@@ -28,11 +28,12 @@ from .poset import FinitePoset, _bits
 class SimpleGraph:
     """Immutable simple undirected graph with canonical vertex order."""
 
-    # _balls holds every vertex's balls, which metric.distance_balls
-    # computes on first use and every later caller shares; _independence
-    # holds the independence number, which metric.independence_number
-    # solves on first use and metric.max_independent_set reads
-    __slots__ = ("labels", "adj", "_index", "_balls", "_independence")
+    # _distances holds every vertex's balls and far column, which
+    # metric._sweep computes on first use and every later caller shares;
+    # _independence holds the independence number, which
+    # metric.independence_number solves on first use and
+    # metric.max_independent_set reads
+    __slots__ = ("labels", "adj", "_index", "_distances", "_independence")
 
     def __init__(self, labels: Sequence[str], adj: Sequence[int]):
         self.labels = tuple(labels)
@@ -42,7 +43,7 @@ class SimpleGraph:
                                      else f"labels {a!r}, {b!r} out of order")
         self.adj = tuple(adj)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._balls = None
+        self._distances = None
         self._independence = None
 
     @classmethod
@@ -171,6 +172,11 @@ class SimpleGraph:
         sphere, and the previous sphere's vertices for one, which keeps
         those with none in far.  The counts are read with `bit_count` as
         the search goes; sphere 1 is s's row, read with no step.
+
+        Questions about every source read `metric._sweep`, all sources in
+        one pass, instead.  This search serves single sources: the orbit
+        representatives of `metric._mmd_rows` on a graph of few orbits,
+        and `connected_components`.
         """
         adj = self.adj
         bit = 1 << s

@@ -7,12 +7,20 @@ class-based graph G** (and G* without isolated vertices) reproduces the
 strong resolving graph, and a closed formula gives sdim = |Z*| - 2n + 2 for
 n >= 3 atoms.  Everything here also works on arbitrary connected graphs,
 which the join-shaped application graphs require.
+
+Every question about all sources reads one structure per graph, built once
+by `_sweep`: the balls of every vertex and the far columns, radius by
+radius for all sources together.  The diameter, the strong resolving
+masks behind `is_strong_resolving` and `sdim_bruteforce`, and the G_SR rows
+of a graph with many orbits all read it; only the few-orbit rows of
+`_mmd_rows` search from single sources, one per orbit.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, compress, repeat
-from operator import eq, lshift, or_
+from operator import and_, eq, itemgetter, lshift, or_, xor
 from typing import Sequence
 
 from .blowup import BlowupSpec, tuple_coordinates
@@ -39,16 +47,77 @@ def _search(G: SimpleGraph, s: int) -> tuple[tuple[int, ...], int]:
     return ball, far
 
 
+def _sweep(G: SimpleGraph) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The balls of every vertex and the column far'(v) = {s : v in far(s)}
+    of every vertex, all sources in one level-synchronous pass (the
+    multi-source search of Then et al., VLDB 2014), computed once per
+    graph and kept on it.  Element d of v's balls is the bitmask of the
+    vertices within distance d of v, as `G.bfs(v)` gives them, and far(s)
+    is the far set of `G.bfs(s)`.
+
+    Radius k + 1 comes from radius k: ball_{k+1}(v) is ball_k(v) OR the
+    balls ball_k(u) of v's neighbours u.  The same neighbour balls, ANDed,
+    give M_k(v), the s within k of every neighbour of v, and the far
+    columns: far'(v) is the union over k >= 1 of M_k(v) less
+    ball_{k-1}(v).  An s in that difference is at distance k or k + 1
+    from v, so no neighbour of v is farther from s than v; and v in
+    far(s) at distance k puts s in it.  Every s within k - 1 of v lies in
+    M_k(v), so the difference is an XOR.  Both reads depend on v's open
+    row alone, so they are made once per distinct row (twins share
+    theirs), and each radius is a few C-level maps over the vertices.  A
+    vertex whose ball is the whole vertex set is done, and its balls are
+    cut where they stop growing.  Once every ball is whole, so is every
+    M_k, and the last radius reads no neighbour: the pass ends after at
+    most diameter + 1 radii.  It raises `Disconnected` when a radius adds
+    nothing to any ball short of that.  A graph of one vertex has the
+    single ball (1,), as `G.bfs` gives it.
+    """
+    if G._distances is not None:
+        return G._distances
+    adj = G.adj
+    n = len(adj)
+    if n < 2:
+        G._distances = tuple((1 << v,) for v in range(n)), [0] * n
+        return G._distances
+    if not all(adj):
+        raise Disconnected("graph is not connected")
+    # one index per distinct row, and for each a read of the neighbours'
+    # balls as one tuple (a lone neighbour is read twice: OR and AND keep it)
+    ids: dict[int, int] = {}
+    row_id = [ids.setdefault(row, len(ids)) for row in adj]
+    reads = [itemgetter(*nb) if len(nb) > 1 else itemgetter(nb[0], nb[0])
+             for nb in map(list, map(_bits, ids))]
+    full = (1 << n) - 1
+    prev = [1 << v for v in range(n)]
+    ball = list(map(or_, adj, prev))
+    levels = [prev, ball]
+    far = [0] * n
+    while ball.count(full) < n:
+        got = [read(ball) for read in reads]
+        meets = [reduce(and_, t) for t in got]
+        far = list(map(or_, far, map(xor, map(meets.__getitem__, row_id),
+                                     prev)))
+        joins = [reduce(or_, t) for t in got]
+        prev, ball = ball, list(map(or_, ball, map(
+            joins.__getitem__, row_id)))
+        if ball == prev:
+            raise Disconnected("graph is not connected")
+        levels.append(ball)
+    far = list(map(or_, far, map(xor, repeat(full), prev)))
+    G._distances = (tuple(row[:row.index(full) + 1] for row in zip(*levels)),
+                    far)
+    return G._distances
+
+
 def distance_balls(G: SimpleGraph) -> tuple[tuple[int, ...], ...]:
     """The balls of `G.bfs(s)` for every vertex s: element d of row s is
     the bitmask of the vertices within distance d of s.
 
-    The balls are computed once per graph and kept on it; every distance
-    question in this module reads them.
+    The balls come from `_sweep`, one pass for all sources, computed once
+    per graph and kept on it; every distance question in this module that
+    asks about every vertex reads them.
     """
-    if G._balls is None:
-        G._balls = tuple(_search(G, s)[0] for s in range(G.n))
-    return G._balls
+    return _sweep(G)[0]
 
 
 def diameter(G: SimpleGraph) -> int:
@@ -159,25 +228,52 @@ def _minimal_masks(masks: Sequence[int]) -> list[int]:
     return kept
 
 
-def sdim_bruteforce(G: SimpleGraph, cap: int = DEFAULT_BRUTE_CAP) -> int:
-    """Smallest strong resolving set size, by subset enumeration in
-    ascending size.
+def _hits_within(masks: Sequence[int], size: int) -> bool:
+    """Whether some set of at most size vertices meets every one of masks.
 
-    Each subset is tested against the inclusion-minimal pair masks only
-    (`_minimal_masks` of `_pair_cover_masks`): a set meets every mask iff
-    it meets every minimal one, since each mask holds a minimal one."""
+    A depth-first search that branches on the members of the first mask
+    the set does not yet meet: every set that meets all masks holds one of
+    them, so the search is exhaustive.  The branch of a member bans the
+    members tried before it, since a set holding one of those lies in an
+    earlier branch; a mask whose members are all banned ends its branch.
+    The open nodes, (set, banned, vertices left), are kept on a list, not
+    on the Python stack, so a size far above the recursion limit is
+    searched."""
+    stack = [(0, 0, size)]
+    while stack:
+        w, banned, left = stack.pop()
+        for m in masks:
+            if not m & w:
+                break
+        else:
+            return True
+        if not left:
+            continue
+        cand = m & ~banned
+        while cand:
+            low = cand & -cand
+            stack.append((w | low, banned, left - 1))
+            banned |= low
+            cand ^= low
+    return False
+
+
+def sdim_bruteforce(G: SimpleGraph, cap: int = DEFAULT_BRUTE_CAP) -> int:
+    """Smallest strong resolving set size: the least size k, tried in
+    ascending order, for which `_hits_within` finds a set of k vertices
+    that meets every pair mask of `_pair_cover_masks`.
+
+    The masks come from distance spheres, never from G_SR, so this route
+    stays independent of `sdim_via_gsr`.  Only the inclusion-minimal masks
+    are searched (`_minimal_masks`), fewest vertices first, so the first
+    mask a set misses is a small one: a set meets every mask iff it meets
+    every minimal one, since each mask holds a minimal one."""
     if G.n > cap:
         raise TooLarge(f"brute force capped at {cap} vertices, graph has {G.n}")
     masks = _minimal_masks(_pair_cover_masks(G))
-    bits = [1 << i for i in range(G.n)]
     for size in range(G.n + 1):
-        for sub in combinations(bits, size):
-            w = sum(sub)
-            for m in masks:
-                if not m & w:
-                    break
-            else:
-                return size
+        if _hits_within(masks, size):
+            return size
     raise AssertionError("the full vertex set always resolves")
 
 
@@ -192,64 +288,77 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return [int(text[k::width] or "0", 2) for k in range(width - 1, -1, -1)]
 
 
-def _mmd_rows(G: SimpleGraph, gens: Sequence[Steps] = ()) -> list[int]:
-    """Row u: the vertices mutually maximally distant from u.
-
-    u and v are such a pair iff each lies in the other's far set (see
-    `SimpleGraph.bfs`), so row u is far(u) AND the column {v : u in
-    far(v)}.
-
-    gens are automorphisms of G, each an involution given as delta steps
-    (see `_swap`).  An automorphism g keeps distances, so far(g(u)) =
-    g(far(u)): far is searched for the least vertex r of each orbit and
-    carried to the rest of it.  The orbit is closed one frontier bitmask
-    at a time: a generator's image of the frontier, less the orbit so
-    far, is new, and each new w is carried from its preimage u = g(w) in
-    the frontier.  So every vertex is reached once, by one carry (w, g,
-    u).  With no gens every orbit is one vertex, and every vertex is
-    searched.
-
-    g also keeps mutually maximally distant pairs, so row(g(u)) =
-    g(row(u)).  With reps orbits on n vertices and 16 * reps <= n, row r
-    of each representative is far(r) AND the column {u : r in far(u)},
-    read by one scan of the far sets, and each other row is carried by
-    the carry of its far set.  Otherwise, and so always with no
-    gens, the rows come from `_transpose`, which is quadratic in
-    characters but runs in C, where a column scan takes a Python step per
-    vertex and a carry one big-int step per delta.  The 16 is measured:
-    on blow-ups and chain products of 300 to 3,100 vertices the two break
-    even at n / reps between 10 and 30, higher where the swaps have more
-    deltas.  Above, the rows per representative win by up to 35x (2^13:
-    29 ms against 1.0 s for the transpose, and n^2 characters less
-    memory); below, the transpose wins by up to 8x (a chain product of
-    505 vertices in 378 orbits).
-    """
-    far = [0] * G.n
-    reps: list[int] = []
-    carries: list[tuple[int, Steps, int]] = []
+def _orbits(n: int, gens: Sequence[Steps]) -> list[tuple[int, list]]:
+    """The orbits of the vertices 0..n-1 under the group the swaps gens
+    generate, each as its least vertex r and the (reached, g) of each
+    round that closed it: one frontier bitmask at a time, a generator's
+    image of the frontier, less the orbit so far, is reached, and each
+    vertex w it holds is the image under g of u = g(w) in the frontier."""
+    orbits: list[tuple[int, list]] = []
     seen = 0
-    for r in range(G.n):
+    for r in range(n):
         if seen >> r & 1:
             continue
-        far[r] = _search(G, r)[1]
-        reps.append(r)
+        rounds = []
         orbit = frontier = 1 << r
         while frontier:
             new = 0
             for g in gens:
                 reached = _swap(g, frontier) & ~(orbit | new)
-                for w in _bits(reached):
-                    u = _swap(g, 1 << w).bit_length() - 1
-                    far[w] = _swap(g, far[u])
-                    carries.append((w, g, u))
+                if reached:
+                    rounds.append((reached, g))
                 new |= reached
             orbit |= new
             frontier = new
+        orbits.append((r, rounds))
         seen |= orbit
-    if 16 * len(reps) > G.n:
-        return list(map(int.__and__, far, _transpose(far, G.n)))
+    return orbits
+
+
+def _mmd_rows(G: SimpleGraph, gens: Sequence[Steps] = ()) -> list[int]:
+    """Row u: the vertices mutually maximally distant from u.
+
+    u and v are such a pair iff each lies in the other's far set (see
+    `SimpleGraph.bfs`), so row u is far(u) AND the column far'(u) = {v : u
+    in far(v)}.
+
+    gens are automorphisms of G, each an involution given as delta steps
+    (see `_swap`).  The orbits they generate are closed first (`_orbits`),
+    by bitmask steps on the generators with no search.  With no gens every
+    orbit is one vertex.
+
+    With reps orbits on n vertices and 16 * reps > n, and so always with
+    no gens, the columns come from `_sweep`, all sources in one pass, and
+    the far sets are their transpose (`_transpose`, quadratic in
+    characters but run in C): no per-source search and no carry.
+    Otherwise an automorphism g keeps distances and mutually maximally
+    distant pairs, so far(g(u)) = g(far(u)) and row(g(u)) = g(row(u)):
+    far is searched (`SimpleGraph.bfs`) for the least vertex r of each
+    orbit and carried to the rest of it, once per vertex, row r is far(r)
+    AND the column {u : r in far(u)}, read by one scan of the far sets,
+    and each other row is carried by the carry of its far set.  The 16 is
+    measured: on blow-ups and chain products of 300 to 3,100 vertices the
+    two break even at n / reps between 10 and 30, higher where the swaps
+    have more deltas.  Above, the rows per representative win by up to
+    35x (2^13: 29 ms against 1.0 s for the transpose, and n^2 characters
+    less memory); below, the transpose wins by up to 8x (a chain product
+    of 505 vertices in 378 orbits).
+    """
+    orbits = _orbits(G.n, gens) if gens else []
+    if not gens or 16 * len(orbits) > G.n:
+        cols = _sweep(G)[1]
+        return list(map(int.__and__, cols, _transpose(cols, G.n)))
+    far = [0] * G.n
+    carries: list[tuple[int, Steps, int]] = []
+    for r, rounds in orbits:
+        far[r] = _search(G, r)[1]
+        for reached, g in rounds:
+            for w in _bits(reached):
+                u = _swap(g, 1 << w).bit_length() - 1
+                far[w] = _swap(g, far[u])
+                carries.append((w, g, u))
     rows = [0] * G.n
-    for r in reps:
+    for r, _ in orbits:
         bit = 1 << r
         column = "".join(["1" if f & bit else "0" for f in reversed(far)])
         rows[r] = far[r] & int(column, 2)
@@ -258,16 +367,41 @@ def _mmd_rows(G: SimpleGraph, gens: Sequence[Steps] = ()) -> list[int]:
     return rows
 
 
+def _many_orbits(G: SimpleGraph) -> bool:
+    """Whether 16 times the number of orbits of any group that the
+    coordinate swaps of G's labels generate exceeds G's vertex count, by a
+    lower bound on that number: the distinct sorted coordinate tuples
+    among the labels, a label that is not a tuple counting as itself.  The
+    count stops once it is large enough.
+
+    A swap of two coordinates keeps a tuple's sorted coordinates, so every
+    orbit lies inside one class of equal sorted tuples, and there are at
+    least as many orbits as classes.  Labels that are not tuples of one
+    length have no swaps (`_coordinate_swaps`), so each vertex is its own
+    orbit, and the count, which is at most the vertex count, is a bound
+    too."""
+    classes = set()
+    for lab in G.labels:
+        parts = tuple_coordinates(lab)
+        classes.add(lab if parts is None else tuple(sorted(parts)))
+        if 16 * len(classes) > G.n:
+            return True
+    return False
+
+
 def strong_resolving_graph(G: SimpleGraph) -> SimpleGraph:
     """G_SR: the vertices of mutually maximally distant pairs, and those
     pairs as edges.
 
-    The rows are those of `_mmd_rows`: far sets searched once per orbit of
-    the coordinate swaps that `_coordinate_swaps` checks on G's rows and
-    carried to the rest of the orbit, and on few orbits the rows computed
-    per orbit representative and carried likewise; `sdim_via_gsr` reads
-    the same rows."""
-    rows = _mmd_rows(G, _coordinate_swaps(G)[0])
+    The rows are those of `_mmd_rows`, under the coordinate swaps that
+    `_coordinate_swaps` checks on G's rows.  The swaps are asked for only
+    when they can pay: when `_many_orbits(G)` finds that any group of
+    coordinate swaps has so many orbits that `_mmd_rows` takes its
+    many-orbit route, which reads no swap, `_coordinate_swaps` is skipped;
+    the rows are the same either way.  `sdim_via_gsr` reads the same
+    rows."""
+    gens = [] if _many_orbits(G) else _coordinate_swaps(G)[0]
+    rows = _mmd_rows(G, gens)
     return SimpleGraph.from_rows(
         [lab if row else None for lab, row in zip(G.labels, rows)], rows)
 
@@ -670,9 +804,10 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
     trusted.  Each swap is one tuple of delta steps, and every use below
     moves bitmasks by it with `_swap`.  An automorphism keeps distances
     and mutually maximally distant pairs, so it maps G_SR onto itself.
-    The checked spanning set closes the orbits: far is searched once per
-    orbit and carried to the rest of it, and on a graph of few orbits the
-    rows too are computed once per orbit and carried (see `_mmd_rows`).
+    The checked spanning set closes the orbits: on a graph of few orbits
+    far is searched once per orbit and the far sets and rows are carried
+    to the rest of it, and on one of many the rows come from the all-source
+    sweep (see `_mmd_rows`).
     The independent set is solved on those rows directly, in the reduced
     graph's indices: the candidates are the vertices with a nonzero row,
     which the checked swaps must map onto themselves, and every swap is a

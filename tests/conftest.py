@@ -5,10 +5,10 @@ from operator import itemgetter
 
 import pytest
 
-from zdgdim import (FinitePoset, LabelCollision, SimpleGraph, build_blowup,
-                    distance_balls, from_cover_relations, independence_number,
-                    tuple_label, zero_divisor_graph)
-from zdgdim.metric import _alpha, _pair_cover_masks, _swap
+from zdgdim import (Disconnected, FinitePoset, LabelCollision, SimpleGraph,
+                    build_blowup, distance_balls, from_cover_relations,
+                    independence_number, tuple_label, zero_divisor_graph)
+from zdgdim.metric import _alpha, _minimal_masks, _pair_cover_masks, _swap
 from zdgdim.poset import _bits
 from zdgdim.verify import FIG3, SUITES, corpus
 
@@ -105,6 +105,16 @@ def cover_number(g: SimpleGraph) -> int:
     return g.n - independence_number(g)
 
 
+def bfs_balls(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """Every vertex's balls by one `SimpleGraph.bfs` per source, the route
+    that `metric._sweep` replaced; raises Disconnected when a search does
+    not reach every vertex, as the package does."""
+    balls = [g.bfs(s)[0] for s in range(g.n)]
+    if any(ball[-1] != (1 << g.n) - 1 for ball in balls):
+        raise Disconnected("graph is not connected")
+    return balls
+
+
 def mutually_maximally_distant(g: SimpleGraph, u: str, v: str) -> bool:
     """The definition, pair by pair: no neighbour of either vertex lies
     farther from the other than the two lie apart."""
@@ -155,8 +165,9 @@ def index_bit_generators(gens, n: int) -> list[tuple]:
 def pair_loop_mmd_rows(g: SimpleGraph) -> list[int]:
     """The G_SR rows by a scan of every vertex pair: u < v, found in u's
     sphere of radius d, are kept when every neighbour of u lies in v's ball
-    of radius d and every neighbour of v in u's."""
-    balls = distance_balls(g)
+    of radius d and every neighbour of v in u's.  The balls come from one
+    search per source (`bfs_balls`), not from `metric._sweep`."""
+    balls = bfs_balls(g)
     adj = g.adj
     rows = [0] * g.n
     for u, ball in enumerate(balls):
@@ -201,6 +212,20 @@ def all_masks_bruteforce(g: SimpleGraph) -> int:
             w = 0
             for i in sub:
                 w |= 1 << i
+            if all(m & w for m in masks):
+                return size
+    raise AssertionError("the full vertex set always resolves")
+
+
+def subset_loop_bruteforce(g: SimpleGraph) -> int:
+    """sdim by subset enumeration in ascending size, each subset tested
+    against the inclusion-minimal pair masks only: the brute force that
+    `metric._hits_within` replaced."""
+    masks = _minimal_masks(_pair_cover_masks(g))
+    bits = [1 << i for i in range(g.n)]
+    for size in range(g.n + 1):
+        for sub in combinations(bits, size):
+            w = sum(sub)
             if all(m & w for m in masks):
                 return size
     raise AssertionError("the full vertex set always resolves")

@@ -21,7 +21,8 @@ from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
 from zdgdim import metric
 from zdgdim.blowup import tuple_coordinates
 from zdgdim.metric import (_alpha, _check_invariant, _clique_cover,
-                           _coordinate_swaps, _delta_steps, _is_automorphism, _minimal_masks, _mmd_rows,
+                           _coordinate_swaps, _delta_steps, _hits_within,
+                           _is_automorphism, _minimal_masks, _mmd_rows,
                            _orbit, _pair_cover_masks, _swap, _swap_perm)
 from zdgdim.poset import _bits
 from zdgdim.verify import corpus
@@ -31,7 +32,7 @@ from conftest import (all_masks_bruteforce, counter_twin_reduce, cover_number,
                       metric_dimension_bruteforce,
                       mutually_maximally_distant, pair_loop_mmd_rows,
                       plain_gsr, solve_per_vertex_mis, perm_of_steps,
-                      top_down_bfs)
+                      subset_loop_bruteforce, top_down_bfs)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
@@ -221,7 +222,9 @@ def frame_depth() -> int:
 
 def test_exact_searches_run_deeper_than_the_recursion_limit():
     # both searches keep one entry per included vertex on a list, so an
-    # independent set far larger than the recursion limit is found
+    # independent set far larger than the recursion limit is found; so
+    # does the brute force's search, which needs all n vertices to meet n
+    # singleton masks
     limit = frame_depth() + 40
     n = limit + 60
     g = SimpleGraph([f"v{i:03d}" for i in range(n)], [0] * n)
@@ -235,6 +238,9 @@ def test_exact_searches_run_deeper_than_the_recursion_limit():
         assert max_independent_set(g) == list(g.labels)
         assert _alpha(matching.adj, (1 << 2 * n) - 1) == n
         assert max_independent_set(matching) == list(matching.labels[::2])
+        singletons = [1 << i for i in range(n)]
+        assert _hits_within(singletons, n)
+        assert not _hits_within(singletons, n - 1)
     finally:
         sys.setrecursionlimit(saved)
 
@@ -249,7 +255,8 @@ def test_pruned_brute_force_matches_the_all_masks_oracle(verify_graphs):
     connected = [g for g in graphs if is_connected(g)]
     assert len(connected) > 150
     for trial, g in enumerate(small + connected):
-        assert sdim_bruteforce(g) == all_masks_bruteforce(g), (
+        want = all_masks_bruteforce(g)
+        assert sdim_bruteforce(g) == want == subset_loop_bruteforce(g), (
             trial, g.edge_list())
 
 
