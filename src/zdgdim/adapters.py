@@ -12,7 +12,10 @@ each application's graph, closed form and prediction check as one
 `Application`.  Each checks its input once, at its top, and refuses it past
 its element budget before any primality test or enumeration.  Only the
 check of `_application` names blow-up levels, and it compares by labeled
-equality with the construction from the lattice: no graph is re-indexed.
+equality with the predicted construction, built from the lattice for
+`--fields` and `--zn` and read off the blow-up spec's (label, mask) pairs
+for `--local` and `--vspace`: no graph is re-indexed and no blow-up
+lattice is built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import prod
 from operator import and_
 from typing import Callable, NamedTuple, Sequence
 
-from .blowup import (BlowupSpec, blowup_label, build_blowup, mask_to_binstr,
+from .blowup import (BlowupSpec, blowup_graphs, blowup_label, mask_to_binstr,
                      product_of_chains)
 from .errors import HypothesisUnmet, LabelCollision, NotPrimePower, TooLarge
 from .graphs import SimpleGraph, complete_graph_on, graph_join, zero_divisor_graph
@@ -156,13 +159,14 @@ def _comaximal_vertices(pairs: Sequence[tuple[int, int]]):
 def _comaximal_construction(pairs: Sequence[tuple[int, int]]) -> SimpleGraph:
     """G(L^B) for the blow-up whose chain of mask M holds the residues with
     non-unit coordinate set M, so its size is prod_{i in M} p_i^{e_i - 1} *
-    prod_{i not in M} phi(p_i^{e_i})."""
+    prod_{i not in M} phi(p_i^{e_i}); read off the spec by
+    `blowup_graphs`, with no lattice built."""
     k = len(pairs)
-    return zero_divisor_graph(build_blowup(BlowupSpec(k, {
+    return blowup_graphs(BlowupSpec(k, {
         mask: prod(p ** (e - 1) if mask >> i & 1
                    else _euler_phi_prime_power(p, e)
                    for i, (p, e) in enumerate(pairs))
-        for mask in range(1, (1 << k) - 1)})))
+        for mask in range(1, (1 << k) - 1)}))[0]()
 
 
 def comaximal_sdim_formula(prime_powers: Sequence[tuple[int, int]]) -> int:
@@ -241,13 +245,14 @@ def _component_union_vertices(n: int, q: int):
 def _component_union_construction(n: int, q: int) -> SimpleGraph:
     """join(G(L^B), K_t): the chain of mask M holds the (q-1)^(n-|M|)
     vectors with zero mask M, and K_t those of full support, whose labels
-    sort after the blow-up's, so the join keeps both sides' orders."""
+    sort after the blow-up's, so the join keeps both sides' orders.
+    G(L^B) is read off the spec by `blowup_graphs`, with no lattice
+    built."""
     full = (1 << n) - 1
     spec = BlowupSpec(n, {mask: (q - 1) ** (n - mask.bit_count())
                           for mask in range(1, full)})
     kt = [_vector_label(full, t, n) for t in range(1, (q - 1) ** n + 1)]
-    return graph_join(zero_divisor_graph(build_blowup(spec)),
-                      complete_graph_on(kt))
+    return graph_join(blowup_graphs(spec)[0](), complete_graph_on(kt))
 
 
 def component_union_sdim_formula(n: int, q: int) -> int:

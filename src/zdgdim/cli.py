@@ -9,8 +9,13 @@ blow-up flag (--boolean, --blowup) gets its graphs from the spec's
 (label, mask) pairs; only `build` builds its lattice.  A lattice input's
 zero-divisor graph is built only when a command reads it: `build` reads
 the lattice, and `sdim --method formula` only |V|, which the spec or the
-lattice gives.  An input with more elements than
-`adapters.DEFAULT_ELEMENT_BUDGET` is refused before it is built.  The
+lattice gives.  `sdim`'s gsr method, on a blow-up or a lattice input,
+builds no whole graph either: the vertices that share a pattern are
+twins, so it builds two of each pattern class and solves on them
+(`metric.sdim_via_gsr_patterns`).  `zdg`, `gsr`, `gstarstar`, `--out`,
+the brute force and every application input build the whole graph.  An
+input with more elements than `adapters.DEFAULT_ELEMENT_BUDGET` is
+refused before it is built.  The
 verification suites live in `zdgdim.verify`.  The environment variable
 SDIM_BRUTE_CAP overrides the brute-force vertex cap.  Identical inputs and
 seeds produce byte-identical output; graph exports are written one
@@ -38,11 +43,13 @@ from typing import Callable
 from . import adapters
 from .adapters import check_element_budget, check_power_budget
 from .blowup import (BlowupSpec, blowup_graphs, build_blowup,
-                     canonical_blowup_of, product_of_chains)
+                     canonical_blowup_of, product_of_chains,
+                     zero_divisor_pairs)
 from .errors import HypothesisUnmet, NotApplicable, UnknownSuite, ZdgError
-from .graphs import SimpleGraph, write_dot, write_json, zero_divisor_graph
+from .graphs import (SimpleGraph, write_dot, write_json, zero_divisor_graph,
+                     zero_divisor_patterns)
 from .metric import (gstar_star, sdim_bruteforce, sdim_formula, sdim_via_gsr,
-                     strong_resolving_graph)
+                     sdim_via_gsr_patterns, strong_resolving_graph)
 from .poset import FinitePoset, m_lattice, poset_from_json, poset_to_json
 from .verify import SUITES, brute_cap
 
@@ -50,16 +57,17 @@ from .verify import SUITES, brute_cap
 
 class ResolvedInput:
     """An input as the commands read it; equal to another with the same
-    seven fields."""
+    eight fields."""
 
     _NAMES = ("name", "vertex_count", "make_graph", "formula", "poset",
-              "gstar_star", "application")
+              "gstar_star", "patterns", "application")
 
     def __init__(self, name: str, vertex_count: int,
                  make_graph: Callable[[], SimpleGraph],
                  formula: Callable[[], int],
                  poset: Callable[[], FinitePoset] | None = None,
                  gstar_star: Callable[[], SimpleGraph] | None = None,
+                 patterns: Callable[[], list[tuple[str, int]]] | None = None,
                  application: adapters.Application | None = None):
         self.name = name
         # |V| of the graph, known without building it
@@ -75,6 +83,10 @@ class ResolvedInput:
         # `build` reads
         self.poset = poset
         self.gstar_star = gstar_star
+        # the (label, pattern) pairs that the graph is built from, a thunk,
+        # None for an application: `sdim`'s gsr method solves on two
+        # vertices of each pattern class (`metric.sdim_via_gsr_patterns`)
+        self.patterns = patterns
         self.application = application
 
     def _fields(self) -> tuple:
@@ -239,7 +251,8 @@ def _spec_input(name: str, spec: BlowupSpec) -> ResolvedInput:
     return ResolvedInput(
         name=name, vertex_count=spec.total_vertices(), make_graph=graph,
         formula=partial(sdim_formula, spec),
-        poset=partial(build_blowup, spec), gstar_star=gss)
+        poset=partial(build_blowup, spec), gstar_star=gss,
+        patterns=partial(zero_divisor_pairs, spec))
 
 
 def _lattice_input(name: str, P: FinitePoset,
@@ -258,7 +271,8 @@ def _lattice_input(name: str, P: FinitePoset,
     return ResolvedInput(name=name, vertex_count=len(P.zero_divisors()),
                          make_graph=partial(zero_divisor_graph, P),
                          formula=formula or blowup_formula,
-                         poset=lambda: P, gstar_star=partial(gstar_star, P))
+                         poset=lambda: P, gstar_star=partial(gstar_star, P),
+                         patterns=partial(zero_divisor_patterns, P))
 
 
 # -- output helpers -----------------------------------------------------------
@@ -359,7 +373,8 @@ def cmd_sdim(args) -> int:
                 rows.append(("formula", str(value), "-"))
                 values.append(value)
         elif method == "gsr":
-            value = sdim_via_gsr(res.graph)
+            value = (sdim_via_gsr(res.graph) if res.patterns is None
+                     else sdim_via_gsr_patterns(res.patterns()))
             rows.append(("gsr", str(value), f"cover size {value}"))
             values.append(value)
         else:

@@ -28,7 +28,8 @@ from .poset import FinitePoset, _bits
 class SimpleGraph:
     """Immutable simple undirected graph with canonical vertex order."""
 
-    # _distances holds every vertex's balls and far column, which
+    # _distances holds every vertex's far column and balls (kept as the
+    # ball lists of each radius until a caller reads the balls), which
     # metric._sweep computes on first use and every later caller shares;
     # _independence holds the independence number, which
     # metric.independence_number solves on first use and
@@ -297,16 +298,22 @@ def write_json(fh: TextIO, g: SimpleGraph) -> None:
 
 # -- graphs from posets ------------------------------------------------------
 
+def zero_divisor_patterns(P: FinitePoset) -> list[tuple[str, int]]:
+    """Z*(P) as (label, pattern) pairs, in element order, each pattern the
+    bitmask of the atoms below the element.  x and y meet only in 0 iff
+    no atom lies below both (the lemma of `_ann_masks`), so G(P) is
+    `SimpleGraph.from_patterns` on these pairs."""
+    atoms = P._atoms_mask()
+    return [(lab, d & atoms) for lab, d in compress(
+        zip(P.labels, P.down), P._zero_divisor_flags())]
+
+
 def zero_divisor_graph(P: FinitePoset) -> SimpleGraph:
-    """G(P): vertices Z*(P), edges between elements meeting only in 0.
-    Built once per poset and kept on it."""
-    # x and y meet only in 0 iff no atom lies below both (the lemma of
-    # `_ann_masks`), so each element's pattern is its set of atoms below
+    """G(P): vertices Z*(P), edges between elements meeting only in 0,
+    read off `zero_divisor_patterns`.  Built once per poset and kept on
+    it."""
     if P._zdg is None:
-        atoms = P._atoms_mask()
-        P._zdg = SimpleGraph.from_patterns(
-            (lab, d & atoms) for lab, d in compress(
-                zip(P.labels, P.down), P._zero_divisor_flags()))
+        P._zdg = SimpleGraph.from_patterns(zero_divisor_patterns(P))
     return P._zdg
 
 

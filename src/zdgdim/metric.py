@@ -19,9 +19,9 @@ of a graph with many orbits all read it; only the few-orbit rows of
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, compress, repeat
-from operator import and_, eq, itemgetter, lshift, or_, xor
-from typing import Sequence
+from itertools import chain, combinations, compress, repeat
+from operator import and_, eq, itemgetter, lshift, ne, or_, xor
+from typing import Any, Iterable, Sequence
 
 from .blowup import BlowupSpec, tuple_coordinates
 from .errors import (Disconnected, HypothesisUnmet, NotApplicable,
@@ -71,13 +71,30 @@ def _sweep(G: SimpleGraph) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     most diameter + 1 radii.  It raises `Disconnected` when a radius adds
     nothing to any ball short of that.  A graph of one vertex has the
     single ball (1,), as `G.bfs` gives it.
+
+    The pass (`_far_pass`) keeps the ball list of each radius; the balls
+    of each vertex are cut out of them on the first call of this
+    function, which `distance_balls` makes.  `_mmd_rows` reads the far
+    columns alone and builds no ball tuple.
     """
+    dist = _far_pass(G)
+    if dist[0] is None:
+        full = (1 << G.n) - 1
+        dist[0] = tuple(row[:row.index(full) + 1] for row in zip(*dist[2]))
+        dist[2] = None
+    return dist[0], dist[1]
+
+
+def _far_pass(G: SimpleGraph) -> list:
+    """The pass of `_sweep`, run once per graph and kept on it as [balls,
+    far, levels]: balls None and levels the ball list of each radius until
+    `_sweep` cuts the balls out of them, then the balls and None."""
     if G._distances is not None:
         return G._distances
     adj = G.adj
     n = len(adj)
     if n < 2:
-        G._distances = tuple((1 << v,) for v in range(n)), [0] * n
+        G._distances = [tuple((1 << v,) for v in range(n)), [0] * n, None]
         return G._distances
     if not all(adj):
         raise Disconnected("graph is not connected")
@@ -104,8 +121,7 @@ def _sweep(G: SimpleGraph) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
             raise Disconnected("graph is not connected")
         levels.append(ball)
     far = list(map(or_, far, map(xor, repeat(full), prev)))
-    G._distances = (tuple(row[:row.index(full) + 1] for row in zip(*levels)),
-                    far)
+    G._distances = [None, far, levels]
     return G._distances
 
 
@@ -328,9 +344,10 @@ def _mmd_rows(G: SimpleGraph, gens: Sequence[Steps] = ()) -> list[int]:
     orbit is one vertex.
 
     With reps orbits on n vertices and 16 * reps > n, and so always with
-    no gens, the columns come from `_sweep`, all sources in one pass, and
-    the far sets are their transpose (`_transpose`, quadratic in
-    characters but run in C): no per-source search and no carry.
+    no gens, the columns come from the pass of `_sweep` (`_far_pass`),
+    all sources at once and no ball tuple built, and the far sets are
+    their transpose (`_transpose`, quadratic in characters but run in
+    C): no per-source search and no carry.
     Otherwise an automorphism g keeps distances and mutually maximally
     distant pairs, so far(g(u)) = g(far(u)) and row(g(u)) = g(row(u)):
     far is searched (`SimpleGraph.bfs`) for the least vertex r of each
@@ -346,7 +363,7 @@ def _mmd_rows(G: SimpleGraph, gens: Sequence[Steps] = ()) -> list[int]:
     """
     orbits = _orbits(G.n, gens) if gens else []
     if not gens or 16 * len(orbits) > G.n:
-        cols = _sweep(G)[1]
+        cols = _far_pass(G)[1]
         return list(map(int.__and__, cols, _transpose(cols, G.n)))
     far = [0] * G.n
     carries: list[tuple[int, Steps, int]] = []
@@ -652,6 +669,12 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     dropped vertices are those beyond the first two of either kind of
     class.  Every loop over the vertices runs in C (`sorted`, `map`,
     `compress`).  A twin-free G comes back as itself, with its balls.
+
+    On a graph of `SimpleGraph.from_patterns` the vertices of one pattern
+    are twins (the pattern-class lemma of `twin_reduce_patterns`), so
+    every twin class is a union of pattern classes, and
+    `twin_reduce_patterns` gives this same pair from two vertices per
+    pattern class, without building the rest.
     """
     adj = G.adj
     n = len(adj)
@@ -667,6 +690,57 @@ def twin_reduce(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     for v in drop:
         labels[v] = None
     return SimpleGraph.from_rows(labels, adj), len(drop)
+
+
+def twin_reduce_patterns(pairs: Iterable[tuple[Any, int]],
+                         crossing: bool = False) -> tuple[SimpleGraph, int]:
+    """`twin_reduce(SimpleGraph.from_patterns(pairs, crossing))`, equal
+    graph and equal dropped count, with only the two label-smallest
+    vertices of each pattern built.
+
+    The pattern-class lemma: vertices that share a pattern are twins.
+    Adjacency reads the two patterns alone, and two vertices of pattern p
+    are adjacent, or not, as p and p are: under the disjointness rule a
+    nonzero p makes them false twins and the zero pattern, which every
+    vertex is adjacent to, true twins; under the crossing rule equal
+    patterns are adjacent, so they are true twins.
+
+    The equality: keep K, the two label-smallest vertices of every pattern
+    class, and let H be the graph on K, the subgraph of G that K induces.
+    Two vertices u, v of K are twins in G iff they are in H: a dropped w
+    has two kept members of its class, so one of them, w', is neither u
+    nor v unless u and v are those two, and w' is adjacent to u and v as
+    w is; and when u and v are those two, w meets both alike.  So the
+    twin classes of H are those of G cut to K, each a union of pattern
+    classes cut to K, of the same kind; index order is label order, so
+    the two smallest members of a class of G lie in K and are the two
+    smallest of its cut.  `twin_reduce` keeps them both ways, H and G
+    induce the same graph on them, and the |pairs| - |K| vertices left out
+    of H add to the dropped count.
+
+    The indices are sorted by label, then stably by pattern, and a vertex
+    whose pattern equals the one two sorted places earlier is left out,
+    as in `twin_reduce`: every loop over the vertices runs in C.  Pairs
+    with no repeated pattern, or with a repeated label, which
+    `SimpleGraph.from_patterns` refuses with LabelCollision even where
+    both copies would be left out, take the plain route.
+    """
+    pairs = list(pairs)
+    n = len(pairs)
+    pats = list(map(itemgetter(1), pairs))
+    if len(set(pats)) < n:
+        labs = list(map(str, map(itemgetter(0), pairs)))
+        order = sorted(range(n), key=labs.__getitem__)
+        ordered = list(map(labs.__getitem__, order))
+        if not any(map(eq, ordered, ordered[1:])):
+            order.sort(key=pats.__getitem__)
+            ks = list(map(pats.__getitem__, order))
+            kept = list(map(pairs.__getitem__, compress(
+                order, chain((True, True), map(ne, ks, ks[2:])))))
+            reduced, dropped = twin_reduce(
+                SimpleGraph.from_patterns(kept, crossing))
+            return reduced, dropped + n - len(kept)
+    return twin_reduce(SimpleGraph.from_patterns(pairs, crossing))
 
 
 def _swap_perm(index: dict[tuple[str, ...], int],
@@ -799,6 +873,13 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
     distant pair among the rest, the two survivors stay such a pair, and
     a disconnected G stays disconnected.
 
+    On a graph of `SimpleGraph.from_patterns` every pattern class lies
+    inside one twin class (the pattern-class lemma of
+    `twin_reduce_patterns`), so `sdim_via_gsr_patterns(pairs)` equals
+    `sdim_via_gsr(SimpleGraph.from_patterns(pairs))`: it solves the same
+    reduced graph, built from two vertices per pattern class, with the
+    same dropped count, through the same solve (`_reduced_cover`).
+
     The coordinate swaps that `_coordinate_swaps` verifies on the reduced
     graph's rows are its automorphisms; no theorem about the input is
     trusted.  Each swap is one tuple of delta steps, and every use below
@@ -815,7 +896,20 @@ def sdim_via_gsr(G: SimpleGraph) -> int:
     that are not tuples of one length, or with no swap that is an
     automorphism, leave the plain computation.
     """
-    reduced, dropped = twin_reduce(G)
+    return _reduced_cover(*twin_reduce(G))
+
+
+def sdim_via_gsr_patterns(pairs: Iterable[tuple[Any, int]]) -> int:
+    """`sdim_via_gsr(SimpleGraph.from_patterns(pairs))`, solved on
+    `twin_reduce_patterns(pairs)`, which builds two vertices of each
+    pattern class: the route of `sdim`'s gsr method on a blow-up spec or
+    a lattice."""
+    return _reduced_cover(*twin_reduce_patterns(pairs))
+
+
+def _reduced_cover(reduced: SimpleGraph, dropped: int) -> int:
+    """The vertex cover number of G_SR of the twin-reduced graph, plus
+    the dropped count: the solve of `sdim_via_gsr`."""
     checked, swaps = _coordinate_swaps(reduced)
     rows = _mmd_rows(reduced, checked)
     # the rows are symmetric, so their union is the vertices of G_SR
