@@ -12,10 +12,8 @@ from zdgdim import (BlowupSpec, LabelCollision, SimpleGraph, m_lattice,
 from zdgdim import cli
 from zdgdim.blowup import zero_divisor_pairs
 from zdgdim.graphs import zero_divisor_patterns
-from zdgdim.metric import sdim_via_gsr_patterns, twin_reduce_patterns
+from zdgdim.metric import twin_reduce_patterns
 from zdgdim.verify import corpus
-
-from conftest import pattern_of
 
 # the benchmark's chain blow-up shapes
 BLOWUPS = [BlowupSpec(3, {0b001: 100, 0b110: 100}),
@@ -112,16 +110,6 @@ def test_cut_keeps_the_two_label_smallest_members():
     assert dropped == 9
 
 
-def test_twin_free_patterns_take_the_plain_route():
-    # no pattern repeats, so the whole graph is built and, twin-free, comes
-    # back as twin_reduce gives it
-    pairs = [(f"v{i}", pattern_of(i >> j & 1 for j in range(3)))
-             for i in range(1, 7)]
-    reduced, dropped = twin_reduce_patterns(pairs)
-    assert reduced.labeled_equal(SimpleGraph.from_patterns(pairs))
-    assert dropped == 0
-
-
 @pytest.mark.parametrize("pairs", [
     [("a", 1), ("b", 1), ("c", 1), ("c", 1)],
     [("a", 1), ("b", 1), ("z", 1), ("c", 2), ("d", 2), ("z", 2)],
@@ -136,24 +124,19 @@ def test_a_duplicate_label_raises_even_in_the_cut(pairs):
             twin_reduce_patterns(pairs, crossing=crossing)
 
 
-def test_sdim_on_patterns_is_sdim_via_gsr_of_the_whole_graph():
-    for spec in BLOWUPS + [BlowupSpec(3, {1: 400, 6: 400})]:
-        pairs = zero_divisor_pairs(spec)
-        assert sdim_via_gsr_patterns(pairs) == sdim_via_gsr(
-            SimpleGraph.from_patterns(pairs)), spec
-
-
 def spec_argv(spec: BlowupSpec) -> list[str]:
     return ["--blowup", json.dumps(spec.to_json_dict())]
 
 
 CLI_INPUTS = ([["--boolean", str(n)] for n in range(3, 10)]
               + [spec_argv(spec) for spec in BLOWUPS]
+              + [spec_argv(BlowupSpec(3, {1: 400, 6: 400}))]
               + [["--chains", "4,4,4,4,4"]])
 
 
 CLI_IDS = ([f"boolean-{n}" for n in range(3, 10)]
-           + [f"blowup-{k}" for k in range(len(BLOWUPS))] + ["chains-4^5"])
+           + [f"blowup-{k}" for k in range(len(BLOWUPS))]
+           + ["blowup-400-400", "chains-4^5"])
 
 
 @pytest.mark.parametrize("inp", CLI_INPUTS, ids=CLI_IDS)
