@@ -306,15 +306,24 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 
 def _orbits(n: int, gens: Sequence[Steps]) -> list[tuple[int, list]]:
     """The orbits of the vertices 0..n-1 under the group the swaps gens
-    generate, each as its least vertex r and the (reached, g) of each
-    round that closed it: one frontier bitmask at a time, a generator's
-    image of the frontier, less the orbit so far, is reached, and each
-    vertex w it holds is the image under g of u = g(w) in the frontier."""
+    generate, in order of least vertex, each as its least vertex r and
+    the (reached, g) of each round that closed it: one frontier bitmask
+    at a time, a generator's image of the frontier, less the orbit so
+    far, is reached, and each vertex w it holds is the image under g of
+    u = g(w) in the frontier.
+
+    The closing stops once 16 times the orbits closed exceeds n, the
+    many-orbit test of `_mmd_rows`, whose many-orbit route reads no
+    orbit.  So a list with 16 * len > n is cut off: it holds the first
+    orbits only, and says just that there are that many or more.  A list
+    with 16 * len <= n holds every orbit."""
     orbits: list[tuple[int, list]] = []
     seen = 0
     for r in range(n):
         if seen >> r & 1:
             continue
+        if 16 * len(orbits) > n:
+            break
         rounds = []
         orbit = frontier = 1 << r
         while frontier:
@@ -340,7 +349,8 @@ def _mmd_rows(G: SimpleGraph, gens: Sequence[Steps] = ()) -> list[int]:
 
     gens are automorphisms of G, each an involution given as delta steps
     (see `_swap`).  The orbits they generate are closed first (`_orbits`),
-    by bitmask steps on the generators with no search.  With no gens every
+    by bitmask steps on the generators with no search, until there are
+    so many that the route below reads none of them.  With no gens every
     orbit is one vertex.
 
     With reps orbits on n vertices and 16 * reps > n, and so always with
@@ -525,6 +535,16 @@ def _alpha(adj: Sequence[int], cand: int,
     cliques 0..k left an independent set gains at most k + 1 vertices, one
     per clique.
 
+    The search starts from an incumbent, not from 0: the root cover's
+    cliques are taken from last to first, and from each the lowest
+    candidate that no vertex taken so far is adjacent to, if any.  The
+    vertices taken are independent, so the incumbent is at most α and the
+    search stays exact; a node is pruned when it cannot beat the best so
+    far, which is never lower than without the incumbent, so no input
+    visits more nodes.  On small twin-rich graphs it is often α, and
+    where the root's cover has α cliques as well the root is the only
+    node.
+
     gens are automorphisms of the graph under which cand is invariant,
     each an involution given as delta steps (see `_swap`) paired with the
     exact set of vertices it moves, as `_coordinate_swaps` hands them
@@ -553,6 +573,15 @@ def _alpha(adj: Sequence[int], cand: int,
         return [cand, size, gens, cliques, k, cliques[k] if cliques else 0]
 
     stack = [node(cand, 0, gens)]
+    # the incumbent: one vertex from each root clique, last to first, the
+    # lowest that is independent of those taken
+    free = cand
+    for clique in reversed(stack[0][3]):
+        clique &= free
+        if clique:
+            low = clique & -clique
+            best += 1
+            free &= ~(adj[low.bit_length() - 1] | low)
     while stack:
         top = stack[-1]
         cand, size, gens, cliques, k, rest = top

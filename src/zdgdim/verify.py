@@ -2,16 +2,19 @@
 
 Each suite takes a seed and a count and returns a VerifySuiteResult.  The
 seven corpus suites run on `corpus_specs(seed, count)`: the figure-3
-blow-up, 2^3, 2^4 and `count` seeded random blow-up specs.  Each builds
-only what its checks read.  `diameter`, `gallai` and `formula-agreement`
-read only G (and `gallai` G**), which `blowup_graphs` reads off the spec
-with no lattice built, the route of the CLI's blow-up inputs.
-`distance-lemma`, `quotient`, `gsr-equality` and `decomposition` test the
-lattice, so they run on `corpus(seed, count)`, which builds each one, and
-take G from `zero_divisor_graph` of it.  `adapters` and `examples` hold
-the paper's worked examples, each value once.  The tests run the same
-functions, so every check is written once.  The environment variable
-SDIM_BRUTE_CAP overrides the brute-force vertex cap.
+blow-up, 2^3, 2^4 and `count` seeded random blow-up specs.  The random
+draws repeat (at seed 0, 303 draws hold 238 distinct normalized specs),
+so each suite checks each distinct spec once and replays its cases under
+the name of every later draw (`_corpus_cases`).  Each builds only what
+its checks read.  `diameter`, `gallai` and `formula-agreement` read only
+G (and `gallai` G**), which `blowup_graphs` reads off the spec with no
+lattice built, the route of the CLI's blow-up inputs.  `distance-lemma`,
+`quotient`, `gsr-equality` and `decomposition` test the lattice, so they
+build it with `build_blowup` and take G from `zero_divisor_graph` of it.
+`adapters` and `examples` hold the paper's worked examples, each value
+once.  The tests run the same functions, so every check is written once.
+The environment variable SDIM_BRUTE_CAP overrides the brute-force vertex
+cap.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import os
 import random
 from itertools import chain
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from . import adapters
 from .blowup import (BlowupSpec, blowup_graphs, boolean_lattice,
@@ -109,58 +112,102 @@ def corpus_specs(seed: int,
 
 def corpus(seed: int,
            count: int) -> Iterator[tuple[str, BlowupSpec, FinitePoset]]:
-    """(name, spec, lattice) for each (name, spec) of `corpus_specs`.
-    Lattices are built one at a time as the caller reaches them, so a suite
-    holds one lattice at once."""
+    """(name, spec, lattice) for each (name, spec) of `corpus_specs`,
+    each lattice built as the caller reaches it."""
     for name, spec in corpus_specs(seed, count):
         yield name, spec, build_blowup(spec)
 
 
-def _suite_diameter(seed, count) -> VerifySuiteResult:
-    out = VerifySuiteResult("diameter")
+# A corpus check: check(out, spec, build(spec)) records the cases of one
+# spec in out, each named by its suffix to the spec's corpus name, such as
+# ": diameter = 3"; build is `blowup_graphs` or `build_blowup`.
+CorpusCheck = Callable[[VerifySuiteResult, BlowupSpec, Any], None]
+
+
+def _corpus_cases(name: str, seed: int, count: int, check: CorpusCheck,
+                  build: Callable[[BlowupSpec], Any]) -> VerifySuiteResult:
+    """The suite `name` of check over `corpus_specs(seed, count)`, in
+    draw order: check runs once per distinct normalized spec, on what
+    build makes of it, and every later draw of that spec replays its case
+    suffixes and failures under its own name.  Only those strings are
+    kept, never a graph or a lattice.
+
+    The key is sound: a check reads its spec only through what is built
+    from it (`build_blowup` and `blowup_graphs` read the chain sizes
+    above 1, by ascending mask) and through `n`, `size_of`, `masks`,
+    `total_vertices`, `singleton_atom_count` and `normalized`, and these
+    agree on specs with equal normalized forms.  The key is the repr of
+    the normalized spec, not its sorted chain sizes, because a failure
+    message may print that repr, whose dict keeps the spec's mask order.
+    The random specs list their masks in ascending order and the figure-3
+    spec does not, so a random draw equal to it (one at seed 1) is checked
+    again, not replayed."""
+    out = VerifySuiteResult(name)
+    memo: dict[str, tuple[list[str], list[dict]]] = {}
+    for draw, spec in corpus_specs(seed, count):
+        key = repr(spec.normalized())
+        if key not in memo:
+            part = VerifySuiteResult(name)
+            check(part, spec, build(spec))
+            memo[key] = part.case_names, part.failures
+        cases, failures = memo[key]
+        out.case_names += [draw + case for case in cases]
+        out.failures += [{**f, "case": draw + f["case"]} for f in failures]
+    return out
+
+
+def _check_diameter(out: VerifySuiteResult, name: str, G: SimpleGraph,
+                    bound: str) -> None:
+    try:
+        d = diameter(G)
+        ok = d == 3 if bound == "= 3" else d <= 3
+        out.check(f"{name}: diameter {bound}", ok, bound, d)
+    except ZdgError as exc:
+        out.check(f"{name}: connected", False, "connected", exc)
+
+
+def _diameter_case(out, spec, graphs) -> None:
     # a blow-up of 2^n with n >= 3 meets the bound: two distinct coatom-mask
     # vertices are at distance 3
+    _check_diameter(out, "", graphs[0](), "= 3")
+
+
+def _suite_diameter(seed, count) -> VerifySuiteResult:
+    out = _corpus_cases("diameter", seed, count, _diameter_case,
+                        blowup_graphs)
     graphs = chain(
-        ((name, blowup_graphs(spec)[0](), "= 3")
-         for name, spec in corpus_specs(seed, count)),
-        ((f"M_{n}", zero_divisor_graph(m_lattice(n)), "<= 3")
-         for n in (3, 4, 5, 6)),
-        ((f"chains-{sizes}", zero_divisor_graph(product_of_chains(sizes)),
-          "<= 3")
+        ((f"M_{n}", zero_divisor_graph(m_lattice(n))) for n in (3, 4, 5, 6)),
+        ((f"chains-{sizes}", zero_divisor_graph(product_of_chains(sizes)))
          for sizes in ((2, 2, 2), (3, 2, 2), (3, 3, 3), (2, 3, 2, 2))))
-    for name, G, bound in graphs:
-        try:
-            d = diameter(G)
-            ok = d == 3 if bound == "= 3" else d <= 3
-            out.check(f"{name}: diameter {bound}", ok, bound, d)
-        except ZdgError as exc:
-            out.check(f"{name}: connected", False, "connected", exc)
+    for name, G in graphs:
+        _check_diameter(out, name, G, "<= 3")
     return out
+
+
+def _gallai_case(out, spec, graphs) -> None:
+    """Gallai's identity behind sdim = β(G_SR): on G, G_SR and G** of the
+    blow-up, the complement of the lex-least maximum independent set is a
+    vertex cover of |V| - α vertices.  The cover is checked on rows:
+    every vertex outside it has its whole row inside it."""
+    graph, gss = graphs
+    G = graph()
+    for tag, g in (("G", G), ("G_SR", strong_resolving_graph(G)),
+                   ("G**", gss())):
+        alpha = independence_number(g)
+        # the cover number is |V| - alpha; minimum_vertex_cover reads
+        # alpha off g as its target, so g's independence number is
+        # solved once
+        beta = g.n - alpha
+        cover = minimum_vertex_cover(g)
+        mask = sum(1 << g.index(lab) for lab in cover)
+        covered = all(not row & ~mask for v, row in enumerate(g.adj)
+                      if not mask >> v & 1)
+        out.check(f"/{tag}: cover is a cover", covered)
+        out.expect_equal(f"/{tag}: cover size", beta, len(cover))
 
 
 def _suite_gallai(seed, count) -> VerifySuiteResult:
-    """Gallai's identity behind sdim = β(G_SR): on G, G_SR and G** of each
-    corpus blow-up, the complement of the lex-least maximum independent
-    set is a vertex cover of |V| - α vertices.  The cover is checked on
-    rows: every vertex outside it has its whole row inside it."""
-    out = VerifySuiteResult("gallai")
-    for name, spec in corpus_specs(seed, count):
-        graph, gss = blowup_graphs(spec)
-        G = graph()
-        for tag, g in (("G", G), ("G_SR", strong_resolving_graph(G)),
-                       ("G**", gss())):
-            alpha = independence_number(g)
-            # the cover number is |V| - alpha; minimum_vertex_cover reads
-            # alpha off g as its target, so g's independence number is
-            # solved once
-            beta = g.n - alpha
-            cover = minimum_vertex_cover(g)
-            mask = sum(1 << g.index(lab) for lab in cover)
-            covered = all(not row & ~mask for v, row in enumerate(g.adj)
-                          if not mask >> v & 1)
-            out.check(f"{name}/{tag}: cover is a cover", covered)
-            out.expect_equal(f"{name}/{tag}: cover size", beta, len(cover))
-    return out
+    return _corpus_cases("gallai", seed, count, _gallai_case, blowup_graphs)
 
 
 def _distance_lemma_mismatches(LB: FinitePoset, G: SimpleGraph) -> int:
@@ -188,14 +235,16 @@ def _distance_lemma_mismatches(LB: FinitePoset, G: SimpleGraph) -> int:
     return bad
 
 
+def _distance_lemma_case(out, spec, LB) -> None:
+    """The pseudocomplement distance trichotomy against BFS on G(L^B),
+    one element's masks at a time."""
+    bad = _distance_lemma_mismatches(LB, zero_divisor_graph(LB))
+    out.expect_equal(": trichotomy matches BFS", 0, bad)
+
+
 def _suite_distance_lemma(seed, count) -> VerifySuiteResult:
-    """The pseudocomplement distance trichotomy against BFS on G(L^B) of
-    each corpus lattice, one element's masks at a time."""
-    out = VerifySuiteResult("distance-lemma")
-    for name, _, LB in corpus(seed, count):
-        bad = _distance_lemma_mismatches(LB, zero_divisor_graph(LB))
-        out.expect_equal(f"{name}: trichotomy matches BFS", 0, bad)
-    return out
+    return _corpus_cases("distance-lemma", seed, count, _distance_lemma_case,
+                         build_blowup)
 
 
 def _join_identity_failures(LB: FinitePoset) -> int:
@@ -212,49 +261,50 @@ def _join_identity_failures(LB: FinitePoset) -> int:
     return 2 * bad
 
 
-def _suite_quotient(seed, count) -> VerifySuiteResult:
-    """The annihilator quotient of each corpus lattice: 2^n classes with
-    the spec's sizes, a Boolean image, the spec back from
+def _quotient_case(out, spec, LB) -> None:
+    """The annihilator quotient of the lattice: 2^n classes with the
+    spec's sizes, a Boolean image, the spec back from
     `canonical_blowup_of`, and ann(x v y) = ann(x) & ann(y) for every
     ordered pair."""
-    out = VerifySuiteResult("quotient")
-    for name, spec, LB in corpus(seed, count):
-        part = LB.quotient_classes()
-        out.expect_equal(f"{name}: 2^n classes", 1 << spec.n,
-                         len(part.classes))
-        out.check(f"{name}: Boolean image", part.boolean_image is not None)
-        got_sizes = {part.boolean_image[cid]: len(members)
-                     for cid, members in enumerate(part.classes)}
-        # the bottom and top classes hold one element each
-        want = {0: 1, (1 << spec.n) - 1: 1}
-        want.update((m, spec.size_of(m)) for m in spec.masks())
-        out.expect_equal(f"{name}: class sizes", want, got_sizes)
-        rt, _ = canonical_blowup_of(LB)
-        out.expect_equal(f"{name}: spec round trip", spec.normalized(), rt)
-        out.expect_equal(f"{name}: ann(x v y) = ann(x) & ann(y)", 0,
-                         _join_identity_failures(LB))
-    return out
+    part = LB.quotient_classes()
+    out.expect_equal(": 2^n classes", 1 << spec.n, len(part.classes))
+    out.check(": Boolean image", part.boolean_image is not None)
+    got_sizes = {part.boolean_image[cid]: len(members)
+                 for cid, members in enumerate(part.classes)}
+    # the bottom and top classes hold one element each
+    want = {0: 1, (1 << spec.n) - 1: 1}
+    want.update((m, spec.size_of(m)) for m in spec.masks())
+    out.expect_equal(": class sizes", want, got_sizes)
+    rt, _ = canonical_blowup_of(LB)
+    out.expect_equal(": spec round trip", spec.normalized(), rt)
+    out.expect_equal(": ann(x v y) = ann(x) & ann(y)", 0,
+                     _join_identity_failures(LB))
+
+
+def _suite_quotient(seed, count) -> VerifySuiteResult:
+    return _corpus_cases("quotient", seed, count, _quotient_case, build_blowup)
+
+
+def _gsr_equality_case(out, spec, LB) -> None:
+    """G* (and G** when no atom's chain has one element) against G_SR of
+    the lattice, and G_SR's size and independence number against their
+    formulas.  The lattice keeps its G and G**, so `gstar` and
+    `gstar_star` share the G built here and build G** once."""
+    G = zero_divisor_graph(LB)
+    gsr = strong_resolving_graph(G)
+    out.check(": G* = G_SR", gstar(LB).labeled_equal(gsr))
+    m = spec.singleton_atom_count()
+    out.expect_equal(": |V(G_SR)| = |Z*| - m", spec.total_vertices() - m,
+                     gsr.n)
+    out.expect_equal(": beta(G_SR) = 2n-m-2", beta_gsr_formula(spec),
+                     independence_number(gsr))
+    if m == 0:
+        out.check(": G** = G_SR", gstar_star(LB).labeled_equal(gsr))
 
 
 def _suite_gsr_equality(seed, count) -> VerifySuiteResult:
-    """G* (and G** when no atom's chain has one element) against G_SR of
-    each corpus lattice, and G_SR's size and independence number against
-    their formulas.  The lattice keeps its G and G**, so `gstar` and
-    `gstar_star` share the G built here and build G** once."""
-    out = VerifySuiteResult("gsr-equality")
-    for name, spec, LB in corpus(seed, count):
-        G = zero_divisor_graph(LB)
-        gsr = strong_resolving_graph(G)
-        out.check(f"{name}: G* = G_SR", gstar(LB).labeled_equal(gsr))
-        m = spec.singleton_atom_count()
-        out.expect_equal(f"{name}: |V(G_SR)| = |Z*| - m",
-                         spec.total_vertices() - m, gsr.n)
-        out.expect_equal(f"{name}: beta(G_SR) = 2n-m-2",
-                         beta_gsr_formula(spec), independence_number(gsr))
-        if m == 0:
-            out.check(f"{name}: G** = G_SR",
-                      gstar_star(LB).labeled_equal(gsr))
-    return out
+    return _corpus_cases("gsr-equality", seed, count, _gsr_equality_case,
+                         build_blowup)
 
 
 def _is_clique(g: SimpleGraph, mask: int) -> bool:
@@ -263,45 +313,48 @@ def _is_clique(g: SimpleGraph, mask: int) -> bool:
     return all(not mask & ~(g.adj[v] | 1 << v) for v in _bits(mask))
 
 
-def _suite_decomposition(seed, count) -> VerifySuiteResult:
-    """G** of each corpus lattice: every atom class is a component and a
-    clique, tested by bit tests on the class's rows, and the rest is one
+def _decomposition_case(out, spec, LB) -> None:
+    """G** of the lattice: every atom class is a component and a clique,
+    tested by bit tests on the class's rows, and the rest is one
     component; the isolated vertices are the singleton atom classes."""
-    out = VerifySuiteResult("decomposition")
-    for name, _, LB in corpus(seed, count):
-        gss = gstar_star(LB)
-        part = LB.quotient_classes()
-        atom_classes = []
-        for atom in LB.atoms():
-            cid = part.class_of[LB.index(atom)]
-            atom_classes.append(
-                frozenset(LB.labels[i] for i in part.classes[cid]))
-        comps = connected_components(gss)
-        for cls in atom_classes:
-            out.check(f"{name}: atom class {min(cls)} is a component",
-                      cls in comps)
-            mask = sum(1 << gss.index(lab) for lab in cls)
-            out.check(f"{name}: atom class {min(cls)} is complete",
-                      _is_clique(gss, mask))
-        rest = [c for c in comps if c not in atom_classes]
-        out.expect_equal(f"{name}: one H component", 1, len(rest))
-        singles = {min(cls) for cls in atom_classes if len(cls) == 1}
-        isolated = {lab for i, lab in enumerate(gss.labels) if not gss.adj[i]}
-        out.expect_equal(f"{name}: isolated G** vertices", singles, isolated)
-    return out
+    gss = gstar_star(LB)
+    part = LB.quotient_classes()
+    atom_classes = []
+    for atom in LB.atoms():
+        cid = part.class_of[LB.index(atom)]
+        atom_classes.append(
+            frozenset(LB.labels[i] for i in part.classes[cid]))
+    comps = connected_components(gss)
+    for cls in atom_classes:
+        out.check(f": atom class {min(cls)} is a component", cls in comps)
+        mask = sum(1 << gss.index(lab) for lab in cls)
+        out.check(f": atom class {min(cls)} is complete",
+                  _is_clique(gss, mask))
+    rest = [c for c in comps if c not in atom_classes]
+    out.expect_equal(": one H component", 1, len(rest))
+    singles = {min(cls) for cls in atom_classes if len(cls) == 1}
+    isolated = {lab for i, lab in enumerate(gss.labels) if not gss.adj[i]}
+    out.expect_equal(": isolated G** vertices", singles, isolated)
+
+
+def _suite_decomposition(seed, count) -> VerifySuiteResult:
+    return _corpus_cases("decomposition", seed, count, _decomposition_case,
+                         build_blowup)
+
+
+def _formula_agreement_case(out, spec, graphs) -> None:
+    cap = brute_cap()
+    G = graphs[0]()
+    want = sdim_formula(spec)
+    out.expect_equal(": formula = gsr", want, sdim_via_gsr(G))
+    if G.n <= min(14, cap):
+        out.expect_equal(": formula = brute", want,
+                         sdim_bruteforce(G, cap=cap))
 
 
 def _suite_formula_agreement(seed, count) -> VerifySuiteResult:
-    out = VerifySuiteResult("formula-agreement")
-    cap = brute_cap()
-    for name, spec in corpus_specs(seed, count):
-        G = blowup_graphs(spec)[0]()
-        want = sdim_formula(spec)
-        out.expect_equal(f"{name}: formula = gsr", want, sdim_via_gsr(G))
-        if G.n <= min(14, cap):
-            out.expect_equal(f"{name}: formula = brute", want,
-                             sdim_bruteforce(G, cap=cap))
-    return out
+    return _corpus_cases("formula-agreement", seed, count,
+                         _formula_agreement_case, blowup_graphs)
 
 
 def _suite_adapters(seed, count) -> VerifySuiteResult:

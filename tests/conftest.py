@@ -10,7 +10,8 @@ from zdgdim import (Disconnected, FinitePoset, LabelCollision, SimpleGraph,
                     independence_number, tuple_label, zero_divisor_graph)
 from zdgdim.metric import _alpha, _minimal_masks, _pair_cover_masks, _swap
 from zdgdim.poset import _bits
-from zdgdim.verify import FIG3, SUITES, corpus
+from zdgdim.verify import (FIG3, SUITES, VerifySuiteResult, corpus,
+                           corpus_specs)
 
 # Acceptance corpus: 50 seeded random blow-up specs plus the named ones.
 CORPUS_SEED = 1234
@@ -59,6 +60,29 @@ def corpus_graphs():
     """(name, spec, lattice, zero-divisor graph) for every corpus member."""
     return [(name, spec, LB, zero_divisor_graph(LB))
             for name, spec, LB in corpus(CORPUS_SEED, CORPUS_SIZE)]
+
+
+def distinct_specs(seed: int, count: int) -> int:
+    """The distinct normalized specs among the draws of
+    `corpus_specs(seed, count)`: the specs a corpus suite of verify
+    checks, every other draw replaying one of them."""
+    return len({repr(spec.normalized())
+                for _, spec in corpus_specs(seed, count)})
+
+
+def per_draw_cases(name, seed, count, check, build):
+    """`verify._corpus_cases` by a plain loop with no memo: check runs on
+    every draw of `corpus_specs(seed, count)`, on what build makes of it
+    afresh, and its cases take the draw's name.  The oracle of the
+    replayed cases."""
+    out = VerifySuiteResult(name)
+    for draw, spec in corpus_specs(seed, count):
+        part = VerifySuiteResult(name)
+        check(part, spec, build(spec))
+        out.case_names += [draw + case for case in part.case_names]
+        out.failures += [dict(f, case=draw + f["case"])
+                         for f in part.failures]
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from zdgdim import (BlowupSpec, Disconnected, SimpleGraph, boolean_lattice,
                     distance_balls, gstar_star, independence_number,
                     is_strong_resolving, m_lattice, max_independent_set,
                     minimum_vertex_cover, product_of_chains,
-                    random_blowup_spec, sdim_bruteforce,
+                    random_blowup_spec, sdim_bruteforce, sdim_formula,
                     sdim_via_gsr, strong_resolving_graph, twin_reduce,
                     zero_divisor_graph)
 from zdgdim import metric
@@ -87,6 +87,40 @@ def test_alpha_beta_against_networkx_on_random_graphs():
         assert all(not has_edge(g, a, b) for a, b in combinations(mis, 2))
         sub = g.subgraph(lab for lab in g.labels if rng.random() < 0.6)
         assert independence_number(sub) == nx_alpha(sub), trial
+
+
+def root_incumbent(adj, cand: int) -> int:
+    """The independent set `_alpha` starts from: the lowest candidate of
+    each clique of the root cover, last clique first, that is adjacent to
+    none taken so far."""
+    taken = 0
+    for clique in reversed(_clique_cover(adj, cand)):
+        for v in _bits(clique):
+            if not adj[v] & taken:
+                taken |= 1 << v
+                break
+    return taken
+
+
+def test_alpha_from_the_root_incumbent_against_networkx():
+    # random graphs, plain and twin-rich, on which the incumbent is below
+    # α, so the search runs past the root, and on which the root cover
+    # has more cliques than α, so an incumbent that counted a clique with
+    # no candidate left would overshoot
+    rng = random.Random(31)
+    below = overcovered = 0
+    for trial in range(400):
+        n = 4 + trial % 22
+        make = random_graph_with_twins if trial % 2 else random_graph
+        g = make(rng, n, rng.uniform(0.1, 0.9))
+        full = (1 << n) - 1
+        beta = nx_alpha(g)
+        assert _alpha(g.adj, full) == beta, trial
+        taken = root_incumbent(g.adj, full)
+        assert all(not g.adj[v] & taken for v in _bits(taken))
+        below += taken.bit_count() < beta
+        overcovered += len(_clique_cover(g.adj, full)) > beta
+    assert below > 40 and overcovered > 40
 
 
 def test_max_independent_set_is_lex_least_by_enumeration():
@@ -1072,11 +1106,13 @@ def test_generators_carry_the_exact_moved_sets():
 
 
 @pytest.mark.parametrize("spec", [BlowupSpec(7), BlowupSpec(
-    6, {m: 2 for m in range(1, 63)})], ids=["2^7", "size-2-blowup-2^6"])
+    7, dict.fromkeys(range(1, 127), 2))], ids=["2^7", "size-2-blowup-2^7"])
 def test_every_search_node_keeps_the_generators_that_fix_its_vertex(
         monkeypatch, spec):
     # at every include branch of sdim_via_gsr's α search, the moved-mask
-    # filter keeps the generators that a swap of the vertex keeps
+    # filter keeps the generators that a swap of the vertex keeps; both
+    # searches branch past the root's incumbent (13 and 60 include
+    # branches)
     keep = metric._stabiliser
     nodes = []
 
@@ -1086,6 +1122,6 @@ def test_every_search_node_keeps_the_generators_that_fix_its_vertex(
         nodes.append(len(gens) - len(kept))
         return kept
     monkeypatch.setattr(metric, "_stabiliser", compared)
-    # sdim = |Z*| - 2n + 2 for both
-    assert sdim_via_gsr(zero_divisor_graph(build_blowup(spec))) == 114
+    assert (sdim_via_gsr(zero_divisor_graph(build_blowup(spec)))
+            == sdim_formula(spec))
     assert len(nodes) > 10 and 0 < max(nodes)

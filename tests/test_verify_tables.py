@@ -1,14 +1,15 @@
 """The index-mask checks of the `distance-lemma`, `quotient` and
 `decomposition` suites against networkx and against the label-level loops
-they replaced, and the graph suites read off the specs against their
-lattice-route copies; the replaced code stays here as the oracles."""
+they replaced, the graph suites read off the specs against their
+lattice-route copies, and the replayed cases of repeated specs against a
+per-draw loop; the replaced code stays here as the oracles."""
 
 import random
 
 import networkx as nx
 import pytest
 
-from zdgdim import (Disconnected, NotApplicable, NotAZeroDivisor,
+from zdgdim import (BlowupSpec, Disconnected, NotApplicable, NotAZeroDivisor,
                     SimpleGraph, ZdgError, boolean_lattice,
                     connected_components, diameter, distance_balls,
                     distance_by_pseudocomplement, gstar, gstar_star,
@@ -16,13 +17,14 @@ from zdgdim import (Disconnected, NotApplicable, NotAZeroDivisor,
                     product_of_chains, sdim_bruteforce, sdim_formula,
                     sdim_via_gsr, strong_resolving_graph,
                     zero_divisor_graph)
+from zdgdim import verify
 from zdgdim.metric import _distance_masks
 from zdgdim.poset import _bits
 from zdgdim.verify import (SUITES, VerifySuiteResult,
                            _distance_lemma_mismatches, _is_clique,
                            _join_identity_failures, brute_cap, corpus)
 
-from conftest import make_fig2_lattice
+from conftest import distinct_specs, make_fig2_lattice, per_draw_cases
 
 CHAIN_PRODUCTS = ((2, 2, 2), (3, 2, 2), (3, 3, 3), (2, 3, 2, 2))
 
@@ -235,7 +237,8 @@ def test_atom_class_clique_test_on_rows_matches_subgraph_completeness(
 
 def test_gsr_equality_builds_g_and_gstarstar_once_per_lattice(monkeypatch):
     # each corpus lattice keeps its G and G**: the suite, gstar and
-    # gstar_star share one of each, and its result is unchanged
+    # gstar_star share one of each, and its result is unchanged.  The
+    # suite builds one lattice per distinct spec
     want = SUITES["gsr-equality"](0, 40)
     made = []
     from_patterns = SimpleGraph.from_patterns.__func__
@@ -245,9 +248,50 @@ def test_gsr_equality_builds_g_and_gstarstar_once_per_lattice(monkeypatch):
         return from_patterns(cls, vertices, crossing)
     monkeypatch.setattr(SimpleGraph, "from_patterns", classmethod(counted))
     assert SUITES["gsr-equality"](0, 40) == want
-    assert made == [False, True] * 43
+    assert made == [False, True] * distinct_specs(0, 40)
+    assert distinct_specs(0, 40) < 43
     for _, spec, LB in corpus(1, 5):
         G, gss = zero_divisor_graph(LB), gstar_star(LB)
         assert zero_divisor_graph(LB) is G and gstar_star(LB) is gss
         assert gstar(LB).labels == tuple(lab for lab, row in
                                          zip(gss.labels, gss.adj) if row)
+
+
+CORPUS_SUITES = ("diameter", "gallai", "distance-lemma", "quotient",
+                 "gsr-equality", "decomposition", "formula-agreement")
+
+
+@pytest.mark.parametrize("seed, count", [(0, 300), (1234, 50)])
+@pytest.mark.parametrize("suite", CORPUS_SUITES)
+def test_corpus_suites_replay_what_a_per_draw_loop_reports(
+        monkeypatch, suite, seed, count):
+    # each distinct spec is checked once and its cases replayed under the
+    # name of every later draw: the same case names and failures, in the
+    # same order, as checking every draw
+    memo = SUITES[suite](seed, count)
+    monkeypatch.setattr(verify, "_corpus_cases", per_draw_cases)
+    plain = SUITES[suite](seed, count)
+    assert memo.case_names == plain.case_names
+    assert memo.failures == plain.failures
+
+
+def test_a_failure_of_a_repeated_spec_is_reported_under_every_draw(
+        monkeypatch):
+    # at seed 0 the all-ones spec of 2^3 is drawn 13 times: a formula off
+    # by one there fails both agreements of every one of those draws, in
+    # draw order, as a per-draw loop reports them
+    formula = verify.sdim_formula
+    monkeypatch.setattr(verify, "sdim_formula", lambda spec: formula(spec) + (
+        spec.normalized() == BlowupSpec(3, {})))
+    names = [name for name, spec in verify.corpus_specs(0, 300)
+             if spec.normalized() == BlowupSpec(3, {})]
+    assert len(names) == 13 and names[0] == "boolean-3"
+    got = SUITES["formula-agreement"](0, 300)
+    assert [f["case"] for f in got.failures] == [
+        f"{name}: formula = {route}" for name in names
+        for route in ("gsr", "brute")]
+    assert {(f["expected"], f["got"]) for f in got.failures} == {("3", "2")}
+    monkeypatch.setattr(verify, "_corpus_cases", per_draw_cases)
+    plain = SUITES["formula-agreement"](0, 300)
+    assert got.case_names == plain.case_names
+    assert got.failures == plain.failures
